@@ -17,8 +17,8 @@ from .derivatives import (JacobianSample, finite_diff_jacobian,
 from .errors import (ConfigurationError, EmptyFibreError, EvaluationError,
                      LuresimError, UsageError)
 from .inclusion import (ConvexityVerdict, InclusionOptions, SelectionPolicy,
-                        check_image_convexity, select_from_fibre,
-                        simulate_inclusion)
+                        check_image_convexity, enumerate_fibre,
+                        select_from_fibre, simulate_inclusion)
 from .integrator import (SimOptions, Termination, TrajectoryRecord,
                          compare_to_reference, refine_escape_time, simulate,
                          summary_dict, write_csv, write_summary_json)

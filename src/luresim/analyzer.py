@@ -21,10 +21,9 @@ import numpy as np
 
 from .derivatives import finite_diff_jacobian, sample_clarke_jacobian
 from .errors import ConfigurationError
-from .inclusion import check_image_convexity
+from .inclusion import _fold_candidates, check_image_convexity, enumerate_fibre
 from .nonlinearity import Nonlinearity
 from .output_solver import (SolveOptions, enumerate_fibre_exact,
-                            enumerate_fibre_multistart,
                             exact_structure_available)
 from .system import SystemMatrices
 
@@ -287,19 +286,16 @@ def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,
     breakpoints, interior extrema); any set-valued fibre yields pairs
     with lower quotient exactly zero.
     """
-    from .inclusion import _fold_candidates
-
     if not exact_structure_available(f, sys.D):
         return []
     pairs = []
+    d = float(sys.D[0, 0])
     ta, tb = t_window
     for t in np.linspace(ta, tb, 5):
         if f.kind == "piecewise_scalar":
-            d = float(sys.D[0, 0])
             cands = _fold_candidates(f, d, float(t))
             targets = [np.array([wv]) for _, wv in cands]
         else:
-            d = float(sys.D[0, 0])
             targets = []
             for pc in f.resolved_structure(float(t)):
                 for end in (pc.lo, pc.hi):
@@ -638,13 +634,6 @@ def _sample_outputs(sys: SystemMatrices, t_window, n_w: int, seed: int,
     return out
 
 
-def _fibre_for_probe(sys: SystemMatrices, f: Nonlinearity, t: float, w,
-                     fibre_opts: SolveOptions):
-    if exact_structure_available(f, sys.D):
-        return enumerate_fibre_exact(f, sys.D, t, w, tol_sep=fibre_opts.tol_sep)
-    return enumerate_fibre_multistart(f, sys.D, t, w, opts=fibre_opts)
-
-
 def probe_fibre_nonempty(sys: SystemMatrices, f: Nonlinearity, t_window,
                          n_w: int = 40, seed: int = 0,
                          fibre_opts: SolveOptions | None = None,
@@ -654,7 +643,7 @@ def probe_fibre_nonempty(sys: SystemMatrices, f: Nonlinearity, t_window,
     n_empty = 0
     witness = None
     for t, w in _sample_outputs(sys, t_window, n_w, seed):
-        fib = _fibre_for_probe(sys, f, t, w, fibre_opts)
+        fib = enumerate_fibre(f, sys.D, t, w, fibre_opts)
         if fib.empty:
             n_empty += 1
             if witness is None:
@@ -669,7 +658,7 @@ def probe_fibre_nonempty(sys: SystemMatrices, f: Nonlinearity, t_window,
                              margin=0.0, table=table)
 
     def still_violates(w):
-        fib = _fibre_for_probe(sys, f, w["t"], np.asarray(w["w"]), fibre_opts)
+        fib = enumerate_fibre(f, sys.D, w["t"], np.asarray(w["w"]), fibre_opts)
         return fib.empty
 
     return _merge_prior(record, prior, still_violates)
@@ -692,7 +681,7 @@ def probe_fibre_convexity(sys: SystemMatrices, f: Nonlinearity, t_window,
     worst = None
     n_checked = 0
     for t, w in probes:
-        fib = _fibre_for_probe(sys, f, t, w, fibre_opts)
+        fib = enumerate_fibre(f, sys.D, t, w, fibre_opts)
         if fib.empty:
             continue
         n_checked += 1
@@ -712,7 +701,7 @@ def probe_fibre_convexity(sys: SystemMatrices, f: Nonlinearity, t_window,
                              margin=0.0, table=table)
 
     def still_violates(w):
-        fib = _fibre_for_probe(sys, f, w["t"], np.asarray(w["w"]), fibre_opts)
+        fib = enumerate_fibre(f, sys.D, w["t"], np.asarray(w["w"]), fibre_opts)
         if fib.empty:
             return False
         return check_image_convexity(f, sys.D, w["t"], np.asarray(w["w"]),

@@ -20,12 +20,11 @@ from .analyzer import AnalyzerOptions, analyze_system
 from .catalog import build_example, list_examples, verify_example
 from .config import config_text, load_config
 from .errors import ConfigurationError, LuresimError, UsageError
-from .inclusion import InclusionOptions, SelectionPolicy, simulate_inclusion
+from .inclusion import (InclusionOptions, SelectionPolicy, enumerate_fibre,
+                        simulate_inclusion)
 from .integrator import (SimOptions, simulate, summary_dict, write_csv,
                          write_summary_json)
-from .output_solver import (SolveOptions, brute_force_fibre_oracle,
-                            enumerate_fibre_exact, enumerate_fibre_multistart,
-                            exact_structure_available)
+from .output_solver import SolveOptions, brute_force_fibre_oracle
 
 
 def _out_path(path: str) -> str:
@@ -103,12 +102,9 @@ def _cmd_fibre(args) -> int:
         fib = brute_force_fibre_oracle(cfg.nonlinearity, cfg.system.D, args.t,
                                        w, R=args.scan_radius,
                                        h_scan=args.scan_step)
-    elif exact_structure_available(cfg.nonlinearity, cfg.system.D):
-        fib = enumerate_fibre_exact(cfg.nonlinearity, cfg.system.D, args.t, w)
     else:
-        fib = enumerate_fibre_multistart(cfg.nonlinearity, cfg.system.D,
-                                         args.t, w,
-                                         opts=SolveOptions(seed=args.seed))
+        fib = enumerate_fibre(cfg.nonlinearity, cfg.system.D, args.t, w,
+                              SolveOptions(seed=args.seed))
     print(json.dumps(fib.to_dict(), sort_keys=True))
     return 0
 

@@ -20,13 +20,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ConfigurationError, EmptyFibreError
-from .integrator import Termination, TrajectoryRecord, _Recorder
+from .integrator import (Termination, TrajectoryRecord, _classify_collapse,
+                         _Recorder, _residual, _rk_step, _slope)
 from .nonlinearity import Nonlinearity
 from .output_solver import (FibreSet, SolveOptions, enumerate_fibre_exact,
                             enumerate_fibre_multistart,
-                            exact_structure_available, residual_norm)
+                            exact_structure_available)
 from .system import SystemMatrices
 
 
@@ -74,23 +76,16 @@ class SelectionPolicy:
         return cls(kind=name)
 
 
-def _element_value(kind: str, payload, policy: SelectionPolicy,
-                   prev_y: np.ndarray | None):
+def _element_value(kind: str, payload, policy: SelectionPolicy):
     if kind == "point":
         return payload
     a, b = payload
-    if policy.kind == "nearest_previous" and prev_y is not None:
-        from .output_solver import _project_onto_segment
-        return _project_onto_segment(prev_y, a, b)
-    if policy.kind == "min_norm":
-        from .output_solver import _project_onto_segment
-        return _project_onto_segment(np.zeros_like(a), a, b)
     if policy.kind == "max_norm":
         finite = [e for e in (a, b) if np.all(np.isfinite(e))]
         if not finite:
             raise ConfigurationError("max_norm undefined on unbounded segment")
         return max(finite, key=lambda e: float(np.linalg.norm(e)))
-    # representative for fixed_branch and default cases
+    # representative for fixed_branch
     if np.all(np.isfinite(b)) and np.all(np.isfinite(a)):
         return 0.5 * (a + b)
     return a if np.all(np.isfinite(a)) else b
@@ -107,7 +102,6 @@ def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
     if fib.empty:
         raise EmptyFibreError("fibre is empty")
     elements = fib.elements()
-    prev = None if prev_y is None else np.asarray(prev_y, dtype=float).reshape(-1)
 
     if policy.kind == "fixed_branch":
         if not 0 <= policy.index < len(elements):
@@ -116,7 +110,7 @@ def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
                 f"(fibre has {len(elements)} elements)"
             )
         kind, payload = elements[policy.index]
-        return np.asarray(_element_value(kind, payload, policy, prev),
+        return np.asarray(_element_value(kind, payload, policy),
                           dtype=float).copy(), policy.index
 
     if policy.kind == "segment_parameter":
@@ -131,32 +125,38 @@ def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
         raise ConfigurationError("segment_parameter policy needs a segment fibre")
 
     if policy.kind == "nearest_previous":
-        if prev is None:
+        if prev_y is None:
             raise ConfigurationError("nearest_previous requires a previous output")
-        best = None
-        for idx, (kind, payload) in enumerate(elements):
-            cand = np.asarray(_element_value(kind, payload, policy, prev), dtype=float)
-            dist = float(np.linalg.norm(cand - prev))
-            if best is None or dist < best[1]:
-                best = (cand, dist, idx)
-        return best[0].copy(), best[2]
+        value, _, idx = fib.nearest(prev_y)
+        return value.copy(), idx
 
-    if policy.kind in ("min_norm", "max_norm"):
-        sign = 1.0 if policy.kind == "min_norm" else -1.0
-        best = None
-        for idx, (kind, payload) in enumerate(elements):
-            cand = np.asarray(_element_value(kind, payload, policy, prev), dtype=float)
-            score = sign * float(np.linalg.norm(cand))
-            if best is None or score < best[1]:
-                best = (cand, score, idx)
-        return best[0].copy(), best[2]
+    if policy.kind == "min_norm":
+        value, _, idx = fib.nearest(0.0)     # the origin, broadcast to length p
+        return value.copy(), idx
 
-    raise ConfigurationError(f"unhandled policy {policy.kind!r}")
+    best = None
+    for idx, (kind, payload) in enumerate(elements):
+        cand = np.asarray(_element_value(kind, payload, policy), dtype=float)
+        score = -float(np.linalg.norm(cand))
+        if best is None or score < best[1]:
+            best = (cand, score, idx)
+    return best[0].copy(), best[2]
+
+
+def enumerate_fibre(f: Nonlinearity, D, t: float, w, opts: SolveOptions) -> FibreSet:
+    """F_t^{-1}(w): exact enumeration where the structure allows, else multistart."""
+    if exact_structure_available(f, D):
+        return enumerate_fibre_exact(f, D, t, w, tol_sep=opts.tol_sep)
+    return enumerate_fibre_multistart(f, D, t, w, opts=opts)
 
 
 # ---------------------------------------------------------------------------
 # Inclusion-mode simulation
 # ---------------------------------------------------------------------------
+
+# Consecutive fold landings tried before a jump is taken instead.
+_MAX_FOLD_ATTEMPTS = 3
+
 
 @dataclass
 class InclusionOptions:
@@ -174,31 +174,7 @@ class InclusionOptions:
     jump_tol: float = 5e-2
     blowup_threshold: float = 1e8
     y_blowup_threshold: float = 1e6
-    monotone_window: int = 10
     fibre: SolveOptions = field(default_factory=SolveOptions)
-    fold_events: bool = True
-    max_fold_attempts: int = 3
-
-
-class _FibreSource:
-    def __init__(self, sys: SystemMatrices, f: Nonlinearity, v,
-                 opts: InclusionOptions):
-        self.sys = sys
-        self.f = f
-        self.v = v
-        self.opts = opts
-        self.exact = exact_structure_available(f, sys.D)
-
-    def w_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.sys.C @ x + self.sys.D_e @ self.v(t)
-
-    def fibre(self, t: float, x: np.ndarray) -> FibreSet:
-        w = self.w_at(t, x)
-        if self.exact:
-            return enumerate_fibre_exact(self.f, self.sys.D, t, w,
-                                         tol_sep=self.opts.fibre.tol_sep)
-        return enumerate_fibre_multistart(self.f, self.sys.D, t, w,
-                                          opts=self.opts.fibre)
 
 
 def _fold_candidates(f: Nonlinearity, d: float, t: float) -> list[float]:
@@ -238,30 +214,31 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (n,):
         raise ConfigurationError(f"x0 must have length n={n}")
-    src = _FibreSource(sys, f, v, opts)
     rec = _Recorder()
 
-    def field_at(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return sys.A @ x + sys.B @ f(t, y) + sys.B_e @ v(t)
+    def fibre(t: float, x: np.ndarray) -> FibreSet:
+        return enumerate_fibre(f, sys.D, t, sys.C @ x + sys.D_e @ v(t), opts.fibre)
 
-    def residual_at(t, x, y):
-        return residual_norm(f, sys.D, t, y, src.w_at(t, x))
+    def stage(t: float, x: np.ndarray, y_prev: np.ndarray):
+        y, _ = select_from_fibre(fibre(t, x), policy, prev_y=y_prev)
+        return (y, *_slope(sys, f, t, x, y, v(t)))
 
     t = float(t0)
     x = x0.copy()
-    fib0 = src.fibre(t, x)
+    fib0 = fibre(t, x)
     if fib0.empty:
         term = Termination(kind="no_output_solution", time=t, bracket=(t, t),
                            detail="empty fibre at initial time")
         return rec.build(term, n, p, m, with_branches=True)
-    prev_seed = src.w_at(t, x)
-    y, branch = select_from_fibre(fib0, policy, prev_y=prev_seed)
-    rec.push(t, x, y, f(t, y), residual_at(t, x, y), branch=branch)
+    y, branch = select_from_fibre(fib0, policy, prev_y=sys.C @ x + sys.D_e @ v(t))
+    u, k = _slope(sys, f, t, x, y, v(t))
+    rec.push(t, x, y, u, _residual(sys, v, t, x, y, u), branch=branch)
 
-    d_scalar = float(sys.D[0, 0]) if (src.exact and p == 1) else None
+    d_scalar = (float(sys.D[0, 0])
+                if p == 1 and exact_structure_available(f, sys.D) else None)
     h = opts.dt
     fold_attempts = 0
-    classify_solver_failed = False
+    solver_failed = False
 
     while t < opts.tmax - 1e-15 * max(1.0, abs(opts.tmax)):
         h_eff = min(h, opts.tmax - t)
@@ -269,58 +246,48 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
         if opts.tmax - t <= floor:
             break   # remaining horizon below resolvable step size
         if h_eff < floor:
-            kind = _classify(rec, classify_solver_failed, opts)
+            kind = _classify_collapse(rec, solver_failed, opts)
             term = Termination(kind=kind, time=t, bracket=(t, t + h_eff * 2.0),
                                detail="step size collapsed")
             return rec.build(term, n, p, m, with_branches=True)
 
-        if opts.method == "euler":
-            k = field_at(t, x, y)
-            x_prop = x + h_eff * k
-        else:
-            try:
-                x_prop, k = _rk4_inclusion(src, field_at, policy, t, x, y, h_eff)
-            except EmptyFibreError:
-                classify_solver_failed = True
-                h = 0.5 * h_eff
-                continue
+        try:
+            x_prop, k_mean, _, _ = _rk_step(opts.method, stage, t, x, h_eff, y, k)
+        except EmptyFibreError:
+            solver_failed = True
+            h = 0.5 * h_eff
+            continue
         t_prop = t + h_eff
 
-        fib_prop = src.fibre(t_prop, x_prop)
+        fib_prop = fibre(t_prop, x_prop)
         jumped = False
         if not fib_prop.empty:
             y_prop, branch = select_from_fibre(fib_prop, policy, prev_y=y)
             jumped = float(np.linalg.norm(y_prop - y)) > opts.jump_tol
         if fib_prop.empty or jumped:
-            landed = False
-            if (opts.fold_events and d_scalar is not None
-                    and fold_attempts < opts.max_fold_attempts):
-                landing = _land_on_fold(src, f, d_scalar, policy, t, x, y, k,
-                                        h_eff, opts)
-                if landing is not None:
-                    t, x, y, branch = landing
-                    rec.push(t, x, y, f(t, y), residual_at(t, x, y),
-                             flag="fold", branch=branch)
-                    fold_attempts += 1
-                    h = opts.dt
-                    landed = True
-            if landed:
+            landing = None
+            if d_scalar is not None and fold_attempts < _MAX_FOLD_ATTEMPTS:
+                landing = _land_on_fold(fibre, sys, f, v, d_scalar, policy,
+                                        t, x, y, k_mean, h_eff, opts.jump_tol)
+            if landing is not None:
+                t, x, y, branch = landing
+                u, k = _slope(sys, f, t, x, y, v(t))
+                rec.push(t, x, y, u, _residual(sys, v, t, x, y, u),
+                         flag="fold", branch=branch)
+                fold_attempts += 1
+                h = opts.dt
                 continue
             if fib_prop.empty:
-                classify_solver_failed = True
+                solver_failed = True
                 h = 0.5 * h_eff
                 continue
-            # Take the discontinuous selection, flagged.
-            rec.push(t_prop, x_prop, y_prop, f(t_prop, y_prop),
-                     residual_at(t_prop, x_prop, y_prop),
-                     flag="jump", branch=branch)
-            fold_attempts = 0
-        else:
-            rec.push(t_prop, x_prop, y_prop, f(t_prop, y_prop),
-                     residual_at(t_prop, x_prop, y_prop), branch=branch)
-            fold_attempts = 0
+        # A jump is the discontinuous selection, taken and flagged.
         t, x, y = t_prop, x_prop, y_prop
-        classify_solver_failed = False
+        u, k = _slope(sys, f, t, x, y, v(t))
+        rec.push(t, x, y, u, _residual(sys, v, t, x, y, u),
+                 flag="jump" if jumped else "", branch=branch)
+        fold_attempts = 0
+        solver_failed = False
         h = opts.dt
 
         if float(np.linalg.norm(x)) > opts.blowup_threshold:
@@ -332,33 +299,9 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     return rec.build(term, n, p, m, with_branches=True)
 
 
-def _classify(rec: _Recorder, solver_failed: bool, opts: InclusionOptions) -> str:
-    window = opts.monotone_window
-    ynorms = [float(np.linalg.norm(yy)) for yy in rec.ys[-window:]]
-    if ynorms and max(ynorms) > opts.y_blowup_threshold:
-        return "blow_up"
-    return "no_output_solution" if solver_failed else "step_collapse"
-
-
-def _rk4_inclusion(src: _FibreSource, field_at, policy: SelectionPolicy,
-                   t: float, x: np.ndarray, y: np.ndarray, h: float):
-    def stage(ts, xs, prev):
-        fib = src.fibre(ts, xs)
-        ys, _ = select_from_fibre(fib, policy, prev_y=prev)
-        return ys, field_at(ts, xs, ys)
-
-    y1, k1 = stage(t, x, y)
-    y2, k2 = stage(t + 0.5 * h, x + 0.5 * h * k1, y1)
-    y3, k3 = stage(t + 0.5 * h, x + 0.5 * h * k2, y2)
-    _, k4 = stage(t + h, x + h * k3, y3)
-    k = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return x + h * k, k
-
-
-def _land_on_fold(src: _FibreSource, f: Nonlinearity, d: float,
+def _land_on_fold(fibre, sys: SystemMatrices, f: Nonlinearity, v, d: float,
                   policy: SelectionPolicy, t: float, x: np.ndarray,
-                  y: np.ndarray, k: np.ndarray, h: float,
-                  opts: InclusionOptions):
+                  y: np.ndarray, k: np.ndarray, h: float, jump_tol: float):
     """Bisect the step onto the output-map fold where the branch vanishes.
 
     Returns (t_hat, x_hat, y_hat, branch) on success, None when no fold
@@ -366,14 +309,12 @@ def _land_on_fold(src: _FibreSource, f: Nonlinearity, d: float,
     output value is exact; an invariant fold (zero drift) is then followed
     without further events.
     """
-    sys = src.sys
-
     def continues(s: float):
-        fib = src.fibre(t + s * h, x + s * h * k)
+        fib = fibre(t + s * h, x + s * h * k)
         if fib.empty:
             return None
         cand, dist, _ = fib.nearest(y)
-        return cand if dist <= opts.jump_tol else None
+        return cand if dist <= jump_tol else None
 
     s_lo, s_hi = 0.0, 1.0
     y_cont = y
@@ -393,39 +334,38 @@ def _land_on_fold(src: _FibreSource, f: Nonlinearity, d: float,
         return None
     xi_star, w_star = min(candidates,
                           key=lambda cw: abs(cw[0] - float(y_cont[0])))
-    snap_tol = max(1e-4, 0.1 * opts.jump_tol)
+    snap_tol = max(1e-4, 0.1 * jump_tol)
     if abs(xi_star - float(y_cont[0])) > snap_tol:
         return None
 
     # Solve C(x + s h k) + D_e v(t + s h) = w_star along the step direction.
     def gap(s: float) -> float:
         ts = t + s * h
-        ws = sys.C @ (x + s * h * k) + sys.D_e @ src.v(ts)
+        ws = sys.C @ (x + s * h * k) + sys.D_e @ v(ts)
         return float(ws[0]) - w_star
 
     g_lo, g_hi = gap(s_lo), gap(s_hi)
     if g_lo == 0.0:
         s_hat = s_lo
     elif g_lo * g_hi < 0.0:
-        from scipy.optimize import brentq
         s_hat = float(brentq(gap, s_lo, s_hi, xtol=1e-16, rtol=8.9e-16))
     else:
         s_hat = s_lo
     t_hat = t + s_hat * h
     x_hat = x + s_hat * h * k
     # Exact projection of the remaining gap along C^T.
-    r = w_star - float((sys.C @ x_hat + sys.D_e @ src.v(t_hat))[0])
+    r = w_star - float((sys.C @ x_hat + sys.D_e @ v(t_hat))[0])
     c_row = sys.C[0]
     x_hat = x_hat + c_row * (r / float(c_row @ c_row))
     y_hat = np.array([xi_star])
 
     if t_hat <= t + 1e-15 * max(1.0, abs(t)):
         return None
-    fib = src.fibre(t_hat, x_hat)
+    fib = fibre(t_hat, x_hat)
     if fib.empty:
         return None
     y_sel, branch = select_from_fibre(fib, policy, prev_y=y_hat)
-    if float(np.linalg.norm(y_sel - y_hat)) > opts.jump_tol:
+    if float(np.linalg.norm(y_sel - y_hat)) > jump_tol:
         return None
     return t_hat, x_hat, y_sel, branch
 

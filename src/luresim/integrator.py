@@ -5,15 +5,18 @@ point (warm-started from the previous output), then advances
 
     xdot = A x + B f(t, y(t, x)) + B_e v(t).
 
+Stage 1 reuses the output and slope resolved when the step's starting
+state was accepted.
+
 Termination follows the trichotomy: the horizon was reached; the output
 equation lost solvability (existence boundary, with the state and output
 staying bounded); or the trajectory blew up in finite time.  Blow-up is
 detected by the state norm crossing a threshold, or by step collapse
-with a divergent output or monotonically growing state.  A divergent
-output is accepted as blow-up evidence because the quantity that is
-unbounded on a maximal bounded interval includes the output integral,
-and state growth alone can be too slow (logarithmic) to cross any
-threshold in floating point.
+with a divergent output or state derivative.  A divergent output is
+accepted as blow-up evidence because the quantity that is unbounded on a
+maximal bounded interval includes the output integral, and state growth
+alone can be too slow (logarithmic) to cross any threshold in floating
+point.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .output_solver import OutputSolution, SolveOptions, solve_output
+from .output_solver import SolveOptions, solve_output
 from .system import SystemMatrices
 
 _RK45_C = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
@@ -41,6 +44,9 @@ _RK45_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
 _RK45_E = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0,
            1.0 / 50.0, 2.0 / 55.0)
 
+# Recent outputs searched for divergence when the step size collapses.
+_COLLAPSE_WINDOW = 10
+
 
 @dataclass
 class SimOptions:
@@ -55,7 +61,6 @@ class SimOptions:
     tmax: float = 10.0
     blowup_threshold: float = 1e8
     y_blowup_threshold: float = 1e6
-    monotone_window: int = 10
     solver: SolveOptions = field(default_factory=SolveOptions)
 
 
@@ -106,64 +111,58 @@ class TrajectoryRecord:
 
 
 class _StageFailure(Exception):
-    def __init__(self, t: float, solution: OutputSolution):
-        super().__init__(f"output equation unsolvable at t={t}")
-        self.t = t
-        self.solution = solution
+    def __init__(self, certificate: dict | None):
+        super().__init__("output equation unsolvable at a stage point")
+        self.certificate = certificate
 
 
-class _Stepper:
-    """Shared stage machinery for the explicit schemes."""
+def _slope(sys: SystemMatrices, f, t: float, x: np.ndarray, y: np.ndarray,
+           vt: np.ndarray):
+    """(u, xdot) at a state whose output y is resolved; vt = v(t)."""
+    u = f(t, y)
+    return u, sys.A @ x + sys.B @ u + sys.B_e @ vt
 
-    def __init__(self, sys: SystemMatrices, f, v, opts: SimOptions):
-        self.sys = sys
-        self.f = f
-        self.v = v
-        self.opts = opts
 
-    def input_at(self, t: float) -> np.ndarray:
-        return self.v(t)
-
-    def stage(self, t: float, x: np.ndarray, y_warm: np.ndarray):
-        """Solve the output equation at a stage point; return (y, u, xdot)."""
-        vt = self.input_at(t)
-        w = self.sys.C @ x + self.sys.D_e @ vt
-        sol = solve_output(self.sys, self.f, t, w, y_warm, self.opts.solver)
+def _solving_stage(sys: SystemMatrices, f, v, solver: SolveOptions):
+    """Stage callable resolving the output with ``solve_output``."""
+    def stage(t: float, x: np.ndarray, y_prev: np.ndarray):
+        vt = v(t)
+        w = sys.C @ x + sys.D_e @ vt
+        sol = solve_output(sys, f, t, w, y_prev, solver)
         if sol.y is None:
-            raise _StageFailure(t, sol)
-        u = self.f(t, sol.y)
-        xdot = self.sys.A @ x + self.sys.B @ u + self.sys.B_e @ vt
-        return sol.y, u, xdot
+            raise _StageFailure(sol.certificate)
+        return (sol.y, *_slope(sys, f, t, x, sol.y, vt))
+    return stage
 
-    def rk4(self, t: float, x: np.ndarray, h: float, y_warm: np.ndarray):
-        y1, _, k1 = self.stage(t, x, y_warm)
-        y2, _, k2 = self.stage(t + 0.5 * h, x + 0.5 * h * k1, y1)
-        y3, _, k3 = self.stage(t + 0.5 * h, x + 0.5 * h * k2, y2)
-        y4, _, k4 = self.stage(t + h, x + h * k3, y3)
-        x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return x_new, y4, None
 
-    def rk45(self, t: float, x: np.ndarray, h: float, y_warm: np.ndarray):
-        ks = []
-        y_prev = y_warm
-        for i in range(6):
-            xi = x.copy()
-            for a, k in zip(_RK45_A[i], ks):
-                xi += h * a * k
-            y_i, _, k_i = self.stage(t + _RK45_C[i] * h, xi, y_prev)
-            ks.append(k_i)
-            y_prev = y_i
-        x_new = x.copy()
-        err = np.zeros_like(x)
-        for b, e, k in zip(_RK45_B5, _RK45_E, ks):
-            x_new += h * b * k
-            err += h * e * k
-        return x_new, y_prev, err
-
-    def step(self, t, x, h, y_warm):
-        if self.opts.method == "rk4_fixed":
-            return self.rk4(t, x, h, y_warm)
-        return self.rk45(t, x, h, y_warm)
+def _rk_step(method: str, stage, t: float, x: np.ndarray, h: float,
+             y: np.ndarray, k1: np.ndarray):
+    """One ``euler``, ``rk4`` or ``rkf45`` step from (t, x), whose output y
+    and slope k1 are stage 1.  Later stages call ``stage(t, x, y_prev) ->
+    (y, u, xdot)``.  Returns (x_new, mean slope or None, error estimate or
+    None, last stage output).
+    """
+    if method == "euler":
+        return x + h * k1, k1, None, y
+    if method == "rk4":
+        y2, _, k2 = stage(t + 0.5 * h, x + 0.5 * h * k1, y)
+        y3, _, k3 = stage(t + 0.5 * h, x + 0.5 * h * k2, y2)
+        y4, _, k4 = stage(t + h, x + h * k3, y3)
+        k = k1 + 2.0 * k2 + 2.0 * k3 + k4
+        return x + (h / 6.0) * k, k / 6.0, None, y4
+    ks = [k1]
+    for c, a in zip(_RK45_C[1:], _RK45_A[1:]):
+        xi = x.copy()
+        for a_j, k_j in zip(a, ks):
+            xi += h * a_j * k_j
+        y, _, k = stage(t + c * h, xi, y)
+        ks.append(k)
+    x_new = x.copy()
+    err = np.zeros_like(x)
+    for b, e, k in zip(_RK45_B5, _RK45_E, ks):
+        x_new += h * b * k
+        err += h * e * k
+    return x_new, None, err, y
 
 
 def _initial_guess(sys: SystemMatrices, f, t0: float, w0: np.ndarray) -> np.ndarray:
@@ -226,14 +225,14 @@ class _Recorder:
         )
 
 
-def _residual_at(sys: SystemMatrices, f, v, t: float, x: np.ndarray,
-                 y: np.ndarray) -> float:
-    vt = v(t)
-    r = y - sys.D @ f(t, y) - sys.C @ x - sys.D_e @ vt
+def _residual(sys: SystemMatrices, v, t: float, x: np.ndarray, y: np.ndarray,
+              u: np.ndarray) -> float:
+    """||y - D u - C x - D_e v(t)|| for a recorded sample with u = f(t, y)."""
+    r = y - sys.D @ u - sys.C @ x - sys.D_e @ v(t)
     return float(np.linalg.norm(r))
 
 
-def _classify_collapse(rec: _Recorder, solver_failed: bool, opts: SimOptions,
+def _classify_collapse(rec: _Recorder, solver_failed: bool, opts,
                        xdot_norm: float | None = None) -> str:
     """Label a step collapse.
 
@@ -242,8 +241,7 @@ def _classify_collapse(rec: _Recorder, solver_failed: bool, opts: SimOptions,
     state (the existence-boundary case) must not count, since its norm
     also increases all the way to the stop.
     """
-    window = opts.monotone_window
-    ynorms = [float(np.linalg.norm(y)) for y in rec.ys[-window:]]
+    ynorms = [float(np.linalg.norm(y)) for y in rec.ys[-_COLLAPSE_WINDOW:]]
     y_diverged = bool(ynorms) and max(ynorms) > opts.y_blowup_threshold
     xdot_diverged = (xdot_norm is not None
                      and xdot_norm > opts.y_blowup_threshold)
@@ -258,10 +256,11 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
              ) -> TrajectoryRecord:
     """Integrate from x(t0) = x0 until tmax or a termination event.
 
-    Fixed-step RK4 or adaptive RKF45; every stage re-solves the implicit
-    output equation (warm-started), preserving the order of the scheme
-    for the semi-explicit structure.  On stage failure the step is halved
-    down to dt_min, so event times are located to roughly dt_min.
+    Fixed-step RK4 or adaptive RKF45; every stage but the first (the
+    accepted state) re-solves the implicit output equation (warm-started),
+    preserving the order of the scheme for the semi-explicit structure.
+    On stage failure the step is halved down to dt_min, so event times
+    are located to roughly dt_min.
 
     When a stage finds several outputs the one nearest the warm start is
     taken, which keeps the output path on a continuous selection wherever
@@ -278,24 +277,24 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
     if x0.shape != (n,):
         raise ConfigurationError(f"x0 must have length n={n}")
 
-    stepper = _Stepper(sys, f, v, opts)
+    stage = _solving_stage(sys, f, v, opts.solver)
+    adaptive = opts.method == "rk45_adaptive"
+    method = "rkf45" if adaptive else "rk4"
     rec = _Recorder()
 
     t = float(t0)
     x = x0.copy()
     w0 = sys.C @ x + sys.D_e @ v(t)
-    guess = _initial_guess(sys, f, t, w0)
-    sol0 = solve_output(sys, f, t, w0, guess, opts.solver)
-    if sol0.y is None:
-        detail = dict(sol0.certificate or {})
+    try:
+        y, u, k = stage(t, x, _initial_guess(sys, f, t, w0))
+    except _StageFailure as exc:
+        detail = dict(exc.certificate or {})
         term = Termination(kind="no_output_solution", time=t,
                            bracket=(t, t), detail=f"unsolvable at initial time: {detail}")
         return rec.build(term, n, p, m)
-    y = sol0.y
-    u = f(t, y)
-    rec.push(t, x, y, u, _residual_at(sys, f, v, t, x, y))
+    rec.push(t, x, y, u, _residual(sys, v, t, x, y, u))
 
-    h = opts.dt if opts.method == "rk4_fixed" else min(opts.dt, opts.dt_max)
+    h = min(opts.dt, opts.dt_max) if adaptive else opts.dt
     creep_fail_h: float | None = None
     while t < opts.tmax - 1e-15 * max(1.0, abs(opts.tmax)):
         h_eff = min(h, opts.tmax - t)
@@ -303,40 +302,28 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
         if opts.tmax - t <= floor:
             break   # remaining horizon below resolvable step size
         if h_eff < floor:
-            vt = v(t)
-            xdot = sys.A @ x + sys.B @ f(t, y) + sys.B_e @ vt
             kind = _classify_collapse(rec, creep_fail_h is not None, opts,
-                                      xdot_norm=float(np.linalg.norm(xdot)))
+                                      xdot_norm=float(np.linalg.norm(k)))
             bracket = (t, t + (creep_fail_h if creep_fail_h else floor))
             term = Termination(kind=kind, time=t, bracket=bracket,
                                detail="step size collapsed")
             return rec.build(term, n, p, m)
         try:
-            x_new, y_land, err = stepper.step(t, x, h_eff, y)
+            x_new, _, err, y_last = _rk_step(method, stage, t, x, h_eff, y, k)
+            if adaptive:
+                scale = opts.atol + opts.rtol * np.maximum(np.abs(x), np.abs(x_new))
+                errnorm = float(np.max(np.abs(err) / scale)) if x.size else 0.0
+                if errnorm > 1.0:
+                    h = max(0.5 * h_eff, 0.9 * h_eff * errnorm ** -0.2)
+                    continue
+            y, u, k = stage(t + h_eff, x_new, y_last)
         except _StageFailure:
             creep_fail_h = h_eff
             h = 0.5 * h_eff
             continue
 
-        if opts.method == "rk45_adaptive":
-            scale = opts.atol + opts.rtol * np.maximum(np.abs(x), np.abs(x_new))
-            errnorm = float(np.max(np.abs(err) / scale)) if x.size else 0.0
-            if errnorm > 1.0:
-                h = max(0.5 * h_eff, 0.9 * h_eff * errnorm ** -0.2)
-                continue
-
-        t_new = t + h_eff
-        w_new = sys.C @ x_new + sys.D_e @ v(t_new)
-        sol = solve_output(sys, f, t_new, w_new, y_land, opts.solver)
-        if sol.y is None:
-            creep_fail_h = h_eff
-            h = 0.5 * h_eff
-            continue
-        y_new = sol.y
-        u_new = f(t_new, y_new)
-        rec.push(t_new, x_new, y_new, u_new,
-                 _residual_at(sys, f, v, t_new, x_new, y_new))
-        t, x, y = t_new, x_new, y_new
+        t, x = t + h_eff, x_new
+        rec.push(t, x, y, u, _residual(sys, v, t, x, y, u))
         creep_fail_h = None
 
         if float(np.linalg.norm(x)) > opts.blowup_threshold:
@@ -344,7 +331,7 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
                                detail="state norm crossed blowup_threshold")
             return rec.build(term, n, p, m)
 
-        if opts.method == "rk45_adaptive":
+        if adaptive:
             if errnorm > 0.0:
                 h = min(opts.dt_max, h_eff * min(5.0, 0.9 * errnorm ** -0.2))
             else:
@@ -370,7 +357,7 @@ def refine_escape_time(record: TrajectoryRecord, sys: SystemMatrices, f, v,
     if record.n_samples == 0:
         return record.termination.time, 0.0
     opts = opts or SimOptions()
-    stepper = _Stepper(sys, f, v, opts)
+    stage = _solving_stage(sys, f, v, opts.solver)
 
     if record.n_samples >= 2:
         t_lo = float(record.times[-2])
@@ -394,7 +381,9 @@ def refine_escape_time(record: TrajectoryRecord, sys: SystemMatrices, f, v,
         if h < max(opts.dt_min, 8.0 * np.finfo(float).eps * max(1.0, abs(t_lo))):
             break
         try:
-            x_new, y_new, _ = stepper.rk4(t_lo, x_lo, h, y_lo)
+            # y_lo only warm-starts stage 1: after an advance it is y4.
+            y1, _, k1 = stage(t_lo, x_lo, y_lo)
+            x_new, _, _, y_new = _rk_step("rk4", stage, t_lo, x_lo, h, y1, k1)
         except _StageFailure:
             t_hi = t_mid
             continue

@@ -80,10 +80,6 @@ class ResolvedPiece:
         return out
 
 
-def resolve_pieces(pieces, t: float) -> list[ResolvedPiece]:
-    return [pc.at(t) for pc in pieces]
-
-
 def _eval_resolved(resolved, x: float) -> float:
     for pc in resolved:
         if pc.lo <= x <= pc.hi:
@@ -92,17 +88,17 @@ def _eval_resolved(resolved, x: float) -> float:
     return resolved[0].value(x) if x < resolved[0].lo else resolved[-1].value(x)
 
 
-def _eval_piecewise(pieces, t: float, x: float) -> float:
-    return _eval_resolved(resolve_pieces(pieces, t), x)
-
-
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Evaluator for f(t, xi) in R^m, xi in R^p, plus optional structure."""
+    """Evaluator for f(t, xi) in R^m, xi in R^p, plus optional structure.
+
+    The structured kinds evaluate through their resolved pieces; ``fn`` is
+    the evaluator of the opaque kinds only.
+    """
 
     m: int
     p: int
-    fn: Callable[[float, np.ndarray], np.ndarray]
+    fn: Callable[[float, np.ndarray], np.ndarray] | None = None
     kind: str = "smooth"     # smooth | piecewise_scalar | radial | expression
     pieces: tuple[ScalarPiece, ...] | None = None
     profile: tuple[ScalarPiece, ...] | None = None
@@ -125,6 +121,10 @@ class Nonlinearity:
                     raise ConfigurationError(
                         "radial amplitude profile must vanish at r = 0"
                     )
+        elif self.fn is None:
+            raise ConfigurationError(
+                f"nonlinearity of kind {self.kind!r} needs the evaluator fn"
+            )
         # Time-independent pieces resolve once.
         structure = self.pieces if self.kind == "piecewise_scalar" else self.profile
         if structure is not None and all(pc.static for pc in structure):
@@ -151,6 +151,9 @@ class Nonlinearity:
         if self.kind == "piecewise_scalar":
             out = np.array([_eval_resolved(self.resolved_structure(t),
                                            float(xi[0]))])
+        elif self.kind == "radial":
+            r = float(np.linalg.norm(xi))
+            out = np.zeros(self.p) if r == 0.0 else (self.amplitude(t, r) / r) * xi
         else:
             out = np.asarray(self.fn(t, xi), dtype=float).reshape(-1)
         if out.shape[0] != self.m:
@@ -200,7 +203,7 @@ def _check_tiling(pieces, lo_start: float):
     if not pieces:
         raise ConfigurationError("piecewise structure needs at least one piece")
     for t in (0.0, 0.7, 3.1):
-        resolved = resolve_pieces(pieces, t)
+        resolved = [pc.at(t) for pc in pieces]
         if resolved[0].lo != lo_start:
             raise ConfigurationError(
                 f"first piece must start at {lo_start}, got {resolved[0].lo}"
@@ -225,27 +228,14 @@ def _check_tiling(pieces, lo_start: float):
 def piecewise_scalar(pieces, name: str = "", params: dict | None = None,
                      jac=None) -> Nonlinearity:
     """Build a scalar piecewise nonlinearity from ordered pieces."""
-    pieces = tuple(pieces)
-
-    def fn(t, xi):
-        return np.array([_eval_piecewise(pieces, t, float(xi[0]))])
-
-    return Nonlinearity(m=1, p=1, fn=fn, kind="piecewise_scalar", pieces=pieces,
+    return Nonlinearity(m=1, p=1, kind="piecewise_scalar", pieces=tuple(pieces),
                         jac=jac, name=name, params=params or {})
 
 
 def radial_scalar_profile(profile, p: int, name: str = "",
                           params: dict | None = None) -> Nonlinearity:
     """Build f(t, xi) = a(t, ||xi||) xi/||xi|| from a scalar amplitude profile."""
-    profile = tuple(profile)
-
-    def fn(t, xi):
-        r = float(np.linalg.norm(xi))
-        if r == 0.0:
-            return np.zeros(p)
-        return (_eval_piecewise(profile, t, r) / r) * xi
-
-    return Nonlinearity(m=p, p=p, fn=fn, kind="radial", profile=profile,
+    return Nonlinearity(m=p, p=p, kind="radial", profile=tuple(profile),
                         name=name, params=params or {})
 
 

@@ -22,6 +22,7 @@ from scipy.optimize import brentq
 from .derivatives import finite_diff_jacobian
 from .errors import ConfigurationError, EvaluationError
 from .nonlinearity import Nonlinearity
+from .system import scalar_feedthrough
 
 EXACT_TOL = 1e-12       # residual bound for exact fibre entries
 FLAT_TOL = 1e-10        # oracle flat-segment detection threshold
@@ -143,16 +144,6 @@ def _as_feedthrough(D) -> np.ndarray:
     return D
 
 
-def _scalar_feedthrough(D: np.ndarray) -> float | None:
-    p, m = D.shape
-    if p != m:
-        return None
-    d = float(D[0, 0])
-    if np.array_equal(D, d * np.eye(p)):
-        return d
-    return None
-
-
 def output_residual(f: Nonlinearity, D, t: float, y, w) -> np.ndarray:
     """r(y) = y - D f(t, y) - w."""
     D = _as_feedthrough(D)
@@ -265,7 +256,7 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
     opts = opts or SolveOptions()
     if opts.max_iter < 1:
         raise ConfigurationError("max_iter must be at least 1")
-    D = _as_feedthrough(sys.D if hasattr(sys, "D") else sys)
+    D = sys.D
     p = D.shape[0]
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.size != p or not np.all(np.isfinite(w)):
@@ -364,7 +355,7 @@ def exact_structure_available(f: Nonlinearity, D) -> bool:
     if f.kind == "piecewise_scalar":
         return D.shape == (1, 1)
     if f.kind == "radial":
-        return _scalar_feedthrough(D) is not None
+        return scalar_feedthrough(D) is not None
     return False
 
 
@@ -506,7 +497,7 @@ def enumerate_fibre_exact(f: Nonlinearity, D, t: float, w,
         )
 
     if f.kind == "radial":
-        d = _scalar_feedthrough(D)
+        d = scalar_feedthrough(D)
         if d is None:
             raise ConfigurationError("radial fibre needs D to be a multiple of I")
         rho = float(np.linalg.norm(w))

@@ -75,13 +75,18 @@ class SystemMatrices:
 
     def scalar_feedthrough(self) -> float | None:
         """Return d when D acts as d*I (including the 1x1 case), else None."""
-        p, m = self.D.shape
-        if p != m:
-            return None
-        d = float(self.D[0, 0])
-        if np.array_equal(self.D, d * np.eye(p)):
-            return d
+        return scalar_feedthrough(self.D)
+
+
+def scalar_feedthrough(D: np.ndarray) -> float | None:
+    """Return d when the 2-d feedthrough D equals d*I, else None."""
+    p, m = D.shape
+    if p != m:
         return None
+    d = float(D[0, 0])
+    if np.array_equal(D, d * np.eye(p)):
+        return d
+    return None
 
 
 def eval_F(sys: SystemMatrices, f, t: float, xi) -> np.ndarray:

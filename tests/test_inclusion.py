@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import luresim.inclusion as inclusion
 from luresim import (ConfigurationError, EmptyFibreError, FibreSet,
-                     InclusionOptions, SelectionPolicy, SimOptions,
+                     InclusionOptions, Nonlinearity, SelectionPolicy, SimOptions,
                      check_image_convexity, compare_to_reference,
                      constant_input, enumerate_fibre_exact, parabolic_band,
                      residual_norm, select_from_fibre, simulate,
@@ -196,6 +197,46 @@ def test_empty_fibre_at_start_terminates(entry):
                              SelectionPolicy.nearest_previous(), opts)
     assert rec.termination.kind == "no_output_solution"
     assert rec.n_samples == 0
+
+
+def test_rk4_inclusion_enumerates_each_stage_fibre_once(entry, monkeypatch):
+    # stage 1 reuses the accepted selection: four fibres per step (three
+    # stages and the landing point) plus the initial one
+    e = entry("sec42a")
+    calls = []
+    enumerate_exact = inclusion.enumerate_fibre_exact
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return enumerate_exact(*args, **kwargs)
+
+    monkeypatch.setattr(inclusion, "enumerate_fibre_exact", counting)
+    rec = simulate_inclusion(e.system, e.nonlinearity, e.input, 0.0, e.x0,
+                             SelectionPolicy.nearest_previous(),
+                             InclusionOptions(method="rk4", dt=1e-3, tmax=0.1))
+    steps = rec.n_samples - 1
+    assert rec.termination.kind == "reached_tmax" and steps == 100
+    assert set(rec.flags) == {""}
+    assert len(calls) == 4 * steps + 1
+
+
+def test_euler_inclusion_evaluates_f_once_per_step(entry, monkeypatch):
+    # the accepted sample's u feeds the record, the residual and the next
+    # Euler slope
+    e = entry("ex3c")
+    calls = []
+    evaluate = Nonlinearity.eval
+
+    def counting(self, t, xi):
+        calls.append(t)
+        return evaluate(self, t, xi)
+
+    monkeypatch.setattr(Nonlinearity, "eval", counting)
+    rec = simulate_inclusion(e.system, e.nonlinearity, e.input, 0.0, e.x0,
+                             SelectionPolicy.fixed_branch(1),
+                             InclusionOptions(method="euler", dt=1e-3, tmax=0.2))
+    assert rec.termination.kind == "reached_tmax" and rec.n_samples == 201
+    assert len(calls) == rec.n_samples
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import luresim.integrator as integrator
 from luresim import (Nonlinearity, SimOptions, SystemMatrices, UsageError,
                      compare_to_reference, refine_escape_time, simulate,
                      summary_dict, write_csv, write_summary_json,
@@ -123,6 +124,25 @@ def test_output_equation_consistency(entry, rng):
         r = (rec.y[i] - e.system.D @ e.nonlinearity(t, rec.y[i])
              - e.system.C @ rec.x[i] - e.system.D_e @ e.input(t))
         assert np.linalg.norm(r) <= 1e-10
+
+
+def test_rk4_solves_each_stage_point_once(entry, monkeypatch):
+    # stage 1 reuses the accepted point's output: four solves per step
+    # (three stages and the landing point) plus the initial one
+    e = entry("sec42c")
+    calls = []
+    solve = integrator.solve_output
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "solve_output", counting)
+    rec = simulate(e.system, e.nonlinearity, e.input, 0.0, e.x0,
+                   SimOptions(method="rk4_fixed", dt=1e-3, tmax=0.2))
+    steps = rec.n_samples - 1
+    assert rec.termination.kind == "reached_tmax" and steps == 200
+    assert len(calls) == 4 * steps + 1
 
 
 # ---------------------------------------------------------------------------
