@@ -13,7 +13,8 @@ from .config import (SystemConfig, compile_scalar_expression,
                      compile_vector_expression, config_text, entry_to_config,
                      load_config, parse_config)
 from .derivatives import (JacobianSample, finite_diff_jacobian,
-                          sample_clarke_jacobian)
+                          finite_diff_jacobians, sample_clarke_jacobian,
+                          sample_clarke_jacobians)
 from .errors import (ConfigurationError, EmptyFibreError, EvaluationError,
                      LuresimError, UsageError)
 from .inclusion import (ConvexityVerdict, InclusionOptions, SelectionPolicy,

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import finite_diff_jacobian, sample_clarke_jacobian
+from .derivatives import (finite_diff_jacobian, finite_diff_jacobians,
+                          sample_clarke_jacobians)
 from .errors import ConfigurationError
 from .inclusion import _fold_candidates, check_image_convexity, enumerate_fibre
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, row_norms
 from .output_solver import (SolveOptions, enumerate_fibre_exact,
                             exact_structure_available)
-from .system import SystemMatrices
+from .system import SystemMatrices, eval_F
 
 DELTA_FLOOR = 1e-6
 EPS_FLOOR = 1e-6
@@ -132,6 +133,31 @@ class AnalysisReport:
         }
 
 
+def _first_min(values: np.ndarray, start: float = math.inf) -> int | None:
+    """The index ``best = start; for v: if v < best: keep v`` ends on.
+
+    That is the first minimum, or None when no value is below ``start``;
+    NaN never wins.
+    """
+    if values.size == 0:
+        return None
+    k = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
+    return k if values[k] < start else None
+
+
+def _first_max(values: np.ndarray, start: float = -math.inf) -> int | None:
+    """``_first_min`` for a scan keeping strictly larger values."""
+    if values.size == 0:
+        return None
+    k = int(np.argmax(np.where(np.isnan(values), -math.inf, values)))
+    return k if values[k] > start else None
+
+
+def _interleave(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Rows A[0], B[0], A[1], B[1], ...: pair members in evaluation order."""
+    return np.stack((A, B), axis=1).reshape(-1, A.shape[1])
+
+
 def _merge_prior(record: CheckRecord, prior: CheckRecord | None,
                  still_violates) -> CheckRecord:
     """Failures found at coarser settings are retained under refinement."""
@@ -167,20 +193,18 @@ def probe_radial_unboundedness(sys: SystemMatrices, f: Nonlinearity,
     p = sys.D.shape[0]
     dirs = grid.directions(p)
     times = grid.times()
+    radii = np.array(grid.radii)
+    shape = (radii.size, times.size, len(dirs))
+    X = np.broadcast_to((radii[:, None, None] * dirs)[:, None], shape + (p,))
+    T = np.broadcast_to(times[None, :, None], shape)
+    norms = row_norms(eval_F(sys, f, T.reshape(-1), X.reshape(-1, p)))
     minima = []
     argmins = []
-    for r in grid.radii:
-        best = math.inf
-        arg = None
-        for t in times:
-            for d in dirs:
-                xi = r * d
-                val = float(np.linalg.norm(xi - sys.D @ f(t, xi)))
-                if val < best:
-                    best = val
-                    arg = (float(t), xi.copy())
-        minima.append(best)
-        argmins.append(arg)
+    for i, row in enumerate(norms.reshape(radii.size, -1)):
+        k = _first_min(row)
+        minima.append(math.inf if k is None else float(row[k]))
+        argmins.append(None if k is None else
+                       (float(times[k // len(dirs)]), X[i, 0, k % len(dirs)].copy()))
     minima_arr = np.array(minima)
     tail_min = np.minimum.accumulate(minima_arr[::-1])[::-1]
     sigma_table = {}
@@ -211,8 +235,7 @@ def probe_radial_unboundedness(sys: SystemMatrices, f: Nonlinearity,
                              detail=f"minima plateau below rho={failed_level}")
 
     def still_violates(w):
-        xi = np.asarray(w["xi"], dtype=float)
-        return float(np.linalg.norm(xi - sys.D @ f(w["t"], xi))) < w["rho_level"]
+        return float(np.linalg.norm(eval_F(sys, f, w["t"], w["xi"]))) < w["rho_level"]
 
     return _merge_prior(record, prior, still_violates)
 
@@ -228,44 +251,60 @@ def estimate_lipschitz_pair(g, t_window: tuple[float, float], box, n_pairs: int,
     ``box`` is the half-width of the sampling cube (scalar) or an
     explicit (lo, hi) pair.  Extra pairs (t, xi, zeta) are evaluated in
     addition to the random draws; the extreme ratios and their witnesses
-    are returned.
+    are returned.  ``g`` maps one point, g(t, xi); the pairs go through
+    it one row at a time.
     """
+    p = _infer_dim(g, t_window[0])
+
+    def rows(T, X):
+        return np.array([np.asarray(g(t, xi), dtype=float).reshape(-1)
+                         for t, xi in zip(T, X)])
+
+    return _lipschitz_extremes(rows, p, t_window, box, n_pairs, seed, extra_pairs)
+
+
+def _lipschitz_extremes(G, p: int, t_window, box, n_pairs: int, seed: int,
+                        extra_pairs=()) -> dict:
+    """``estimate_lipschitz_pair`` for a batch map G(T, X) -> rows."""
     if n_pairs < 1:
         raise ConfigurationError("n_pairs must be positive")
+    T, XI, ZE = _with_extra(_pair_draws(n_pairs, p, t_window, box, seed),
+                            extra_pairs, p)
+    gap = row_norms(XI - ZE)
+    ratio = np.full(T.shape, np.nan)
+    keep = np.nonzero(~(gap < 1e-14))[0]
+    if keep.size:
+        values = G(np.repeat(T[keep], 2), _interleave(XI[keep], ZE[keep]))
+        ratio[keep] = row_norms(values[0::2] - values[1::2]) / gap[keep]
+
+    def witness(i):
+        return None if i is None else {
+            "t": float(T[i]), "xi": [float(v) for v in XI[i]],
+            "zeta": [float(v) for v in ZE[i]], "ratio": float(ratio[i])}
+
+    i_max, i_min = _first_max(ratio), _first_min(ratio)
+    return {"lambda_hat": -math.inf if i_max is None else float(ratio[i_max]),
+            "eps_hat": math.inf if i_min is None else float(ratio[i_min]),
+            "witness_max": witness(i_max), "witness_min": witness(i_min)}
+
+
+def _pair_draws(n_pairs: int, p: int, t_window, box, seed: int):
+    """Seeded pairs (t, xi, zeta) in the window and the box, as row arrays."""
     lo, hi = (-box, box) if np.isscalar(box) else box
-    rng = np.random.default_rng(seed)
-    lam_hat, eps_hat = -math.inf, math.inf
-    w_max = w_min = None
-
-    def consider(t, xi, zeta):
-        nonlocal lam_hat, eps_hat, w_max, w_min
-        diff = float(np.linalg.norm(np.asarray(xi) - np.asarray(zeta)))
-        if diff < 1e-14:
-            return
-        ratio = float(np.linalg.norm(g(t, xi) - g(t, zeta))) / diff
-        if ratio > lam_hat:
-            lam_hat = ratio
-            w_max = {"t": float(t), "xi": list(map(float, np.atleast_1d(xi))),
-                     "zeta": list(map(float, np.atleast_1d(zeta))),
-                     "ratio": ratio}
-        if ratio < eps_hat:
-            eps_hat = ratio
-            w_min = {"t": float(t), "xi": list(map(float, np.atleast_1d(xi))),
-                     "zeta": list(map(float, np.atleast_1d(zeta))),
-                     "ratio": ratio}
-
-    p = _infer_dim(g, t_window[0])
-    draws = rng.random((n_pairs, 2 * p + 1))
+    draws = np.random.default_rng(seed).random((n_pairs, 2 * p + 1))
     ta, tb = t_window
-    for row in draws:
-        t = ta + (tb - ta) * row[0]
-        xi = lo + (hi - lo) * row[1:p + 1]
-        zeta = lo + (hi - lo) * row[p + 1:]
-        consider(t, np.atleast_1d(xi), np.atleast_1d(zeta))
-    for t, xi, zeta in extra_pairs:
-        consider(t, np.atleast_1d(xi), np.atleast_1d(zeta))
-    return {"lambda_hat": lam_hat, "eps_hat": eps_hat,
-            "witness_max": w_max, "witness_min": w_min}
+    return (ta + (tb - ta) * draws[:, 0], lo + (hi - lo) * draws[:, 1:p + 1],
+            lo + (hi - lo) * draws[:, p + 1:])
+
+
+def _with_extra(draws, extra_pairs, p: int):
+    """The drawn pairs followed by the listed (t, xi, zeta) pairs."""
+    if not extra_pairs:
+        return draws
+    T, XI, ZE = draws
+    return (np.concatenate((T, [float(t) for t, _, _ in extra_pairs])),
+            np.vstack((XI, np.reshape([xi for _, xi, _ in extra_pairs], (-1, p)))),
+            np.vstack((ZE, np.reshape([ze for _, _, ze in extra_pairs], (-1, p)))))
 
 
 def _infer_dim(g, t0: float) -> int:
@@ -330,8 +369,7 @@ def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,
 
 def check_upper_lipschitz(f: Nonlinearity, t_window, box, n_pairs: int = 4096,
                           seed: int = 0) -> CheckRecord:
-    est = estimate_lipschitz_pair(lambda t, xi: f(t, xi), t_window, box,
-                                  n_pairs, seed)
+    est = _lipschitz_extremes(f.eval_batch, f.p, t_window, box, n_pairs, seed)
     return CheckRecord(name="upper_lipschitz", verdict="pass_sampled",
                        margin=est["lambda_hat"],
                        table={"lambda_hat": est["lambda_hat"]},
@@ -345,11 +383,11 @@ def check_lower_lipschitz(sys: SystemMatrices, f: Nonlinearity, t_window, box,
                           prior: CheckRecord | None = None) -> CheckRecord:
     """Lower quotient of F: a zero ratio witnesses failure of injectivity."""
     def F(t, xi):
-        return xi - sys.D @ f(t, xi)
+        return eval_F(sys, f, t, xi)
 
     extra = _collision_pairs(sys, f, t_window)
-    est = estimate_lipschitz_pair(F, t_window, box, n_pairs, seed,
-                                  extra_pairs=extra)
+    est = _lipschitz_extremes(F, f.p, t_window, box, n_pairs, seed,
+                              extra_pairs=extra)
     eps_hat = est["eps_hat"]
     table = {"eps_hat": eps_hat, "n_collision_pairs": len(extra)}
     if eps_hat < eps_floor:
@@ -394,27 +432,27 @@ def check_determinant_condition(f: Nonlinearity, D, t_window, box,
     eye = np.eye(D.shape[0])
     lo, hi = (-box, box) if np.isscalar(box) else box
     rng = np.random.default_rng(seed)
-    points = [np.zeros(p)]
-    for corner in (np.full(p, lo), np.full(p, hi)):
-        points.append(corner.astype(float))
-    points.extend(lo + (hi - lo) * rng.random((n_xi, p)))
+    points = np.vstack((np.zeros(p), np.full(p, lo), np.full(p, hi),
+                        lo + (hi - lo) * rng.random((n_xi, p))))
     times = np.linspace(t_window[0], t_window[1], n_t)
     delta_hat = math.inf
     b_hat = 0.0
     witness = None
     for t in times:
-        for xi in points:
-            mats = [finite_diff_jacobian(f, float(t), xi)]
-            sample = sample_clarke_jacobian(f, float(t), xi, radius=clarke_radius,
-                                            n_samples=clarke_samples, seed=seed)
-            mats.extend(sample.matrices)
-            for M in mats:
-                b_hat = max(b_hat, float(np.linalg.norm(M, 2)))
-                det = float(np.linalg.det(eye - D @ M))
-                if abs(det) < delta_hat:
-                    delta_hat = abs(det)
-                    witness = {"t": float(t), "xi": [float(v) for v in xi],
-                               "det": det}
+        # Per point: the centre Jacobian, then its Clarke ball samples.
+        centre = finite_diff_jacobians(f, float(t), points)
+        ball = sample_clarke_jacobians(f, float(t), points, radius=clarke_radius,
+                                       n_samples=clarke_samples, seed=seed)
+        mats = np.concatenate((centre[:, None], ball), axis=1)
+        mats = mats.reshape((-1,) + mats.shape[2:])
+        b_hat = max(b_hat, float(np.fmax.reduce(np.linalg.norm(mats, 2, axis=(1, 2)))))
+        dets = np.linalg.det(eye - np.matmul(D, mats))
+        k = _first_min(np.abs(dets), delta_hat)
+        if k is not None:
+            delta_hat = abs(float(dets[k]))
+            witness = {"t": float(t),
+                       "xi": [float(v) for v in points[k // (1 + clarke_samples)]],
+                       "det": float(dets[k])}
     table = {"delta_hat": delta_hat, "b_hat": b_hat,
              "delta_floor": delta_floor}
     if delta_hat < delta_floor:
@@ -462,23 +500,25 @@ def check_growth_condition(f: Nonlinearity, D, t_window,
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     times = np.linspace(t_window[0], t_window[1], n_t)
     radii_all = np.geomspace(min(rho_grid), r_max, 24)
+    # Ratios on every radius any rho scans (rho itself, then radii_all),
+    # evaluated once; each rho then scans its columns in (t, r, d) order.
+    radii = np.concatenate((rho_grid, radii_all))
+    shape = (times.size, radii.size, len(dirs))
+    X = np.broadcast_to(radii[:, None, None] * dirs, shape + (p,))
+    T = np.broadcast_to(times[:, None, None], shape)
+    ratios = (row_norms(f.eval_batch(T.reshape(-1), X.reshape(-1, p))).reshape(shape)
+              / radii[:, None])
     table_c = {}
     witnesses = {}
-    for rho in rho_grid:
-        radii = np.concatenate(([rho], radii_all[radii_all >= rho]))
-        c_hat = 0.0
-        wit = None
-        for t in times:
-            for r in radii:
-                for d in dirs:
-                    xi = r * d
-                    ratio = float(np.linalg.norm(f(float(t), xi))) / r
-                    if ratio > c_hat:
-                        c_hat = ratio
-                        wit = {"t": float(t), "xi": [float(v) for v in xi],
-                               "ratio": ratio}
-        table_c[rho] = c_hat
-        witnesses[rho] = wit
+    for i, rho in enumerate(rho_grid):
+        cols = np.concatenate(([i], len(rho_grid) + np.nonzero(radii_all >= rho)[0]))
+        scan = ratios[:, cols].reshape(-1)
+        k = _first_max(scan, 0.0)
+        table_c[rho] = 0.0 if k is None else float(scan[k])
+        witnesses[rho] = None if k is None else {
+            "t": float(times[k // (cols.size * len(dirs))]),
+            "xi": [float(v) for v in X[0, cols[k // len(dirs) % cols.size], k % len(dirs)]],
+            "ratio": float(scan[k])}
     best_rho = min(table_c, key=lambda r: table_c[r])
     best = table_c[best_rho] * dnorm
     table = {"c_hat": {str(k): v for k, v in table_c.items()},
@@ -546,42 +586,29 @@ def check_monotonicity(f: Nonlinearity, D, t_window, box, n_pairs: int = 4096,
     """
     D = np.atleast_2d(np.asarray(D, dtype=float))
     p = D.shape[1]
-    lo, hi = (-box, box) if np.isscalar(box) else box
-    rng = np.random.default_rng(seed)
-    draws = rng.random((n_pairs, 2 * p + 1))
-    ta, tb = t_window
-    g1, g2 = -math.inf, math.inf
-    w1 = w2 = None
+    T, XI, ZE = _pair_draws(n_pairs, p, t_window, box, seed)
+    if annulus_rho is not None:
+        XI, ZE = _push_out(XI, annulus_rho), _push_out(ZE, annulus_rho)
+    else:
+        T, XI, ZE = _with_extra((T, XI, ZE), _slope_probe_pairs(f, t_window), p)
+    diff = XI - ZE
+    d2 = np.vecdot(diff, diff)
+    ratio = np.full(T.shape, np.nan)
+    keep = np.nonzero(~(d2 < 1e-24))[0]
+    if keep.size:
+        values = f.eval_batch(np.repeat(T[keep], 2), _interleave(XI[keep], ZE[keep]))
+        moved = np.matmul(D, (values[0::2] - values[1::2])[..., None])[..., 0]
+        ratio[keep] = np.vecdot(moved, diff[keep]) / d2[keep]
 
-    def consider(t, xi, zeta):
-        nonlocal g1, g2, w1, w2
-        diff = xi - zeta
-        d2 = float(diff @ diff)
-        if d2 < 1e-24:
-            return
-        ratio = float((D @ (f(t, xi) - f(t, zeta))) @ diff) / d2
-        if ratio > g1:
-            g1 = ratio
-            w1 = {"t": float(t), "xi": list(map(float, xi)),
-                  "zeta": list(map(float, zeta)), "ratio": ratio}
-        if ratio < g2:
-            g2 = ratio
-            w2 = {"t": float(t), "xi": list(map(float, xi)),
-                  "zeta": list(map(float, zeta)), "ratio": ratio}
+    def witness(i):
+        return None if i is None else {
+            "t": float(T[i]), "xi": [float(v) for v in XI[i]],
+            "zeta": [float(v) for v in ZE[i]], "ratio": float(ratio[i])}
 
-    for row in draws:
-        t = ta + (tb - ta) * row[0]
-        xi = lo + (hi - lo) * row[1:p + 1]
-        zeta = lo + (hi - lo) * row[p + 1:]
-        if annulus_rho is not None:
-            nxi, nze = np.linalg.norm(xi), np.linalg.norm(zeta)
-            scale_xi = max(1.0, annulus_rho / nxi) if nxi > 0 else 1.0
-            scale_ze = max(1.0, annulus_rho / nze) if nze > 0 else 1.0
-            xi, zeta = xi * scale_xi, zeta * scale_ze
-        consider(t, xi, zeta)
-    if annulus_rho is None:
-        for t, xi, zeta in _slope_probe_pairs(f, t_window):
-            consider(t, xi, zeta)
+    i1, i2 = _first_max(ratio), _first_min(ratio)
+    g1 = -math.inf if i1 is None else float(ratio[i1])
+    g2 = math.inf if i2 is None else float(ratio[i2])
+    w1, w2 = witness(i1), witness(i2)
     table = {"gamma1_hat": g1, "gamma2_hat": g2}
     if g1 <= 1.0 - margin:
         record = CheckRecord(name="monotonicity", verdict="pass_sampled",
@@ -613,6 +640,15 @@ def check_monotonicity(f: Nonlinearity, D, t_window, box, n_pairs: int = 4096,
         return (ratio_of(w["gamma1"]) >= 1.0) and (ratio_of(w["gamma2"]) <= 1.0)
 
     return _merge_prior(record, prior, still_violates)
+
+
+def _push_out(X: np.ndarray, rho: float) -> np.ndarray:
+    """Scale each nonzero row with norm below rho out to norm rho."""
+    norms = row_norms(X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = rho / norms
+    scale = np.where((norms > 0) & (ratio > 1.0), ratio, 1.0)
+    return X * scale[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +711,11 @@ def probe_fibre_convexity(sys: SystemMatrices, f: Nonlinearity, t_window,
     """
     fibre_opts = fibre_opts or SolveOptions(n_starts=24, search_radius=10.0)
     probes = _sample_outputs(sys, t_window, n_w, seed)
-    for t, xi, zeta in _collision_pairs(sys, f, t_window):
-        w = xi - sys.D @ f(t, xi)
-        probes.append((t, w))
+    pairs = _collision_pairs(sys, f, t_window)
+    if pairs:
+        T = np.array([t for t, _, _ in pairs])
+        W = eval_F(sys, f, T, np.array([xi for _, xi, _ in pairs]))
+        probes.extend(zip(T.tolist(), W))
     worst = None
     n_checked = 0
     for t, w in probes:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
+from .nonlinearity import Nonlinearity, row_time, row_norms
 
 DEFAULT_FD_SCALE = 1e-6
 DEFAULT_CLARKE_RADIUS = 1e-4
@@ -28,23 +29,65 @@ def finite_diff_jacobian(f, t: float, xi, h: float | None = None) -> np.ndarray:
 
     The default step is 1e-6 * max(1, ||xi||).
     """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
+    xi = np.asarray(xi, dtype=float).reshape(1, -1)
+    return finite_diff_jacobians(f, t, xi, h)[0]
+
+
+def finite_diff_jacobians(f, t, X, h=None, strict: bool = True) -> np.ndarray:
+    """Central-difference Jacobians of f(t, .) at every row of X: N x m x p.
+
+    ``t`` and ``h`` are one value for all rows or one per row; the default
+    step of a row is 1e-6 * max(1, ||row||).  The 2p perturbed rows of all
+    points go through one batched evaluation (``eval_batch`` for a
+    Nonlinearity, one call per row for any other f(t, xi)); each Jacobian
+    equals the one built column by column from single evaluations.  With
+    ``strict=False`` a Nonlinearity evaluation that fails leaves NaN in the
+    Jacobians it enters instead of raising.
+    """
+    X = np.asarray(X, dtype=float)
+    h = _fd_steps(X, h)
+    rows = _perturbed_rows(X, h)
+    T = np.repeat(t, 2 * X.shape[1]) if np.ndim(t) else t
+    if isinstance(f, Nonlinearity):
+        values = f.eval_batch(T, rows) if strict else f.eval_rows(T, rows)[0]
+    else:
+        values = np.array([np.asarray(f(row_time(T, i), row), dtype=float).reshape(-1)
+                           for i, row in enumerate(rows)])
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad)) // 2 * 2      # the +h row of that column
+            raise EvaluationError("non-finite evaluation while differencing",
+                                  t=row_time(T, k), point=rows[k].copy())
+    return _central_quotients(values, X.shape, h)
+
+
+def _fd_steps(X: np.ndarray, h) -> np.ndarray:
     if h is None:
-        h = DEFAULT_FD_SCALE * max(1.0, float(np.linalg.norm(xi)))
-    if h <= 0:
+        return DEFAULT_FD_SCALE * np.fmax(1.0, row_norms(X))
+    h = np.broadcast_to(np.asarray(h, dtype=float), X.shape[:1])
+    if np.any(h <= 0):
         raise ConfigurationError("finite-difference step must be positive")
-    cols = []
-    for j in range(xi.size):
-        step = np.zeros_like(xi)
-        step[j] = h
-        fp = np.asarray(f(t, xi + step), dtype=float).reshape(-1)
-        fm = np.asarray(f(t, xi - step), dtype=float).reshape(-1)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise EvaluationError(
-                "non-finite evaluation while differencing", t=t, point=xi + step
-            )
-        cols.append((fp - fm) / (2.0 * h))
-    return np.column_stack(cols)
+    return h
+
+
+def _perturbed_rows(X: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rows xi + h e_j, xi - h e_j for j = 1..p, point after point: 2pN x p."""
+    n, p = X.shape
+    steps = np.zeros((n, p, p))
+    steps[:, np.arange(p), np.arange(p)] = h[:, None]
+    rows = np.empty((n, p, 2, p))
+    rows[:, :, 0] = X[:, None, :] + steps
+    rows[:, :, 1] = X[:, None, :] - steps
+    return rows.reshape(2 * p * n, p)
+
+
+def _central_quotients(values: np.ndarray, shape: tuple[int, int],
+                      h: np.ndarray) -> np.ndarray:
+    """Jacobians (N x m x p) from the values at ``_perturbed_rows``."""
+    n, p = shape
+    pairs = values.reshape(n, p, 2, -1)
+    cols = (pairs[:, :, 0] - pairs[:, :, 1]) / (2.0 * h)[:, None, None]
+    return np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -60,15 +103,14 @@ class JacobianSample:
         return max(float(np.linalg.norm(M, 2)) for M in self.matrices)
 
 
-def ball_points(center: np.ndarray, radius: float, n: int, seed: int) -> np.ndarray:
-    """n points uniform in the closed ball around center (seeded)."""
+def ball_offsets(p: int, radius: float, n: int, seed: int) -> np.ndarray:
+    """n offsets uniform in the closed p-ball of the given radius (seeded)."""
     rng = np.random.default_rng(seed)
-    p = center.size
     dirs = rng.standard_normal((n, p))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     radii = radius * rng.random(n) ** (1.0 / p)
-    return center + (dirs / norms) * radii[:, None]
+    return (dirs / norms) * radii[:, None]
 
 
 def sample_clarke_jacobian(f, t: float, xi, radius: float = DEFAULT_CLARKE_RADIUS,
@@ -81,12 +123,25 @@ def sample_clarke_jacobian(f, t: float, xi, radius: float = DEFAULT_CLARKE_RADIU
     Reproducible for a fixed seed.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
+    matrices = sample_clarke_jacobians(f, t, xi[None], radius, n_samples, seed)[0]
+    return JacobianSample(matrices=tuple(matrices), base_point=(t, xi.copy()),
+                          radius=radius, seed=seed)
+
+
+def sample_clarke_jacobians(f, t: float, X, radius: float = DEFAULT_CLARKE_RADIUS,
+                            n_samples: int = DEFAULT_CLARKE_SAMPLES,
+                            seed: int = 0) -> np.ndarray:
+    """``sample_clarke_jacobian`` at every row of X: N x n_samples x m x p.
+
+    The same seeded ball offsets serve every row, and all N * n_samples
+    points are differenced in one ``finite_diff_jacobians`` call.
+    """
+    X = np.asarray(X, dtype=float)
     if radius <= 0:
         raise ConfigurationError("sampling radius must be positive")
     if n_samples < 1:
         raise ConfigurationError("need at least one sample")
-    step = radius / 100.0
-    points = ball_points(xi, radius, n_samples, seed)
-    matrices = tuple(finite_diff_jacobian(f, t, pt, h=step) for pt in points)
-    return JacobianSample(matrices=matrices, base_point=(t, xi.copy()),
-                          radius=radius, seed=seed)
+    n, p = X.shape
+    points = X[:, None, :] + ball_offsets(p, radius, n_samples, seed)
+    J = finite_diff_jacobians(f, t, points.reshape(-1, p), h=radius / 100.0)
+    return J.reshape((n, n_samples) + J.shape[1:])

@@ -73,12 +73,6 @@ class ResolvedPiece:
             out += self.atan_coeff * math.atan(x)
         return out
 
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        out = self.c0 + x * (self.c1 + x * self.c2)
-        if self.atan_coeff:
-            out = out + self.atan_coeff * np.arctan(x)
-        return out
-
 
 def _eval_resolved(resolved, x: float) -> float:
     for pc in resolved:
@@ -88,12 +82,66 @@ def _eval_resolved(resolved, x: float) -> float:
     return resolved[0].value(x) if x < resolved[0].lo else resolved[-1].value(x)
 
 
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit-for-bit ``np.linalg.norm`` of the row."""
+    return np.sqrt(np.vecdot(X, X))
+
+
+def _at_times(fn, T: np.ndarray):
+    """fn(t) for each row time, one call per distinct time; 0-d T gives one value."""
+    if T.ndim == 0:
+        return fn(float(T))
+    times, inverse = np.unique(T, return_inverse=True)
+    return np.asarray([fn(float(s)) for s in times])[inverse]
+
+
+def _resolve_rows(pc: ScalarPiece, T: np.ndarray) -> ResolvedPiece:
+    """The piece at each row time: callable fields become per-row arrays."""
+    return ResolvedPiece(*(_at_times(v, T).astype(float) if callable(v) else float(v)
+                           for v in (pc.lo, pc.hi, pc.c0, pc.c1, pc.c2)),
+                         pc.atan_coeff)
+
+
+def _rows(v, mask):
+    return v[mask] if isinstance(v, np.ndarray) else v
+
+
+def _piece_values(pc: ResolvedPiece, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``pc.value`` at x[mask], element for element (``math.atan`` per entry)."""
+    xm = x[mask]
+    out = _rows(pc.c0, mask) + xm * (_rows(pc.c1, mask) + xm * _rows(pc.c2, mask))
+    if pc.atan_coeff:
+        out = out + pc.atan_coeff * np.array([math.atan(v) for v in xm.tolist()])
+    return out
+
+
+def _first_match(resolved, x: np.ndarray) -> np.ndarray:
+    """``_eval_resolved`` over an array: each x takes the first piece holding it.
+
+    Piece fields are floats or per-row arrays of x's shape.
+    """
+    out = np.empty_like(x)
+    todo = np.ones(x.shape, dtype=bool)
+    for pc in resolved:
+        mask = todo & (x >= pc.lo) & (x <= pc.hi)
+        out[mask] = _piece_values(pc, x, mask)
+        todo &= ~mask
+    if todo.any():
+        left = todo & (x < resolved[0].lo)
+        out[left] = _piece_values(resolved[0], x, left)
+        right = todo & ~left
+        out[right] = _piece_values(resolved[-1], x, right)
+    return out
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """Evaluator for f(t, xi) in R^m, xi in R^p, plus optional structure.
 
     The structured kinds evaluate through their resolved pieces; ``fn`` is
-    the evaluator of the opaque kinds only.
+    the evaluator of the opaque kinds only.  ``fn_batch(T, X)``, when
+    given, is the vectorised ``fn``: it maps an N x p stack to N x m rows
+    equal to ``fn`` bit for bit, with T a 0-d time or one time per row.
     """
 
     m: int
@@ -105,6 +153,7 @@ class Nonlinearity:
     jac: Callable[[float, np.ndarray], np.ndarray] | None = None
     name: str = ""
     params: dict = field(default_factory=dict)
+    fn_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind == "piecewise_scalar":
@@ -155,17 +204,87 @@ class Nonlinearity:
             r = float(np.linalg.norm(xi))
             out = np.zeros(self.p) if r == 0.0 else (self.amplitude(t, r) / r) * xi
         else:
-            out = np.asarray(self.fn(t, xi), dtype=float).reshape(-1)
+            out = self._fn_row(t, xi)
         if out.shape[0] != self.m:
-            raise ConfigurationError(
-                f"nonlinearity returned length {out.shape[0]}, expected m={self.m}"
-            )
+            raise self._bad_length(out.shape[0])
         if not np.all(np.isfinite(out)):
-            raise EvaluationError(
-                f"nonlinearity {self.name or '<anonymous>'} returned a non-finite "
-                f"value at t={t}", t=t, point=xi.copy(),
-            )
+            raise self._non_finite(t, xi)
         return out
+
+    def eval_batch(self, t, Xi) -> np.ndarray:
+        """f at every row of an N x p stack: N x m, each row bit-for-bit ``eval``.
+
+        ``t`` is one time for all rows or one time per row.  The first row
+        ``eval`` would reject raises the same error, with its t and point.
+        """
+        X = np.asarray(Xi, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.p:
+            raise ConfigurationError(
+                f"Xi has shape {X.shape}, expected (N, p={self.p})"
+            )
+        out, bad = self.eval_rows(t, X, strict=True)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise self._non_finite(row_time(t, i), X[i].copy())
+        return out
+
+    def eval_rows(self, t, X: np.ndarray, strict: bool = False):
+        """(N x m values, bad-row mask) for an N x p stack; bad rows hold NaN.
+
+        A row is bad when its value is not finite or, unless ``strict``,
+        when ``fn`` raised EvaluationError on it.
+        """
+        T = np.asarray(t, dtype=float)
+        if T.ndim and T.shape != (X.shape[0],):
+            raise ConfigurationError(
+                f"t has shape {T.shape}, expected one time or {X.shape[0]}"
+            )
+        if self.kind == "piecewise_scalar":
+            out = _first_match(self._resolved_rows(t, T), X[:, 0])[:, None]
+        elif self.kind == "radial":
+            r = row_norms(X)
+            amp = _first_match(self._resolved_rows(t, T), r)
+            out = np.zeros_like(X)
+            live = r != 0.0
+            out[live] = (amp[live] / r[live])[:, None] * X[live]
+        elif self.fn_batch is not None:
+            out = np.asarray(self.fn_batch(T, X), dtype=float)
+            if out.shape != (X.shape[0], self.m):
+                raise self._bad_length(out.shape[-1])
+        else:
+            out = np.empty((X.shape[0], self.m))
+            for i, xi in enumerate(X):
+                try:
+                    row = self._fn_row(row_time(t, i), xi.copy())
+                except EvaluationError:
+                    if strict:
+                        raise
+                    row = np.full(self.m, np.nan)
+                if row.shape[0] != self.m:
+                    raise self._bad_length(row.shape[0])
+                out[i] = row
+        bad = ~np.isfinite(out).all(axis=1)
+        return out, bad
+
+    def _fn_row(self, t, xi: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn(t, xi), dtype=float).reshape(-1)
+
+    def _resolved_rows(self, t, T: np.ndarray) -> list[ResolvedPiece]:
+        if T.ndim == 0 or self._static_resolved is not None:
+            return self.resolved_structure(t)
+        structure = self.pieces if self.kind == "piecewise_scalar" else self.profile
+        return [_resolve_rows(pc, T) for pc in structure]
+
+    def _bad_length(self, length: int) -> ConfigurationError:
+        return ConfigurationError(
+            f"nonlinearity returned length {length}, expected m={self.m}"
+        )
+
+    def _non_finite(self, t, xi: np.ndarray) -> EvaluationError:
+        return EvaluationError(
+            f"nonlinearity {self.name or '<anonymous>'} returned a non-finite "
+            f"value at t={t}", t=t, point=xi.copy(),
+        )
 
     def eval_scalar(self, t: float, x: float) -> float:
         """Fast scalar path for p = m = 1."""
@@ -177,26 +296,19 @@ class Nonlinearity:
         """Vectorised scalar evaluation (used by the scanning oracle)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "piecewise_scalar":
-            resolved = self.resolved_structure(t)
-            out = np.empty_like(x)
-            filled = np.zeros(x.shape, dtype=bool)
-            for pc in resolved:
-                mask = (~filled) & (x >= pc.lo) & (x <= pc.hi)
-                out[mask] = pc.value_array(x[mask])
-                filled |= mask
-            if not filled.all():
-                left = (~filled) & (x < resolved[0].lo)
-                out[left] = resolved[0].value_array(x[left])
-                right = ~(filled | left)
-                out[right] = resolved[-1].value_array(x[right])
-            return out
-        return np.array([self.eval_scalar(t, float(v)) for v in x])
+            return _first_match(self.resolved_structure(t), x)
+        return self.eval_batch(t, x.reshape(-1, 1)).reshape(x.shape)
 
     def amplitude(self, t: float, r: float) -> float:
         """Radial amplitude a(t, r) for the radial kind."""
         if self.kind != "radial":
             raise ConfigurationError("amplitude is defined for radial kind only")
         return _eval_resolved(self.resolved_structure(t), r)
+
+
+def row_time(t, i: int):
+    """The time of row i: t itself when it is one time for all rows."""
+    return t if np.ndim(t) == 0 else np.asarray(t, dtype=float)[i]
 
 
 def _check_tiling(pieces, lo_start: float):
@@ -247,6 +359,7 @@ def zero_nonlinearity(m: int, p: int) -> Nonlinearity:
     return Nonlinearity(
         m=m, p=p,
         fn=lambda t, xi: np.zeros(m),
+        fn_batch=lambda T, X: np.zeros((X.shape[0], m)),
         jac=lambda t, xi: np.zeros((m, p)),
         name="zero", params={"m": m, "p": p},
     )
@@ -258,6 +371,7 @@ def linear_nonlinearity(K) -> Nonlinearity:
     return Nonlinearity(
         m=m, p=p,
         fn=lambda t, xi: K @ xi,
+        fn_batch=lambda T, X: np.matmul(K, X[..., None])[..., 0],
         jac=lambda t, xi: K.copy(),
         name="linear", params={"K": K.tolist()},
     )
@@ -344,6 +458,9 @@ def normalized_gain(gain=0.5, p: int = 2, gain_expr: str | None = None) -> Nonli
     def fn(t, xi):
         return (h(t) / (1.0 + np.linalg.norm(xi))) * xi
 
+    def fn_batch(T, X):
+        return (_at_times(h, T) / (1.0 + row_norms(X)))[:, None] * X
+
     def jac(t, xi):
         r = float(np.linalg.norm(xi))
         ht = h(t)
@@ -356,8 +473,8 @@ def normalized_gain(gain=0.5, p: int = 2, gain_expr: str | None = None) -> Nonli
         params["gain"] = gain_expr
     elif not callable(gain):
         params["gain"] = float(gain)
-    return Nonlinearity(m=p, p=p, fn=fn, jac=jac, name="normalized_gain",
-                        params=params)
+    return Nonlinearity(m=p, p=p, fn=fn, fn_batch=fn_batch, jac=jac,
+                        name="normalized_gain", params=params)
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -380,10 +497,17 @@ def rotated_radial(radial_gain=None, angle=None, angle_expr: str | None = None
         r = float(np.linalg.norm(xi))
         return xi - g(r) * (rotation_matrix(theta(t)) @ xi)
 
+    def fn_batch(T, X):
+        r = row_norms(X)
+        gains = r if radial_gain is None else np.array([g(s) for s in r.tolist()])
+        rotations = _at_times(lambda t: rotation_matrix(theta(t)), T)
+        return X - gains[:, None] * np.matmul(rotations, X[..., None])[..., 0]
+
     params = {}
     if angle_expr is not None:
         params["angle"] = angle_expr
-    return Nonlinearity(m=2, p=2, fn=fn, name="rotated_radial", params=params)
+    return Nonlinearity(m=2, p=2, fn=fn, fn_batch=fn_batch,
+                        name="rotated_radial", params=params)
 
 
 def normalized_rotation(omega: float = 1.0, p: int = 2, frame=None) -> Nonlinearity:
@@ -402,12 +526,18 @@ def normalized_rotation(omega: float = 1.0, p: int = 2, frame=None) -> Nonlinear
         s = float(np.linalg.norm(xi))
         return (1.0 / math.sqrt(1.0 + s * s)) * (J(t) @ xi)
 
+    def fn_batch(T, X):
+        s = row_norms(X)
+        frames = _at_times(J, T)
+        return (1.0 / np.sqrt(1.0 + s * s))[:, None] * np.matmul(frames, X[..., None])[..., 0]
+
     def jac(t, xi):
         s2 = float(xi @ xi)
         P = np.outer(xi, xi) / (1.0 + s2)
         return (1.0 / math.sqrt(1.0 + s2)) * (J(t) @ (np.eye(p) - P))
 
-    return Nonlinearity(m=p, p=p, fn=fn, jac=jac, name="normalized_rotation",
+    return Nonlinearity(m=p, p=p, fn=fn, fn_batch=fn_batch, jac=jac,
+                        name="normalized_rotation",
                         params={"omega": float(omega), "p": p})
 
 

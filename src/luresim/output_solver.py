@@ -13,15 +13,16 @@ Three routes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .derivatives import finite_diff_jacobian
+from .derivatives import finite_diff_jacobian, finite_diff_jacobians
 from .errors import ConfigurationError, EvaluationError
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, row_norms
 from .system import scalar_feedthrough
 
 EXACT_TOL = 1e-12       # residual bound for exact fibre entries
@@ -139,6 +140,14 @@ def _project_onto_segment(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
 # Residual helpers
 # ---------------------------------------------------------------------------
 
+def _target(w, p: int) -> np.ndarray:
+    """The output target as a flat vector; it must be finite and of length p."""
+    w = np.asarray(w, dtype=float).reshape(-1)
+    if w.size != p or not np.all(np.isfinite(w)):
+        raise ConfigurationError(f"w must be a finite vector of length {p}")
+    return w
+
+
 def _as_feedthrough(D) -> np.ndarray:
     D = np.atleast_2d(np.asarray(D, dtype=float))
     return D
@@ -162,7 +171,12 @@ def residual_norm(f: Nonlinearity, D, t: float, y, w) -> float:
 
 def _newton(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
             y0: np.ndarray, opts: SolveOptions):
-    """Damped Newton on the output residual. Returns (y, resid, iters, ok)."""
+    """Damped Newton on the output residual. Returns (y, resid, iters, ok).
+
+    The one-start path: ``_newton_stack`` gives the same result for one
+    row but takes about twice as long, which the per-stage solves of
+    ``simulate`` would pay on every step.
+    """
     p = w.size
     eye = np.eye(p)
 
@@ -209,17 +223,105 @@ def _newton(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
     return y, rnorm, opts.max_iter, rnorm <= opts.tol_resid
 
 
+def _newton_stack(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
+                  Y0: np.ndarray, opts: SolveOptions):
+    """``_newton`` from every row of Y0 at once: (Y, resid, iters, ok) arrays.
+
+    Every start follows the iteration it would follow alone.  The starts
+    still running advance together, one stacked ``np.linalg.solve`` per
+    iteration; the line search halves the step of the starts that have
+    not yet accepted one, and a start leaves as soon as it converges,
+    fails or stagnates.
+    """
+    n, p = Y0.shape
+    eye = np.eye(p)
+
+    def resid(Y):
+        values, bad = f.eval_rows(t, Y)
+        return Y - np.matmul(D, values[..., None])[..., 0] - w, bad
+
+    def jac(Y):
+        """Jacobians of the residual; NaN where an evaluation failed."""
+        if f.jac is None:
+            Jf = finite_diff_jacobians(f, t, Y, strict=False)
+        else:
+            Jf = np.empty((len(Y), f.m, p))
+            for i, y in enumerate(Y):
+                try:
+                    Jf[i] = f.jac(t, y)
+                except EvaluationError:
+                    Jf[i] = np.nan
+        return eye - np.matmul(D, Jf)
+
+    Y = np.array(Y0, dtype=float)
+    R, bad = resid(Y)
+    rnorm = np.where(bad, math.inf, row_norms(R))
+    iters = np.zeros(n, dtype=int)
+    ok = np.zeros(n, dtype=bool)
+    running = ~bad
+    for it in range(1, opts.max_iter + 1):
+        done = running & (rnorm <= opts.tol_resid)
+        ok[done] = True
+        iters[done] = it - 1
+        running &= ~done
+        idx = np.nonzero(running)[0]
+        if idx.size == 0:
+            break
+        steps = _newton_steps(jac(Y[idx]), -R[idx])
+        failed = ~np.isfinite(steps).all(axis=1)
+        iters[idx[failed]] = it - 1
+        running[idx[failed]] = False
+        idx, steps = idx[~failed], steps[~failed]
+        lam = 1.0
+        while idx.size and lam >= 2.0 ** -30:
+            Y_new = Y[idx] + lam * steps
+            R_new, bad = resid(Y_new)
+            rn_new = row_norms(R_new)
+            accept = ~bad & ((rn_new <= (1.0 - 1e-4 * lam) * rnorm[idx])
+                             | (rn_new <= opts.tol_resid))
+            took = idx[accept]
+            Y[took], R[took], rnorm[took] = Y_new[accept], R_new[accept], rn_new[accept]
+            idx, steps = idx[~accept], steps[~accept]
+            lam *= 0.5
+        iters[idx] = it                  # stagnation
+        running[idx] = False
+    iters[running] = opts.max_iter
+    ok[running] = rnorm[running] <= opts.tol_resid
+    return Y, rnorm, iters, ok
+
+
+def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each J[i] s = rhs[i]; a row of NaN where J[i] is singular."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full(rhs.shape, np.nan)
+        for i in range(len(J)):
+            try:
+                steps[i] = np.linalg.solve(J[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
 def _halton_starts(center: np.ndarray, radius: float, n: int, seed: int) -> np.ndarray:
     """Low-discrepancy starts in the ball around center (deterministic)."""
+    z, scale = _halton_offsets(center.size, n, seed)
+    return center + radius * z * scale
+
+
+@functools.lru_cache(maxsize=32)
+def _halton_offsets(p: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scrambled Halton points in [-1, 1]^p and the factors pulling them into the ball."""
     from scipy.stats import qmc
 
-    p = center.size
-    sampler = qmc.Halton(d=p, scramble=True, seed=seed)
-    u = sampler.random(n)
+    u = qmc.Halton(d=p, scramble=True, seed=seed).random(n)
     z = 2.0 * u - 1.0
     norms = np.linalg.norm(z, axis=1)
-    scale = np.where(norms > 1.0, 1.0 / norms, 1.0)
-    return center + radius * z * scale[:, None]
+    scale = np.where(norms > 1.0, 1.0 / norms, 1.0)[:, None]
+    z.setflags(write=False)
+    scale.setflags(write=False)
+    return z, scale
 
 
 def _cluster_scalar_sorted(values: list[float], tol: float) -> list[list[float]]:
@@ -258,9 +360,7 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
         raise ConfigurationError("max_iter must be at least 1")
     D = sys.D
     p = D.shape[0]
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != p or not np.all(np.isfinite(w)):
-        raise ConfigurationError(f"w must be a finite vector of length {p}")
+    w = _target(w, p)
     y_guess = np.asarray(y_guess, dtype=float).reshape(-1)
     if y_guess.size != p:
         raise ConfigurationError(f"y_guess must have length {p}")
@@ -291,15 +391,13 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
     # Multistart fallback.
     found: list[np.ndarray] = []
     best_resid = rnorm
-    starts = [y_guess] + list(_halton_starts(y_guess, opts.search_radius,
-                                             opts.n_starts, opts.seed))
-    total_iters = iters
-    for start in starts:
-        ys, rs, its, ok_s = _newton(f, D, t, w, np.asarray(start), opts)
-        total_iters += its
-        best_resid = min(best_resid, rs)
-        if ok_s:
-            found.append(ys)
+    starts = np.vstack((y_guess, _halton_starts(y_guess, opts.search_radius,
+                                                opts.n_starts, opts.seed)))
+    ys, rs, its, oks = _newton_stack(f, D, t, w, starts, opts)
+    total_iters = iters + int(its.sum())
+    for rs_i in rs.tolist():
+        best_resid = min(best_resid, rs_i)
+    found.extend(ys[oks])
     if p == 1:
         for root in _scalar_bracket_roots(f, D, t, w, y_guess, opts):
             found.append(np.array([root]))
@@ -472,7 +570,7 @@ def enumerate_fibre_exact(f: Nonlinearity, D, t: float, w,
     target direction.
     """
     D = _as_feedthrough(D)
-    w = np.asarray(w, dtype=float).reshape(-1)
+    w = _target(w, D.shape[0])
 
     if f.kind == "piecewise_scalar":
         if D.shape != (1, 1):
@@ -546,13 +644,11 @@ def enumerate_fibre_multistart(f: Nonlinearity, D, t: float, w,
     opts = opts or SolveOptions()
     D = _as_feedthrough(D)
     p = D.shape[0]
-    w = np.asarray(w, dtype=float).reshape(-1)
+    w = _target(w, p)
     center = w.copy() if center is None else np.asarray(center, dtype=float).reshape(-1)
-    found: list[np.ndarray] = []
-    for start in _halton_starts(center, opts.search_radius, opts.n_starts, opts.seed):
-        ys, rs, _, ok = _newton(f, D, t, w, start, opts)
-        if ok:
-            found.append(ys)
+    starts = _halton_starts(center, opts.search_radius, opts.n_starts, opts.seed)
+    ys, _, _, oks = _newton_stack(f, D, t, w, starts, opts)
+    found: list[np.ndarray] = list(ys[oks])
     if p == 1:
         for root in _scalar_bracket_roots(f, D, t, w, center, opts):
             found.append(np.array([root]))
@@ -591,7 +687,7 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
         raise ConfigurationError("scan radius and step must be positive")
     D = _as_feedthrough(D)
     p = D.shape[0]
-    w = np.asarray(w, dtype=float).reshape(-1)
+    w = _target(w, p)
 
     if p == 1:
         d = float(D[0, 0])

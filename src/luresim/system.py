@@ -79,20 +79,37 @@ class SystemMatrices:
 
 
 def scalar_feedthrough(D: np.ndarray) -> float | None:
-    """Return d when the 2-d feedthrough D equals d*I, else None."""
+    """Return d when the 2-d feedthrough D equals d*I, else None.
+
+    Entry by entry against d on the diagonal and d*0 off it, so a
+    non-finite d matches only where d*I would equal D.
+    """
     p, m = D.shape
     if p != m:
         return None
-    d = float(D[0, 0])
-    if np.array_equal(D, d * np.eye(p)):
-        return d
-    return None
+    rows = D.tolist()
+    d = rows[0][0]
+    off = d * 0.0
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v != (d if i == j else off):
+                return None
+    return float(d)
 
 
-def eval_F(sys: SystemMatrices, f, t: float, xi) -> np.ndarray:
-    """Evaluate F_t(xi) = xi - D f(t, xi)."""
-    xi = np.asarray(xi, dtype=float).reshape(-1)
+def eval_F(sys: SystemMatrices, f, t, xi) -> np.ndarray:
+    """Evaluate F_t(xi) = xi - D f(t, xi) at one point or at each row of an N x p stack.
+
+    For a stack, ``t`` is one time or one time per row and the rows go
+    through ``f.eval_batch``; each equals the single-point value bit for bit.
+    """
+    xi = np.asarray(xi, dtype=float)
     p = sys.D.shape[0]
+    if xi.ndim == 2:
+        if xi.shape[1] != p:
+            raise ConfigurationError(f"xi has {xi.shape[1]} columns, expected p={p}")
+        return xi - np.matmul(sys.D, f.eval_batch(t, xi)[..., None])[..., 0]
+    xi = xi.reshape(-1)
     if xi.shape[0] != p:
         raise ConfigurationError(f"xi has length {xi.shape[0]}, expected p={p}")
     return xi - sys.D @ f(t, xi)

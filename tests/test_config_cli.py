@@ -182,6 +182,15 @@ def test_cli_fibre_reports_segment(tmp_path, entry, capsys):
     assert seg[1][0] == pytest.approx(1.3, abs=1e-12)
 
 
+def test_cli_fibre_rejects_wrong_length_target(tmp_path, entry, capsys):
+    cfg = _write_config(tmp_path, entry("sec42a"), "sec42a")
+    code = main(["fibre", "--system", str(cfg), "--w", "1.5,0.5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "w must be a finite vector of length 1" in captured.err
+
+
 def test_cli_example_list_and_show(capsys):
     assert main(["example", "--list"]) == 0
     listing = capsys.readouterr().out

@@ -200,6 +200,20 @@ def test_oracle_empty_off_range(entry):
     assert fib.empty
 
 
+@pytest.mark.parametrize("w", [[1.5, 0.5], [], [math.nan], [math.inf]])
+def test_fibre_routes_reject_bad_target(entry, w):
+    # every route checks the target against p = 1 before using w[0]
+    e = entry("sec42a")
+    f, D = e.nonlinearity, e.system.D
+    calls = (lambda: solve_output(e.system, f, 0.0, w, [0.0]),
+             lambda: enumerate_fibre_exact(f, D, 0.0, w),
+             lambda: enumerate_fibre_multistart(f, D, 0.0, w),
+             lambda: brute_force_fibre_oracle(f, D, 0.0, w, R=2.0, h_scan=0.01))
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="w must be a finite vector of length 1"):
+            call()
+
+
 def test_oracle_rejects_bad_radius(entry):
     e = entry("ex3a")
     with pytest.raises(ConfigurationError):

@@ -9,6 +9,7 @@ from luresim import (ConfigurationError, SystemMatrices, constant_input,
                      eval_F, gronwall_bound, normalized_gain,
                      piecewise_constant_input, polynomial_input,
                      rotated_radial, zero_input, zero_nonlinearity)
+from luresim.system import scalar_feedthrough
 
 
 def test_dimensions_inferred():
@@ -40,6 +41,28 @@ def test_scalar_feedthrough_detection():
                           D=np.array([[0.5, 0.1], [0.0, 0.5]]),
                           D_e=np.zeros((2, 2)))
     assert sys2.scalar_feedthrough() is None
+
+
+@pytest.mark.parametrize("D,expected", [
+    ([[-0.5, 0.0], [0.0, -0.5]], -0.5),
+    ([[-2.0]], -2.0),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.0),
+    ([[1.0, -0.0], [0.0, 1.0]], 1.0),
+    ([[1.0, 0.0], [0.0, 1.0 + 1e-15]], None),
+    ([[1.0, 1e-300], [0.0, 1.0]], None),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], None),
+    ([[math.inf]], math.inf),
+    ([[math.inf, 0.0], [0.0, math.inf]], None),
+    ([[math.nan]], None),
+])
+def test_scalar_feedthrough_matches_multiple_of_identity(D, expected):
+    # the entry-wise test gives what comparing with d * I gives
+    D = np.array(D)
+    d = float(D[0, 0])
+    with np.errstate(invalid="ignore"):
+        reference = (d if D.shape[0] == D.shape[1]
+                     and np.array_equal(D, d * np.eye(D.shape[0])) else None)
+    assert scalar_feedthrough(D) == expected == reference
 
 
 def test_eval_F_identity_when_f_vanishes():
