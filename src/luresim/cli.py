@@ -71,6 +71,10 @@ def _cmd_simulate(args) -> int:
     write_csv(record, base + ".csv")
     write_summary_json(record, base + ".json")
     print(json.dumps(summary_dict(record), sort_keys=True))
+    multiple = (record.flags or []).count("multiple")
+    if multiple:
+        print(f"note: at {multiple} of {record.n_samples} samples a solve chose "
+              f"among several outputs (nearest the warm start)", file=sys.stderr)
     if record.termination.kind == "no_output_solution" and record.n_samples == 0:
         return 3
     return 0

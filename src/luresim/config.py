@@ -77,30 +77,39 @@ class _ExprChecker(ast.NodeVisitor):
             self.visit(arg)
 
 
+def _norm(*args):
+    return math.sqrt(sum(float(a) ** 2 for a in args))
+
+
 def _compile_expression(expr: str, names: list[str], path: str):
+    """Check the expression, then compile it once into a plain function of
+    ``names`` (positional, in order) returning a float.
+
+    The function body is the checked expression itself, so every operation
+    and ``math`` call is the one ``eval`` would make; only the whitelisted
+    functions are reachable, as globals, and builtins are empty.
+    """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise _err(path, f"syntax error: {exc.msg}") from None
     _ExprChecker(set(names), path).visit(tree)
-    code = compile(tree, filename=f"<{path}>", mode="eval")
-
-    def norm(*args):
-        return math.sqrt(sum(float(a) ** 2 for a in args))
-
-    env = dict(_ALLOWED_FUNCS)
-    env["norm"] = norm
-
-    def evaluate(**values) -> float:
-        return float(eval(code, {"__builtins__": {}}, {**env, **values}))
-
-    return evaluate
+    # lambda t, xi_1, ...: float(<expression>); the checker admits no
+    # name "float", so the conversion cannot be reached from the expression
+    body = ast.Call(func=ast.Name(id="float", ctx=ast.Load()),
+                    args=[tree.body], keywords=[])
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(arg=n) for n in names],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    lam = ast.fix_missing_locations(ast.Expression(
+        body=ast.Lambda(args=params, body=body)))
+    code = compile(lam, filename=f"<{path}>", mode="eval")
+    env = {"__builtins__": {}, **_ALLOWED_FUNCS, "norm": _norm, "float": float}
+    return eval(code, env)
 
 
 def compile_scalar_expression(expr: str, path: str = "expression"):
     """Compile an expression of t into a callable t -> float."""
-    evaluate = _compile_expression(expr, ["t"], path)
-    return lambda t: evaluate(t=t)
+    return _compile_expression(expr, ["t"], path)
 
 
 def compile_vector_expression(exprs: list[str], p: int,
@@ -111,10 +120,8 @@ def compile_vector_expression(exprs: list[str], p: int,
            for i, e in enumerate(exprs)]
 
     def fn(t, xi):
-        values = {"t": float(t)}
-        for i in range(p):
-            values[f"xi_{i+1}"] = float(xi[i])
-        return np.array([g(**values) for g in fns])
+        values = [float(t)] + [float(xi[i]) for i in range(p)]
+        return np.array([g(*values) for g in fns])
 
     return Nonlinearity(m=len(exprs), p=p, fn=fn, kind="expression",
                         name="expression", params={"exprs": list(exprs)})

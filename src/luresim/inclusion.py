@@ -23,9 +23,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError, EmptyFibreError
-from .integrator import (Termination, TrajectoryRecord, _classify_collapse,
-                         _Recorder, _residual, _rk_step, _slope)
-from .nonlinearity import Nonlinearity
+from .integrator import (_EPS, Termination, TrajectoryRecord,
+                         _classify_collapse, _Recorder, _residual, _rk_step,
+                         _slope, _validate_run)
+from .nonlinearity import Nonlinearity, row_norms, vec_norm
 from .output_solver import (FibreSet, SolveOptions, enumerate_fibre_exact,
                             enumerate_fibre_multistart,
                             exact_structure_available)
@@ -84,7 +85,7 @@ def _element_value(kind: str, payload, policy: SelectionPolicy):
         finite = [e for e in (a, b) if np.all(np.isfinite(e))]
         if not finite:
             raise ConfigurationError("max_norm undefined on unbounded segment")
-        return max(finite, key=lambda e: float(np.linalg.norm(e)))
+        return max(finite, key=vec_norm)
     # representative for fixed_branch
     if np.all(np.isfinite(b)) and np.all(np.isfinite(a)):
         return 0.5 * (a + b)
@@ -137,7 +138,7 @@ def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
     best = None
     for idx, (kind, payload) in enumerate(elements):
         cand = np.asarray(_element_value(kind, payload, policy), dtype=float)
-        score = -float(np.linalg.norm(cand))
+        score = -vec_norm(cand)
         if best is None or score < best[1]:
             best = (cand, score, idx)
     return best[0].copy(), best[2]
@@ -145,7 +146,13 @@ def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
 
 def enumerate_fibre(f: Nonlinearity, D, t: float, w, opts: SolveOptions) -> FibreSet:
     """F_t^{-1}(w): exact enumeration where the structure allows, else multistart."""
-    if exact_structure_available(f, D):
+    return _fibre_on_route(exact_structure_available(f, D), f, D, t, w, opts)
+
+
+def _fibre_on_route(exact: bool, f: Nonlinearity, D, t: float, w,
+                    opts: SolveOptions) -> FibreSet:
+    """``enumerate_fibre`` with the route already chosen."""
+    if exact:
         return enumerate_fibre_exact(f, D, t, w, tol_sep=opts.tol_sep)
     return enumerate_fibre_multistart(f, D, t, w, opts=opts)
 
@@ -211,38 +218,42 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     if opts.method not in ("euler", "rk4"):
         raise ConfigurationError(f"unknown inclusion method {opts.method!r}")
     n, m, m_e, p = sys.dims
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (n,):
-        raise ConfigurationError(f"x0 must have length n={n}")
+    t0, x0 = _validate_run(opts, t0, x0, n)
     rec = _Recorder()
+    exact = exact_structure_available(f, sys.D)
 
-    def fibre(t: float, x: np.ndarray) -> FibreSet:
-        return enumerate_fibre(f, sys.D, t, sys.C @ x + sys.D_e @ v(t), opts.fibre)
+    def fibre(t: float, x: np.ndarray, vt: np.ndarray) -> FibreSet:
+        """The fibre at (t, x), given vt = v(t); the route is fixed per run."""
+        return _fibre_on_route(exact, f, sys.D, t, sys.C @ x + sys.D_e @ vt,
+                               opts.fibre)
 
     def stage(t: float, x: np.ndarray, y_prev: np.ndarray):
-        y, _ = select_from_fibre(fibre(t, x), policy, prev_y=y_prev)
-        return (y, *_slope(sys, f, t, x, y, v(t)))
+        vt = v(t)
+        y, _ = select_from_fibre(fibre(t, x, vt), policy, prev_y=y_prev)
+        u = f(t, y)
+        return y, u, _slope(sys, x, u, vt), vt
 
-    t = float(t0)
+    t = t0
     x = x0.copy()
-    fib0 = fibre(t, x)
+    vt = v(t)
+    fib0 = fibre(t, x, vt)
     if fib0.empty:
         term = Termination(kind="no_output_solution", time=t, bracket=(t, t),
                            detail="empty fibre at initial time")
         return rec.build(term, n, p, m, with_branches=True)
-    y, branch = select_from_fibre(fib0, policy, prev_y=sys.C @ x + sys.D_e @ v(t))
-    u, k = _slope(sys, f, t, x, y, v(t))
-    rec.push(t, x, y, u, _residual(sys, v, t, x, y, u), branch=branch)
+    y, branch = select_from_fibre(fib0, policy, prev_y=sys.C @ x + sys.D_e @ vt)
+    u = f(t, y)
+    k = _slope(sys, x, u, vt)
+    rec.push(t, x, y, u, _residual(sys, x, y, u, vt), branch=branch)
 
-    d_scalar = (float(sys.D[0, 0])
-                if p == 1 and exact_structure_available(f, sys.D) else None)
+    d_scalar = float(sys.D[0, 0]) if p == 1 and exact else None
     h = opts.dt
     fold_attempts = 0
     solver_failed = False
 
     while t < opts.tmax - 1e-15 * max(1.0, abs(opts.tmax)):
         h_eff = min(h, opts.tmax - t)
-        floor = max(opts.dt_min, 8.0 * np.finfo(float).eps * max(1.0, abs(t)))
+        floor = max(opts.dt_min, 8.0 * _EPS * max(1.0, abs(t)))
         if opts.tmax - t <= floor:
             break   # remaining horizon below resolvable step size
         if h_eff < floor:
@@ -259,11 +270,12 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
             continue
         t_prop = t + h_eff
 
-        fib_prop = fibre(t_prop, x_prop)
+        v_prop = v(t_prop)
+        fib_prop = fibre(t_prop, x_prop, v_prop)
         jumped = False
         if not fib_prop.empty:
             y_prop, branch = select_from_fibre(fib_prop, policy, prev_y=y)
-            jumped = float(np.linalg.norm(y_prop - y)) > opts.jump_tol
+            jumped = vec_norm(y_prop - y) > opts.jump_tol
         if fib_prop.empty or jumped:
             landing = None
             if d_scalar is not None and fold_attempts < _MAX_FOLD_ATTEMPTS:
@@ -271,8 +283,10 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
                                         t, x, y, k_mean, h_eff, opts.jump_tol)
             if landing is not None:
                 t, x, y, branch = landing
-                u, k = _slope(sys, f, t, x, y, v(t))
-                rec.push(t, x, y, u, _residual(sys, v, t, x, y, u),
+                vt = v(t)
+                u = f(t, y)
+                k = _slope(sys, x, u, vt)
+                rec.push(t, x, y, u, _residual(sys, x, y, u, vt),
                          flag="fold", branch=branch)
                 fold_attempts += 1
                 h = opts.dt
@@ -282,15 +296,16 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
                 h = 0.5 * h_eff
                 continue
         # A jump is the discontinuous selection, taken and flagged.
-        t, x, y = t_prop, x_prop, y_prop
-        u, k = _slope(sys, f, t, x, y, v(t))
-        rec.push(t, x, y, u, _residual(sys, v, t, x, y, u),
+        t, x, y, vt = t_prop, x_prop, y_prop, v_prop
+        u = f(t, y)
+        k = _slope(sys, x, u, vt)
+        rec.push(t, x, y, u, _residual(sys, x, y, u, vt),
                  flag="jump" if jumped else "", branch=branch)
         fold_attempts = 0
         solver_failed = False
         h = opts.dt
 
-        if float(np.linalg.norm(x)) > opts.blowup_threshold:
+        if vec_norm(x) > opts.blowup_threshold:
             term = Termination(kind="blow_up", time=t,
                                detail="state norm crossed blowup_threshold")
             return rec.build(term, n, p, m, with_branches=True)
@@ -310,7 +325,8 @@ def _land_on_fold(fibre, sys: SystemMatrices, f: Nonlinearity, v, d: float,
     without further events.
     """
     def continues(s: float):
-        fib = fibre(t + s * h, x + s * h * k)
+        ts = t + s * h
+        fib = fibre(ts, x + s * h * k, v(ts))
         if fib.empty:
             return None
         cand, dist, _ = fib.nearest(y)
@@ -361,11 +377,11 @@ def _land_on_fold(fibre, sys: SystemMatrices, f: Nonlinearity, v, d: float,
 
     if t_hat <= t + 1e-15 * max(1.0, abs(t)):
         return None
-    fib = fibre(t_hat, x_hat)
+    fib = fibre(t_hat, x_hat, v(t_hat))
     if fib.empty:
         return None
     y_sel, branch = select_from_fibre(fib, policy, prev_y=y_hat)
-    if float(np.linalg.norm(y_sel - y_hat)) > jump_tol:
+    if vec_norm(y_sel - y_hat) > jump_tol:
         return None
     return t_hat, x_hat, y_sel, branch
 
@@ -454,14 +470,12 @@ def check_image_convexity(f: Nonlinearity, D, t: float, w,
     spacing = 1e-9
     for pt in fib.points:
         samples.append(np.asarray(f(t, pt), dtype=float))
+    grid = np.linspace(0.0, 1.0, 65)[:, None]
     for a, b in fib.segments:
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             continue
-        grid = np.linspace(0.0, 1.0, 65)
-        seg_imgs = [np.asarray(f(t, (1.0 - s) * a + s * b), dtype=float)
-                    for s in grid]
-        for u1, u2 in zip(seg_imgs, seg_imgs[1:]):
-            spacing = max(spacing, float(np.linalg.norm(u2 - u1)))
+        seg_imgs = f.eval_batch(t, (1.0 - grid) * a + grid * b)
+        spacing = max(spacing, float(np.max(row_norms(np.diff(seg_imgs, axis=0)))))
         samples.extend(seg_imgs)
     if len(samples) <= 1:
         return ConvexityVerdict(kind="convex_sampled")
@@ -469,16 +483,19 @@ def check_image_convexity(f: Nonlinearity, D, t: float, w,
     rng = np.random.default_rng(1234)
     n_pairs = min(256, 4 * len(samples) * len(samples))
     arr = np.array(samples)
-    worst = 0.0
-    witness = None
-    for _ in range(n_pairs):
-        i, j = rng.integers(0, len(samples), size=2)
-        mid = 0.5 * (arr[i] + arr[j])
-        dist = float(np.min(np.linalg.norm(arr - mid, axis=1)))
-        if dist > worst:
-            worst = dist
-            witness = {"pair": (arr[i].tolist(), arr[j].tolist()),
-                       "midpoint": mid.tolist(), "distance": dist}
+    # one rng call per pair, which fixes the stream of draws
+    pairs = np.array([rng.integers(0, len(samples), size=2)
+                      for _ in range(n_pairs)])
+    mids = 0.5 * (arr[pairs[:, 0]] + arr[pairs[:, 1]])
+    # the distance of each midpoint to its nearest sample, reduced as
+    # np.linalg.norm(arr - mid, axis=1) reduces it
+    diff = arr[None, :, :] - mids[:, None, :]
+    dists = np.sqrt(np.add.reduce(diff * diff, axis=2)).min(axis=1)
+    best = int(np.argmax(dists))
+    worst = float(dists[best])
     if worst <= tol:
         return ConvexityVerdict(kind="convex_sampled")
+    i, j = pairs[best]
+    witness = {"pair": (arr[i].tolist(), arr[j].tolist()),
+               "midpoint": mids[best].tolist(), "distance": worst}
     return ConvexityVerdict(kind="violation", gap=worst, witness=witness)

@@ -22,11 +22,13 @@ point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
+from .nonlinearity import all_finite, vec_norm
 from .output_solver import SolveOptions, solve_output
 from .system import SystemMatrices
 
@@ -46,6 +48,8 @@ _RK45_E = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0,
 
 # Recent outputs searched for divergence when the step size collapses.
 _COLLAPSE_WINDOW = 10
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -116,38 +120,48 @@ class _StageFailure(Exception):
         self.certificate = certificate
 
 
-def _slope(sys: SystemMatrices, f, t: float, x: np.ndarray, y: np.ndarray,
-           vt: np.ndarray):
-    """(u, xdot) at a state whose output y is resolved; vt = v(t)."""
-    u = f(t, y)
-    return u, sys.A @ x + sys.B @ u + sys.B_e @ vt
+def _slope(sys: SystemMatrices, x: np.ndarray, u: np.ndarray, vt: np.ndarray):
+    """xdot = A x + B u + B_e v(t)."""
+    return sys.A @ x + sys.B @ u + sys.B_e @ vt
 
 
-def _solving_stage(sys: SystemMatrices, f, v, solver: SolveOptions):
-    """Stage callable resolving the output with ``solve_output``."""
-    def stage(t: float, x: np.ndarray, y_prev: np.ndarray):
-        vt = v(t)
+class _SolvingStage:
+    """Stage callable resolving the output with ``solve_output``.
+
+    ``stage(t, x, y_prev) -> (y, u, xdot, v(t))``, with u = f(t, y) taken
+    from the solution.  ``multiple`` records whether any solve since it was
+    last cleared chose among several outputs.
+    """
+
+    def __init__(self, sys: SystemMatrices, f, v, solver: SolveOptions):
+        self.sys, self.f, self.v, self.solver = sys, f, v, solver
+        self.multiple = False
+
+    def __call__(self, t: float, x: np.ndarray, y_prev: np.ndarray):
+        sys = self.sys
+        vt = self.v(t)
         w = sys.C @ x + sys.D_e @ vt
-        sol = solve_output(sys, f, t, w, y_prev, solver)
+        sol = solve_output(sys, self.f, t, w, y_prev, self.solver)
         if sol.y is None:
             raise _StageFailure(sol.certificate)
-        return (sol.y, *_slope(sys, f, t, x, sol.y, vt))
-    return stage
+        if sol.status == "multiple":
+            self.multiple = True
+        return sol.y, sol.u, _slope(sys, x, sol.u, vt), vt
 
 
 def _rk_step(method: str, stage, t: float, x: np.ndarray, h: float,
              y: np.ndarray, k1: np.ndarray):
     """One ``euler``, ``rk4`` or ``rkf45`` step from (t, x), whose output y
     and slope k1 are stage 1.  Later stages call ``stage(t, x, y_prev) ->
-    (y, u, xdot)``.  Returns (x_new, mean slope or None, error estimate or
-    None, last stage output).
+    (y, u, xdot, v(t))``.  Returns (x_new, mean slope or None, error
+    estimate or None, last stage output).
     """
     if method == "euler":
         return x + h * k1, k1, None, y
     if method == "rk4":
-        y2, _, k2 = stage(t + 0.5 * h, x + 0.5 * h * k1, y)
-        y3, _, k3 = stage(t + 0.5 * h, x + 0.5 * h * k2, y2)
-        y4, _, k4 = stage(t + h, x + h * k3, y3)
+        y2, _, k2, _ = stage(t + 0.5 * h, x + 0.5 * h * k1, y)
+        y3, _, k3, _ = stage(t + 0.5 * h, x + 0.5 * h * k2, y2)
+        y4, _, k4, _ = stage(t + h, x + h * k3, y3)
         k = k1 + 2.0 * k2 + 2.0 * k3 + k4
         return x + (h / 6.0) * k, k / 6.0, None, y4
     ks = [k1]
@@ -155,7 +169,7 @@ def _rk_step(method: str, stage, t: float, x: np.ndarray, h: float,
         xi = x.copy()
         for a_j, k_j in zip(a, ks):
             xi += h * a_j * k_j
-        y, _, k = stage(t + c * h, xi, y)
+        y, _, k, _ = stage(t + c * h, xi, y)
         ks.append(k)
     x_new = x.copy()
     err = np.zeros_like(x)
@@ -187,23 +201,25 @@ class _Recorder:
         self.u_int: list[float] = []
         self.flags: list[str] = []
         self.branches: list[int] = []
+        self._norms = (0.0, 0.0)          # (||y||, ||u||) of the last sample
 
     def push(self, t, x, y, u, resid, flag="", branch=-1):
-        ynorm = float(np.linalg.norm(y))
-        unorm = float(np.linalg.norm(u))
+        y = np.array(y, dtype=float)
+        u = np.array(u, dtype=float)
+        ynorm, unorm = vec_norm(y), vec_norm(u)
         if self.times:
             dt = t - self.times[-1]
-            ylast = float(np.linalg.norm(self.ys[-1]))
-            ulast = float(np.linalg.norm(self.us[-1]))
+            ylast, ulast = self._norms
             self.y_int.append(self.y_int[-1] + 0.5 * dt * (ylast + ynorm))
             self.u_int.append(self.u_int[-1] + 0.5 * dt * (ulast + unorm))
         else:
             self.y_int.append(0.0)
             self.u_int.append(0.0)
+        self._norms = (ynorm, unorm)
         self.times.append(float(t))
-        self.xs.append(np.asarray(x, dtype=float).copy())
-        self.ys.append(np.asarray(y, dtype=float).copy())
-        self.us.append(np.asarray(u, dtype=float).copy())
+        self.xs.append(np.array(x, dtype=float))
+        self.ys.append(y)
+        self.us.append(u)
         self.residuals.append(float(resid))
         self.flags.append(flag)
         self.branches.append(branch)
@@ -225,11 +241,41 @@ class _Recorder:
         )
 
 
-def _residual(sys: SystemMatrices, v, t: float, x: np.ndarray, y: np.ndarray,
-              u: np.ndarray) -> float:
+def _residual(sys: SystemMatrices, x: np.ndarray, y: np.ndarray,
+              u: np.ndarray, vt: np.ndarray) -> float:
     """||y - D u - C x - D_e v(t)|| for a recorded sample with u = f(t, y)."""
-    r = y - sys.D @ u - sys.C @ x - sys.D_e @ v(t)
-    return float(np.linalg.norm(r))
+    return vec_norm(y - sys.D @ u - sys.C @ x - sys.D_e @ vt)
+
+
+def _validate_run(opts, t0: float, x0, n: int) -> tuple[float, np.ndarray]:
+    """Check the inputs of a run where they enter; return (t0, x0) as floats.
+
+    Raises ConfigurationError naming the first bad field: ``t0`` and ``x0``
+    finite, ``tmax`` finite and after t0, ``0 < dt_min <= dt``, and every
+    tolerance and threshold the options carry positive.
+    """
+    t0 = float(t0)
+    if not math.isfinite(t0):
+        raise ConfigurationError(f"t0 must be finite, got {t0}")
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape != (n,):
+        raise ConfigurationError(f"x0 must have length n={n}")
+    if not all_finite(x0):
+        raise ConfigurationError(f"x0 must be finite, got {x0.tolist()}")
+    if not (math.isfinite(opts.tmax) and opts.tmax > t0):
+        raise ConfigurationError(
+            f"tmax must be finite and greater than t0={t0}, got {opts.tmax}")
+    if not opts.dt > 0:
+        raise ConfigurationError(f"dt must be positive, got {opts.dt}")
+    if not 0 < opts.dt_min <= opts.dt:
+        raise ConfigurationError(
+            f"dt_min must lie in (0, dt={opts.dt}], got {opts.dt_min}")
+    for name in ("dt_max", "rtol", "atol", "blowup_threshold",
+                 "y_blowup_threshold", "jump_tol"):
+        value = getattr(opts, name, None)
+        if value is not None and not value > 0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
+    return t0, x0
 
 
 def _classify_collapse(rec: _Recorder, solver_failed: bool, opts,
@@ -241,7 +287,7 @@ def _classify_collapse(rec: _Recorder, solver_failed: bool, opts,
     state (the existence-boundary case) must not count, since its norm
     also increases all the way to the stop.
     """
-    ynorms = [float(np.linalg.norm(y)) for y in rec.ys[-_COLLAPSE_WINDOW:]]
+    ynorms = [vec_norm(y) for y in rec.ys[-_COLLAPSE_WINDOW:]]
     y_diverged = bool(ynorms) and max(ynorms) > opts.y_blowup_threshold
     xdot_diverged = (xdot_norm is not None
                      and xdot_norm > opts.y_blowup_threshold)
@@ -270,44 +316,42 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
     opts = opts or SimOptions()
     if opts.method not in ("rk4_fixed", "rk45_adaptive"):
         raise ConfigurationError(f"unknown method {opts.method!r}")
-    if opts.dt <= 0 or opts.tmax <= t0:
-        raise ConfigurationError("need dt > 0 and tmax > t0")
     n, m, m_e, p = sys.dims
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (n,):
-        raise ConfigurationError(f"x0 must have length n={n}")
+    t0, x0 = _validate_run(opts, t0, x0, n)
 
-    stage = _solving_stage(sys, f, v, opts.solver)
+    stage = _SolvingStage(sys, f, v, opts.solver)
     adaptive = opts.method == "rk45_adaptive"
     method = "rkf45" if adaptive else "rk4"
     rec = _Recorder()
 
-    t = float(t0)
+    t = t0
     x = x0.copy()
     w0 = sys.C @ x + sys.D_e @ v(t)
     try:
-        y, u, k = stage(t, x, _initial_guess(sys, f, t, w0))
+        y, u, k, vt = stage(t, x, _initial_guess(sys, f, t, w0))
     except _StageFailure as exc:
         detail = dict(exc.certificate or {})
         term = Termination(kind="no_output_solution", time=t,
                            bracket=(t, t), detail=f"unsolvable at initial time: {detail}")
         return rec.build(term, n, p, m)
-    rec.push(t, x, y, u, _residual(sys, v, t, x, y, u))
+    rec.push(t, x, y, u, _residual(sys, x, y, u, vt),
+             flag="multiple" if stage.multiple else "")
 
     h = min(opts.dt, opts.dt_max) if adaptive else opts.dt
     creep_fail_h: float | None = None
     while t < opts.tmax - 1e-15 * max(1.0, abs(opts.tmax)):
         h_eff = min(h, opts.tmax - t)
-        floor = max(opts.dt_min, 8.0 * np.finfo(float).eps * max(1.0, abs(t)))
+        floor = max(opts.dt_min, 8.0 * _EPS * max(1.0, abs(t)))
         if opts.tmax - t <= floor:
             break   # remaining horizon below resolvable step size
         if h_eff < floor:
             kind = _classify_collapse(rec, creep_fail_h is not None, opts,
-                                      xdot_norm=float(np.linalg.norm(k)))
+                                      xdot_norm=vec_norm(k))
             bracket = (t, t + (creep_fail_h if creep_fail_h else floor))
             term = Termination(kind=kind, time=t, bracket=bracket,
                                detail="step size collapsed")
             return rec.build(term, n, p, m)
+        stage.multiple = False
         try:
             x_new, _, err, y_last = _rk_step(method, stage, t, x, h_eff, y, k)
             if adaptive:
@@ -316,17 +360,19 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
                 if errnorm > 1.0:
                     h = max(0.5 * h_eff, 0.9 * h_eff * errnorm ** -0.2)
                     continue
-            y, u, k = stage(t + h_eff, x_new, y_last)
+            y, u, k, vt = stage(t + h_eff, x_new, y_last)
         except _StageFailure:
             creep_fail_h = h_eff
             h = 0.5 * h_eff
             continue
 
         t, x = t + h_eff, x_new
-        rec.push(t, x, y, u, _residual(sys, v, t, x, y, u))
+        # a solve that chose among several outputs is flagged, never silent
+        rec.push(t, x, y, u, _residual(sys, x, y, u, vt),
+                 flag="multiple" if stage.multiple else "")
         creep_fail_h = None
 
-        if float(np.linalg.norm(x)) > opts.blowup_threshold:
+        if vec_norm(x) > opts.blowup_threshold:
             term = Termination(kind="blow_up", time=t,
                                detail="state norm crossed blowup_threshold")
             return rec.build(term, n, p, m)
@@ -357,7 +403,7 @@ def refine_escape_time(record: TrajectoryRecord, sys: SystemMatrices, f, v,
     if record.n_samples == 0:
         return record.termination.time, 0.0
     opts = opts or SimOptions()
-    stage = _solving_stage(sys, f, v, opts.solver)
+    stage = _SolvingStage(sys, f, v, opts.solver)
 
     if record.n_samples >= 2:
         t_lo = float(record.times[-2])
@@ -378,17 +424,17 @@ def refine_escape_time(record: TrajectoryRecord, sys: SystemMatrices, f, v,
     while t_hi - t_lo > 2.0 * time_tol:
         t_mid = 0.5 * (t_lo + t_hi)
         h = t_mid - t_lo
-        if h < max(opts.dt_min, 8.0 * np.finfo(float).eps * max(1.0, abs(t_lo))):
+        if h < max(opts.dt_min, 8.0 * _EPS * max(1.0, abs(t_lo))):
             break
         try:
             # y_lo only warm-starts stage 1: after an advance it is y4.
-            y1, _, k1 = stage(t_lo, x_lo, y_lo)
+            y1, _, k1, _ = stage(t_lo, x_lo, y_lo)
             x_new, _, _, y_new = _rk_step("rk4", stage, t_lo, x_lo, h, y1, k1)
         except _StageFailure:
             t_hi = t_mid
             continue
-        if (float(np.linalg.norm(x_new)) > opts.blowup_threshold
-                or float(np.linalg.norm(y_new)) > opts.y_blowup_threshold):
+        if (vec_norm(x_new) > opts.blowup_threshold
+                or vec_norm(y_new) > opts.y_blowup_threshold):
             t_hi = t_mid
             continue
         t_lo, x_lo, y_lo = t_mid, x_new, y_new

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,9 @@ class ScalarPiece:
         return not any(callable(v) for v in (self.lo, self.hi, self.c0, self.c1, self.c2))
 
 
-@dataclass(frozen=True)
-class ResolvedPiece:
+class ResolvedPiece(NamedTuple):
+    """A piece at one time (or, field by field, at one time per row)."""
+
     lo: float
     hi: float
     c0: float
@@ -80,6 +81,16 @@ def _eval_resolved(resolved, x: float) -> float:
             return pc.value(x)
     # Fell through only by rounding at the outermost ends.
     return resolved[0].value(x) if x < resolved[0].lo else resolved[-1].value(x)
+
+
+def vec_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float vector, bit-for-bit ``np.linalg.norm``."""
+    return math.sqrt(v.dot(v))
+
+
+def all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of a 1-d float vector is finite."""
+    return all(map(math.isfinite, v.tolist()))
 
 
 def row_norms(X: np.ndarray) -> np.ndarray:
@@ -174,19 +185,29 @@ class Nonlinearity:
             raise ConfigurationError(
                 f"nonlinearity of kind {self.kind!r} needs the evaluator fn"
             )
-        # Time-independent pieces resolve once.
+        # Time-independent pieces resolve once; time-varying ones once per
+        # distinct t, through a one-entry memo (stages share their times).
         structure = self.pieces if self.kind == "piecewise_scalar" else self.profile
         if structure is not None and all(pc.static for pc in structure):
             object.__setattr__(self, "_static_resolved",
                                [pc.at(0.0) for pc in structure])
         else:
             object.__setattr__(self, "_static_resolved", None)
+        object.__setattr__(self, "_memo", [(math.nan, None)])
 
     def resolved_structure(self, t: float) -> list["ResolvedPiece"]:
+        """The pieces at time t.  Piece callables must be pure functions of t:
+        the last time's resolution is reused while t keeps the same bits."""
         if self._static_resolved is not None:
             return self._static_resolved
+        last, resolved = self._memo[0]
+        # == alone would let 0.0 stand for -0.0; NaN never matches
+        if t == last and math.copysign(1.0, t) == math.copysign(1.0, last):
+            return resolved
         structure = self.pieces if self.kind == "piecewise_scalar" else self.profile
-        return [pc.at(t) for pc in structure]
+        resolved = [pc.at(t) for pc in structure]
+        self._memo[0] = (float(t), resolved)
+        return resolved
 
     def __call__(self, t: float, xi) -> np.ndarray:
         return self.eval(t, xi)
@@ -198,16 +219,18 @@ class Nonlinearity:
                 f"xi has length {xi.shape[0]}, expected p={self.p}"
             )
         if self.kind == "piecewise_scalar":
-            out = np.array([_eval_resolved(self.resolved_structure(t),
-                                           float(xi[0]))])
-        elif self.kind == "radial":
-            r = float(np.linalg.norm(xi))
+            value = _eval_resolved(self.resolved_structure(t), float(xi[0]))
+            if not math.isfinite(value):
+                raise self._non_finite(t, xi)
+            return np.array([value])
+        if self.kind == "radial":
+            r = vec_norm(xi)
             out = np.zeros(self.p) if r == 0.0 else (self.amplitude(t, r) / r) * xi
         else:
             out = self._fn_row(t, xi)
         if out.shape[0] != self.m:
             raise self._bad_length(out.shape[0])
-        if not np.all(np.isfinite(out)):
+        if not all_finite(out):
             raise self._non_finite(t, xi)
         return out
 

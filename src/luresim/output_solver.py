@@ -22,11 +22,12 @@ from scipy.optimize import brentq
 
 from .derivatives import finite_diff_jacobian, finite_diff_jacobians
 from .errors import ConfigurationError, EvaluationError
-from .nonlinearity import Nonlinearity, row_norms
-from .system import scalar_feedthrough
+from .nonlinearity import Nonlinearity, all_finite, row_norms, vec_norm
+from .system import apply_F, scalar_feedthrough
 
 EXACT_TOL = 1e-12       # residual bound for exact fibre entries
 FLAT_TOL = 1e-10        # oracle flat-segment detection threshold
+_SCAN_ROWS = 1 << 16    # grid cells per evaluation of the planar oracle
 
 
 @dataclass
@@ -52,6 +53,7 @@ class OutputSolution:
     iterations: int
     certificate: dict | None = None
     n_found: int = 0
+    u: np.ndarray | None = None      # f(t, y), computed for the residual
 
 
 @dataclass(frozen=True)
@@ -86,27 +88,32 @@ class FibreSet:
                 return True
         return False
 
-    def elements(self) -> list[tuple[str, object]]:
-        """Deterministic ordering: sort by (norm of representative, entries)."""
+    def __post_init__(self):
+        # the element order, computed once per fibre
         items: list[tuple[tuple, str, object]] = []
         for pt in self.points:
-            items.append(((float(np.linalg.norm(pt)), tuple(pt)), "point", pt))
+            items.append(((vec_norm(pt), tuple(pt.tolist())), "point", pt))
         for a, b in self.segments:
-            rep = a if not np.all(np.isfinite(b)) else 0.5 * (a + b)
-            items.append(((float(np.linalg.norm(rep)), tuple(rep)), "segment", (a, b)))
+            rep = a if not all_finite(b) else 0.5 * (a + b)
+            items.append(((vec_norm(rep), tuple(rep.tolist())), "segment", (a, b)))
         items.sort(key=lambda item: item[0])
-        return [(kind, payload) for _, kind, payload in items]
+        object.__setattr__(self, "_ordered",
+                           tuple((kind, payload) for _, kind, payload in items))
+
+    def elements(self) -> list[tuple[str, object]]:
+        """Deterministic ordering: sort by (norm of representative, entries)."""
+        return list(self._ordered)
 
     def nearest(self, target: np.ndarray) -> tuple[np.ndarray, float, int]:
         """Closest fibre element to target: (value, distance, element index)."""
         target = np.asarray(target, dtype=float).reshape(-1)
         best = None
-        for idx, (kind, payload) in enumerate(self.elements()):
+        for idx, (kind, payload) in enumerate(self._ordered):
             if kind == "point":
                 cand = payload
             else:
                 cand = _project_onto_segment(target, *payload)
-            dist = float(np.linalg.norm(cand - target))
+            dist = vec_norm(cand - target)
             if best is None or dist < best[1]:
                 best = (np.asarray(cand, dtype=float), dist, idx)
         if best is None:
@@ -143,14 +150,15 @@ def _project_onto_segment(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
 def _target(w, p: int) -> np.ndarray:
     """The output target as a flat vector; it must be finite and of length p."""
     w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != p or not np.all(np.isfinite(w)):
+    if w.size != p or not all_finite(w):
         raise ConfigurationError(f"w must be a finite vector of length {p}")
     return w
 
 
 def _as_feedthrough(D) -> np.ndarray:
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    return D
+    if isinstance(D, np.ndarray) and D.ndim == 2 and D.dtype == np.float64:
+        return D
+    return np.atleast_2d(np.asarray(D, dtype=float))
 
 
 def output_residual(f: Nonlinearity, D, t: float, y, w) -> np.ndarray:
@@ -162,7 +170,7 @@ def output_residual(f: Nonlinearity, D, t: float, y, w) -> np.ndarray:
 
 
 def residual_norm(f: Nonlinearity, D, t: float, y, w) -> float:
-    return float(np.linalg.norm(output_residual(f, D, t, y, w)))
+    return vec_norm(output_residual(f, D, t, y, w))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +179,13 @@ def residual_norm(f: Nonlinearity, D, t: float, y, w) -> float:
 
 def _newton(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
             y0: np.ndarray, opts: SolveOptions):
-    """Damped Newton on the output residual. Returns (y, resid, iters, ok).
+    """Damped Newton on the output residual. Returns (y, resid, iters, ok)."""
+    return _newton_valued(f, D, t, w, y0, opts)[:4]
+
+
+def _newton_valued(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
+                   y0: np.ndarray, opts: SolveOptions):
+    """``_newton`` plus f(t, y) at the returned y (None when it failed).
 
     The one-start path: ``_newton_stack`` gives the same result for one
     row but takes about twice as long, which the per-stage solves of
@@ -181,7 +195,8 @@ def _newton(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
     eye = np.eye(p)
 
     def resid(y):
-        return y - D @ f(t, y) - w
+        u = f(t, y)
+        return y - D @ u - w, u
 
     def jac(y):
         Jf = f.jac(t, y) if f.jac is not None else finite_diff_jacobian(f, t, y)
@@ -189,38 +204,38 @@ def _newton(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
 
     y = np.asarray(y0, dtype=float).reshape(-1).copy()
     try:
-        r = resid(y)
+        r, u = resid(y)
     except EvaluationError:
-        return y, math.inf, 0, False
-    rnorm = float(np.linalg.norm(r))
+        return y, math.inf, 0, False, None
+    rnorm = vec_norm(r)
     for it in range(1, opts.max_iter + 1):
         if rnorm <= opts.tol_resid:
-            return y, rnorm, it - 1, True
+            return y, rnorm, it - 1, True, u
         try:
             J = jac(y)
             step = np.linalg.solve(J, -r)
         except (np.linalg.LinAlgError, EvaluationError):
-            return y, rnorm, it - 1, False
+            return y, rnorm, it - 1, False, u
         if not np.all(np.isfinite(step)):
-            return y, rnorm, it - 1, False
+            return y, rnorm, it - 1, False, u
         lam = 1.0
         accepted = False
         while lam >= 2.0 ** -30:
             y_new = y + lam * step
             try:
-                r_new = resid(y_new)
+                r_new, u_new = resid(y_new)
             except EvaluationError:
                 lam *= 0.5
                 continue
-            rn_new = float(np.linalg.norm(r_new))
+            rn_new = vec_norm(r_new)
             if rn_new <= (1.0 - 1e-4 * lam) * rnorm or rn_new <= opts.tol_resid:
-                y, r, rnorm = y_new, r_new, rn_new
+                y, r, u, rnorm = y_new, r_new, u_new, rn_new
                 accepted = True
                 break
             lam *= 0.5
         if not accepted:
-            return y, rnorm, it, False   # stagnation
-    return y, rnorm, opts.max_iter, rnorm <= opts.tol_resid
+            return y, rnorm, it, False, u   # stagnation
+    return y, rnorm, opts.max_iter, rnorm <= opts.tol_resid, u
 
 
 def _newton_stack(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
@@ -376,17 +391,20 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
         y, _, _ = fib.nearest(y_guess)
         status = "multiple" if fib.is_set_valued() else "unique_point"
         if p == 1:
-            resid = abs(float(y[0]) - float(D[0, 0]) * f.eval_scalar(t, float(y[0]))
-                        - float(w[0]))
+            fy = f.eval_scalar(t, float(y[0]))
+            if not math.isfinite(fy):
+                raise f._non_finite(t, y)
+            u = np.array([fy])
+            resid = abs(float(y[0]) - float(D[0, 0]) * fy - float(w[0]))
         else:
-            resid = residual_norm(f, D, t, y, w)
+            u, resid = _value_and_residual(f, D, t, y, w)
         return OutputSolution(status=status, y=y, residual=resid,
-                              iterations=0, n_found=fib.n_elements)
+                              iterations=0, n_found=fib.n_elements, u=u)
 
-    y, rnorm, iters, ok = _newton(f, D, t, w, y_guess, opts)
+    y, rnorm, iters, ok, u = _newton_valued(f, D, t, w, y_guess, opts)
     if ok:
         return OutputSolution(status="unique_point", y=y, residual=rnorm,
-                              iterations=iters, n_found=1)
+                              iterations=iters, n_found=1, u=u)
 
     # Multistart fallback.
     found: list[np.ndarray] = []
@@ -404,18 +422,25 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
 
     if found:
         reps = _cluster_vectors(found, 2.0 * opts.tol_sep)
-        dists = [float(np.linalg.norm(r - y_guess)) for r in reps]
+        dists = [vec_norm(r - y_guess) for r in reps]
         y = reps[int(np.argmin(dists))]
         status = "multiple" if len(reps) >= 2 else "unique_point"
-        return OutputSolution(status=status, y=y,
-                              residual=residual_norm(f, D, t, y, w),
-                              iterations=total_iters, n_found=len(reps))
+        u, resid = _value_and_residual(f, D, t, y, w)
+        return OutputSolution(status=status, y=y, residual=resid,
+                              iterations=total_iters, n_found=len(reps), u=u)
 
     certificate = {"kind": "exhaustion", "n_starts": len(starts),
                    "min_residual": best_resid}
     status = "no_solution" if best_resid > opts.resid_floor else "not_converged"
     return OutputSolution(status=status, y=None, residual=best_resid,
                           iterations=total_iters, certificate=certificate)
+
+
+def _value_and_residual(f: Nonlinearity, D: np.ndarray, t: float,
+                        y: np.ndarray, w: np.ndarray):
+    """(f(t, y), ||y - D f(t, y) - w||) with one evaluation."""
+    u = f(t, y)
+    return u, vec_norm(y - D @ u - w)
 
 
 def _scalar_bracket_roots(f: Nonlinearity, D: np.ndarray, t: float,
@@ -700,27 +725,20 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
             return x - d * f.eval_scalar(t, x) - target
 
         flat = np.abs(resid) < FLAT_TOL
+        # runs of flat cells: a single cell is a point, a longer run a segment
+        edges = np.diff(np.concatenate(([0], flat.view(np.int8), [0])))
         points: list[float] = []
         segments: list[tuple[float, float]] = []
-        i = 0
-        while i < n:
-            if flat[i]:
-                j = i
-                while j + 1 < n and flat[j + 1]:
-                    j += 1
-                if j > i:
-                    segments.append((float(xs[i]), float(xs[j])))
-                else:
-                    points.append(float(xs[i]))
-                i = j + 1
+        for i, j in zip(np.flatnonzero(edges == 1).tolist(),
+                        (np.flatnonzero(edges == -1) - 1).tolist()):
+            if j > i:
+                segments.append((float(xs[i]), float(xs[j])))
             else:
-                i += 1
-        for i in range(n - 1):
-            if flat[i] or flat[i + 1]:
-                continue
-            if resid[i] * resid[i + 1] < 0.0:
-                points.append(float(brentq(resid_scalar, xs[i], xs[i + 1],
-                                           xtol=1e-13)))
+                points.append(float(xs[i]))
+        crossings = (~flat[:-1] & ~flat[1:]) & (resid[:-1] * resid[1:] < 0.0)
+        for i in np.flatnonzero(crossings).tolist():
+            points.append(float(brentq(resid_scalar, xs[i], xs[i + 1],
+                                       xtol=1e-13)))
         pts, segs = _assemble_scalar_fibre(points, segments, resid_scalar,
                                            tol_sep=h_scan * 0.5)
         return FibreSet(
@@ -735,13 +753,17 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
         opts = SolveOptions(tol_resid=1e-10)
         hits: list[np.ndarray] = []
         tol_cell = max(1e-6, h_scan)
-        for x1 in axis:
-            for x2 in axis:
-                y = np.array([x1, x2])
-                if residual_norm(f, D, t, y, w) < tol_cell:
-                    ys, rs, _, ok = _newton(f, D, t, w, y, opts)
-                    if ok:
-                        hits.append(ys)
+        # rows (x1, x2) with x2 running fastest, evaluated a block of x1
+        # values at a time so the stack stays small on fine grids
+        block = max(1, _SCAN_ROWS // n)
+        for k in range(0, n, block):
+            cells = np.stack(np.meshgrid(axis[k:k + block], axis,
+                                         indexing="ij"), axis=-1).reshape(-1, 2)
+            near = row_norms(apply_F(D, f, t, cells) - w) < tol_cell
+            for y in cells[near]:
+                ys, rs, _, ok = _newton(f, D, t, w, y, opts)
+                if ok:
+                    hits.append(ys)
         reps = _cluster_vectors(hits, 2.0 * h_scan)
         return FibreSet(points=tuple(reps), segments=(), exact=False,
                         t=t, w=w.copy())

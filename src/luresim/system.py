@@ -103,16 +103,21 @@ def eval_F(sys: SystemMatrices, f, t, xi) -> np.ndarray:
     For a stack, ``t`` is one time or one time per row and the rows go
     through ``f.eval_batch``; each equals the single-point value bit for bit.
     """
+    return apply_F(sys.D, f, t, xi)
+
+
+def apply_F(D: np.ndarray, f, t, xi) -> np.ndarray:
+    """``eval_F`` for a bare 2-d feedthrough matrix D."""
     xi = np.asarray(xi, dtype=float)
-    p = sys.D.shape[0]
+    p = D.shape[0]
     if xi.ndim == 2:
         if xi.shape[1] != p:
             raise ConfigurationError(f"xi has {xi.shape[1]} columns, expected p={p}")
-        return xi - np.matmul(sys.D, f.eval_batch(t, xi)[..., None])[..., 0]
+        return xi - np.matmul(D, f.eval_batch(t, xi)[..., None])[..., 0]
     xi = xi.reshape(-1)
     if xi.shape[0] != p:
         raise ConfigurationError(f"xi has length {xi.shape[0]}, expected p={p}")
-    return xi - sys.D @ f(t, xi)
+    return xi - D @ f(t, xi)
 
 
 def gronwall_bound(c: float, h_values, t0: float, grid) -> np.ndarray:

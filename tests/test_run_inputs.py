@@ -1,0 +1,118 @@
+"""Run inputs are checked where they enter, and a solve that chooses among
+several outputs is flagged on the sample it produced."""
+
+import dataclasses
+import math
+from pathlib import Path
+
+import pytest
+
+from luresim import (ConfigurationError, InclusionOptions, SelectionPolicy,
+                     SimOptions, SystemMatrices, parabolic_band, simulate,
+                     simulate_inclusion, summary_dict, write_csv, zero_input)
+from luresim.cli import main
+
+NAN, INF = math.nan, math.inf
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _run(e, integrator, t0=0.0, x0=None, **opts):
+    x0 = e.x0 if x0 is None else x0
+    if integrator == "simulate":
+        return simulate(e.system, e.nonlinearity, e.input, t0, x0,
+                        SimOptions(**{"tmax": 0.01, **opts}))
+    return simulate_inclusion(e.system, e.nonlinearity, e.input, t0, x0,
+                              SelectionPolicy.nearest_previous(),
+                              InclusionOptions(**{"tmax": 0.01, **opts}))
+
+
+BOTH = ("simulate", "simulate_inclusion")
+
+# (field, bad input, integrators); the error names the field first
+BAD_INPUTS = [
+    ("t0", {"t0": NAN}, BOTH),
+    ("t0", {"t0": -INF}, BOTH),
+    ("x0", {"x0": [NAN]}, BOTH),
+    ("x0", {"x0": [0.5, 0.5]}, BOTH),
+    ("tmax", {"tmax": INF}, BOTH),
+    ("tmax", {"tmax": NAN}, BOTH),
+    ("tmax", {"tmax": 0.0}, BOTH),
+    ("dt", {"dt": 0.0}, BOTH),
+    ("dt", {"dt": -1e-3}, BOTH),
+    ("dt_min", {"dt_min": 0.0}, BOTH),
+    ("dt_min", {"dt_min": 1e-2, "dt": 1e-3}, BOTH),
+    ("dt_max", {"dt_max": 0.0}, ("simulate",)),
+    ("rtol", {"rtol": -1e-8, "method": "rk45_adaptive"}, ("simulate",)),
+    ("atol", {"atol": 0.0}, ("simulate",)),
+    ("blowup_threshold", {"blowup_threshold": -1.0}, BOTH),
+    ("y_blowup_threshold", {"y_blowup_threshold": 0.0}, BOTH),
+    ("jump_tol", {"jump_tol": NAN}, ("simulate_inclusion",)),
+]
+
+
+CASES = [(integrator, field, bad) for field, bad, integrators in BAD_INPUTS
+         for integrator in integrators]
+
+
+@pytest.mark.parametrize("integrator, field, bad", CASES,
+                         ids=[f"{i}-{f}={v}" for i, f, v in CASES])
+def test_bad_run_input_is_rejected_naming_its_field(entry, integrator, field, bad):
+    e = entry("sec42a")
+    with pytest.raises(ConfigurationError, match=rf"^{field} "):
+        _run(e, integrator, **bad)
+
+
+@pytest.mark.parametrize("integrator", BOTH)
+def test_good_run_inputs_pass(entry, integrator):
+    rec = _run(entry("sec42a"), integrator, t0=-0.0, dt_min=1e-3, dt=1e-3)
+    assert rec.termination.kind == "reached_tmax"
+
+
+# ---------------------------------------------------------------------------
+# Flagged choices among several outputs
+# ---------------------------------------------------------------------------
+
+def test_multiple_outputs_are_flagged(entry, tmp_path):
+    # ex3c at x = 1/4 has the two-valued fibre {-1/2, 1/2} at every step
+    e = entry("ex3c")
+    rec = simulate(e.system, e.nonlinearity, e.input, 0.0, e.x0,
+                   SimOptions(dt=1e-3, tmax=0.05))
+    assert rec.n_samples == 51 and rec.flags == ["multiple"] * 51
+    # the flag is not part of the CSV or the summary
+    plain = dataclasses.replace(rec, flags=[""] * rec.n_samples)
+    write_csv(rec, tmp_path / "a.csv")
+    write_csv(plain, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert summary_dict(rec) == summary_dict(plain)
+
+
+def test_flag_clears_once_the_outputs_are_unique():
+    # w = x = 0.1 e^t: parabolic_band has several outputs while w < 1/4
+    # (t < ln 2.5) and one after; u does not feed back (B = 0)
+    sys = SystemMatrices(A=[[1.0]], B=[[0.0]], B_e=[[0.0]], C=[[1.0]],
+                         D=[[1.0]], D_e=[[0.0]])
+    rec = simulate(sys, parabolic_band(), zero_input(1), 0.0, [0.1],
+                   SimOptions(dt=1e-2, tmax=1.5))
+    multiple = [flag == "multiple" for flag in rec.flags]
+    assert multiple[0] and not multiple[-1]
+    assert multiple == sorted(multiple, reverse=True)
+    # the first sample whose whole step lies past the crossing
+    assert 0.0 < rec.times[multiple.index(False)] - math.log(2.5) <= 2e-2
+
+
+def test_unique_outputs_are_not_flagged(entry):
+    e = entry("sec42c")
+    rec = simulate(e.system, e.nonlinearity, e.input, 0.0, e.x0,
+                   SimOptions(dt=1e-3, tmax=0.5))
+    assert set(rec.flags) == {""}
+
+
+def test_cli_counts_flagged_samples(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    code = main(["simulate", "--system", str(CONFIGS / "ex3c.json"),
+                 "--tmax", "0.05", "--dt", "1e-3", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ("note: at 51 of 51 samples a solve chose among "
+                            "several outputs (nearest the warm start)\n")
+    assert captured.out.startswith("{")
