@@ -4,9 +4,8 @@ from .analyzer import (AnalysisReport, AnalyzerOptions, CheckRecord, ProbeGrid,
                        analyze_system, check_determinant_condition,
                        check_growth_condition, check_lower_lipschitz,
                        check_monotonicity, check_upper_lipschitz,
-                       estimate_lipschitz_pair, probe_fibre_convexity,
-                       probe_fibre_nonempty, probe_radial_unboundedness,
-                       theorem_applicability)
+                       probe_fibre_convexity, probe_fibre_nonempty,
+                       probe_radial_unboundedness, theorem_applicability)
 from .catalog import (EXAMPLE_NAMES, CatalogEntry, Reference, build_example,
                       list_examples, reference_residuals, verify_example)
 from .config import (SystemConfig, compile_scalar_expression,

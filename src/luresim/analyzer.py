@@ -244,28 +244,15 @@ def probe_radial_unboundedness(sys: SystemMatrices, f: Nonlinearity,
 # Two-sided Lipschitz estimates
 # ---------------------------------------------------------------------------
 
-def estimate_lipschitz_pair(g, t_window: tuple[float, float], box, n_pairs: int,
-                            seed: int = 0, extra_pairs=()) -> dict:
-    """Max and min of ||g(t,xi)-g(t,zeta)|| / ||xi-zeta|| over sampled pairs.
-
-    ``box`` is the half-width of the sampling cube (scalar) or an
-    explicit (lo, hi) pair.  Extra pairs (t, xi, zeta) are evaluated in
-    addition to the random draws; the extreme ratios and their witnesses
-    are returned.  ``g`` maps one point, g(t, xi); the pairs go through
-    it one row at a time.
-    """
-    p = _infer_dim(g, t_window[0])
-
-    def rows(T, X):
-        return np.array([np.asarray(g(t, xi), dtype=float).reshape(-1)
-                         for t, xi in zip(T, X)])
-
-    return _lipschitz_extremes(rows, p, t_window, box, n_pairs, seed, extra_pairs)
-
-
 def _lipschitz_extremes(G, p: int, t_window, box, n_pairs: int, seed: int,
                         extra_pairs=()) -> dict:
-    """``estimate_lipschitz_pair`` for a batch map G(T, X) -> rows."""
+    """Max and min of ||G(t,xi)-G(t,zeta)|| / ||xi-zeta|| over sampled pairs.
+
+    ``G(T, X)`` maps each row of X at the time of its row.  ``box`` is the
+    half-width of the sampling cube (scalar) or an explicit (lo, hi) pair.
+    Extra pairs (t, xi, zeta) are evaluated in addition to the random
+    draws; the extreme ratios and their witnesses are returned.
+    """
     if n_pairs < 1:
         raise ConfigurationError("n_pairs must be positive")
     T, XI, ZE = _with_extra(_pair_draws(n_pairs, p, t_window, box, seed),
@@ -305,16 +292,6 @@ def _with_extra(draws, extra_pairs, p: int):
     return (np.concatenate((T, [float(t) for t, _, _ in extra_pairs])),
             np.vstack((XI, np.reshape([xi for _, xi, _ in extra_pairs], (-1, p)))),
             np.vstack((ZE, np.reshape([ze for _, _, ze in extra_pairs], (-1, p)))))
-
-
-def _infer_dim(g, t0: float) -> int:
-    for p in range(1, 17):
-        try:
-            g(t0, np.zeros(p))
-            return p
-        except Exception:
-            continue
-    raise ConfigurationError("could not infer the argument dimension")
 
 
 def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,

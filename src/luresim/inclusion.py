@@ -7,11 +7,16 @@ non-constructive; the deterministic policies here are its constructive
 stand-in, and they reproduce distinct solutions from one initial state.
 
 Branch bookkeeping: fibre elements are sorted by (norm, entries), so
-``fixed_branch`` is deterministic across runs.  Selections that move by
-more than ``jump_tol`` between steps are events: where the exact scalar
+``fixed_branch`` is deterministic across runs.  A selection that moves by
+more than ``jump_tol * max(1, ||y||)`` in one step (y the previous
+output), or whose fibre empties, is an event: where the exact scalar
 structure is available the step is bisected onto the fold of the output
 map and the state is landed there exactly, otherwise the jump is taken
 and flagged, never silent.
+
+``simulate_inclusion`` runs the one stepping loop, ``integrator._integrate``;
+its ``advance`` hook holds the jump test, the fold landing and the limit
+on consecutive landings, and its stage records the selected branch.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError, EmptyFibreError
-from .integrator import (_EPS, Termination, TrajectoryRecord,
-                         _classify_collapse, _Recorder, _residual, _rk_step,
-                         _slope, _validate_run)
+from .integrator import (Termination, TrajectoryRecord, _integrate,
+                         _Recorder, _rk_step, _slope, _validate_run)
 from .nonlinearity import Nonlinearity, row_norms, vec_norm
 from .output_solver import (FibreSet, SolveOptions, enumerate_fibre_exact,
                             enumerate_fibre_multistart,
@@ -172,6 +176,8 @@ class InclusionOptions:
     Euler is the default: the inclusion theory guarantees only absolutely
     continuous solutions, so higher-order claims are unjustified across
     branch switches.  RK4 is opt-in for single-valued stretches.
+    A step jumps when the selection moves by more than ``jump_tol * max(1,
+    ||y||)``: absolute for small outputs, relative for large ones.
     """
 
     method: str = "euler"            # euler | rk4
@@ -217,10 +223,10 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     opts = opts or InclusionOptions()
     if opts.method not in ("euler", "rk4"):
         raise ConfigurationError(f"unknown inclusion method {opts.method!r}")
-    n, m, m_e, p = sys.dims
-    t0, x0 = _validate_run(opts, t0, x0, n)
-    rec = _Recorder()
+    t0, x0 = _validate_run(opts, t0, x0, sys.dims[0])
+    rec = _Recorder(sys, with_branches=True)
     exact = exact_structure_available(f, sys.D)
+    branch = -1                        # index of the last selection
 
     def fibre(t: float, x: np.ndarray, vt: np.ndarray) -> FibreSet:
         """The fibre at (t, x), given vt = v(t); the route is fixed per run."""
@@ -228,101 +234,65 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
                                opts.fibre)
 
     def stage(t: float, x: np.ndarray, y_prev: np.ndarray):
+        nonlocal branch
         vt = v(t)
-        y, _ = select_from_fibre(fibre(t, x, vt), policy, prev_y=y_prev)
+        y, branch = select_from_fibre(fibre(t, x, vt), policy, prev_y=y_prev)
         u = f(t, y)
         return y, u, _slope(sys, x, u, vt), vt
 
-    t = t0
-    x = x0.copy()
-    vt = v(t)
-    fib0 = fibre(t, x, vt)
-    if fib0.empty:
-        term = Termination(kind="no_output_solution", time=t, bracket=(t, t),
-                           detail="empty fibre at initial time")
-        return rec.build(term, n, p, m, with_branches=True)
-    y, branch = select_from_fibre(fib0, policy, prev_y=sys.C @ x + sys.D_e @ vt)
-    u = f(t, y)
-    k = _slope(sys, x, u, vt)
-    rec.push(t, x, y, u, _residual(sys, x, y, u, vt), branch=branch)
+    try:
+        y, u, k, vt = stage(t0, x0, sys.C @ x0 + sys.D_e @ v(t0))
+    except EmptyFibreError:
+        term = Termination(kind="no_output_solution", time=t0,
+                           bracket=(t0, t0), detail="empty fibre at initial time")
+        return rec.build(term)
+    rec.push(t0, x0, y, u, vt, branch=branch)
 
-    d_scalar = float(sys.D[0, 0]) if p == 1 and exact else None
-    h = opts.dt
+    d_scalar = float(sys.D[0, 0]) if sys.dims[3] == 1 and exact else None
+    tol = opts.jump_tol
     fold_attempts = 0
-    solver_failed = False
 
-    while t < opts.tmax - 1e-15 * max(1.0, abs(opts.tmax)):
-        h_eff = min(h, opts.tmax - t)
-        floor = max(opts.dt_min, 8.0 * _EPS * max(1.0, abs(t)))
-        if opts.tmax - t <= floor:
-            break   # remaining horizon below resolvable step size
-        if h_eff < floor:
-            kind = _classify_collapse(rec, solver_failed, opts)
-            term = Termination(kind=kind, time=t, bracket=(t, t + h_eff * 2.0),
-                               detail="step size collapsed")
-            return rec.build(term, n, p, m, with_branches=True)
-
+    def advance(t, x, y, k, h):
+        """One step, landed on the fold when the selection jumps or ends."""
+        nonlocal fold_attempts
         try:
-            x_prop, k_mean, _, _ = _rk_step(opts.method, stage, t, x, h_eff, y, k)
+            x_new, k_mean, _, _ = _rk_step(opts.method, stage, t, x, h, y, k)
         except EmptyFibreError:
-            solver_failed = True
-            h = 0.5 * h_eff
-            continue
-        t_prop = t + h_eff
-
-        v_prop = v(t_prop)
-        fib_prop = fibre(t_prop, x_prop, v_prop)
-        jumped = False
-        if not fib_prop.empty:
-            y_prop, branch = select_from_fibre(fib_prop, policy, prev_y=y)
-            jumped = vec_norm(y_prop - y) > opts.jump_tol
-        if fib_prop.empty or jumped:
+            return None, 0.5 * h, True
+        try:
+            sample = (t + h, x_new, *stage(t + h, x_new, y), branch)
+        except EmptyFibreError:
+            sample = None
+        # An empty fibre counts as a jump; ||y|| is taken only when the
+        # absolute test fires.
+        dist = math.inf if sample is None else vec_norm(sample[2] - y)
+        jump = dist > tol and dist > tol * max(1.0, vec_norm(y))
+        if jump:
             landing = None
             if d_scalar is not None and fold_attempts < _MAX_FOLD_ATTEMPTS:
-                landing = _land_on_fold(fibre, sys, f, v, d_scalar, policy,
-                                        t, x, y, k_mean, h_eff, opts.jump_tol)
+                landing = _land_on_fold(fibre, stage, sys, f, v, d_scalar, t,
+                                        x, y, k_mean, h, tol)
             if landing is not None:
-                t, x, y, branch = landing
-                vt = v(t)
-                u = f(t, y)
-                k = _slope(sys, x, u, vt)
-                rec.push(t, x, y, u, _residual(sys, x, y, u, vt),
-                         flag="fold", branch=branch)
                 fold_attempts += 1
-                h = opts.dt
-                continue
-            if fib_prop.empty:
-                solver_failed = True
-                h = 0.5 * h_eff
-                continue
+                return (*landing, branch, "fold"), opts.dt, False
+            if sample is None:
+                return None, 0.5 * h, True
         # A jump is the discontinuous selection, taken and flagged.
-        t, x, y, vt = t_prop, x_prop, y_prop, v_prop
-        u = f(t, y)
-        k = _slope(sys, x, u, vt)
-        rec.push(t, x, y, u, _residual(sys, x, y, u, vt),
-                 flag="jump" if jumped else "", branch=branch)
         fold_attempts = 0
-        solver_failed = False
-        h = opts.dt
+        return (*sample, "jump" if jump else ""), opts.dt, False
 
-        if vec_norm(x) > opts.blowup_threshold:
-            term = Termination(kind="blow_up", time=t,
-                               detail="state norm crossed blowup_threshold")
-            return rec.build(term, n, p, m, with_branches=True)
-
-    term = Termination(kind="reached_tmax", time=float(t))
-    return rec.build(term, n, p, m, with_branches=True)
+    return rec.build(_integrate(rec, opts, t0, x0, y, k, opts.dt, advance))
 
 
-def _land_on_fold(fibre, sys: SystemMatrices, f: Nonlinearity, v, d: float,
-                  policy: SelectionPolicy, t: float, x: np.ndarray,
-                  y: np.ndarray, k: np.ndarray, h: float, jump_tol: float):
+def _land_on_fold(fibre, stage, sys: SystemMatrices, f: Nonlinearity, v,
+                  d: float, t: float, x: np.ndarray, y: np.ndarray,
+                  k: np.ndarray, h: float, jump_tol: float):
     """Bisect the step onto the output-map fold where the branch vanishes.
 
-    Returns (t_hat, x_hat, y_hat, branch) on success, None when no fold
-    explains the event.  The state is corrected along C^T so the landed
-    output value is exact; an invariant fold (zero drift) is then followed
-    without further events.
+    Returns the landed (t_hat, x_hat, y_hat, u, xdot, v(t_hat)), selected by
+    ``stage``, on success, None when no fold explains the event.  The state
+    is corrected along C^T so the landed output value is exact; an
+    invariant fold (zero drift) is then followed without further events.
     """
     def continues(s: float):
         ts = t + s * h
@@ -377,13 +347,13 @@ def _land_on_fold(fibre, sys: SystemMatrices, f: Nonlinearity, v, d: float,
 
     if t_hat <= t + 1e-15 * max(1.0, abs(t)):
         return None
-    fib = fibre(t_hat, x_hat, v(t_hat))
-    if fib.empty:
+    try:
+        y_sel, u, k_hat, vt = stage(t_hat, x_hat, y_hat)
+    except EmptyFibreError:
         return None
-    y_sel, branch = select_from_fibre(fib, policy, prev_y=y_hat)
     if vec_norm(y_sel - y_hat) > jump_tol:
         return None
-    return t_hat, x_hat, y_sel, branch
+    return t_hat, x_hat, y_sel, u, k_hat, vt
 
 
 # ---------------------------------------------------------------------------

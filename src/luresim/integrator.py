@@ -8,6 +8,14 @@ point (warm-started from the previous output), then advances
 Stage 1 reuses the output and slope resolved when the step's starting
 state was accepted.
 
+One loop, ``_integrate``, steps both this module's ``simulate`` and
+``inclusion.simulate_inclusion``.  It owns the horizon test, the step
+floor, the collapse classification, the blow-up test and the recording.
+Each mode hands it an ``advance`` hook that attempts one step:
+``simulate``'s holds the RK step, the RKF45 error control and the
+``multiple`` flag; ``simulate_inclusion``'s holds the jump test and the
+fold landing.
+
 Termination follows the trichotomy: the horizon was reached; the output
 equation lost solvability (existence boundary, with the state and output
 staying bounded); or the trajectory blew up in finite time.  Blow-up is
@@ -191,7 +199,10 @@ def _initial_guess(sys: SystemMatrices, f, t0: float, w0: np.ndarray) -> np.ndar
 
 
 class _Recorder:
-    def __init__(self):
+    """The accepted samples of one run of ``sys``."""
+
+    def __init__(self, sys: SystemMatrices, with_branches: bool = False):
+        self.sys, self.with_branches = sys, with_branches
         self.times: list[float] = []
         self.xs: list[np.ndarray] = []
         self.ys: list[np.ndarray] = []
@@ -203,7 +214,11 @@ class _Recorder:
         self.branches: list[int] = []
         self._norms = (0.0, 0.0)          # (||y||, ||u||) of the last sample
 
-    def push(self, t, x, y, u, resid, flag="", branch=-1):
+    def push(self, t, x, y, u, vt, flag="", branch=-1):
+        """Record a sample with u = f(t, y) and vt = v(t); its residual is
+        ||y - D u - C x - D_e v(t)||."""
+        sys = self.sys
+        resid = vec_norm(y - sys.D @ u - sys.C @ x - sys.D_e @ vt)
         y = np.array(y, dtype=float)
         u = np.array(u, dtype=float)
         ynorm, unorm = vec_norm(y), vec_norm(u)
@@ -224,8 +239,8 @@ class _Recorder:
         self.flags.append(flag)
         self.branches.append(branch)
 
-    def build(self, termination: Termination, n: int, p: int, m: int,
-              with_branches: bool = False) -> TrajectoryRecord:
+    def build(self, termination: Termination) -> TrajectoryRecord:
+        n, m, _, p = self.sys.dims
         count = len(self.times)
         return TrajectoryRecord(
             times=np.array(self.times),
@@ -236,15 +251,10 @@ class _Recorder:
             termination=termination,
             y_integral=np.array(self.y_int),
             u_integral=np.array(self.u_int),
-            branches=np.array(self.branches, dtype=int) if with_branches else None,
+            branches=(np.array(self.branches, dtype=int)
+                      if self.with_branches else None),
             flags=self.flags,
         )
-
-
-def _residual(sys: SystemMatrices, x: np.ndarray, y: np.ndarray,
-              u: np.ndarray, vt: np.ndarray) -> float:
-    """||y - D u - C x - D_e v(t)|| for a recorded sample with u = f(t, y)."""
-    return vec_norm(y - sys.D @ u - sys.C @ x - sys.D_e @ vt)
 
 
 def _validate_run(opts, t0: float, x0, n: int) -> tuple[float, np.ndarray]:
@@ -278,24 +288,48 @@ def _validate_run(opts, t0: float, x0, n: int) -> tuple[float, np.ndarray]:
     return t0, x0
 
 
-def _classify_collapse(rec: _Recorder, solver_failed: bool, opts,
-                       xdot_norm: float | None = None) -> str:
-    """Label a step collapse.
+def _integrate(rec: _Recorder, opts, t: float, x: np.ndarray, y: np.ndarray,
+               k: np.ndarray, h: float, advance) -> Termination:
+    """Step from the recorded sample (t, x, y, k) and return the termination.
 
-    Blow-up evidence is divergence of the recorded output or of the state
-    derivative at the stopping point; a monotonically growing but bounded
-    state (the existence-boundary case) must not count, since its norm
-    also increases all the way to the stop.
+    ``advance(t, x, y, k, h) -> (sample | None, h_next, failed)`` attempts
+    one step of size h.  A sample (t, x, y, u, xdot, v(t), branch, flag) is
+    recorded; None with ``failed`` marks an unresolvable output, None
+    without it a rejected step.  A collapse is bracketed by the last
+    failed step since the last sample, else by the step floor.
     """
-    ynorms = [vec_norm(y) for y in rec.ys[-_COLLAPSE_WINDOW:]]
-    y_diverged = bool(ynorms) and max(ynorms) > opts.y_blowup_threshold
-    xdot_diverged = (xdot_norm is not None
-                     and xdot_norm > opts.y_blowup_threshold)
-    if y_diverged or xdot_diverged:
-        return "blow_up"
-    if solver_failed:
-        return "no_output_solution"
-    return "step_collapse"
+    fail_h: float | None = None       # size of the last failed step
+    while t < opts.tmax - 1e-15 * max(1.0, abs(opts.tmax)):
+        h_eff = min(h, opts.tmax - t)
+        floor = max(opts.dt_min, 8.0 * _EPS * max(1.0, abs(t)))
+        if opts.tmax - t <= floor:
+            break   # remaining horizon below resolvable step size
+        if h_eff < floor:
+            # Blow-up evidence is divergence of the recent outputs or of the
+            # state derivative; a monotonically growing but bounded state
+            # (the existence-boundary case) must not count, since its norm
+            # also increases all the way to the stop.
+            recent = max(vec_norm(yr) for yr in rec.ys[-_COLLAPSE_WINDOW:])
+            if (recent > opts.y_blowup_threshold
+                    or vec_norm(k) > opts.y_blowup_threshold):
+                kind = "blow_up"
+            else:
+                kind = "no_output_solution" if fail_h else "step_collapse"
+            return Termination(kind=kind, time=t,
+                               bracket=(t, t + (fail_h or floor)),
+                               detail="step size collapsed")
+        sample, h, failed = advance(t, x, y, k, h_eff)
+        if failed:
+            fail_h = h_eff
+        if sample is None:
+            continue
+        t, x, y, u, k, vt, branch, flag = sample
+        rec.push(t, x, y, u, vt, flag=flag, branch=branch)
+        fail_h = None
+        if vec_norm(x) > opts.blowup_threshold:
+            return Termination(kind="blow_up", time=t,
+                               detail="state norm crossed blowup_threshold")
+    return Termination(kind="reached_tmax", time=float(t))
 
 
 def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None = None
@@ -316,77 +350,45 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
     opts = opts or SimOptions()
     if opts.method not in ("rk4_fixed", "rk45_adaptive"):
         raise ConfigurationError(f"unknown method {opts.method!r}")
-    n, m, m_e, p = sys.dims
-    t0, x0 = _validate_run(opts, t0, x0, n)
+    t0, x0 = _validate_run(opts, t0, x0, sys.dims[0])
 
     stage = _SolvingStage(sys, f, v, opts.solver)
     adaptive = opts.method == "rk45_adaptive"
     method = "rkf45" if adaptive else "rk4"
-    rec = _Recorder()
+    rec = _Recorder(sys)
 
-    t = t0
-    x = x0.copy()
-    w0 = sys.C @ x + sys.D_e @ v(t)
+    w0 = sys.C @ x0 + sys.D_e @ v(t0)
     try:
-        y, u, k, vt = stage(t, x, _initial_guess(sys, f, t, w0))
+        y, u, k, vt = stage(t0, x0, _initial_guess(sys, f, t0, w0))
     except _StageFailure as exc:
         detail = dict(exc.certificate or {})
-        term = Termination(kind="no_output_solution", time=t,
-                           bracket=(t, t), detail=f"unsolvable at initial time: {detail}")
-        return rec.build(term, n, p, m)
-    rec.push(t, x, y, u, _residual(sys, x, y, u, vt),
-             flag="multiple" if stage.multiple else "")
+        term = Termination(kind="no_output_solution", time=t0,
+                           bracket=(t0, t0), detail=f"unsolvable at initial time: {detail}")
+        return rec.build(term)
+    # a solve that chose among several outputs is flagged, never silent
+    rec.push(t0, x0, y, u, vt, flag="multiple" if stage.multiple else "")
 
-    h = min(opts.dt, opts.dt_max) if adaptive else opts.dt
-    creep_fail_h: float | None = None
-    while t < opts.tmax - 1e-15 * max(1.0, abs(opts.tmax)):
-        h_eff = min(h, opts.tmax - t)
-        floor = max(opts.dt_min, 8.0 * _EPS * max(1.0, abs(t)))
-        if opts.tmax - t <= floor:
-            break   # remaining horizon below resolvable step size
-        if h_eff < floor:
-            kind = _classify_collapse(rec, creep_fail_h is not None, opts,
-                                      xdot_norm=vec_norm(k))
-            bracket = (t, t + (creep_fail_h if creep_fail_h else floor))
-            term = Termination(kind=kind, time=t, bracket=bracket,
-                               detail="step size collapsed")
-            return rec.build(term, n, p, m)
+    def advance(t, x, y, k, h):
+        """One RK step; RKF45 rejects it on its error estimate."""
         stage.multiple = False
         try:
-            x_new, _, err, y_last = _rk_step(method, stage, t, x, h_eff, y, k)
+            x_new, _, err, y_last = _rk_step(method, stage, t, x, h, y, k)
             if adaptive:
                 scale = opts.atol + opts.rtol * np.maximum(np.abs(x), np.abs(x_new))
                 errnorm = float(np.max(np.abs(err) / scale)) if x.size else 0.0
                 if errnorm > 1.0:
-                    h = max(0.5 * h_eff, 0.9 * h_eff * errnorm ** -0.2)
-                    continue
-            y, u, k, vt = stage(t + h_eff, x_new, y_last)
+                    return None, max(0.5 * h, 0.9 * h * errnorm ** -0.2), False
+            sample = (t + h, x_new, *stage(t + h, x_new, y_last), -1,
+                      "multiple" if stage.multiple else "")
         except _StageFailure:
-            creep_fail_h = h_eff
-            h = 0.5 * h_eff
-            continue
+            return None, 0.5 * h, True
+        if not adaptive:
+            return sample, opts.dt, False
+        grow = min(5.0, 0.9 * errnorm ** -0.2) if errnorm > 0.0 else 5.0
+        return sample, min(opts.dt_max, h * grow), False
 
-        t, x = t + h_eff, x_new
-        # a solve that chose among several outputs is flagged, never silent
-        rec.push(t, x, y, u, _residual(sys, x, y, u, vt),
-                 flag="multiple" if stage.multiple else "")
-        creep_fail_h = None
-
-        if vec_norm(x) > opts.blowup_threshold:
-            term = Termination(kind="blow_up", time=t,
-                               detail="state norm crossed blowup_threshold")
-            return rec.build(term, n, p, m)
-
-        if adaptive:
-            if errnorm > 0.0:
-                h = min(opts.dt_max, h_eff * min(5.0, 0.9 * errnorm ** -0.2))
-            else:
-                h = min(opts.dt_max, 5.0 * h_eff)
-        else:
-            h = opts.dt
-
-    term = Termination(kind="reached_tmax", time=float(t))
-    return rec.build(term, n, p, m)
+    h = min(opts.dt, opts.dt_max) if adaptive else opts.dt
+    return rec.build(_integrate(rec, opts, t0, x0, y, k, h, advance))
 
 
 def refine_escape_time(record: TrajectoryRecord, sys: SystemMatrices, f, v,

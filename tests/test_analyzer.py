@@ -4,10 +4,11 @@ import pytest
 from luresim import (ProbeGrid, SystemMatrices, analyze_system,
                      check_determinant_condition, check_growth_condition,
                      check_lower_lipschitz, check_monotonicity,
-                     enumerate_fibre_exact, estimate_lipschitz_pair,
+                     check_upper_lipschitz, enumerate_fibre_exact, eval_F,
                      linear_nonlinearity, probe_fibre_nonempty,
                      probe_radial_unboundedness, theorem_applicability,
                      zero_nonlinearity)
+from luresim.analyzer import _lipschitz_extremes
 
 
 def _identity_system(p=1):
@@ -55,11 +56,10 @@ def test_radial_plateau_fails_with_witness(entry):
 def test_linear_map_ratio_bounded_by_operator_norm(rng):
     K = rng.standard_normal((2, 2))
     f = linear_nonlinearity(K)
-    est = estimate_lipschitz_pair(lambda t, xi: f(t, xi), (0.0, 1.0), 2.0,
-                                  n_pairs=4096, seed=1)
+    rec = check_upper_lipschitz(f, (0.0, 1.0), 2.0, n_pairs=4096, seed=1)
     opnorm = float(np.linalg.norm(K, 2))
-    assert est["lambda_hat"] <= opnorm + 1e-9
-    assert est["lambda_hat"] >= 0.8 * opnorm
+    assert rec.margin <= opnorm + 1e-9
+    assert rec.margin >= 0.8 * opnorm
 
 
 def test_lower_lipschitz_collision_witness(entry):
@@ -301,11 +301,11 @@ def test_nested_sampling_monotone_margins(entry):
     # so the sampled minimum can only shrink
     e = entry("ex3d")
 
-    def F(t, xi):
-        return xi - e.system.D @ e.nonlinearity(t, xi)
+    def F(T, X):
+        return eval_F(e.system, e.nonlinearity, T, X)
 
-    small = estimate_lipschitz_pair(F, (0.0, 10.0), 2.0, n_pairs=512, seed=7)
-    large = estimate_lipschitz_pair(F, (0.0, 10.0), 2.0, n_pairs=4096, seed=7)
+    small = _lipschitz_extremes(F, 1, (0.0, 10.0), 2.0, n_pairs=512, seed=7)
+    large = _lipschitz_extremes(F, 1, (0.0, 10.0), 2.0, n_pairs=4096, seed=7)
     assert large["eps_hat"] <= small["eps_hat"] + 1e-15
     assert large["lambda_hat"] >= small["lambda_hat"] - 1e-15
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from luresim import (EvaluationError, Nonlinearity, deadzone_saturation,
-                     finite_diff_jacobian, identity_minus_atan,
-                     linear_nonlinearity, normalized_rotation, parabolic_band,
+from luresim import (EvaluationError, Nonlinearity, check_upper_lipschitz,
+                     deadzone_saturation, finite_diff_jacobian,
+                     identity_minus_atan, linear_nonlinearity,
+                     normalized_rotation, parabolic_band,
                      sample_clarke_jacobian)
-from luresim.analyzer import estimate_lipschitz_pair
 
 
 def test_linear_map_reproduced_to_roundoff(rng):
@@ -96,6 +96,6 @@ def test_lipschitz_bound_transfer(factory):
         sample = sample_clarke_jacobian(f, 0.0, np.array([x]), radius=1e-4,
                                         n_samples=8, seed=5)
         b_hat = max(b_hat, sample.max_norm())
-    est = estimate_lipschitz_pair(lambda t, xi: f(t, xi), (0.0, 1.0),
-                                  (-2.0, 2.0), n_pairs=2000, seed=11)
-    assert est["lambda_hat"] <= (1.0 + 1e-6) * b_hat
+    rec = check_upper_lipschitz(f, (0.0, 1.0), (-2.0, 2.0), n_pairs=2000,
+                                seed=11)
+    assert rec.margin <= (1.0 + 1e-6) * b_hat

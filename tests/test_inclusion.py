@@ -175,6 +175,27 @@ def test_inclusion_matches_simulate_on_unique_fibres(entry):
     assert np.max(np.abs(rec_inc.x[:n] - rec_sim.x[:n])) <= 1e-8
 
 
+@pytest.mark.parametrize("name, tmax", [("ex3b", None), ("ex3d", None),
+                                        ("sec42a", 1.0), ("sec42c", 1.0)])
+def test_exact_route_inclusion_equals_simulate(entry, name, tmax):
+    # On singleton exact fibres the point-valued solve and the set-valued
+    # selection resolve the same output, so both modes give the same bits,
+    # stopping included.
+    e = entry(name)
+    tmax = tmax or e.tmax
+    rec_sim = simulate(e.system, e.nonlinearity, e.input, e.t0, e.x0,
+                       SimOptions(method="rk4_fixed", dt=1e-3, tmax=tmax))
+    rec_inc = simulate_inclusion(e.system, e.nonlinearity, e.input, e.t0,
+                                 e.x0, SelectionPolicy.nearest_previous(),
+                                 InclusionOptions(method="rk4", dt=1e-3,
+                                                  tmax=tmax))
+    for field in ("times", "x", "y", "u", "residuals"):
+        assert np.array_equal(getattr(rec_inc, field), getattr(rec_sim, field))
+    term_inc, term_sim = rec_inc.termination, rec_sim.termination
+    assert (term_inc.kind, term_inc.time, term_inc.bracket) == \
+        (term_sim.kind, term_sim.time, term_sim.bracket)
+
+
 def test_unavoidable_jump_is_taken_and_flagged(entry):
     # forcing drives w below the fold with no continuation: the selection
     # must jump to the remaining branch, flagged.
@@ -187,6 +208,19 @@ def test_unavoidable_jump_is_taken_and_flagged(entry):
     assert "jump" in rec.flags
     assert rec.termination.kind == "reached_tmax"
     assert np.max(rec.residuals) <= 1e-9
+
+
+def test_large_smooth_output_is_not_a_jump(entry):
+    # sec42b's output grows past 40 along a single branch: steps of more
+    # than jump_tol in absolute terms are small relative to ||y||
+    e = entry("sec42b")
+    rec = simulate_inclusion(e.system, e.nonlinearity, e.input, 0.0, e.x0,
+                             SelectionPolicy.nearest_previous(),
+                             InclusionOptions(method="euler", dt=1e-3,
+                                              tmax=3.0))
+    assert rec.termination.kind == "reached_tmax"
+    assert np.max(np.linalg.norm(rec.y, axis=1)) > 40.0
+    assert "jump" not in rec.flags
 
 
 def test_empty_fibre_at_start_terminates(entry):

@@ -1,0 +1,115 @@
+"""Print one SHA-256 digest per run of a fixed grid of trajectories.
+
+Two checkouts print the same lines exactly when every run produced the
+same bits, so bit-identity of a change is shown by ``diff`` of the output
+on the parent and on the change::
+
+    PYTHONPATH=src python3 tools/digest_runs.py > digests.txt
+
+The grid:
+
+- ``simulate`` on each of the ten catalog entries with ``rk4_fixed`` and
+  ``rk45_adaptive`` at the entry's dt and tmax, followed by
+  ``refine_escape_time`` (time_tol 1e-7) where the run stops early;
+- ``simulate_inclusion`` with ``euler`` and ``rk4`` at dt 1e-3 and the
+  entry's tmax, for every entry whose fibres are enumerated exactly, under
+  the policies ``nearest_previous``, ``min_norm``, ``max_norm``,
+  ``fixed_branch:0`` and ``fixed_branch:1``.
+
+A line reads ``<run> <all> <no-flags> <flag counts>``: ``<all>`` digests
+times, x, y, u, residuals, both running integrals, branches, flags,
+termination and the refined escape time; ``<no-flags>`` is the same digest
+without the flags, and the counts name each nonempty flag.  A run that
+raises prints the error in place of the record.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from collections import Counter
+
+import numpy as np
+
+import luresim
+
+POLICIES = ("nearest_previous", "min_norm", "max_norm", "fixed_branch:0",
+            "fixed_branch:1")
+
+
+def _digest(record, escape, with_flags: bool) -> str:
+    h = hashlib.sha256()
+    for arr in (record.times, record.x, record.y, record.u, record.residuals,
+                record.y_integral, record.u_integral):
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    if record.branches is not None:
+        h.update(np.ascontiguousarray(record.branches, dtype=np.int64).tobytes())
+    if with_flags:
+        h.update(repr(record.flags).encode())
+    term = record.termination
+    h.update(repr((term.kind, term.time, term.bracket, term.detail,
+                   escape)).encode())
+    return h.hexdigest()
+
+
+def _line(name: str, run) -> str:
+    try:
+        record, escape = run()
+    except luresim.LuresimError as exc:
+        return f"{name} error {type(exc).__name__}: {exc}"
+    counts = Counter(fl for fl in record.flags if fl)
+    flags = ",".join(f"{k}:{counts[k]}" for k in sorted(counts)) or "-"
+    return (f"{name} {_digest(record, escape, True)} "
+            f"{_digest(record, escape, False)} {flags}")
+
+
+def _simulate(entry, method: str):
+    def run():
+        opts = luresim.SimOptions(method=method, dt=entry.dt, tmax=entry.tmax)
+        record = luresim.simulate(entry.system, entry.nonlinearity,
+                                  entry.input, entry.t0, entry.x0, opts)
+        escape = None
+        if record.termination.kind in ("no_output_solution", "blow_up"):
+            escape = luresim.refine_escape_time(
+                record, entry.system, entry.nonlinearity, entry.input,
+                time_tol=1e-7, opts=opts)
+        return record, escape
+    return run
+
+
+def _inclusion(entry, method: str, policy: str):
+    def run():
+        opts = luresim.InclusionOptions(method=method, dt=1e-3,
+                                        tmax=entry.tmax)
+        record = luresim.simulate_inclusion(
+            entry.system, entry.nonlinearity, entry.input, entry.t0,
+            entry.x0, luresim.SelectionPolicy.parse(policy), opts)
+        return record, None
+    return run
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", default="",
+                        help="comma-separated entry names (default: all)")
+    args = parser.parse_args(argv)
+    names = [n for n in args.only.split(",") if n] or luresim.EXAMPLE_NAMES
+    entries = {name: luresim.build_example(name) for name in names}
+    for name, entry in entries.items():
+        for method in ("rk4_fixed", "rk45_adaptive"):
+            print(_line(f"simulate/{name}/{method}", _simulate(entry, method)),
+                  flush=True)
+    for name, entry in entries.items():
+        if not luresim.exact_structure_available(entry.nonlinearity,
+                                                 entry.system.D):
+            continue
+        for method in ("euler", "rk4"):
+            for policy in POLICIES:
+                print(_line(f"inclusion/{name}/{method}/{policy}",
+                            _inclusion(entry, method, policy)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
