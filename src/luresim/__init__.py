@@ -32,8 +32,8 @@ from .nonlinearity import (Nonlinearity, ScalarPiece, deadzone_saturation,
 from .output_solver import (FibreSet, OutputSolution, SolveOptions,
                             brute_force_fibre_oracle, enumerate_fibre_exact,
                             enumerate_fibre_multistart,
-                            exact_structure_available, output_residual,
-                            residual_norm, solve_output)
+                            exact_structure_available, residual_norm,
+                            solve_output)
 from .signals import (InputSignal, constant_input, piecewise_constant_input,
                       polynomial_input, zero_input)
 from .system import SystemMatrices, eval_F, gronwall_bound

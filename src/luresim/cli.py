@@ -54,16 +54,19 @@ def _cmd_simulate(args) -> int:
         raise ConfigurationError("no initial state: pass --x0 or set defaults.x0")
 
     if args.inclusion:
-        policy = SelectionPolicy.parse(args.policy)
         # Euler unless RK4 is requested explicitly; the higher-order claim
         # is only honest on single-valued stretches.
-        opts = InclusionOptions(method="rk4" if args.method == "rk4" else "euler",
-                                dt=dt, tmax=tmax,
+        method = args.method or "euler"
+        if method not in ("euler", "rk4"):
+            raise UsageError(f"--method {method} is not available with "
+                             f"--inclusion (use euler or rk4)")
+        policy = SelectionPolicy.parse(args.policy)
+        opts = InclusionOptions(method=method, dt=dt, tmax=tmax,
                                 fibre=SolveOptions(seed=args.seed))
         record = simulate_inclusion(cfg.system, cfg.nonlinearity, cfg.input,
                                     t0, x0, policy, opts)
     else:
-        opts = SimOptions(method=args.method, dt=dt, tmax=tmax,
+        opts = SimOptions(method=args.method or "rk4_fixed", dt=dt, tmax=tmax,
                           solver=SolveOptions(seed=args.seed))
         record = simulate(cfg.system, cfg.nonlinearity, cfg.input, t0, x0, opts)
 
@@ -155,8 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t0", type=float)
     sim.add_argument("--tmax", type=float)
     sim.add_argument("--dt", type=float)
-    sim.add_argument("--method", default="rk4_fixed",
-                     choices=["rk4_fixed", "rk45_adaptive", "euler", "rk4"])
+    sim.add_argument("--method",
+                     choices=["rk4_fixed", "rk45_adaptive", "euler", "rk4"],
+                     help="rk4_fixed (default) or rk45_adaptive; with "
+                          "--inclusion, euler (default) or rk4")
     sim.add_argument("--out", required=True,
                      help="output base path (writes .csv and .json)")
     sim.add_argument("--inclusion", action="store_true",

@@ -249,6 +249,10 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     rec.push(t0, x0, y, u, vt, branch=branch)
 
     d_scalar = float(sys.D[0, 0]) if sys.dims[3] == 1 and exact else None
+    # A static map with no breakpoint or vertex has no fold to land on.
+    if (d_scalar is not None and all(pc.static for pc in f.pieces or f.profile)
+            and not _fold_candidates(f, d_scalar, t0)):
+        d_scalar = None
     tol = opts.jump_tol
     fold_attempts = 0
 

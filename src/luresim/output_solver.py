@@ -2,8 +2,9 @@
 
 Three routes:
 
-* ``solve_output``: damped Newton with multistart fallback, the workhorse
-  inside the integrators.
+* ``solve_output``: the workhorse inside the integrators; the exact
+  fibre's element nearest the warm start, else damped Newton from the
+  warm start, falling back to the multistart fibre's nearest element.
 * ``enumerate_fibre_exact``: closed-form enumeration of the whole fibre
   F_t^{-1}(w) for piecewise-scalar and radially structured nonlinearities
   (points and flat segments, residual at roundoff level).
@@ -28,11 +29,19 @@ from .system import apply_F, scalar_feedthrough
 EXACT_TOL = 1e-12       # residual bound for exact fibre entries
 FLAT_TOL = 1e-10        # oracle flat-segment detection threshold
 _SCAN_ROWS = 1 << 16    # grid cells per evaluation of the planar oracle
+_BRACKET_POINTS = 129   # scalar sign-change grid across the search diameter
+_RESID_FLOOR = 1e-6     # a fruitless search this close reads not_converged
 
 
 @dataclass
 class SolveOptions:
-    """Tolerances and search parameters for the output solver."""
+    """Tolerances and search parameters for the output solver.
+
+    Newton stops at residual ``tol_resid`` or after ``max_iter`` steps.  A
+    multistart fibre runs Newton from ``n_starts`` seeded Halton points
+    within ``search_radius`` of its centre and merges solutions closer than
+    twice ``tol_sep``.  ``use_structure`` allows the exact fibre.
+    """
 
     tol_resid: float = 1e-10
     tol_sep: float = 1e-6
@@ -40,8 +49,6 @@ class SolveOptions:
     n_starts: int = 16
     search_radius: float = 8.0
     seed: int = 0
-    resid_floor: float = 1e-6
-    grid_points: int = 129
     use_structure: bool = True
 
 
@@ -161,16 +168,22 @@ def _as_feedthrough(D) -> np.ndarray:
     return np.atleast_2d(np.asarray(D, dtype=float))
 
 
-def output_residual(f: Nonlinearity, D, t: float, y, w) -> np.ndarray:
-    """r(y) = y - D f(t, y) - w."""
-    D = _as_feedthrough(D)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    return y - D @ f(t, y) - w
-
-
 def residual_norm(f: Nonlinearity, D, t: float, y, w) -> float:
-    return vec_norm(output_residual(f, D, t, y, w))
+    """||y - D f(t, y) - w||."""
+    return vec_norm(apply_F(_as_feedthrough(D), f, t, y)
+                    - np.asarray(w, dtype=float).reshape(-1))
+
+
+def _value_and_residual(f: Nonlinearity, D: np.ndarray, t: float,
+                        y: np.ndarray, w: np.ndarray):
+    """(f(t, y), ||y - D f(t, y) - w||) with one evaluation."""
+    if D.shape == (1, 1):
+        fy = f.eval_scalar(t, float(y[0]))
+        if not math.isfinite(fy):
+            raise f._non_finite(t, y)
+        return np.array([fy]), abs(float(y[0]) - float(D[0, 0]) * fy - float(w[0]))
+    u = f(t, y)
+    return u, vec_norm(y - D @ u - w)
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +192,12 @@ def residual_norm(f: Nonlinearity, D, t: float, y, w) -> float:
 
 def _newton(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
             y0: np.ndarray, opts: SolveOptions):
-    """Damped Newton on the output residual. Returns (y, resid, iters, ok)."""
-    return _newton_valued(f, D, t, w, y0, opts)[:4]
+    """Damped Newton on the output residual: (y, resid, iters, ok, f(t, y)).
 
-
-def _newton_valued(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
-                   y0: np.ndarray, opts: SolveOptions):
-    """``_newton`` plus f(t, y) at the returned y (None when it failed).
-
-    The one-start path: ``_newton_stack`` gives the same result for one
-    row but takes about twice as long, which the per-stage solves of
-    ``simulate`` would pay on every step.
+    f(t, y) is None when the first evaluation failed.  The one-start
+    path: ``_newton_stack`` gives the same result for one row but takes
+    about twice as long, which the per-stage solves of ``simulate`` would
+    pay on every step.
     """
     p = w.size
     eye = np.eye(p)
@@ -363,12 +371,12 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
                  opts: SolveOptions | None = None) -> OutputSolution:
     """Solve y - D f(t, y) = w, preferring the solution nearest to y_guess.
 
-    Damped Newton from the guess; on singularity or stagnation, seeded
-    multistart (plus sign-change bracketing in the scalar case).  When the
-    nonlinearity carries exact piecewise structure the full fibre is
-    enumerated instead, which also certifies nonexistence by range
-    analysis.  ``status="multiple"`` flags distinct solutions separated by
-    more than twice the separation tolerance.
+    When the nonlinearity carries exact piecewise structure the whole
+    fibre is enumerated, which also certifies nonexistence by range
+    analysis.  Otherwise damped Newton runs from the guess and, on
+    singularity or stagnation, the multistart fibre around the guess is
+    searched.  Either fibre yields its element nearest to y_guess;
+    ``status="multiple"`` flags a fibre with more than one element.
     """
     opts = opts or SolveOptions()
     if opts.max_iter < 1:
@@ -382,65 +390,34 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
 
     if opts.use_structure and exact_structure_available(f, D):
         fib = enumerate_fibre_exact(f, D, t, w, tol_sep=opts.tol_sep)
+        iters = 0
         if fib.empty:
             return OutputSolution(
                 status="no_solution", y=None, residual=math.inf, iterations=0,
                 certificate={"kind": "range_exclusion",
                              "detail": "exact piecewise range analysis"},
             )
-        y, _, _ = fib.nearest(y_guess)
-        status = "multiple" if fib.is_set_valued() else "unique_point"
-        if p == 1:
-            fy = f.eval_scalar(t, float(y[0]))
-            if not math.isfinite(fy):
-                raise f._non_finite(t, y)
-            u = np.array([fy])
-            resid = abs(float(y[0]) - float(D[0, 0]) * fy - float(w[0]))
-        else:
-            u, resid = _value_and_residual(f, D, t, y, w)
-        return OutputSolution(status=status, y=y, residual=resid,
-                              iterations=0, n_found=fib.n_elements, u=u)
+    else:
+        y, rnorm, iters, ok, u = _newton(f, D, t, w, y_guess, opts)
+        if ok:
+            return OutputSolution(status="unique_point", y=y, residual=rnorm,
+                                  iterations=iters, n_found=1, u=u)
+        fib, least, more = _multistart(f, D, t, w, y_guess, opts)
+        iters += more
+        if fib.empty:
+            least = min(rnorm, least)
+            status = "no_solution" if least > _RESID_FLOOR else "not_converged"
+            return OutputSolution(
+                status=status, y=None, residual=least, iterations=iters,
+                certificate={"kind": "exhaustion", "n_starts": opts.n_starts + 1,
+                             "min_residual": least},
+            )
 
-    y, rnorm, iters, ok, u = _newton_valued(f, D, t, w, y_guess, opts)
-    if ok:
-        return OutputSolution(status="unique_point", y=y, residual=rnorm,
-                              iterations=iters, n_found=1, u=u)
-
-    # Multistart fallback.
-    found: list[np.ndarray] = []
-    best_resid = rnorm
-    starts = np.vstack((y_guess, _halton_starts(y_guess, opts.search_radius,
-                                                opts.n_starts, opts.seed)))
-    ys, rs, its, oks = _newton_stack(f, D, t, w, starts, opts)
-    total_iters = iters + int(its.sum())
-    for rs_i in rs.tolist():
-        best_resid = min(best_resid, rs_i)
-    found.extend(ys[oks])
-    if p == 1:
-        for root in _scalar_bracket_roots(f, D, t, w, y_guess, opts):
-            found.append(np.array([root]))
-
-    if found:
-        reps = _cluster_vectors(found, 2.0 * opts.tol_sep)
-        dists = [vec_norm(r - y_guess) for r in reps]
-        y = reps[int(np.argmin(dists))]
-        status = "multiple" if len(reps) >= 2 else "unique_point"
-        u, resid = _value_and_residual(f, D, t, y, w)
-        return OutputSolution(status=status, y=y, residual=resid,
-                              iterations=total_iters, n_found=len(reps), u=u)
-
-    certificate = {"kind": "exhaustion", "n_starts": len(starts),
-                   "min_residual": best_resid}
-    status = "no_solution" if best_resid > opts.resid_floor else "not_converged"
-    return OutputSolution(status=status, y=None, residual=best_resid,
-                          iterations=total_iters, certificate=certificate)
-
-
-def _value_and_residual(f: Nonlinearity, D: np.ndarray, t: float,
-                        y: np.ndarray, w: np.ndarray):
-    """(f(t, y), ||y - D f(t, y) - w||) with one evaluation."""
-    u = f(t, y)
-    return u, vec_norm(y - D @ u - w)
+    y, _, _ = fib.nearest(y_guess)
+    u, resid = _value_and_residual(f, D, t, y, w)
+    status = "multiple" if fib.is_set_valued() else "unique_point"
+    return OutputSolution(status=status, y=y, residual=resid, iterations=iters,
+                          n_found=fib.n_elements, u=u)
 
 
 def _scalar_bracket_roots(f: Nonlinearity, D: np.ndarray, t: float,
@@ -454,7 +431,7 @@ def _scalar_bracket_roots(f: Nonlinearity, D: np.ndarray, t: float,
         return x - d * f.eval_scalar(t, x) - w0
 
     xs = np.linspace(c - opts.search_radius, c + opts.search_radius,
-                     opts.grid_points)
+                     _BRACKET_POINTS)
     vals = np.array([resid(x) for x in xs])
     roots = []
     for i in range(xs.size - 1):
@@ -664,15 +641,22 @@ def enumerate_fibre_multistart(f: Nonlinearity, D, t: float, w,
 
     Converged solutions are clustered with the separation tolerance; in
     the scalar case, chains of solutions whose midpoints also solve the
-    equation are merged into segments.
+    equation are merged into segments.  The starts lie around ``center``,
+    by default w.
     """
     opts = opts or SolveOptions()
     D = _as_feedthrough(D)
-    p = D.shape[0]
-    w = _target(w, p)
+    w = _target(w, D.shape[0])
     center = w.copy() if center is None else np.asarray(center, dtype=float).reshape(-1)
+    return _multistart(f, D, t, w, center, opts)[0]
+
+
+def _multistart(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
+                center: np.ndarray, opts: SolveOptions):
+    """The multistart fibre around center: (FibreSet, least residual, iterations)."""
+    p = w.size
     starts = _halton_starts(center, opts.search_radius, opts.n_starts, opts.seed)
-    ys, _, _, oks = _newton_stack(f, D, t, w, starts, opts)
+    ys, rs, its, oks = _newton_stack(f, D, t, w, starts, opts)
     found: list[np.ndarray] = list(ys[oks])
     if p == 1:
         for root in _scalar_bracket_roots(f, D, t, w, center, opts):
@@ -695,8 +679,9 @@ def enumerate_fibre_multistart(f: Nonlinearity, D, t: float, w,
                 segments.append((np.array([group[0]]), np.array([group[-1]])))
             else:
                 reps.append(np.array([group[0]]))
-    return FibreSet(points=tuple(reps), segments=tuple(segments),
-                    exact=False, t=t, w=w.copy())
+    fib = FibreSet(points=tuple(reps), segments=tuple(segments),
+                   exact=False, t=t, w=w.copy())
+    return fib, min(rs.tolist(), default=math.inf), int(its.sum())
 
 
 def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
@@ -761,7 +746,7 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
                                          indexing="ij"), axis=-1).reshape(-1, 2)
             near = row_norms(apply_F(D, f, t, cells) - w) < tol_cell
             for y in cells[near]:
-                ys, rs, _, ok = _newton(f, D, t, w, y, opts)
+                ys, _, _, ok, _ = _newton(f, D, t, w, y, opts)
                 if ok:
                     hits.append(ys)
         reps = _cluster_vectors(hits, 2.0 * h_scan)

@@ -216,7 +216,7 @@ def test_stacked_newton_equals_per_start_runs(entry, name, w):
     starts = _halton_starts(w, 10.0, 24, 0)
     Y, resid, iters, ok = _newton_stack(f, D, 1.3, w, starts, opts)
     for i, y0 in enumerate(starts):
-        y, r, it, o = _newton(f, D, 1.3, w, y0, opts)
+        y, r, it, o, _ = _newton(f, D, 1.3, w, y0, opts)
         assert np.array_equal(Y[i], y)
         assert resid[i] == r
         assert iters[i] == it
@@ -242,6 +242,6 @@ def test_stacked_newton_failures_match_per_start_runs(analytic):
     opts = SolveOptions(max_iter=30)
     Y, resid, iters, ok = _newton_stack(f, D, 0.0, w, starts, opts)
     for i, y0 in enumerate(starts):
-        y, r, it, o = _newton(f, D, 0.0, w, y0, opts)
+        y, r, it, o, _ = _newton(f, D, 0.0, w, y0, opts)
         assert (np.array_equal(Y[i], y), resid[i], iters[i], ok[i]) == (True, r, it, o)
     assert not ok.all()

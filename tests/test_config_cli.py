@@ -163,6 +163,30 @@ def test_cli_simulate_inclusion_branch_column(tmp_path, entry):
     assert header.endswith(",branch")
 
 
+@pytest.mark.parametrize("method", ["rk45_adaptive", "rk4_fixed"])
+def test_cli_inclusion_rejects_method_it_lacks(tmp_path, entry, capsys, method):
+    cfg = _write_config(tmp_path, entry("ex3c"), "ex3c")
+    out = tmp_path / "rejected"
+    code = main(["simulate", "--system", str(cfg), "--inclusion",
+                 "--method", method, "--tmax", "0.05", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--method" in captured.err and method in captured.err
+    assert not (tmp_path / "rejected.csv").exists()
+
+
+def test_cli_inclusion_default_method_is_euler(tmp_path, entry):
+    cfg = _write_config(tmp_path, entry("ex3c"), "ex3c")
+    texts = []
+    for name, extra in (("default", []), ("euler", ["--method", "euler"])):
+        code = main(["simulate", "--system", str(cfg), "--inclusion", *extra,
+                     "--tmax", "0.05", "--out", str(tmp_path / name)])
+        assert code == 0
+        texts.append((tmp_path / f"{name}.csv").read_text())
+    assert texts[0] == texts[1]
+
+
 def test_cli_config_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

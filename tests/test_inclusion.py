@@ -254,6 +254,28 @@ def test_rk4_inclusion_enumerates_each_stage_fibre_once(entry, monkeypatch):
     assert len(calls) == 4 * steps + 1
 
 
+def test_fold_free_map_skips_fold_landing(entry, monkeypatch):
+    # ex3d's F = atan has no breakpoint or vertex, so the jumps near its
+    # blow-up have no fold to land on: no bisection enumerates fibres for
+    # them, and the run needs about one fibre per attempted step
+    e = entry("ex3d")
+    calls = []
+    enumerate_exact = inclusion.enumerate_fibre_exact
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return enumerate_exact(*args, **kwargs)
+
+    monkeypatch.setattr(inclusion, "enumerate_fibre_exact", counting)
+    rec = simulate_inclusion(e.system, e.nonlinearity, e.input, e.t0, e.x0,
+                             SelectionPolicy.nearest_previous(),
+                             InclusionOptions(method="euler", dt=1e-3,
+                                              tmax=e.tmax))
+    assert rec.termination.kind == "blow_up"
+    assert rec.flags.count("jump") > 0 and "fold" not in rec.flags
+    assert len(calls) < 2 * rec.n_samples
+
+
 def test_euler_inclusion_evaluates_f_once_per_step(entry, monkeypatch):
     # the accepted sample's u feeds the record, the residual and the next
     # Euler slope

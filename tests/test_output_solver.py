@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from luresim import (ConfigurationError, SolveOptions, brute_force_fibre_oracle,
-                     check_image_convexity, deadzone_saturation,
-                     enumerate_fibre_exact, enumerate_fibre_multistart,
-                     identity_minus_atan, parabolic_band, residual_norm,
+from luresim import (ConfigurationError, ScalarPiece, SolveOptions,
+                     brute_force_fibre_oracle, check_image_convexity,
+                     deadzone_saturation, enumerate_fibre_exact,
+                     enumerate_fibre_multistart, identity_minus_atan,
+                     parabolic_band, piecewise_scalar, residual_norm,
                      solve_output, zero_nonlinearity)
+from luresim.inclusion import _fold_candidates
+from luresim.output_solver import _newton
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +62,56 @@ def test_exhaustion_certificate_without_structure(entry):
     assert sol.status == "no_solution"
     assert sol.certificate["kind"] == "exhaustion"
     assert sol.certificate["min_residual"] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_exhaustion_certificate_counts_every_start(entry):
+    # the warm start and the n_starts Halton starts all stagnate at the
+    # band's distance; just outside the band the same search reads
+    # not_converged instead of no_solution
+    e = entry("ex3a")
+    opts = SolveOptions(use_structure=False)
+    sol = solve_output(e.system, e.nonlinearity, 0.0, [1.5], [0.0], opts)
+    assert (sol.status, sol.y, sol.n_found) == ("no_solution", None, 0)
+    assert sol.certificate == {"kind": "exhaustion", "n_starts": 17,
+                               "min_residual": 0.5}
+    assert sol.residual == 0.5
+    sol = solve_output(e.system, e.nonlinearity, 0.0, [1.0 + 5e-7], [0.0], opts)
+    assert sol.status == "not_converged"
+    assert sol.certificate["min_residual"] == pytest.approx(5e-7, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["ex3c", "ex4a", "ex4b", "ex4c"])
+def test_newton_fallback_is_nearest_of_multistart_fibre(entry, name):
+    # when Newton from the warm start fails, solve_output answers with the
+    # element of the multistart fibre around the warm start nearest to it
+    e = entry(name)
+    f, D = e.nonlinearity, e.system.D
+    p = D.shape[0]
+    rng = np.random.default_rng(11)
+    fallbacks = found = 0
+    for max_iter in (1, 3, 4):
+        opts = SolveOptions(use_structure=False, max_iter=max_iter)
+        for _ in range(8):
+            t = float(rng.uniform(0.0, 1.0))
+            w = rng.uniform(-2.0, 2.0, p)
+            guess = rng.uniform(-2.0, 2.0, p)
+            sol = solve_output(e.system, f, t, w, guess, opts)
+            if _newton(f, D, t, w, guess, opts)[3]:
+                continue
+            fallbacks += 1
+            fib = enumerate_fibre_multistart(f, D, t, w, opts, center=guess)
+            assert sol.n_found == fib.n_elements
+            if fib.empty:
+                assert sol.y is None
+                assert sol.status in ("no_solution", "not_converged")
+                continue
+            found += 1
+            y = fib.nearest(guess)[0]
+            assert sol.y.tobytes() == y.tobytes()
+            assert sol.status == ("multiple" if fib.is_set_valued()
+                                  else "unique_point")
+            assert sol.residual <= opts.tol_resid
+    assert fallbacks > 0 and found > 0
 
 
 def test_multiple_status_reports_nearest(entry):
@@ -264,6 +317,45 @@ def test_oracle_equivalence_spot(entry, name):
         assert len(e_segs) == len(o_segs)
         for (la, ha), (lb, hb) in zip(e_segs, o_segs):
             assert abs(la - lb) <= 1e-3 and abs(ha - hb) <= 1e-3
+
+
+@st.composite
+def _continuous_tilings(draw):
+    """(f, d): a continuous piecewise-quadratic f and a scalar feedthrough d."""
+    coeff = st.floats(-2.0, 2.0)
+    breaks = sorted(draw(st.lists(st.floats(-3.0, 3.0), max_size=3,
+                                  unique=True)))
+    edges = [-math.inf, *breaks, math.inf]
+    c0 = draw(coeff)
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        c1, c2 = draw(coeff), draw(coeff)
+        if pieces:
+            # continuity at the breakpoint fixes the offset
+            c0 = pieces[-1].at(0.0).value(lo) - lo * (c1 + lo * c2)
+        pieces.append(ScalarPiece(lo=lo, hi=hi, c0=c0, c1=c1, c2=c2))
+    return piecewise_scalar(pieces), draw(coeff)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_continuous_tilings(), w=st.floats(-4.0, 4.0))
+def test_exact_fibre_matches_oracle_on_random_tilings(case, w):
+    # targets at least 1e-3 from every fold value, so every root is simple
+    # and the oracle's sign-change scan sees it
+    f, d = case
+    assume(all(abs(w - value) >= 1e-3
+               for _, value in _fold_candidates(f, d, 0.0)))
+    R, h_scan = 4.0, 1e-3
+    exact = enumerate_fibre_exact(f, [[d]], 0.0, [w])
+    oracle = brute_force_fibre_oracle(f, [[d]], 0.0, [w], R=R, h_scan=h_scan)
+    e_pts, e_segs = _clip_exact_to_window(exact, R, margin=1e-2)
+    o_pts, o_segs = _clip_exact_to_window(oracle, R, margin=1e-2)
+    assert len(e_pts) == len(o_pts), (e_pts, o_pts)
+    for a, b in zip(e_pts, o_pts):
+        assert abs(a - b) < 1e-8
+    assert len(e_segs) == len(o_segs)
+    for (la, ha), (lb, hb) in zip(e_segs, o_segs):
+        assert abs(la - lb) <= h_scan and abs(ha - hb) <= h_scan
 
 
 @pytest.mark.parametrize("name", ["ex3a", "ex3c", "ex3d", "sec42a", "sec42c"])

@@ -21,6 +21,13 @@ times, x, y, u, residuals, both running integrals, branches, flags,
 termination and the refined escape time; ``<no-flags>`` is the same digest
 without the flags, and the counts name each nonempty flag.  A run that
 raises prints the error in place of the record.
+
+After the runs come single ``solve_output`` calls on the Newton route
+(``use_structure=False``), which reach the multistart fallback whenever
+Newton from the warm start fails: for every entry, 12 seeded (t, w,
+y_guess) draws with ``max_iter`` 1 and 100.  A line reads ``<solve>
+<outcome> <iterations>``, the outcome digesting status, y, u, residual,
+the number of fibre elements and the certificate.
 """
 
 from __future__ import annotations
@@ -89,6 +96,24 @@ def _inclusion(entry, method: str, policy: str):
     return run
 
 
+def _solve_lines(name: str, entry):
+    p = entry.system.dims[3]
+    rng = np.random.default_rng(luresim.EXAMPLE_NAMES.index(name))
+    draws = [(float(rng.uniform(0.0, 1.0)), rng.uniform(-2.0, 2.0, p),
+              rng.uniform(-2.0, 2.0, p)) for _ in range(12)]
+    for max_iter in (1, 100):
+        opts = luresim.SolveOptions(use_structure=False, max_iter=max_iter)
+        for k, (t, w, guess) in enumerate(draws):
+            sol = luresim.solve_output(entry.system, entry.nonlinearity, t, w,
+                                       guess, opts)
+            h = hashlib.sha256(repr((sol.status, sol.residual, sol.n_found,
+                                     sol.certificate)).encode())
+            for arr in (sol.y, sol.u):
+                if arr is not None:
+                    h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+            yield f"solve/{name}/{max_iter}/{k} {h.hexdigest()} {sol.iterations}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", default="",
@@ -108,6 +133,9 @@ def main(argv=None) -> int:
             for policy in POLICIES:
                 print(_line(f"inclusion/{name}/{method}/{policy}",
                             _inclusion(entry, method, policy)), flush=True)
+    for name, entry in entries.items():
+        for line in _solve_lines(name, entry):
+            print(line, flush=True)
     return 0
 
 
