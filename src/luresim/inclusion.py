@@ -28,11 +28,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError, EmptyFibreError
-from .integrator import (Termination, TrajectoryRecord, _integrate,
-                         _Recorder, _rk_step, _slope, _validate_run)
-from .nonlinearity import Nonlinearity, row_norms, vec_norm
-from .output_solver import (FibreSet, SolveOptions, enumerate_fibre_exact,
-                            enumerate_fibre_multistart,
+from .integrator import (Termination, TrajectoryRecord, _integrate, _plant,
+                         _Plant, _Recorder, _rk_step, _validate_run)
+from .nonlinearity import Nonlinearity, all_finite, row_norms, vec_norm
+from .output_solver import (FibreSet, SolveOptions, _as_float,
+                            enumerate_fibre_exact, enumerate_fibre_multistart,
                             exact_structure_available)
 from .system import SystemMatrices
 
@@ -86,66 +86,65 @@ def _element_value(kind: str, payload, policy: SelectionPolicy):
         return payload
     a, b = payload
     if policy.kind == "max_norm":
-        finite = [e for e in (a, b) if np.all(np.isfinite(e))]
+        finite = [e for e in (a, b) if all_finite(e)]
         if not finite:
             raise ConfigurationError("max_norm undefined on unbounded segment")
         return max(finite, key=vec_norm)
     # representative for fixed_branch
-    if np.all(np.isfinite(b)) and np.all(np.isfinite(a)):
+    if all_finite(b) and all_finite(a):
         return 0.5 * (a + b)
-    return a if np.all(np.isfinite(a)) else b
+    return a if all_finite(a) else b
 
 
 def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
-                      prev_y=None) -> tuple[np.ndarray, int]:
+                      prev_y=None) -> tuple:
     """Deterministically pick one output from a fibre.
 
-    Returns (value, branch index into the sorted element list).  Raises
-    EmptyFibreError on an empty fibre; that signal propagates to the
+    Returns (value, branch index into the sorted element list); the value
+    is a float for a float-backed (scalar) fibre, else a fresh array.
+    Raises EmptyFibreError on an empty fibre; that signal propagates to the
     integrator as loss of existence.
     """
     if fib.empty:
         raise EmptyFibreError("fibre is empty")
-    elements = fib.elements()
 
+    if policy.kind == "nearest_previous":
+        if prev_y is None:
+            raise ConfigurationError("nearest_previous requires a previous output")
+        value, _, idx = fib.nearest(prev_y)
+        return value, idx
+
+    if policy.kind == "min_norm":
+        value, _, idx = fib.nearest(0.0)     # the origin, broadcast to length p
+        return value, idx
+
+    elements = fib.elements()
     if policy.kind == "fixed_branch":
         if not 0 <= policy.index < len(elements):
             raise ConfigurationError(
                 f"fixed_branch index {policy.index} out of range "
                 f"(fibre has {len(elements)} elements)"
             )
-        kind, payload = elements[policy.index]
-        return np.asarray(_element_value(kind, payload, policy),
-                          dtype=float).copy(), policy.index
+        idx = policy.index
+        value = _element_value(*elements[idx], policy)
 
-    if policy.kind == "segment_parameter":
+    elif policy.kind == "segment_parameter":
         for idx, (kind, payload) in enumerate(elements):
             if kind == "segment":
                 a, b = payload
-                if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+                if not (all_finite(a) and all_finite(b)):
                     raise ConfigurationError(
                         "segment_parameter undefined on unbounded segment"
                     )
                 return (1.0 - policy.s) * a + policy.s * b, idx
         raise ConfigurationError("segment_parameter policy needs a segment fibre")
 
-    if policy.kind == "nearest_previous":
-        if prev_y is None:
-            raise ConfigurationError("nearest_previous requires a previous output")
-        value, _, idx = fib.nearest(prev_y)
-        return value.copy(), idx
-
-    if policy.kind == "min_norm":
-        value, _, idx = fib.nearest(0.0)     # the origin, broadcast to length p
-        return value.copy(), idx
-
-    best = None
-    for idx, (kind, payload) in enumerate(elements):
-        cand = np.asarray(_element_value(kind, payload, policy), dtype=float)
-        score = -vec_norm(cand)
-        if best is None or score < best[1]:
-            best = (cand, score, idx)
-    return best[0].copy(), best[2]
+    else:                                    # max_norm, the first on a tie
+        values = [_element_value(kind, payload, policy)
+                  for kind, payload in elements]
+        idx = max(range(len(values)), key=lambda i: vec_norm(values[i]))
+        value = values[idx]
+    return (value if type(value) is float else np.array(value, dtype=float)), idx
 
 
 def enumerate_fibre(f: Nonlinearity, D, t: float, w, opts: SolveOptions) -> FibreSet:
@@ -223,25 +222,27 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     opts = opts or InclusionOptions()
     if opts.method not in ("euler", "rk4"):
         raise ConfigurationError(f"unknown inclusion method {opts.method!r}")
-    t0, x0 = _validate_run(opts, t0, x0, sys.dims[0])
-    rec = _Recorder(sys, with_branches=True)
+    t0, x0 = _validate_run(opts, t0, x0, sys, v)
+    plant = _plant(sys, v)
+    rec = _Recorder(plant, with_branches=True)
     exact = exact_structure_available(f, sys.D)
     branch = -1                        # index of the last selection
 
-    def fibre(t: float, x: np.ndarray, vt: np.ndarray) -> FibreSet:
+    def fibre(t: float, x, vt) -> FibreSet:
         """The fibre at (t, x), given vt = v(t); the route is fixed per run."""
-        return _fibre_on_route(exact, f, sys.D, t, sys.C @ x + sys.D_e @ vt,
-                               opts.fibre)
+        return _fibre_on_route(exact, f, sys.D, t, plant.target(x, vt), opts.fibre)
 
-    def stage(t: float, x: np.ndarray, y_prev: np.ndarray):
+    def stage(t: float, x, y_prev):
         nonlocal branch
-        vt = v(t)
+        vt = plant.input(t)
         y, branch = select_from_fibre(fibre(t, x, vt), policy, prev_y=y_prev)
-        u = f(t, y)
-        return y, u, _slope(sys, x, u, vt), vt
+        y = plant.value(y)
+        u = plant.eval_f(f, t, y)
+        return y, u, plant.slope(x, u, vt), vt
 
+    x0 = plant.value(x0)
     try:
-        y, u, k, vt = stage(t0, x0, sys.C @ x0 + sys.D_e @ v(t0))
+        y, u, k, vt = stage(t0, x0, plant.target(x0, plant.input(t0)))
     except EmptyFibreError:
         term = Termination(kind="no_output_solution", time=t0,
                            bracket=(t0, t0), detail="empty fibre at initial time")
@@ -274,7 +275,7 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
         if jump:
             landing = None
             if d_scalar is not None and fold_attempts < _MAX_FOLD_ATTEMPTS:
-                landing = _land_on_fold(fibre, stage, sys, f, v, d_scalar, t,
+                landing = _land_on_fold(fibre, stage, plant, f, d_scalar, t,
                                         x, y, k_mean, h, tol)
             if landing is not None:
                 fold_attempts += 1
@@ -288,9 +289,8 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     return rec.build(_integrate(rec, opts, t0, x0, y, k, opts.dt, advance))
 
 
-def _land_on_fold(fibre, stage, sys: SystemMatrices, f: Nonlinearity, v,
-                  d: float, t: float, x: np.ndarray, y: np.ndarray,
-                  k: np.ndarray, h: float, jump_tol: float):
+def _land_on_fold(fibre, stage, plant: _Plant, f: Nonlinearity, d: float,
+                  t: float, x, y, k, h: float, jump_tol: float):
     """Bisect the step onto the output-map fold where the branch vanishes.
 
     Returns the landed (t_hat, x_hat, y_hat, u, xdot, v(t_hat)), selected by
@@ -300,14 +300,14 @@ def _land_on_fold(fibre, stage, sys: SystemMatrices, f: Nonlinearity, v,
     """
     def continues(s: float):
         ts = t + s * h
-        fib = fibre(ts, x + s * h * k, v(ts))
+        fib = fibre(ts, x + s * h * k, plant.input(ts))
         if fib.empty:
             return None
         cand, dist, _ = fib.nearest(y)
         return cand if dist <= jump_tol else None
 
     s_lo, s_hi = 0.0, 1.0
-    y_cont = y
+    y_cont = _as_float(y)
     for _ in range(60):
         s_mid = 0.5 * (s_lo + s_hi)
         cand = continues(s_mid)
@@ -322,17 +322,15 @@ def _land_on_fold(fibre, stage, sys: SystemMatrices, f: Nonlinearity, v,
     candidates = _fold_candidates(f, d, t_hat)
     if not candidates:
         return None
-    xi_star, w_star = min(candidates,
-                          key=lambda cw: abs(cw[0] - float(y_cont[0])))
+    xi_star, w_star = min(candidates, key=lambda cw: abs(cw[0] - y_cont))
     snap_tol = max(1e-4, 0.1 * jump_tol)
-    if abs(xi_star - float(y_cont[0])) > snap_tol:
+    if abs(xi_star - y_cont) > snap_tol:
         return None
 
     # Solve C(x + s h k) + D_e v(t + s h) = w_star along the step direction.
     def gap(s: float) -> float:
         ts = t + s * h
-        ws = sys.C @ (x + s * h * k) + sys.D_e @ v(ts)
-        return float(ws[0]) - w_star
+        return _as_float(plant.target(x + s * h * k, plant.input(ts))) - w_star
 
     g_lo, g_hi = gap(s_lo), gap(s_hi)
     if g_lo == 0.0:
@@ -344,10 +342,9 @@ def _land_on_fold(fibre, stage, sys: SystemMatrices, f: Nonlinearity, v,
     t_hat = t + s_hat * h
     x_hat = x + s_hat * h * k
     # Exact projection of the remaining gap along C^T.
-    r = w_star - float((sys.C @ x_hat + sys.D_e @ v(t_hat))[0])
-    c_row = sys.C[0]
-    x_hat = x_hat + c_row * (r / float(c_row @ c_row))
-    y_hat = np.array([xi_star])
+    r = w_star - _as_float(plant.target(x_hat, plant.input(t_hat)))
+    x_hat = plant.shift_target(x_hat, r)
+    y_hat = plant.value(xi_star)
 
     if t_hat <= t + 1e-15 * max(1.0, abs(t)):
         return None

@@ -8,6 +8,10 @@ point (warm-started from the previous output), then advances
 Stage 1 reuses the output and slope resolved when the step's starting
 state was accepted.
 
+The loop's values (state, output, f(t, y), slope, input) are 1-d arrays,
+or plain floats when n = m = m_e = p = 1 (``_ScalarPlant``); the float
+form reproduces numpy's 1 x 1 products bit for bit.
+
 One loop, ``_integrate``, steps both this module's ``simulate`` and
 ``inclusion.simulate_inclusion``.  It owns the horizon test, the step
 floor, the collapse classification, the blow-up test and the recording.
@@ -37,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .nonlinearity import all_finite, vec_norm
-from .output_solver import SolveOptions, solve_output
+from .output_solver import SolveOptions, _as_float, solve_output
 from .system import SystemMatrices
 
 _RK45_C = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
@@ -128,9 +132,94 @@ class _StageFailure(Exception):
         self.certificate = certificate
 
 
-def _slope(sys: SystemMatrices, x: np.ndarray, u: np.ndarray, vt: np.ndarray):
-    """xdot = A x + B u + B_e v(t)."""
-    return sys.A @ x + sys.B @ u + sys.B_e @ vt
+class _Plant:
+    """The linear part of ``sys`` and its input v, on the loop's values.
+
+    Values are 1-d arrays: the state x, the output y, u = f(t, y), the
+    slope and v(t).  ``value`` turns an initial state or a solver or fibre
+    output (a float from a float-backed fibre) into the loop's form.
+    """
+
+    def __init__(self, sys: SystemMatrices, v):
+        self.sys, self.v = sys, v
+
+    def value(self, y):
+        return np.array([y]) if type(y) is float else y
+
+    def input(self, t: float):
+        return self.v(t)
+
+    def target(self, x, vt):
+        """w = C x + D_e v(t)."""
+        return self.sys.C @ x + self.sys.D_e @ vt
+
+    def slope(self, x, u, vt):
+        """xdot = A x + B u + B_e v(t)."""
+        sys = self.sys
+        return sys.A @ x + sys.B @ u + sys.B_e @ vt
+
+    def residual(self, x, y, u, vt) -> float:
+        """||y - D u - C x - D_e v(t)||."""
+        sys = self.sys
+        return vec_norm(y - sys.D @ u - sys.C @ x - sys.D_e @ vt)
+
+    def keep(self, value) -> np.ndarray:
+        """A copy of a value for the record."""
+        return np.array(value, dtype=float)
+
+    def eval_f(self, f, t: float, y):
+        return f(t, y)
+
+    def shift_target(self, x, r: float):
+        """x moved along C^T so that the (scalar) target C x grows by r."""
+        c_row = self.sys.C[0]
+        return x + c_row * (r / float(c_row @ c_row))
+
+
+class _ScalarPlant(_Plant):
+    """``_Plant`` for n = m = m_e = p = 1, on floats.
+
+    Each 1 x 1 product a x is taken as ``0.0 + a * x``, numpy's
+    accumulation, so that signed zeros keep their bits: [[-1.]] @ [0.] is
+    +0.0.  f(t, y) goes through ``eval_scalar``.
+    """
+
+    def __init__(self, sys: SystemMatrices, v):
+        super().__init__(sys, v)
+        self.a, self.b, self.b_e, self.c, self.d, self.d_e = (
+            float(M[0, 0]) for M in (sys.A, sys.B, sys.B_e, sys.C, sys.D, sys.D_e))
+
+    value = staticmethod(_as_float)
+
+    def input(self, t: float) -> float:
+        return self.value(self.v(t))
+
+    def target(self, x: float, vt: float) -> float:
+        return (0.0 + self.c * x) + (0.0 + self.d_e * vt)
+
+    def slope(self, x: float, u: float, vt: float) -> float:
+        return ((0.0 + self.a * x) + (0.0 + self.b * u)) + (0.0 + self.b_e * vt)
+
+    def residual(self, x: float, y: float, u: float, vt: float) -> float:
+        r = y - (0.0 + self.d * u) - (0.0 + self.c * x) - (0.0 + self.d_e * vt)
+        return math.sqrt(r * r)
+
+    def keep(self, value: float) -> float:
+        return value
+
+    def eval_f(self, f, t: float, y: float) -> float:
+        u = f.eval_scalar(t, y)
+        if not math.isfinite(u):
+            raise f._non_finite(t, np.array([y]))
+        return u
+
+    def shift_target(self, x: float, r: float) -> float:
+        return x + self.c * (r / (self.c * self.c))
+
+
+def _plant(sys: SystemMatrices, v) -> _Plant:
+    """The float form for a system with n = m = m_e = p = 1, else arrays."""
+    return _ScalarPlant(sys, v) if sys.dims == (1, 1, 1, 1) else _Plant(sys, v)
 
 
 class _SolvingStage:
@@ -141,26 +230,26 @@ class _SolvingStage:
     last cleared chose among several outputs.
     """
 
-    def __init__(self, sys: SystemMatrices, f, v, solver: SolveOptions):
-        self.sys, self.f, self.v, self.solver = sys, f, v, solver
+    def __init__(self, plant: _Plant, f, solver: SolveOptions):
+        self.plant, self.f, self.solver = plant, f, solver
         self.multiple = False
 
-    def __call__(self, t: float, x: np.ndarray, y_prev: np.ndarray):
-        sys = self.sys
-        vt = self.v(t)
-        w = sys.C @ x + sys.D_e @ vt
-        sol = solve_output(sys, self.f, t, w, y_prev, self.solver)
+    def __call__(self, t: float, x, y_prev):
+        plant = self.plant
+        vt = plant.input(t)
+        sol = solve_output(plant.sys, self.f, t, plant.target(x, vt), y_prev,
+                           self.solver)
         if sol.y is None:
             raise _StageFailure(sol.certificate)
         if sol.status == "multiple":
             self.multiple = True
-        return sol.y, sol.u, _slope(sys, x, sol.u, vt), vt
+        y, u = plant.value(sol.y), plant.value(sol.u)
+        return y, u, plant.slope(x, u, vt), vt
 
 
-def _rk_step(method: str, stage, t: float, x: np.ndarray, h: float,
-             y: np.ndarray, k1: np.ndarray):
+def _rk_step(method: str, stage, t: float, x, h: float, y, k1):
     """One ``euler``, ``rk4`` or ``rkf45`` step from (t, x), whose output y
-    and slope k1 are stage 1.  Later stages call ``stage(t, x, y_prev) ->
+    and slope k1 are stage 1; x, y and k1 are plant values.  Later stages call ``stage(t, x, y_prev) ->
     (y, u, xdot, v(t))``.  Returns (x_new, mean slope or None, error
     estimate or None, last stage output).
     """
@@ -174,16 +263,15 @@ def _rk_step(method: str, stage, t: float, x: np.ndarray, h: float,
         return x + (h / 6.0) * k, k / 6.0, None, y4
     ks = [k1]
     for c, a in zip(_RK45_C[1:], _RK45_A[1:]):
-        xi = x.copy()
+        xi = x
         for a_j, k_j in zip(a, ks):
-            xi += h * a_j * k_j
+            xi = xi + h * a_j * k_j
         y, _, k, _ = stage(t + c * h, xi, y)
         ks.append(k)
-    x_new = x.copy()
-    err = np.zeros_like(x)
+    x_new, err = x, 0.0
     for b, e, k in zip(_RK45_B5, _RK45_E, ks):
-        x_new += h * b * k
-        err += h * e * k
+        x_new = x_new + h * b * k
+        err = err + h * e * k
     return x_new, None, err, y
 
 
@@ -199,10 +287,10 @@ def _initial_guess(sys: SystemMatrices, f, t0: float, w0: np.ndarray) -> np.ndar
 
 
 class _Recorder:
-    """The accepted samples of one run of ``sys``."""
+    """The accepted samples of one run, in the plant's values."""
 
-    def __init__(self, sys: SystemMatrices, with_branches: bool = False):
-        self.sys, self.with_branches = sys, with_branches
+    def __init__(self, plant: _Plant, with_branches: bool = False):
+        self.plant, self.with_branches = plant, with_branches
         self.times: list[float] = []
         self.xs: list[np.ndarray] = []
         self.ys: list[np.ndarray] = []
@@ -217,10 +305,9 @@ class _Recorder:
     def push(self, t, x, y, u, vt, flag="", branch=-1):
         """Record a sample with u = f(t, y) and vt = v(t); its residual is
         ||y - D u - C x - D_e v(t)||."""
-        sys = self.sys
-        resid = vec_norm(y - sys.D @ u - sys.C @ x - sys.D_e @ vt)
-        y = np.array(y, dtype=float)
-        u = np.array(u, dtype=float)
+        plant = self.plant
+        resid = plant.residual(x, y, u, vt)
+        y, u = plant.keep(y), plant.keep(u)
         ynorm, unorm = vec_norm(y), vec_norm(u)
         if self.times:
             dt = t - self.times[-1]
@@ -232,15 +319,15 @@ class _Recorder:
             self.u_int.append(0.0)
         self._norms = (ynorm, unorm)
         self.times.append(float(t))
-        self.xs.append(np.array(x, dtype=float))
+        self.xs.append(plant.keep(x))
         self.ys.append(y)
         self.us.append(u)
-        self.residuals.append(float(resid))
+        self.residuals.append(resid)
         self.flags.append(flag)
         self.branches.append(branch)
 
     def build(self, termination: Termination) -> TrajectoryRecord:
-        n, m, _, p = self.sys.dims
+        n, m, _, p = self.plant.sys.dims
         count = len(self.times)
         return TrajectoryRecord(
             times=np.array(self.times),
@@ -257,13 +344,16 @@ class _Recorder:
         )
 
 
-def _validate_run(opts, t0: float, x0, n: int) -> tuple[float, np.ndarray]:
+def _validate_run(opts, t0: float, x0, sys: SystemMatrices, v
+                  ) -> tuple[float, np.ndarray]:
     """Check the inputs of a run where they enter; return (t0, x0) as floats.
 
     Raises ConfigurationError naming the first bad field: ``t0`` and ``x0``
-    finite, ``tmax`` finite and after t0, ``0 < dt_min <= dt``, and every
-    tolerance and threshold the options carry positive.
+    finite, ``tmax`` finite and after t0, ``0 < dt_min <= dt``, every
+    tolerance and threshold the options carry positive, and v(t0) a vector
+    of length m_e.
     """
+    n, _, m_e, _ = sys.dims
     t0 = float(t0)
     if not math.isfinite(t0):
         raise ConfigurationError(f"t0 must be finite, got {t0}")
@@ -285,12 +375,16 @@ def _validate_run(opts, t0: float, x0, n: int) -> tuple[float, np.ndarray]:
         value = getattr(opts, name, None)
         if value is not None and not value > 0:
             raise ConfigurationError(f"{name} must be positive, got {value}")
+    shape = np.shape(v(t0))
+    if shape != (m_e,):
+        raise ConfigurationError(f"v(t0) must have shape ({m_e},), got {shape}")
     return t0, x0
 
 
-def _integrate(rec: _Recorder, opts, t: float, x: np.ndarray, y: np.ndarray,
-               k: np.ndarray, h: float, advance) -> Termination:
-    """Step from the recorded sample (t, x, y, k) and return the termination.
+def _integrate(rec: _Recorder, opts, t: float, x, y, k, h: float,
+               advance) -> Termination:
+    """Step from the recorded sample (t, x, y, k), in the recorder's plant
+    values, and return the termination.
 
     ``advance(t, x, y, k, h) -> (sample | None, h_next, failed)`` attempts
     one step of size h.  A sample (t, x, y, u, xdot, v(t), branch, flag) is
@@ -350,16 +444,19 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
     opts = opts or SimOptions()
     if opts.method not in ("rk4_fixed", "rk45_adaptive"):
         raise ConfigurationError(f"unknown method {opts.method!r}")
-    t0, x0 = _validate_run(opts, t0, x0, sys.dims[0])
+    t0, x0 = _validate_run(opts, t0, x0, sys, v)
 
-    stage = _SolvingStage(sys, f, v, opts.solver)
+    plant = _plant(sys, v)
+    stage = _SolvingStage(plant, f, opts.solver)
     adaptive = opts.method == "rk45_adaptive"
     method = "rkf45" if adaptive else "rk4"
-    rec = _Recorder(sys)
+    rec = _Recorder(plant)
 
     w0 = sys.C @ x0 + sys.D_e @ v(t0)
+    guess = plant.value(_initial_guess(sys, f, t0, w0))
+    x0 = plant.value(x0)
     try:
-        y, u, k, vt = stage(t0, x0, _initial_guess(sys, f, t0, w0))
+        y, u, k, vt = stage(t0, x0, guess)
     except _StageFailure as exc:
         detail = dict(exc.certificate or {})
         term = Termination(kind="no_output_solution", time=t0,
@@ -375,7 +472,7 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
             x_new, _, err, y_last = _rk_step(method, stage, t, x, h, y, k)
             if adaptive:
                 scale = opts.atol + opts.rtol * np.maximum(np.abs(x), np.abs(x_new))
-                errnorm = float(np.max(np.abs(err) / scale)) if x.size else 0.0
+                errnorm = float(np.max(np.abs(err) / scale))
                 if errnorm > 1.0:
                     return None, max(0.5 * h, 0.9 * h * errnorm ** -0.2), False
             sample = (t + h, x_new, *stage(t + h, x_new, y_last), -1,
@@ -405,7 +502,7 @@ def refine_escape_time(record: TrajectoryRecord, sys: SystemMatrices, f, v,
     if record.n_samples == 0:
         return record.termination.time, 0.0
     opts = opts or SimOptions()
-    stage = _SolvingStage(sys, f, v, opts.solver)
+    stage = _SolvingStage(_Plant(sys, v), f, opts.solver)
 
     if record.n_samples >= 2:
         t_lo = float(record.times[-2])

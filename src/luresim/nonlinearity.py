@@ -83,13 +83,20 @@ def _eval_resolved(resolved, x: float) -> float:
     return resolved[0].value(x) if x < resolved[0].lo else resolved[-1].value(x)
 
 
-def vec_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-d float vector, bit-for-bit ``np.linalg.norm``."""
+def vec_norm(v) -> float:
+    """Euclidean norm of a 1-d float vector, bit-for-bit ``np.linalg.norm``.
+
+    A float stands for a vector of length one.
+    """
+    if type(v) is float:
+        return math.sqrt(v * v)
     return math.sqrt(v.dot(v))
 
 
-def all_finite(v: np.ndarray) -> bool:
-    """Whether every entry of a 1-d float vector is finite."""
+def all_finite(v) -> bool:
+    """Whether every entry of a 1-d float vector (or a float) is finite."""
+    if type(v) is float:
+        return math.isfinite(v)
     return all(map(math.isfinite, v.tolist()))
 
 
@@ -153,6 +160,8 @@ class Nonlinearity:
     the evaluator of the opaque kinds only.  ``fn_batch(T, X)``, when
     given, is the vectorised ``fn``: it maps an N x p stack to N x m rows
     equal to ``fn`` bit for bit, with T a 0-d time or one time per row.
+    ``jac_batch(T, X)`` is the vectorised ``jac`` in the same way: N x m x p
+    matrices, each equal to ``jac`` at its row bit for bit.
     """
 
     m: int
@@ -165,6 +174,7 @@ class Nonlinearity:
     name: str = ""
     params: dict = field(default_factory=dict)
     fn_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    jac_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind == "piecewise_scalar":
@@ -491,13 +501,28 @@ def normalized_gain(gain=0.5, p: int = 2, gain_expr: str | None = None) -> Nonli
             return ht * np.eye(p)
         return ht * (np.eye(p) / (1.0 + r) - np.outer(xi, xi) / (r * (1.0 + r) ** 2))
 
+    def jac_batch(T, X):
+        r = row_norms(X)
+        ht = np.broadcast_to(_at_times(h, T), r.shape).astype(float)
+        out = ht[:, None, None] * np.eye(p)          # the rows at the origin
+        live = r != 0.0
+        rl, Xl = r[live], X[live]
+        outer = Xl[:, :, None] * Xl[:, None, :]
+        # float ** 2 is libm pow, which numpy's squaring does not always match
+        sq = np.array([(1.0 + s) ** 2 for s in rl.tolist()])
+        out[live] = ht[live, None, None] * (
+            np.eye(p) / (1.0 + rl)[:, None, None]
+            - outer / (rl * sq)[:, None, None])
+        return out
+
     params = {"p": p}
     if gain_expr is not None:
         params["gain"] = gain_expr
     elif not callable(gain):
         params["gain"] = float(gain)
     return Nonlinearity(m=p, p=p, fn=fn, fn_batch=fn_batch, jac=jac,
-                        name="normalized_gain", params=params)
+                        jac_batch=jac_batch, name="normalized_gain",
+                        params=params)
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -559,8 +584,15 @@ def normalized_rotation(omega: float = 1.0, p: int = 2, frame=None) -> Nonlinear
         P = np.outer(xi, xi) / (1.0 + s2)
         return (1.0 / math.sqrt(1.0 + s2)) * (J(t) @ (np.eye(p) - P))
 
+    def jac_batch(T, X):
+        s2 = np.vecdot(X, X)
+        P = (X[:, :, None] * X[:, None, :]) / (1.0 + s2)[:, None, None]
+        frames = _at_times(J, T)
+        return ((1.0 / np.sqrt(1.0 + s2))[:, None, None]
+                * np.matmul(frames, np.eye(p) - P))
+
     return Nonlinearity(m=p, p=p, fn=fn, fn_batch=fn_batch, jac=jac,
-                        name="normalized_rotation",
+                        jac_batch=jac_batch, name="normalized_rotation",
                         params={"omega": float(omega), "p": p})
 
 

@@ -23,7 +23,8 @@ from scipy.optimize import brentq
 
 from .derivatives import finite_diff_jacobian, finite_diff_jacobians
 from .errors import ConfigurationError, EvaluationError
-from .nonlinearity import Nonlinearity, all_finite, row_norms, vec_norm
+from .nonlinearity import (Nonlinearity, _eval_resolved, all_finite, row_norms,
+                           vec_norm)
 from .system import apply_F, scalar_feedthrough
 
 EXACT_TOL = 1e-12       # residual bound for exact fibre entries
@@ -37,10 +38,12 @@ _RESID_FLOOR = 1e-6     # a fruitless search this close reads not_converged
 class SolveOptions:
     """Tolerances and search parameters for the output solver.
 
-    Newton stops at residual ``tol_resid`` or after ``max_iter`` steps.  A
-    multistart fibre runs Newton from ``n_starts`` seeded Halton points
-    within ``search_radius`` of its centre and merges solutions closer than
-    twice ``tol_sep``.  ``use_structure`` allows the exact fibre.
+    Newton stops at residual ``tol_resid`` or after ``max_iter`` steps; a
+    start stopped by ``max_iter`` while each step still lowered its
+    residual is cut off, not failed.  A multistart fibre runs Newton from
+    ``n_starts`` seeded Halton points within ``search_radius`` of its
+    centre and merges solutions closer than twice ``tol_sep``.
+    ``use_structure`` allows the exact fibre.
     """
 
     tol_resid: float = 1e-10
@@ -54,7 +57,19 @@ class SolveOptions:
 
 @dataclass
 class OutputSolution:
-    status: str                      # unique_point | no_solution | multiple | not_converged
+    """The outcome of ``solve_output``.
+
+    ``status`` is ``unique_point``, ``multiple`` (y is the nearest of
+    several fibre elements, ``n_found`` of them), ``no_solution`` (the
+    exact range analysis excludes w, or every start of a Newton search
+    stopped or stagnated short of it) or ``not_converged`` (a Newton
+    search found nothing, but some start was cut off by ``max_iter`` while
+    its residual still fell, or the least residual met is within 1e-6).
+    y and u = f(t, y) are 1-d arrays, None without a solution;
+    ``certificate`` says why there is none.
+    """
+
+    status: str
     y: np.ndarray | None
     residual: float
     iterations: int
@@ -63,7 +78,6 @@ class OutputSolution:
     u: np.ndarray | None = None      # f(t, y), computed for the residual
 
 
-@dataclass(frozen=True)
 class FibreSet:
     """Exact or approximate representation of F_t^{-1}(w).
 
@@ -71,48 +85,99 @@ class FibreSet:
     segments (scalar flat pieces, or radial segments for structured
     vector nonlinearities).  Scalar segments may have an infinite
     endpoint when a flat piece is unbounded.
+
+    A piecewise-scalar fibre (exact or the oracle's) is built by
+    ``of_floats``: its points and intervals stay plain floats, so its
+    elements, ``nearest`` and the selection policies give floats, and the
+    ``points`` / ``segments`` arrays are built only when read.
     """
 
-    points: tuple[np.ndarray, ...]
-    segments: tuple[tuple[np.ndarray, np.ndarray], ...]
-    exact: bool
-    t: float = 0.0
-    w: np.ndarray | None = None
+    __slots__ = ("exact", "t", "_w", "_points", "_segments", "_floats",
+                 "_ordered")
+
+    def __init__(self, points, segments, exact: bool, t: float = 0.0,
+                 w: np.ndarray | None = None):
+        self.exact, self.t, self._w = exact, t, w
+        self._points, self._segments = tuple(points), tuple(segments)
+        self._floats = None
+        items = [((vec_norm(pt), tuple(pt.tolist())), "point", pt)
+                 for pt in self._points]
+        for a, b in self._segments:
+            rep = a if not all_finite(b) else 0.5 * (a + b)
+            items.append(((vec_norm(rep), tuple(rep.tolist())), "segment", (a, b)))
+        self._ordered = _in_order(items)
+
+    @classmethod
+    def of_floats(cls, points: list[float], segments: list[tuple[float, float]],
+                  exact: bool, t: float, w: float) -> "FibreSet":
+        """The fibre of the scalar target w with these points and intervals,
+        ordered by the same (norm, entries) key as the array form."""
+        fib = cls.__new__(cls)
+        fib.exact, fib.t, fib._w = exact, t, w
+        fib._points = fib._segments = None
+        fib._floats = (points, segments)
+        items = [((math.sqrt(x * x), x), "point", x) for x in points]
+        for lo, hi in segments:
+            rep = lo if not math.isfinite(hi) else 0.5 * (lo + hi)
+            items.append(((math.sqrt(rep * rep), rep), "segment", (lo, hi)))
+        fib._ordered = _in_order(items)
+        return fib
+
+    @property
+    def points(self) -> tuple[np.ndarray, ...]:
+        if self._points is None:
+            self._points = tuple(np.array([x]) for x in self._floats[0])
+        return self._points
+
+    @property
+    def segments(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        if self._segments is None:
+            self._segments = tuple((np.array([lo]), np.array([hi]))
+                                   for lo, hi in self._floats[1])
+        return self._segments
+
+    @property
+    def w(self) -> np.ndarray | None:
+        return self._w if self._floats is None else np.array([self._w])
 
     @property
     def empty(self) -> bool:
-        return not self.points and not self.segments
+        return not self._ordered
 
     @property
     def n_elements(self) -> int:
-        return len(self.points) + len(self.segments)
+        return len(self._ordered)
 
     def is_set_valued(self) -> bool:
-        if self.n_elements >= 2:
+        if len(self._ordered) >= 2:
             return True
-        for a, b in self.segments:
-            if not np.allclose(a, b):
-                return True
-        return False
-
-    def __post_init__(self):
-        # the element order, computed once per fibre
-        items: list[tuple[tuple, str, object]] = []
-        for pt in self.points:
-            items.append(((vec_norm(pt), tuple(pt.tolist())), "point", pt))
-        for a, b in self.segments:
-            rep = a if not all_finite(b) else 0.5 * (a + b)
-            items.append(((vec_norm(rep), tuple(rep.tolist())), "segment", (a, b)))
-        items.sort(key=lambda item: item[0])
-        object.__setattr__(self, "_ordered",
-                           tuple((kind, payload) for _, kind, payload in items))
+        if self._floats is not None:
+            return not all(_allclose_float(lo, hi) for lo, hi in self._floats[1])
+        return not all(np.allclose(a, b) for a, b in self._segments)
 
     def elements(self) -> list[tuple[str, object]]:
         """Deterministic ordering: sort by (norm of representative, entries)."""
         return list(self._ordered)
 
-    def nearest(self, target: np.ndarray) -> tuple[np.ndarray, float, int]:
-        """Closest fibre element to target: (value, distance, element index)."""
+    def nearest(self, target) -> tuple:
+        """Closest fibre element to target: (value, distance, element index).
+
+        The first element in order wins a tie.  A float-backed fibre takes
+        a float (or a vector of length one) and gives a float value.
+        """
+        if not self._ordered:
+            raise ConfigurationError("nearest() called on an empty fibre")
+        if self._floats is not None:
+            x = _as_float(target)
+            best = None
+            for idx, (kind, payload) in enumerate(self._ordered):
+                cand = payload if kind == "point" else min(max(x, payload[0]),
+                                                           payload[1])
+                diff = cand - x
+                dist = math.sqrt(diff * diff)
+                if best is None or dist < best[1]:
+                    best = (cand, dist, idx)
+            return best
         target = np.asarray(target, dtype=float).reshape(-1)
         best = None
         for idx, (kind, payload) in enumerate(self._ordered):
@@ -122,20 +187,40 @@ class FibreSet:
                 cand = _project_onto_segment(target, *payload)
             dist = vec_norm(cand - target)
             if best is None or dist < best[1]:
-                best = (np.asarray(cand, dtype=float), dist, idx)
-        if best is None:
-            raise ConfigurationError("nearest() called on an empty fibre")
-        return best
+                best = (cand, dist, idx)
+        return np.array(best[0], dtype=float), best[1], best[2]
 
     def to_dict(self) -> dict:
+        w = self.w
         return {
             "points": [list(map(float, pt)) for pt in self.points],
             "segments": [[list(map(float, a)), list(map(float, b))]
                          for a, b in self.segments],
             "exact": self.exact,
             "t": float(self.t),
-            "w": None if self.w is None else list(map(float, self.w)),
+            "w": None if w is None else list(map(float, w)),
         }
+
+
+def _in_order(items) -> tuple:
+    """(kind, payload) of each (key, kind, payload) item, sorted stably by key."""
+    items.sort(key=lambda item: item[0])
+    return tuple((kind, payload) for _, kind, payload in items)
+
+
+def _allclose_float(a: float, b: float) -> bool:
+    """``np.allclose`` on one pair of entries, at its default tolerances."""
+    return (abs(a - b) <= 1e-8 + 1e-5 * abs(b) and math.isfinite(b)) or a == b
+
+
+def _as_float(value, name: str = "target") -> float:
+    """A float, or the one entry of a vector ``name`` of length one."""
+    if type(value) is float:
+        return value
+    arr = np.asarray(value, dtype=float).reshape(-1)
+    if arr.size != 1:
+        raise ConfigurationError(f"{name} must have length 1")
+    return float(arr[0])
 
 
 def _project_onto_segment(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,6 +247,13 @@ def _target(w, p: int) -> np.ndarray:
     return w
 
 
+def _scalar_target(w) -> float:
+    """``_target`` for p = 1, as a float."""
+    if type(w) is float and math.isfinite(w):
+        return w
+    return float(_target(w, 1)[0])
+
+
 def _as_feedthrough(D) -> np.ndarray:
     if isinstance(D, np.ndarray) and D.ndim == 2 and D.dtype == np.float64:
         return D
@@ -174,14 +266,16 @@ def residual_norm(f: Nonlinearity, D, t: float, y, w) -> float:
                     - np.asarray(w, dtype=float).reshape(-1))
 
 
-def _value_and_residual(f: Nonlinearity, D: np.ndarray, t: float,
-                        y: np.ndarray, w: np.ndarray):
-    """(f(t, y), ||y - D f(t, y) - w||) with one evaluation."""
+def _value_and_residual(f: Nonlinearity, D: np.ndarray, t: float, y, w):
+    """(f(t, y), ||y - D f(t, y) - w||) with one evaluation.
+
+    With a 1 x 1 feedthrough, y and w are floats and so is f(t, y).
+    """
     if D.shape == (1, 1):
-        fy = f.eval_scalar(t, float(y[0]))
+        fy = f.eval_scalar(t, y)
         if not math.isfinite(fy):
-            raise f._non_finite(t, y)
-        return np.array([fy]), abs(float(y[0]) - float(D[0, 0]) * fy - float(w[0]))
+            raise f._non_finite(t, np.array([y]))
+        return fy, abs(y - float(D[0, 0]) * fy - w)
     u = f(t, y)
     return u, vec_norm(y - D @ u - w)
 
@@ -192,12 +286,13 @@ def _value_and_residual(f: Nonlinearity, D: np.ndarray, t: float,
 
 def _newton(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
             y0: np.ndarray, opts: SolveOptions):
-    """Damped Newton on the output residual: (y, resid, iters, ok, f(t, y)).
+    """Damped Newton on the output residual: (y, resid, iters, ok, f(t, y), cut).
 
-    f(t, y) is None when the first evaluation failed.  The one-start
-    path: ``_newton_stack`` gives the same result for one row but takes
-    about twice as long, which the per-stage solves of ``simulate`` would
-    pay on every step.
+    f(t, y) is None when the first evaluation failed.  ``cut`` marks a
+    start that ran out of ``max_iter`` while every step still lowered its
+    residual.  The one-start path: ``_newton_stack`` gives the same result
+    for one row but takes about twice as long, which the per-stage solves
+    of ``simulate`` would pay on every step.
     """
     p = w.size
     eye = np.eye(p)
@@ -214,18 +309,18 @@ def _newton(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
     try:
         r, u = resid(y)
     except EvaluationError:
-        return y, math.inf, 0, False, None
+        return y, math.inf, 0, False, None, False
     rnorm = vec_norm(r)
     for it in range(1, opts.max_iter + 1):
         if rnorm <= opts.tol_resid:
-            return y, rnorm, it - 1, True, u
+            return y, rnorm, it - 1, True, u, False
         try:
             J = jac(y)
             step = np.linalg.solve(J, -r)
         except (np.linalg.LinAlgError, EvaluationError):
-            return y, rnorm, it - 1, False, u
+            return y, rnorm, it - 1, False, u, False
         if not np.all(np.isfinite(step)):
-            return y, rnorm, it - 1, False, u
+            return y, rnorm, it - 1, False, u, False
         lam = 1.0
         accepted = False
         while lam >= 2.0 ** -30:
@@ -242,13 +337,14 @@ def _newton(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
                 break
             lam *= 0.5
         if not accepted:
-            return y, rnorm, it, False, u   # stagnation
-    return y, rnorm, opts.max_iter, rnorm <= opts.tol_resid, u
+            return y, rnorm, it, False, u, False   # stagnation
+    ok = rnorm <= opts.tol_resid
+    return y, rnorm, opts.max_iter, ok, u, not ok
 
 
 def _newton_stack(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
                   Y0: np.ndarray, opts: SolveOptions):
-    """``_newton`` from every row of Y0 at once: (Y, resid, iters, ok) arrays.
+    """``_newton`` from every row of Y0 at once: (Y, resid, iters, ok, cut) arrays.
 
     Every start follows the iteration it would follow alone.  The starts
     still running advance together, one stacked ``np.linalg.solve`` per
@@ -267,6 +363,8 @@ def _newton_stack(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
         """Jacobians of the residual; NaN where an evaluation failed."""
         if f.jac is None:
             Jf = finite_diff_jacobians(f, t, Y, strict=False)
+        elif f.jac_batch is not None:
+            Jf = f.jac_batch(np.asarray(t, dtype=float), Y)
         else:
             Jf = np.empty((len(Y), f.m, p))
             for i, y in enumerate(Y):
@@ -310,7 +408,7 @@ def _newton_stack(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
         running[idx] = False
     iters[running] = opts.max_iter
     ok[running] = rnorm[running] <= opts.tol_resid
-    return Y, rnorm, iters, ok
+    return Y, rnorm, iters, ok, running & ~ok
 
 
 def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -377,16 +475,26 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
     singularity or stagnation, the multistart fibre around the guess is
     searched.  Either fibre yields its element nearest to y_guess;
     ``status="multiple"`` flags a fibre with more than one element.
+
+    A search that finds nothing reads ``not_converged`` when some Newton
+    start ran out of ``max_iter`` while its residual was still falling, or
+    when the least residual met stays within 1e-6; otherwise it reads
+    ``no_solution``.  Neither proves the fibre empty: only the exact
+    route's range analysis does that.
     """
     opts = opts or SolveOptions()
     if opts.max_iter < 1:
         raise ConfigurationError("max_iter must be at least 1")
     D = sys.D
     p = D.shape[0]
-    w = _target(w, p)
-    y_guess = np.asarray(y_guess, dtype=float).reshape(-1)
-    if y_guess.size != p:
-        raise ConfigurationError(f"y_guess must have length {p}")
+    scalar = D.shape == (1, 1)          # w, y_guess, y and u as floats
+    if scalar:
+        w, y_guess = _scalar_target(w), _as_float(y_guess, "y_guess")
+    else:
+        w = _target(w, p)
+        y_guess = np.asarray(y_guess, dtype=float).reshape(-1)
+        if y_guess.size != p:
+            raise ConfigurationError(f"y_guess must have length {p}")
 
     if opts.use_structure and exact_structure_available(f, D):
         fib = enumerate_fibre_exact(f, D, t, w, tol_sep=opts.tol_sep)
@@ -398,23 +506,30 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
                              "detail": "exact piecewise range analysis"},
             )
     else:
-        y, rnorm, iters, ok, u = _newton(f, D, t, w, y_guess, opts)
+        w_vec = np.array([w]) if scalar else w
+        guess = np.array([y_guess]) if scalar else y_guess
+        y, rnorm, iters, ok, u, cut = _newton(f, D, t, w_vec, guess, opts)
         if ok:
             return OutputSolution(status="unique_point", y=y, residual=rnorm,
                                   iterations=iters, n_found=1, u=u)
-        fib, least, more = _multistart(f, D, t, w, y_guess, opts)
+        fib, least, more, cut_more = _multistart(f, D, t, w_vec, guess, opts)
         iters += more
         if fib.empty:
             least = min(rnorm, least)
-            status = "no_solution" if least > _RESID_FLOOR else "not_converged"
+            unresolved = cut or cut_more or least <= _RESID_FLOOR
             return OutputSolution(
-                status=status, y=None, residual=least, iterations=iters,
+                status="not_converged" if unresolved else "no_solution",
+                y=None, residual=least, iterations=iters,
                 certificate={"kind": "exhaustion", "n_starts": opts.n_starts + 1,
                              "min_residual": least},
             )
 
     y, _, _ = fib.nearest(y_guess)
+    if scalar:
+        y = _as_float(y)
     u, resid = _value_and_residual(f, D, t, y, w)
+    if scalar:
+        y, u = np.array([y]), np.array([u])
     status = "multiple" if fib.is_set_valued() else "unique_point"
     return OutputSolution(status=status, y=y, residual=resid, iterations=iters,
                           n_found=fib.n_elements, u=u)
@@ -530,21 +645,28 @@ def _in_interval(x: float, lo: float, hi: float) -> bool:
 def _assemble_scalar_fibre(point_vals: list[float],
                            segment_vals: list[tuple[float, float]],
                            resid_of, tol_sep: float):
-    """Dedupe roots, absorb points into segments, merge touching segments."""
+    """Dedupe roots, absorb points into segments, merge touching segments.
+
+    Of a cluster of nearby roots the one with the least |resid_of| is
+    kept, the first on a tie; a cluster of equal roots (one root found on
+    two touching pieces) keeps its first without evaluating.
+    """
+    pts: list[float] = []
+    for group in _cluster_scalar_sorted(point_vals, 2.0 * tol_sep):
+        if group[0] == group[-1]:
+            pts.append(group[0])
+            continue
+        candidates = group + [0.5 * (group[0] + group[-1])]
+        best = min(candidates, key=lambda x: abs(resid_of(x)))
+        pts.append(best)
+    if not segment_vals:
+        return sorted(set(pts)), []
     segs: list[tuple[float, float]] = []
     for lo, hi in sorted(segment_vals):
         if segs and lo <= segs[-1][1] + 1e-9:
             segs[-1] = (segs[-1][0], max(segs[-1][1], hi))
         else:
             segs.append((lo, hi))
-    pts: list[float] = []
-    for group in _cluster_scalar_sorted(point_vals, 2.0 * tol_sep):
-        if len(group) == 1:
-            pts.append(group[0])
-            continue
-        candidates = group + [0.5 * (group[0] + group[-1])]
-        best = min(candidates, key=lambda x: abs(resid_of(x)))
-        pts.append(best)
     kept = []
     for x in pts:
         inside = any(lo - 1e-9 <= x <= hi + 1e-9 for lo, hi in segs)
@@ -569,33 +691,32 @@ def enumerate_fibre_exact(f: Nonlinearity, D, t: float, w,
     form (affine, quadratic, or arctan pieces) and keep roots inside the
     piece interval; flat pieces matching w contribute segments.  Radial
     case: the same machinery applied to the amplitude profile along the
-    target direction.
+    target direction.  A piecewise-scalar fibre is float-backed
+    (``FibreSet.of_floats``), and its w may be a float.
     """
     D = _as_feedthrough(D)
-    w = _target(w, D.shape[0])
+    p = D.shape[0]
 
     if f.kind == "piecewise_scalar":
+        target = _scalar_target(w) if p == 1 else _target(w, p)
         if D.shape != (1, 1):
             raise ConfigurationError("piecewise-scalar fibre needs scalar D")
         d = float(D[0, 0])
-        target = float(w[0])
+        resolved = f.resolved_structure(t)
         pts_raw: list[float] = []
         segs_raw: list[tuple[float, float]] = []
-        for pc in f.resolved_structure(t):
+        for pc in resolved:
             pts, segs = _piece_roots_for_target(pc, d, target)
             pts_raw.extend(pts)
             segs_raw.extend(segs)
 
         def resid_of(x: float) -> float:
-            return x - d * f.eval_scalar(t, x) - target
+            return x - d * _eval_resolved(resolved, x) - target
 
         pts, segs = _assemble_scalar_fibre(pts_raw, segs_raw, resid_of, tol_sep)
-        return FibreSet(
-            points=tuple(np.array([x]) for x in pts),
-            segments=tuple((np.array([lo]), np.array([hi])) for lo, hi in segs),
-            exact=True, t=t, w=w.copy(),
-        )
+        return FibreSet.of_floats(pts, segs, exact=True, t=t, w=target)
 
+    w = _target(w, p)
     if f.kind == "radial":
         d = scalar_feedthrough(D)
         if d is None:
@@ -653,10 +774,11 @@ def enumerate_fibre_multistart(f: Nonlinearity, D, t: float, w,
 
 def _multistart(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
                 center: np.ndarray, opts: SolveOptions):
-    """The multistart fibre around center: (FibreSet, least residual, iterations)."""
+    """The multistart fibre around center: (FibreSet, least residual,
+    iterations, whether a start was cut off by max_iter)."""
     p = w.size
     starts = _halton_starts(center, opts.search_radius, opts.n_starts, opts.seed)
-    ys, rs, its, oks = _newton_stack(f, D, t, w, starts, opts)
+    ys, rs, its, oks, cuts = _newton_stack(f, D, t, w, starts, opts)
     found: list[np.ndarray] = list(ys[oks])
     if p == 1:
         for root in _scalar_bracket_roots(f, D, t, w, center, opts):
@@ -681,7 +803,7 @@ def _multistart(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
                 reps.append(np.array([group[0]]))
     fib = FibreSet(points=tuple(reps), segments=tuple(segments),
                    exact=False, t=t, w=w.copy())
-    return fib, min(rs.tolist(), default=math.inf), int(its.sum())
+    return fib, min(rs.tolist(), default=math.inf), int(its.sum()), bool(cuts.any())
 
 
 def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
@@ -726,11 +848,7 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
                                        xtol=1e-13)))
         pts, segs = _assemble_scalar_fibre(points, segments, resid_scalar,
                                            tol_sep=h_scan * 0.5)
-        return FibreSet(
-            points=tuple(np.array([x]) for x in pts),
-            segments=tuple((np.array([lo]), np.array([hi])) for lo, hi in segs),
-            exact=False, t=t, w=w.copy(),
-        )
+        return FibreSet.of_floats(pts, segs, exact=False, t=t, w=target)
 
     if p == 2:
         n = int(round(2.0 * R / h_scan)) + 1
@@ -746,7 +864,7 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
                                          indexing="ij"), axis=-1).reshape(-1, 2)
             near = row_norms(apply_F(D, f, t, cells) - w) < tol_cell
             for y in cells[near]:
-                ys, _, _, ok, _ = _newton(f, D, t, w, y, opts)
+                ys, _, _, ok, _, _ = _newton(f, D, t, w, y, opts)
                 if ok:
                     hits.append(ys)
         reps = _cluster_vectors(hits, 2.0 * h_scan)

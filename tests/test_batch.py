@@ -206,6 +206,51 @@ def test_stacked_clarke_equals_per_point(entry, rng):
 # Stacked multistart Newton
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("make", [
+    normalized_rotation, lambda: normalized_rotation(omega=2.3),
+    normalized_gain, lambda: normalized_gain(gain=lambda t: 0.5 + 0.1 * math.sin(t),
+                                             p=3),
+])
+def test_jac_batch_equals_jac(make, rng):
+    # one time for all rows and one time per row, at scales 1e-3 to 1e3,
+    # the origin included
+    f = make()
+    for scale in (1e-3, 1.0, 1e3):
+        X = rng.normal(size=(200, f.p)) * scale
+        X[0] = 0.0
+        T = rng.uniform(0.0, 5.0, 200)
+        for t, times in ((T, T), (np.asarray(0.7), [0.7] * len(X))):
+            J = f.jac_batch(t, X)
+            assert J.shape == (len(X), f.m, f.p)
+            for i, xi in enumerate(X):
+                assert J[i].tobytes() == f.jac(times[i], xi).tobytes()
+
+
+def test_stacked_newton_uses_jac_batch(entry):
+    # the per-start jac loop is left to Jacobians without a batch form
+    import dataclasses
+
+    f = entry("ex4b").nonlinearity
+    calls = []
+
+    def counted(t, xi):
+        calls.append(t)
+        return f.jac(t, xi)
+
+    starts = _halton_starts(np.array([0.4, -0.2]), 8.0, 16, 0)
+    w = np.array([0.4, -0.2])
+    D = entry("ex4b").system.D
+    opts = SolveOptions(max_iter=12)
+    batched = _newton_stack(dataclasses.replace(f, jac=counted), D, 0.3, w,
+                            starts, opts)
+    assert not calls
+    looped = _newton_stack(dataclasses.replace(f, jac=counted, jac_batch=None),
+                           D, 0.3, w, starts, opts)
+    assert calls
+    for a, b in zip(batched, looped):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("name,w", [("ex4a", [0.3, 0.1]), ("ex4b", [0.4, -0.2]),
                                     ("ex4c", [1.5, 0.5]), ("ex3d", [0.7])])
 def test_stacked_newton_equals_per_start_runs(entry, name, w):
@@ -214,13 +259,14 @@ def test_stacked_newton_equals_per_start_runs(entry, name, w):
     w = np.asarray(w, dtype=float)
     opts = SolveOptions(max_iter=12)
     starts = _halton_starts(w, 10.0, 24, 0)
-    Y, resid, iters, ok = _newton_stack(f, D, 1.3, w, starts, opts)
+    Y, resid, iters, ok, cut = _newton_stack(f, D, 1.3, w, starts, opts)
     for i, y0 in enumerate(starts):
-        y, r, it, o, _ = _newton(f, D, 1.3, w, y0, opts)
+        y, r, it, o, _, c = _newton(f, D, 1.3, w, y0, opts)
         assert np.array_equal(Y[i], y)
         assert resid[i] == r
         assert iters[i] == it
         assert ok[i] == o
+        assert cut[i] == c
 
 
 @pytest.mark.parametrize("analytic", [False, True])
@@ -240,8 +286,9 @@ def test_stacked_newton_failures_match_per_start_runs(analytic):
     w = np.array([-0.5])
     starts = np.array([[-2.0], [0.5], [3.0], [-0.9], [10.0], [0.0]])
     opts = SolveOptions(max_iter=30)
-    Y, resid, iters, ok = _newton_stack(f, D, 0.0, w, starts, opts)
+    Y, resid, iters, ok, cut = _newton_stack(f, D, 0.0, w, starts, opts)
     for i, y0 in enumerate(starts):
-        y, r, it, o, _ = _newton(f, D, 0.0, w, y0, opts)
-        assert (np.array_equal(Y[i], y), resid[i], iters[i], ok[i]) == (True, r, it, o)
+        y, r, it, o, _, c = _newton(f, D, 0.0, w, y0, opts)
+        assert (np.array_equal(Y[i], y), resid[i], iters[i], ok[i], cut[i]) == \
+            (True, r, it, o, c)
     assert not ok.all()

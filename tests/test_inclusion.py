@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import luresim.inclusion as inclusion
 from luresim import (ConfigurationError, EmptyFibreError, FibreSet,
-                     InclusionOptions, Nonlinearity, SelectionPolicy, SimOptions,
+                     InclusionOptions, Nonlinearity, ScalarPiece,
+                     SelectionPolicy, SimOptions, SystemMatrices,
                      check_image_convexity, compare_to_reference,
                      constant_input, enumerate_fibre_exact, parabolic_band,
-                     residual_norm, select_from_fibre, simulate,
-                     simulate_inclusion)
+                     piecewise_scalar, residual_norm, select_from_fibre,
+                     simulate, simulate_inclusion)
 
 LN2 = math.log(2.0)
 
@@ -196,6 +199,50 @@ def test_exact_route_inclusion_equals_simulate(entry, name, tmax):
         (term_sim.kind, term_sim.time, term_sim.bracket)
 
 
+@st.composite
+def _monotone_scalar_systems(draw):
+    """(sys, f, v, x0) with n = m = m_e = p = 1 and a continuous piecewise-
+    linear f whose output map x - d f(x) has slope at least 1/2, so every
+    fibre is one point; small coefficients keep each step's output move
+    far below the jump threshold."""
+    unit = st.floats(-1.0, 1.0)
+    breaks = sorted(draw(st.lists(st.floats(-2.0, 2.0), max_size=3,
+                                  unique=True)))
+    edges = [-math.inf, *breaks, math.inf]
+    pieces, c0 = [], draw(unit)
+    for lo, hi in zip(edges, edges[1:]):
+        c1 = draw(st.floats(-0.5, 0.5))
+        if pieces:
+            c0 = pieces[-1].at(0.0).value(lo) - lo * c1
+        pieces.append(ScalarPiece(lo=lo, hi=hi, c0=c0, c1=c1))
+    a, b, b_e, c, d, d_e = (draw(unit) for _ in range(6))
+    sys = SystemMatrices(A=[[a]], B=[[b]], B_e=[[b_e]], C=[[c]], D=[[d]],
+                         D_e=[[d_e]])
+    return (sys, piecewise_scalar(pieces), constant_input([draw(unit)]),
+            np.array([draw(unit)]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_monotone_scalar_systems())
+def test_simulate_equals_inclusion_on_unique_fibres(case):
+    # the point-valued solve and the nearest_previous selection resolve
+    # the same output from the same singleton fibre, stage by stage
+    sys, f, v, x0 = case
+    rec_sim = simulate(sys, f, v, 0.0, x0,
+                       SimOptions(method="rk4_fixed", dt=1e-3, tmax=0.05))
+    rec_inc = simulate_inclusion(sys, f, v, 0.0, x0,
+                                 SelectionPolicy.nearest_previous(),
+                                 InclusionOptions(method="rk4", dt=1e-3,
+                                                  tmax=0.05))
+    assert rec_sim.n_samples == rec_inc.n_samples == 51
+    for field in ("times", "x", "y", "u", "residuals", "y_integral",
+                  "u_integral"):
+        assert getattr(rec_inc, field).tobytes() == \
+            getattr(rec_sim, field).tobytes(), field
+    assert set(rec_inc.flags) == set(rec_sim.flags) == {""}
+    assert rec_inc.termination == rec_sim.termination
+
+
 def test_unavoidable_jump_is_taken_and_flagged(entry):
     # forcing drives w below the fold with no continuation: the selection
     # must jump to the remaining branch, flagged.
@@ -278,16 +325,20 @@ def test_fold_free_map_skips_fold_landing(entry, monkeypatch):
 
 def test_euler_inclusion_evaluates_f_once_per_step(entry, monkeypatch):
     # the accepted sample's u feeds the record, the residual and the next
-    # Euler slope
+    # Euler slope; a 1 x 1 system evaluates f through eval_scalar
     e = entry("ex3c")
     calls = []
-    evaluate = Nonlinearity.eval
 
-    def counting(self, t, xi):
-        calls.append(t)
-        return evaluate(self, t, xi)
+    def counting(method):
+        evaluate = getattr(Nonlinearity, method)
 
-    monkeypatch.setattr(Nonlinearity, "eval", counting)
+        def counted(self, t, xi):
+            calls.append(t)
+            return evaluate(self, t, xi)
+        return counted
+
+    for method in ("eval", "eval_scalar"):
+        monkeypatch.setattr(Nonlinearity, method, counting(method))
     rec = simulate_inclusion(e.system, e.nonlinearity, e.input, 0.0, e.x0,
                              SelectionPolicy.fixed_branch(1),
                              InclusionOptions(method="euler", dt=1e-3, tmax=0.2))

@@ -299,3 +299,68 @@ def test_summary_reports_termination_fields(entry):
     assert s["termination"] == "no_output_solution"
     assert s["t_star"] == rec.termination.time
     assert s["y_integral_norm"] == rec.y_integral_norm
+
+
+# ---------------------------------------------------------------------------
+# The float form of 1 x 1 systems
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_scalar_plant_matches_array_products(rng):
+    # numpy accumulates a 1 x 1 product as 0 + a x: [[-1.]] @ [0.] is +0.0,
+    # and the float form must keep that sign, underflow included
+    specials = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-200, -1e-200, 5e-324, -3.25]
+    for _ in range(400):
+        a, b, b_e, c, d, d_e, x, y, u, vt = rng.choice(specials, size=10)
+        sys = SystemMatrices(A=[[a]], B=[[b]], B_e=[[b_e]], C=[[c]], D=[[d]],
+                             D_e=[[d_e]])
+        floats = integrator._ScalarPlant(sys, None)
+        arrays = integrator._Plant(sys, None)
+        X, Y, U, V = (np.array([z]) for z in (x, y, u, vt))
+        x, y, u, vt = float(x), float(y), float(u), float(vt)
+        assert _same_bits(floats.target(x, vt), arrays.target(X, V))
+        assert _same_bits(floats.slope(x, u, vt), arrays.slope(X, U, V))
+        assert _same_bits(floats.residual(x, y, u, vt),
+                          arrays.residual(X, Y, U, V))
+        if c * c != 0.0:
+            assert _same_bits(floats.shift_target(x, vt),
+                              arrays.shift_target(X, float(vt)))
+
+
+@pytest.mark.parametrize("name, x0, v", [
+    ("ex3c", -0.0, 0.0), ("ex3c", 0.25, -0.0), ("sec42a", -0.0, -0.0),
+    ("sec42c", 0.5, -0.0),
+])
+def test_float_stage_equals_array_path(entry, monkeypatch, name, x0, v):
+    # both integrators on a 1 x 1 system from x0 = -0.0 or under v = -0.0,
+    # with the float form and with the array form forced
+    from luresim import (InclusionOptions, SelectionPolicy, constant_input,
+                         simulate_inclusion)
+    import luresim.inclusion as inclusion
+
+    e = entry(name)
+    x0, v = np.array([x0]), constant_input([v])
+
+    def runs():
+        sim = simulate(e.system, e.nonlinearity, v, 0.0, x0,
+                       SimOptions(method="rk4_fixed", dt=1e-2, tmax=0.3))
+        inc = simulate_inclusion(e.system, e.nonlinearity, v, 0.0, x0,
+                                 SelectionPolicy.min_norm(),
+                                 InclusionOptions(method="rk4", dt=1e-2,
+                                                  tmax=0.3))
+        return sim, inc
+
+    floats = runs()
+    monkeypatch.setattr(integrator, "_plant", integrator._Plant)
+    monkeypatch.setattr(inclusion, "_plant", integrator._Plant)
+    arrays = runs()
+    for got, want in zip(floats, arrays):
+        assert got.n_samples > 1
+        for field in ("times", "x", "y", "u", "residuals", "y_integral",
+                      "u_integral"):
+            assert _same_bits(getattr(got, field), getattr(want, field)), field
+        assert got.flags == want.flags
+        assert got.termination == want.termination

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from luresim import (ConfigurationError, ScalarPiece, SolveOptions,
-                     brute_force_fibre_oracle, check_image_convexity,
-                     deadzone_saturation, enumerate_fibre_exact,
-                     enumerate_fibre_multistart, identity_minus_atan,
-                     parabolic_band, piecewise_scalar, residual_norm,
-                     solve_output, zero_nonlinearity)
+from luresim import (EXAMPLE_NAMES, ConfigurationError, FibreSet, ScalarPiece,
+                     SelectionPolicy, SolveOptions, brute_force_fibre_oracle,
+                     check_image_convexity, deadzone_saturation,
+                     enumerate_fibre_exact, enumerate_fibre_multistart,
+                     identity_minus_atan, parabolic_band, piecewise_scalar,
+                     residual_norm, select_from_fibre, solve_output,
+                     zero_nonlinearity)
 from luresim.inclusion import _fold_candidates
 from luresim.output_solver import _newton
 
@@ -78,6 +79,25 @@ def test_exhaustion_certificate_counts_every_start(entry):
     sol = solve_output(e.system, e.nonlinearity, 0.0, [1.0 + 5e-7], [0.0], opts)
     assert sol.status == "not_converged"
     assert sol.certificate["min_residual"] == pytest.approx(5e-7, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["ex4a", "ex4b", "ex4c"])
+def test_truncated_search_reads_not_converged(entry, name):
+    # one Newton iteration per start on targets that solve uniquely with
+    # the default budget: the starts run out of max_iter while their
+    # residuals still fall, which is no evidence of an empty fibre
+    e = entry(name)
+    rng = np.random.default_rng(EXAMPLE_NAMES.index(name))
+    for _ in range(12):
+        t = float(rng.uniform(0.0, 1.0))
+        w, guess = rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)
+        full = solve_output(e.system, e.nonlinearity, t, w, guess,
+                            SolveOptions(use_structure=False))
+        assert full.status == "unique_point"
+        cut = solve_output(e.system, e.nonlinearity, t, w, guess,
+                           SolveOptions(use_structure=False, max_iter=1))
+        assert (cut.status, cut.y) == ("not_converged", None)
+        assert cut.certificate["kind"] == "exhaustion"
 
 
 @pytest.mark.parametrize("name", ["ex3c", "ex4a", "ex4b", "ex4c"])
@@ -319,22 +339,46 @@ def test_oracle_equivalence_spot(entry, name):
             assert abs(la - lb) <= 1e-3 and abs(ha - hb) <= 1e-3
 
 
+def _resolve(value, t: float) -> float:
+    return value(t) if callable(value) else value
+
+
 @st.composite
 def _continuous_tilings(draw):
-    """(f, d): a continuous piecewise-quadratic f and a scalar feedthrough d."""
+    """(f, d, t): a continuous piecewise-quadratic f, a scalar feedthrough d
+    and a time t.  A time-varying f (one draw in two) has coefficients
+    c + rate sin(t) and breakpoints moving together by shift sin(t)."""
     coeff = st.floats(-2.0, 2.0)
+    varying = draw(st.booleans())
     breaks = sorted(draw(st.lists(st.floats(-3.0, 3.0), max_size=3,
                                   unique=True)))
-    edges = [-math.inf, *breaks, math.inf]
-    c0 = draw(coeff)
+    if varying:
+        shift = draw(st.floats(-0.5, 0.5))
+
+        def moving(value):
+            rate = draw(coeff)
+            return lambda t: value + rate * math.sin(t)
+        edges = [-math.inf, *(lambda t, b=b: b + shift * math.sin(t)
+                              for b in breaks), math.inf]
+    else:
+        def moving(value):
+            return value
+        edges = [-math.inf, *breaks, math.inf]
+    c0 = moving(draw(coeff))
     pieces = []
     for lo, hi in zip(edges, edges[1:]):
-        c1, c2 = draw(coeff), draw(coeff)
+        c1, c2 = moving(draw(coeff)), moving(draw(coeff))
         if pieces:
             # continuity at the breakpoint fixes the offset
-            c0 = pieces[-1].at(0.0).value(lo) - lo * (c1 + lo * c2)
+            def c0(t, prev=pieces[-1], lo=lo, c1=c1, c2=c2):
+                x = _resolve(lo, t)
+                return prev.at(t).value(x) - x * (_resolve(c1, t)
+                                                  + x * _resolve(c2, t))
+            if not varying:
+                c0 = c0(0.0)
         pieces.append(ScalarPiece(lo=lo, hi=hi, c0=c0, c1=c1, c2=c2))
-    return piecewise_scalar(pieces), draw(coeff)
+    t = draw(st.floats(0.0, 3.0)) if varying else 0.0
+    return piecewise_scalar(pieces), draw(coeff), t
 
 
 @settings(max_examples=25, deadline=None)
@@ -342,12 +386,12 @@ def _continuous_tilings(draw):
 def test_exact_fibre_matches_oracle_on_random_tilings(case, w):
     # targets at least 1e-3 from every fold value, so every root is simple
     # and the oracle's sign-change scan sees it
-    f, d = case
+    f, d, t = case
     assume(all(abs(w - value) >= 1e-3
-               for _, value in _fold_candidates(f, d, 0.0)))
+               for _, value in _fold_candidates(f, d, t)))
     R, h_scan = 4.0, 1e-3
-    exact = enumerate_fibre_exact(f, [[d]], 0.0, [w])
-    oracle = brute_force_fibre_oracle(f, [[d]], 0.0, [w], R=R, h_scan=h_scan)
+    exact = enumerate_fibre_exact(f, [[d]], t, [w])
+    oracle = brute_force_fibre_oracle(f, [[d]], t, [w], R=R, h_scan=h_scan)
     e_pts, e_segs = _clip_exact_to_window(exact, R, margin=1e-2)
     o_pts, o_segs = _clip_exact_to_window(oracle, R, margin=1e-2)
     assert len(e_pts) == len(o_pts), (e_pts, o_pts)
@@ -374,6 +418,26 @@ def test_exact_fibre_entries_at_roundoff(entry, name):
             for end in (a, b):
                 if np.all(np.isfinite(end)):
                     assert residual_norm(f, D, t, end, [w]) <= 1e-12
+
+
+def test_nearest_tie_goes_to_first_element(entry):
+    # the fibre of 1/16 under parabolic_band is {-0.25, 0.25, -0.6875}, in
+    # (norm, entries) order; 0 is as far from -0.25 as from 0.25, and
+    # -0.46875 as far from -0.25 as from -0.6875, all exactly
+    f, D = entry("ex3c").nonlinearity, [[1.0]]
+    fib = enumerate_fibre_exact(f, D, 0.0, [0.0625])
+    assert fib.elements() == [("point", -0.25), ("point", 0.25),
+                              ("point", -0.6875)]
+    arrays = FibreSet(points=fib.points, segments=(), exact=True)
+    for target in (0.0, -0.46875):
+        assert fib.nearest(target) == (-0.25, abs(target + 0.25), 0)
+        value, dist, idx = arrays.nearest([target])
+        assert (value.tolist(), dist, idx) == ([-0.25], abs(target + 0.25), 0)
+        assert select_from_fibre(fib, SelectionPolicy.nearest_previous(),
+                                 prev_y=target) == (-0.25, 0)
+    assert select_from_fibre(fib, SelectionPolicy.min_norm()) == (-0.25, 0)
+    sol = solve_output(entry("ex3c").system, f, 0.0, [0.0625], [0.0])
+    assert (sol.y.tolist(), sol.status, sol.n_found) == ([-0.25], "multiple", 3)
 
 
 def test_exact_fibre_points_separated(entry):

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from luresim import (ConfigurationError, InclusionOptions, SelectionPolicy,
-                     SimOptions, SystemMatrices, parabolic_band, simulate,
-                     simulate_inclusion, summary_dict, write_csv, zero_input)
+                     SimOptions, SystemMatrices, constant_input,
+                     parabolic_band, simulate, simulate_inclusion,
+                     summary_dict, write_csv, zero_input)
 from luresim.cli import main
 
 NAN, INF = math.nan, math.inf
@@ -60,6 +61,19 @@ def test_bad_run_input_is_rejected_naming_its_field(entry, integrator, field, ba
     e = entry("sec42a")
     with pytest.raises(ConfigurationError, match=rf"^{field} "):
         _run(e, integrator, **bad)
+
+
+@pytest.mark.parametrize("name", ["sec42a", "ex3b"])
+def test_input_of_wrong_length_is_rejected(entry, name):
+    # sec42a runs on floats, which would otherwise read only v(t)[0]
+    e = entry(name)
+    v = constant_input([0.1, 0.2])
+    with pytest.raises(ConfigurationError, match=r"^v\(t0\) must have shape \(1,\)"):
+        simulate(e.system, e.nonlinearity, v, 0.0, e.x0, SimOptions(tmax=0.01))
+    with pytest.raises(ConfigurationError, match=r"^v\(t0\) "):
+        simulate_inclusion(e.system, e.nonlinearity, v, 0.0, e.x0,
+                           SelectionPolicy.nearest_previous(),
+                           InclusionOptions(tmax=0.01))
 
 
 @pytest.mark.parametrize("integrator", BOTH)

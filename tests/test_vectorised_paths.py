@@ -130,7 +130,7 @@ def _planar_oracle_loop(f, D, t, w, R, h_scan):
         for x2 in axis:
             y = np.array([x1, x2])
             if residual_norm(f, D, t, y, w) < max(1e-6, h_scan):
-                ys, _, _, ok, _ = _newton(f, D, t, w, y, opts)
+                ys, _, _, ok, _, _ = _newton(f, D, t, w, y, opts)
                 if ok:
                     hits.append(ys)
     return _cluster_vectors(hits, 2.0 * h_scan)

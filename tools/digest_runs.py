@@ -6,6 +6,11 @@ on the parent and on the change::
 
     PYTHONPATH=src python3 tools/digest_runs.py > digests.txt
 
+``--only REGEX`` digests only the lines whose name matches REGEX
+(``re.search``): ``--only '^inclusion/'`` takes the exact-route runs in
+seconds, ``--only 'ex3c|sec42a'`` two entries, ``--only '^solve/'`` the
+Newton-route solves.
+
 The grid:
 
 - ``simulate`` on each of the ten catalog entries with ``rk4_fixed`` and
@@ -33,7 +38,9 @@ the number of fibre elements and the certificate.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import re
 import sys
 from collections import Counter
 
@@ -60,6 +67,11 @@ def _digest(record, escape, with_flags: bool) -> str:
     return h.hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _entry(name: str):
+    return luresim.build_example(name)
+
+
 def _line(name: str, run) -> str:
     try:
         record, escape = run()
@@ -71,7 +83,9 @@ def _line(name: str, run) -> str:
             f"{_digest(record, escape, False)} {flags}")
 
 
-def _simulate(entry, method: str):
+def _simulate(label: str, name: str, method: str) -> str:
+    entry = _entry(name)
+
     def run():
         opts = luresim.SimOptions(method=method, dt=entry.dt, tmax=entry.tmax)
         record = luresim.simulate(entry.system, entry.nonlinearity,
@@ -82,10 +96,16 @@ def _simulate(entry, method: str):
                 record, entry.system, entry.nonlinearity, entry.input,
                 time_tol=1e-7, opts=opts)
         return record, escape
-    return run
+    return _line(label, run)
 
 
-def _inclusion(entry, method: str, policy: str):
+def _inclusion(label: str, name: str, method: str, policy: str) -> str | None:
+    """The run's line; None for an entry without exact fibres."""
+    entry = _entry(name)
+    if not luresim.exact_structure_available(entry.nonlinearity,
+                                             entry.system.D):
+        return None
+
     def run():
         opts = luresim.InclusionOptions(method=method, dt=1e-3,
                                         tmax=entry.tmax)
@@ -93,49 +113,60 @@ def _inclusion(entry, method: str, policy: str):
             entry.system, entry.nonlinearity, entry.input, entry.t0,
             entry.x0, luresim.SelectionPolicy.parse(policy), opts)
         return record, None
-    return run
+    return _line(label, run)
 
 
-def _solve_lines(name: str, entry):
-    p = entry.system.dims[3]
+@functools.lru_cache(maxsize=None)
+def _draws(name: str):
+    p = _entry(name).system.dims[3]
     rng = np.random.default_rng(luresim.EXAMPLE_NAMES.index(name))
-    draws = [(float(rng.uniform(0.0, 1.0)), rng.uniform(-2.0, 2.0, p),
-              rng.uniform(-2.0, 2.0, p)) for _ in range(12)]
-    for max_iter in (1, 100):
-        opts = luresim.SolveOptions(use_structure=False, max_iter=max_iter)
-        for k, (t, w, guess) in enumerate(draws):
-            sol = luresim.solve_output(entry.system, entry.nonlinearity, t, w,
-                                       guess, opts)
-            h = hashlib.sha256(repr((sol.status, sol.residual, sol.n_found,
-                                     sol.certificate)).encode())
-            for arr in (sol.y, sol.u):
-                if arr is not None:
-                    h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-            yield f"solve/{name}/{max_iter}/{k} {h.hexdigest()} {sol.iterations}"
+    return [(float(rng.uniform(0.0, 1.0)), rng.uniform(-2.0, 2.0, p),
+             rng.uniform(-2.0, 2.0, p)) for _ in range(12)]
+
+
+def _solve(label: str, name: str, max_iter: int, k: int) -> str:
+    entry = _entry(name)
+    t, w, guess = _draws(name)[k]
+    opts = luresim.SolveOptions(use_structure=False, max_iter=max_iter)
+    sol = luresim.solve_output(entry.system, entry.nonlinearity, t, w, guess,
+                               opts)
+    h = hashlib.sha256(repr((sol.status, sol.residual, sol.n_found,
+                             sol.certificate)).encode())
+    for arr in (sol.y, sol.u):
+        if arr is not None:
+            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return f"{label} {h.hexdigest()} {sol.iterations}"
+
+
+def _grid():
+    """(line name, function, arguments) of every line, in print order."""
+    names = luresim.EXAMPLE_NAMES
+    for name in names:
+        for method in ("rk4_fixed", "rk45_adaptive"):
+            yield f"simulate/{name}/{method}", _simulate, (name, method)
+    for name in names:
+        for method in ("euler", "rk4"):
+            for policy in POLICIES:
+                yield (f"inclusion/{name}/{method}/{policy}", _inclusion,
+                       (name, method, policy))
+    for name in names:
+        for max_iter in (1, 100):
+            for k in range(12):
+                yield f"solve/{name}/{max_iter}/{k}", _solve, (name, max_iter, k)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", default="",
-                        help="comma-separated entry names (default: all)")
+    parser.add_argument("--only", default="", metavar="REGEX",
+                        help="digest only the lines whose name matches "
+                             "REGEX (default: all)")
     args = parser.parse_args(argv)
-    names = [n for n in args.only.split(",") if n] or luresim.EXAMPLE_NAMES
-    entries = {name: luresim.build_example(name) for name in names}
-    for name, entry in entries.items():
-        for method in ("rk4_fixed", "rk45_adaptive"):
-            print(_line(f"simulate/{name}/{method}", _simulate(entry, method)),
-                  flush=True)
-    for name, entry in entries.items():
-        if not luresim.exact_structure_available(entry.nonlinearity,
-                                                 entry.system.D):
-            continue
-        for method in ("euler", "rk4"):
-            for policy in POLICIES:
-                print(_line(f"inclusion/{name}/{method}/{policy}",
-                            _inclusion(entry, method, policy)), flush=True)
-    for name, entry in entries.items():
-        for line in _solve_lines(name, entry):
-            print(line, flush=True)
+    pattern = re.compile(args.only)
+    for label, line_of, line_args in _grid():
+        if pattern.search(label):
+            line = line_of(label, *line_args)
+            if line is not None:
+                print(line, flush=True)
     return 0
 
 
