@@ -24,7 +24,7 @@ from .derivatives import (finite_diff_jacobian, finite_diff_jacobians,
 from .errors import ConfigurationError
 from .inclusion import _fold_candidates, check_image_convexity, enumerate_fibre
 from .nonlinearity import Nonlinearity, row_norms
-from .output_solver import (SolveOptions, enumerate_fibre_exact,
+from .output_solver import (SolveOptions, _checked, enumerate_fibre_exact,
                             exact_structure_available)
 from .system import SystemMatrices, eval_F
 
@@ -652,7 +652,8 @@ def probe_fibre_nonempty(sys: SystemMatrices, f: Nonlinearity, t_window,
                          fibre_opts: SolveOptions | None = None,
                          prior: CheckRecord | None = None) -> CheckRecord:
     """Nonemptiness of F_t^{-1}(w) over sampled reachable outputs w."""
-    fibre_opts = fibre_opts or SolveOptions(n_starts=24, search_radius=10.0)
+    fibre_opts = _checked(fibre_opts or SolveOptions(n_starts=24, search_radius=10.0),
+                          "fibre_opts.")
     n_empty = 0
     witness = None
     for t, w in _sample_outputs(sys, t_window, n_w, seed):
@@ -686,7 +687,8 @@ def probe_fibre_convexity(sys: SystemMatrices, f: Nonlinearity, t_window,
     Branch-meeting output values are probed in addition to random ones,
     since set-valued fibres live exactly there.
     """
-    fibre_opts = fibre_opts or SolveOptions(n_starts=24, search_radius=10.0)
+    fibre_opts = _checked(fibre_opts or SolveOptions(n_starts=24, search_radius=10.0),
+                          "fibre_opts.")
     probes = _sample_outputs(sys, t_window, n_w, seed)
     pairs = _collision_pairs(sys, f, t_window)
     if pairs:

@@ -12,12 +12,13 @@ one with probability one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .nonlinearity import Nonlinearity, row_time, row_norms
+from .nonlinearity import Nonlinearity, row_norms, row_time, vec_norm
 
 DEFAULT_FD_SCALE = 1e-6
 DEFAULT_CLARKE_RADIUS = 1e-4
@@ -27,10 +28,16 @@ DEFAULT_CLARKE_SAMPLES = 32
 def finite_diff_jacobian(f, t: float, xi, h: float | None = None) -> np.ndarray:
     """Central-difference Jacobian of f(t, .) at xi, column by column.
 
-    The default step is 1e-6 * max(1, ||xi||).
+    The default step is 1e-6 * max(1, ||xi||).  The one-point form of
+    ``finite_diff_jacobians``, equal to it bit for bit.
     """
-    xi = np.asarray(xi, dtype=float).reshape(1, -1)
-    return finite_diff_jacobians(f, t, xi, h)[0]
+    xi = np.asarray(xi, dtype=float).reshape(-1)
+    if h is None:
+        h = DEFAULT_FD_SCALE * max(1.0, vec_norm(xi))
+    elif not h > 0:
+        raise ConfigurationError("finite-difference step must be positive")
+    rows = xi + h * _fd_signs(xi.size)
+    return _central_quotients(_values(f, t, rows, True), h)
 
 
 def finite_diff_jacobians(f, t, X, h=None, strict: bool = True) -> np.ndarray:
@@ -45,49 +52,58 @@ def finite_diff_jacobians(f, t, X, h=None, strict: bool = True) -> np.ndarray:
     Jacobians it enters instead of raising.
     """
     X = np.asarray(X, dtype=float)
-    h = _fd_steps(X, h)
-    rows = _perturbed_rows(X, h)
-    T = np.repeat(t, 2 * X.shape[1]) if np.ndim(t) else t
-    if isinstance(f, Nonlinearity):
-        values = f.eval_batch(T, rows) if strict else f.eval_rows(T, rows)[0]
-    else:
-        values = np.array([np.asarray(f(row_time(T, i), row), dtype=float).reshape(-1)
-                           for i, row in enumerate(rows)])
-        bad = ~np.isfinite(values).all(axis=1)
-        if bad.any():
-            k = int(np.argmax(bad)) // 2 * 2      # the +h row of that column
-            raise EvaluationError("non-finite evaluation while differencing",
-                                  t=row_time(T, k), point=rows[k].copy())
-    return _central_quotients(values, X.shape, h)
+    n, p = X.shape
+    h = _fd_steps(X, h)[:, None, None]
+    rows = (X[:, None, :] + h * _fd_signs(p)).reshape(2 * p * n, p)
+    T = np.repeat(t, 2 * p) if np.ndim(t) else t
+    values = _values(f, T, rows, strict).reshape(n, 2 * p, -1)
+    return _central_quotients(values, h)
 
 
 def _fd_steps(X: np.ndarray, h) -> np.ndarray:
     if h is None:
         return DEFAULT_FD_SCALE * np.fmax(1.0, row_norms(X))
     h = np.broadcast_to(np.asarray(h, dtype=float), X.shape[:1])
-    if np.any(h <= 0):
+    if not np.all(h > 0):
         raise ConfigurationError("finite-difference step must be positive")
     return h
 
 
-def _perturbed_rows(X: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Rows xi + h e_j, xi - h e_j for j = 1..p, point after point: 2pN x p."""
-    n, p = X.shape
-    steps = np.zeros((n, p, p))
-    steps[:, np.arange(p), np.arange(p)] = h[:, None]
-    rows = np.empty((n, p, 2, p))
-    rows[:, :, 0] = X[:, None, :] + steps
-    rows[:, :, 1] = X[:, None, :] - steps
-    return rows.reshape(2 * p * n, p)
+@functools.lru_cache(maxsize=8)
+def _fd_signs(p: int) -> np.ndarray:
+    """The 2p x p rows +e_1, -e_1, ..., +e_p, -e_p, with +0.0 off the
+    diagonal of a + row and -0.0 off that of a - row: for a finite step h,
+    xi + h * S holds xi + h e_j and xi - h e_j exactly, as xi + 0.0 and
+    xi - 0.0 give them, signed zeros included."""
+    S = np.zeros((p, 2, p))
+    S[:, 1] = -0.0
+    j = np.arange(p)
+    S[j, 0, j] = 1.0
+    S[j, 1, j] = -1.0
+    S = S.reshape(2 * p, p)
+    S.setflags(write=False)
+    return S
 
 
-def _central_quotients(values: np.ndarray, shape: tuple[int, int],
-                      h: np.ndarray) -> np.ndarray:
-    """Jacobians (N x m x p) from the values at ``_perturbed_rows``."""
-    n, p = shape
-    pairs = values.reshape(n, p, 2, -1)
-    cols = (pairs[:, :, 0] - pairs[:, :, 1]) / (2.0 * h)[:, None, None]
-    return np.ascontiguousarray(cols.transpose(0, 2, 1))
+def _values(f, T, rows: np.ndarray, strict: bool) -> np.ndarray:
+    """f at each perturbed row (row times T): (2p or 2pN) x m."""
+    if isinstance(f, Nonlinearity):
+        return f.eval_batch(T, rows) if strict else f.eval_rows(T, rows)[0]
+    values = np.array([np.asarray(f(row_time(T, i), row), dtype=float).reshape(-1)
+                       for i, row in enumerate(rows)])
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad)) // 2 * 2      # the +h row of that column
+        raise EvaluationError("non-finite evaluation while differencing",
+                              t=row_time(T, k), point=rows[k].copy())
+    return values
+
+
+def _central_quotients(values: np.ndarray, h) -> np.ndarray:
+    """Jacobians (... x m x p) from the values (... x 2p x m) at the rows
+    xi + h * ``_fd_signs(p)``."""
+    diff = values[..., 0::2, :] - values[..., 1::2, :]
+    return np.ascontiguousarray(diff.mT / (2.0 * h))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .errors import ConfigurationError, EmptyFibreError
 from .integrator import (Termination, TrajectoryRecord, _integrate, _plant,
                          _Plant, _Recorder, _rk_step, _validate_run)
 from .nonlinearity import Nonlinearity, all_finite, row_norms, vec_norm
-from .output_solver import (FibreSet, SolveOptions, _as_float,
+from .output_solver import (FibreSet, SolveOptions, _as_float, _checked,
                             enumerate_fibre_exact, enumerate_fibre_multistart,
                             exact_structure_available)
 from .system import SystemMatrices
@@ -149,7 +149,8 @@ def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
 
 def enumerate_fibre(f: Nonlinearity, D, t: float, w, opts: SolveOptions) -> FibreSet:
     """F_t^{-1}(w): exact enumeration where the structure allows, else multistart."""
-    return _fibre_on_route(exact_structure_available(f, D), f, D, t, w, opts)
+    return _fibre_on_route(exact_structure_available(f, D), f, D, t, w,
+                           _checked(opts))
 
 
 def _fibre_on_route(exact: bool, f: Nonlinearity, D, t: float, w,
@@ -222,7 +223,7 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     opts = opts or InclusionOptions()
     if opts.method not in ("euler", "rk4"):
         raise ConfigurationError(f"unknown inclusion method {opts.method!r}")
-    t0, x0 = _validate_run(opts, t0, x0, sys, v)
+    t0, x0, fibre_opts = _validate_run(opts, t0, x0, sys, v)
     plant = _plant(sys, v)
     rec = _Recorder(plant, with_branches=True)
     exact = exact_structure_available(f, sys.D)
@@ -230,7 +231,7 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
 
     def fibre(t: float, x, vt) -> FibreSet:
         """The fibre at (t, x), given vt = v(t); the route is fixed per run."""
-        return _fibre_on_route(exact, f, sys.D, t, plant.target(x, vt), opts.fibre)
+        return _fibre_on_route(exact, f, sys.D, t, plant.target(x, vt), fibre_opts)
 
     def stage(t: float, x, y_prev):
         nonlocal branch

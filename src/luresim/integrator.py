@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .nonlinearity import all_finite, vec_norm
-from .output_solver import SolveOptions, _as_float, solve_output
+from .output_solver import SolveOptions, _as_float, _checked, solve_output
 from .system import SystemMatrices
 
 _RK45_C = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
@@ -345,13 +345,15 @@ class _Recorder:
 
 
 def _validate_run(opts, t0: float, x0, sys: SystemMatrices, v
-                  ) -> tuple[float, np.ndarray]:
-    """Check the inputs of a run where they enter; return (t0, x0) as floats.
+                  ) -> tuple[float, np.ndarray, SolveOptions]:
+    """Check the inputs of a run where they enter; return (t0, x0) as floats
+    and the checked output-solver options.
 
     Raises ConfigurationError naming the first bad field: ``t0`` and ``x0``
     finite, ``tmax`` finite and after t0, ``0 < dt_min <= dt``, every
-    tolerance and threshold the options carry positive, and v(t0) a vector
-    of length m_e.
+    tolerance and threshold the options carry positive, the solver options
+    (``solver`` or ``fibre``) as ``output_solver._checked`` asks, and v(t0)
+    a vector of length m_e.
     """
     n, _, m_e, _ = sys.dims
     t0 = float(t0)
@@ -375,10 +377,12 @@ def _validate_run(opts, t0: float, x0, sys: SystemMatrices, v
         value = getattr(opts, name, None)
         if value is not None and not value > 0:
             raise ConfigurationError(f"{name} must be positive, got {value}")
+    field_name = "solver" if hasattr(opts, "solver") else "fibre"
+    solver = _checked(getattr(opts, field_name), f"{field_name}.")
     shape = np.shape(v(t0))
     if shape != (m_e,):
         raise ConfigurationError(f"v(t0) must have shape ({m_e},), got {shape}")
-    return t0, x0
+    return t0, x0, solver
 
 
 def _integrate(rec: _Recorder, opts, t: float, x, y, k, h: float,
@@ -444,10 +448,10 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
     opts = opts or SimOptions()
     if opts.method not in ("rk4_fixed", "rk45_adaptive"):
         raise ConfigurationError(f"unknown method {opts.method!r}")
-    t0, x0 = _validate_run(opts, t0, x0, sys, v)
+    t0, x0, solver = _validate_run(opts, t0, x0, sys, v)
 
     plant = _plant(sys, v)
-    stage = _SolvingStage(plant, f, opts.solver)
+    stage = _SolvingStage(plant, f, solver)
     adaptive = opts.method == "rk45_adaptive"
     method = "rkf45" if adaptive else "rk4"
     rec = _Recorder(plant)
@@ -502,7 +506,7 @@ def refine_escape_time(record: TrajectoryRecord, sys: SystemMatrices, f, v,
     if record.n_samples == 0:
         return record.termination.time, 0.0
     opts = opts or SimOptions()
-    stage = _SolvingStage(_Plant(sys, v), f, opts.solver)
+    stage = _SolvingStage(_Plant(sys, v), f, _checked(opts.solver, "solver."))
 
     if record.n_samples >= 2:
         t_lo = float(record.times[-2])

@@ -29,6 +29,26 @@ def _resolve(value, t: float) -> float:
     return float(value(t)) if callable(value) else float(value)
 
 
+class _PerTime:
+    """fn(t) with a one-entry memo: the last value is reused while t keeps
+    the same bits (``==`` alone would let 0.0 stand for -0.0; NaN never
+    matches).  fn must be a pure function of t, and callers must not
+    mutate the value it returns."""
+
+    __slots__ = ("fn", "entry")
+
+    def __init__(self, fn):
+        self.fn, self.entry = fn, (math.nan, None)
+
+    def __call__(self, t):
+        last, value = self.entry
+        if t == last and math.copysign(1.0, t) == math.copysign(1.0, last):
+            return value
+        value = self.fn(t)
+        self.entry = (float(t), value)      # one store: time and value agree
+        return value
+
+
 @dataclass(frozen=True)
 class ScalarPiece:
     """One piece of a scalar map: c0 + c1*x + c2*x^2 + atan_coeff*atan(x) on [lo, hi].
@@ -106,11 +126,18 @@ def row_norms(X: np.ndarray) -> np.ndarray:
 
 
 def _at_times(fn, T: np.ndarray):
-    """fn(t) for each row time, one call per distinct time; 0-d T gives one value."""
+    """fn(t) for each row time, one call per distinct time; 0-d T gives one value.
+
+    Times are told apart by their bits, as the one-point path sees them:
+    -0.0 is not 0.0.
+    """
     if T.ndim == 0:
         return fn(float(T))
-    times, inverse = np.unique(T, return_inverse=True)
-    return np.asarray([fn(float(s)) for s in times])[inverse]
+    if isinstance(fn, _PerTime):
+        fn = fn.fn                  # each time is new here: the memo only misses
+    bits, inverse = np.unique(np.ascontiguousarray(T, dtype=float).view(np.int64),
+                              return_inverse=True)
+    return np.asarray([fn(float(s)) for s in bits.view(float)])[inverse]
 
 
 def _resolve_rows(pc: ScalarPiece, T: np.ndarray) -> ResolvedPiece:
@@ -203,21 +230,15 @@ class Nonlinearity:
                                [pc.at(0.0) for pc in structure])
         else:
             object.__setattr__(self, "_static_resolved", None)
-        object.__setattr__(self, "_memo", [(math.nan, None)])
+        object.__setattr__(self, "_memo", _PerTime(
+            lambda t: [pc.at(t) for pc in structure]))
 
     def resolved_structure(self, t: float) -> list["ResolvedPiece"]:
         """The pieces at time t.  Piece callables must be pure functions of t:
         the last time's resolution is reused while t keeps the same bits."""
         if self._static_resolved is not None:
             return self._static_resolved
-        last, resolved = self._memo[0]
-        # == alone would let 0.0 stand for -0.0; NaN never matches
-        if t == last and math.copysign(1.0, t) == math.copysign(1.0, last):
-            return resolved
-        structure = self.pieces if self.kind == "piecewise_scalar" else self.profile
-        resolved = [pc.at(t) for pc in structure]
-        self._memo[0] = (float(t), resolved)
-        return resolved
+        return self._memo(t)
 
     def __call__(self, t: float, xi) -> np.ndarray:
         return self.eval(t, xi)
@@ -255,9 +276,9 @@ class Nonlinearity:
             raise ConfigurationError(
                 f"Xi has shape {X.shape}, expected (N, p={self.p})"
             )
-        out, bad = self.eval_rows(t, X, strict=True)
-        if bad.any():
-            i = int(np.argmax(bad))
+        out = self._stack_values(t, X, strict=True)
+        if not np.isfinite(out).all():
+            i = int(np.argmax(~np.isfinite(out).all(axis=1)))
             raise self._non_finite(row_time(t, i), X[i].copy())
         return out
 
@@ -267,6 +288,11 @@ class Nonlinearity:
         A row is bad when its value is not finite or, unless ``strict``,
         when ``fn`` raised EvaluationError on it.
         """
+        out = self._stack_values(t, X, strict)
+        return out, ~np.isfinite(out).all(axis=1)
+
+    def _stack_values(self, t, X: np.ndarray, strict: bool) -> np.ndarray:
+        """The N x m values of ``eval_rows``, bad rows unmarked."""
         T = np.asarray(t, dtype=float)
         if T.ndim and T.shape != (X.shape[0],):
             raise ConfigurationError(
@@ -296,8 +322,7 @@ class Nonlinearity:
                 if row.shape[0] != self.m:
                     raise self._bad_length(row.shape[0])
                 out[i] = row
-        bad = ~np.isfinite(out).all(axis=1)
-        return out, bad
+        return out
 
     def _fn_row(self, t, xi: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(t, xi), dtype=float).reshape(-1)
@@ -449,32 +474,45 @@ def identity_minus_atan() -> Nonlinearity:
     return piecewise_scalar(pieces, name="identity_minus_atan", jac=jac)
 
 
+def _of_param(param, expr):
+    """expr(param) for a numeric parameter, a static piece field; for a
+    callable one, the function t -> expr(param(t)), resolved per time."""
+    if callable(param):
+        return lambda t: expr(param(t))
+    return expr(float(param))
+
+
 def deadzone_saturation(width=0.3) -> Nonlinearity:
     """Saturation with a deadzone of (possibly time-varying) half-width d(t).
 
     Zero on [-d, d], slope 1 on the transition bands, constant +-1 outside.
+    A numeric width gives static pieces.
     """
-    d = width if callable(width) else (lambda _t, _w=float(width): _w)
+    def of_d(expr):
+        return _of_param(width, expr)
+
     pieces = (
-        ScalarPiece(lo=-_INF, hi=lambda t: -(1.0 + d(t)), c0=-1.0),
-        ScalarPiece(lo=lambda t: -(1.0 + d(t)), hi=lambda t: -d(t),
-                    c0=lambda t: d(t), c1=1.0),
-        ScalarPiece(lo=lambda t: -d(t), hi=lambda t: d(t)),
-        ScalarPiece(lo=lambda t: d(t), hi=lambda t: 1.0 + d(t),
-                    c0=lambda t: -d(t), c1=1.0),
-        ScalarPiece(lo=lambda t: 1.0 + d(t), hi=_INF, c0=1.0),
+        ScalarPiece(lo=-_INF, hi=of_d(lambda d: -(1.0 + d)), c0=-1.0),
+        ScalarPiece(lo=of_d(lambda d: -(1.0 + d)), hi=of_d(lambda d: -d),
+                    c0=of_d(lambda d: d), c1=1.0),
+        ScalarPiece(lo=of_d(lambda d: -d), hi=of_d(lambda d: d)),
+        ScalarPiece(lo=of_d(lambda d: d), hi=of_d(lambda d: 1.0 + d),
+                    c0=of_d(lambda d: -d), c1=1.0),
+        ScalarPiece(lo=of_d(lambda d: 1.0 + d), hi=_INF, c0=1.0),
     )
     params = {} if callable(width) else {"width": float(width)}
     return piecewise_scalar(pieces, name="deadzone_saturation", params=params)
 
 
 def saturation_scaled(gain=1.0, gain_expr: str | None = None) -> Nonlinearity:
-    """Scalar saturation scaled by a (possibly time-varying) gain h(t) in [0, 1]."""
-    h = gain if callable(gain) else (lambda _t, _h=float(gain): _h)
+    """Scalar saturation scaled by a (possibly time-varying) gain h(t) in [0, 1].
+
+    A numeric gain gives static pieces.
+    """
     pieces = (
-        ScalarPiece(lo=-_INF, hi=-1.0, c0=lambda t: -h(t)),
-        ScalarPiece(lo=-1.0, hi=1.0, c1=lambda t: h(t)),
-        ScalarPiece(lo=1.0, hi=_INF, c0=lambda t: h(t)),
+        ScalarPiece(lo=-_INF, hi=-1.0, c0=_of_param(gain, lambda h: -h)),
+        ScalarPiece(lo=-1.0, hi=1.0, c1=_of_param(gain, lambda h: h)),
+        ScalarPiece(lo=1.0, hi=_INF, c0=_of_param(gain, lambda h: h)),
     )
     params = {}
     if gain_expr is not None:
@@ -485,8 +523,12 @@ def saturation_scaled(gain=1.0, gain_expr: str | None = None) -> Nonlinearity:
 
 
 def normalized_gain(gain=0.5, p: int = 2, gain_expr: str | None = None) -> Nonlinearity:
-    """f(t, xi) = h(t) xi / (1 + ||xi||): linearly bounded, radially flattening."""
-    h = gain if callable(gain) else (lambda _t, _h=float(gain): _h)
+    """f(t, xi) = h(t) xi / (1 + ||xi||): linearly bounded, radially flattening.
+
+    A callable gain must be a pure function of t: its value is reused
+    while t repeats.
+    """
+    h = _PerTime(gain) if callable(gain) else (lambda _t, _h=float(gain): _h)
 
     def fn(t, xi):
         return (h(t) / (1.0 + np.linalg.norm(xi))) * xi
@@ -536,19 +578,20 @@ def rotated_radial(radial_gain=None, angle=None, angle_expr: str | None = None
 
     Defaults g(s) = s and theta(t) = t, for which s*g(s) is injective and
     radially unbounded, so xi - f is a homeomorphism for every t although
-    the growth of f itself is superlinear.
+    the growth of f itself is superlinear.  The angle must be a pure
+    function of t: R(theta(t)) is reused while t repeats.
     """
     g = radial_gain if radial_gain is not None else (lambda s: s)
     theta = angle if angle is not None else (lambda t: t)
+    rotation = _PerTime(lambda t: rotation_matrix(theta(t)))
 
     def fn(t, xi):
-        r = float(np.linalg.norm(xi))
-        return xi - g(r) * (rotation_matrix(theta(t)) @ xi)
+        return xi - g(vec_norm(xi)) * (rotation(t) @ xi)
 
     def fn_batch(T, X):
         r = row_norms(X)
         gains = r if radial_gain is None else np.array([g(s) for s in r.tolist()])
-        rotations = _at_times(lambda t: rotation_matrix(theta(t)), T)
+        rotations = _at_times(rotation, T)
         return X - gains[:, None] * np.matmul(rotations, X[..., None])[..., 0]
 
     params = {}
@@ -561,14 +604,15 @@ def rotated_radial(radial_gain=None, angle=None, angle_expr: str | None = None
 def normalized_rotation(omega: float = 1.0, p: int = 2, frame=None) -> Nonlinearity:
     """f(t, xi) = g(||xi||) J(t) xi with g(s) = 1/sqrt(1+s^2), J(t) orthogonal.
 
-    The default frame is the planar rotation J(t) = R(omega t).
+    The default frame is the planar rotation J(t) = R(omega t).  A frame
+    must be a pure function of t: J(t) is reused while t repeats.
     """
     if frame is None:
         if p != 2:
             raise ConfigurationError("default rotation frame requires p = 2")
-        J = lambda t: rotation_matrix(omega * t)
+        J = _PerTime(lambda t: rotation_matrix(omega * t))
     else:
-        J = frame
+        J = _PerTime(frame)
 
     def fn(t, xi):
         s = float(np.linalg.norm(xi))

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -32,6 +33,7 @@ FLAT_TOL = 1e-10        # oracle flat-segment detection threshold
 _SCAN_ROWS = 1 << 16    # grid cells per evaluation of the planar oracle
 _BRACKET_POINTS = 129   # scalar sign-change grid across the search diameter
 _RESID_FLOOR = 1e-6     # a fruitless search this close reads not_converged
+_FLOAT = np.dtype(float)
 
 
 @dataclass
@@ -43,7 +45,10 @@ class SolveOptions:
     residual is cut off, not failed.  A multistart fibre runs Newton from
     ``n_starts`` seeded Halton points within ``search_radius`` of its
     centre and merges solutions closer than twice ``tol_sep``.
-    ``use_structure`` allows the exact fibre.
+    ``use_structure`` allows the exact fibre.  ``tol_resid``, ``tol_sep``
+    and ``search_radius`` must be finite and positive, ``max_iter`` an
+    integer >= 1 and ``n_starts`` one >= 0: a run, or a one-shot call,
+    rejects other values where they enter, naming the field.
     """
 
     tol_resid: float = 1e-10
@@ -53,6 +58,32 @@ class SolveOptions:
     search_radius: float = 8.0
     seed: int = 0
     use_structure: bool = True
+
+
+class _CheckedOptions(SolveOptions):
+    """A private copy of options that ``_checked`` has accepted, so a run
+    checks its options once, not at every stage."""
+
+
+def _checked(opts: SolveOptions | None, prefix: str = "") -> SolveOptions:
+    """The options (default ``SolveOptions()``) as a checked copy; raises
+    ConfigurationError naming the first bad field, after ``prefix``."""
+    if type(opts) is _CheckedOptions:
+        return opts
+    opts = opts or SolveOptions()
+    for name in ("tol_resid", "tol_sep", "search_radius"):
+        value = getattr(opts, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                and value > 0):
+            raise ConfigurationError(
+                f"{prefix}{name} must be finite and positive, got {value!r}")
+    for name, least in (("max_iter", 1), ("n_starts", 0)):
+        value = getattr(opts, name)
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise ConfigurationError(
+                f"{prefix}{name} must be an integer >= {least}, got {value!r}")
+    return _CheckedOptions(**{fld.name: getattr(opts, fld.name)
+                              for fld in fields(SolveOptions)})
 
 
 @dataclass
@@ -65,8 +96,9 @@ class OutputSolution:
     stopped or stagnated short of it) or ``not_converged`` (a Newton
     search found nothing, but some start was cut off by ``max_iter`` while
     its residual still fell, or the least residual met is within 1e-6).
-    y and u = f(t, y) are 1-d arrays, None without a solution;
-    ``certificate`` says why there is none.
+    y and u = f(t, y) are 1-d arrays (floats for a float warm start with a
+    1 x 1 feedthrough), None without a solution; ``certificate`` says why
+    there is none.
     """
 
     status: str
@@ -217,6 +249,8 @@ def _as_float(value, name: str = "target") -> float:
     """A float, or the one entry of a vector ``name`` of length one."""
     if type(value) is float:
         return value
+    if type(value) is np.ndarray and value.shape == (1,) and value.dtype is _FLOAT:
+        return value.item()         # a p = 1 stage's target or output
     arr = np.asarray(value, dtype=float).reshape(-1)
     if arr.size != 1:
         raise ConfigurationError(f"{name} must have length 1")
@@ -249,9 +283,13 @@ def _target(w, p: int) -> np.ndarray:
 
 def _scalar_target(w) -> float:
     """``_target`` for p = 1, as a float."""
-    if type(w) is float and math.isfinite(w):
-        return w
-    return float(_target(w, 1)[0])
+    try:
+        x = _as_float(w, "w")
+    except ConfigurationError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigurationError("w must be a finite vector of length 1")
+    return x
 
 
 def _as_feedthrough(D) -> np.ndarray:
@@ -294,52 +332,51 @@ def _newton(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
     for one row but takes about twice as long, which the per-stage solves
     of ``simulate`` would pay on every step.
     """
-    p = w.size
-    eye = np.eye(p)
-
-    def resid(y):
-        u = f(t, y)
-        return y - D @ u - w, u
-
-    def jac(y):
-        Jf = f.jac(t, y) if f.jac is not None else finite_diff_jacobian(f, t, y)
-        return eye - D @ Jf
-
+    eye = _identity(w.size)
+    tol = opts.tol_resid
     y = np.asarray(y0, dtype=float).reshape(-1).copy()
     try:
-        r, u = resid(y)
+        u = f.eval(t, y)
     except EvaluationError:
         return y, math.inf, 0, False, None, False
+    r = y - D @ u - w
     rnorm = vec_norm(r)
     for it in range(1, opts.max_iter + 1):
-        if rnorm <= opts.tol_resid:
+        if rnorm <= tol:
             return y, rnorm, it - 1, True, u, False
         try:
-            J = jac(y)
-            step = np.linalg.solve(J, -r)
+            Jf = f.jac(t, y) if f.jac is not None else finite_diff_jacobian(f, t, y)
+            step = np.linalg.solve(eye - D @ Jf, -r)
         except (np.linalg.LinAlgError, EvaluationError):
             return y, rnorm, it - 1, False, u, False
-        if not np.all(np.isfinite(step)):
+        if not all_finite(step):
             return y, rnorm, it - 1, False, u, False
         lam = 1.0
-        accepted = False
         while lam >= 2.0 ** -30:
             y_new = y + lam * step
             try:
-                r_new, u_new = resid(y_new)
+                u_new = f.eval(t, y_new)
             except EvaluationError:
                 lam *= 0.5
                 continue
+            r_new = y_new - D @ u_new - w
             rn_new = vec_norm(r_new)
-            if rn_new <= (1.0 - 1e-4 * lam) * rnorm or rn_new <= opts.tol_resid:
+            if rn_new <= (1.0 - 1e-4 * lam) * rnorm or rn_new <= tol:
                 y, r, u, rnorm = y_new, r_new, u_new, rn_new
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             return y, rnorm, it, False, u, False   # stagnation
-    ok = rnorm <= opts.tol_resid
+    ok = rnorm <= tol
     return y, rnorm, opts.max_iter, ok, u, not ok
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(p: int) -> np.ndarray:
+    """np.eye(p), shared read-only."""
+    eye = np.eye(p)
+    eye.setflags(write=False)
+    return eye
 
 
 def _newton_stack(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
@@ -353,7 +390,7 @@ def _newton_stack(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
     fails or stagnates.
     """
     n, p = Y0.shape
-    eye = np.eye(p)
+    eye = _identity(p)
 
     def resid(Y):
         values, bad = f.eval_rows(t, Y)
@@ -481,13 +518,15 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
     when the least residual met stays within 1e-6; otherwise it reads
     ``no_solution``.  Neither proves the fibre empty: only the exact
     route's range analysis does that.
+
+    With a 1 x 1 feedthrough and a float y_guess, the solution's y and u
+    are floats; otherwise they are 1-d arrays.
     """
-    opts = opts or SolveOptions()
-    if opts.max_iter < 1:
-        raise ConfigurationError("max_iter must be at least 1")
+    opts = _checked(opts)
     D = sys.D
     p = D.shape[0]
     scalar = D.shape == (1, 1)          # w, y_guess, y and u as floats
+    floats = scalar and type(y_guess) is float      # ... also in the solution
     if scalar:
         w, y_guess = _scalar_target(w), _as_float(y_guess, "y_guess")
     else:
@@ -510,6 +549,8 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
         guess = np.array([y_guess]) if scalar else y_guess
         y, rnorm, iters, ok, u, cut = _newton(f, D, t, w_vec, guess, opts)
         if ok:
+            if floats:
+                y, u = float(y[0]), float(u[0])
             return OutputSolution(status="unique_point", y=y, residual=rnorm,
                                   iterations=iters, n_found=1, u=u)
         fib, least, more, cut_more = _multistart(f, D, t, w_vec, guess, opts)
@@ -528,7 +569,7 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
     if scalar:
         y = _as_float(y)
     u, resid = _value_and_residual(f, D, t, y, w)
-    if scalar:
+    if scalar and not floats:
         y, u = np.array([y]), np.array([u])
     status = "multiple" if fib.is_set_valued() else "unique_point"
     return OutputSolution(status=status, y=y, residual=resid, iterations=iters,
@@ -566,11 +607,10 @@ def _scalar_bracket_roots(f: Nonlinearity, D: np.ndarray, t: float,
 # ---------------------------------------------------------------------------
 
 def exact_structure_available(f: Nonlinearity, D) -> bool:
-    D = _as_feedthrough(D)
     if f.kind == "piecewise_scalar":
-        return D.shape == (1, 1)
+        return _as_feedthrough(D).shape == (1, 1)
     if f.kind == "radial":
-        return scalar_feedthrough(D) is not None
+        return scalar_feedthrough(_as_feedthrough(D)) is not None
     return False
 
 
@@ -765,7 +805,7 @@ def enumerate_fibre_multistart(f: Nonlinearity, D, t: float, w,
     equation are merged into segments.  The starts lie around ``center``,
     by default w.
     """
-    opts = opts or SolveOptions()
+    opts = _checked(opts)
     D = _as_feedthrough(D)
     w = _target(w, D.shape[0])
     center = w.copy() if center is None else np.asarray(center, dtype=float).reshape(-1)

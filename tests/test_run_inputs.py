@@ -8,9 +8,13 @@ from pathlib import Path
 import pytest
 
 from luresim import (ConfigurationError, InclusionOptions, SelectionPolicy,
-                     SimOptions, SystemMatrices, constant_input,
-                     parabolic_band, simulate, simulate_inclusion,
-                     summary_dict, write_csv, zero_input)
+                     SimOptions, SolveOptions, SystemMatrices, constant_input,
+                     enumerate_fibre, enumerate_fibre_multistart,
+                     parabolic_band, probe_fibre_convexity,
+                     probe_fibre_nonempty, refine_escape_time, simulate,
+                     simulate_inclusion, solve_output, summary_dict,
+                     write_csv, zero_input)
+from luresim import cli
 from luresim.cli import main
 
 NAN, INF = math.nan, math.inf
@@ -61,6 +65,80 @@ def test_bad_run_input_is_rejected_naming_its_field(entry, integrator, field, ba
     e = entry("sec42a")
     with pytest.raises(ConfigurationError, match=rf"^{field} "):
         _run(e, integrator, **bad)
+
+
+# (field, bad value) of the output-solver options
+BAD_SOLVER = [
+    ("tol_resid", -1.0), ("tol_resid", NAN), ("tol_resid", 0.0),
+    ("tol_sep", NAN), ("tol_sep", -1e-6), ("tol_sep", INF),
+    ("max_iter", 0), ("max_iter", 2.5),
+    ("n_starts", -3), ("n_starts", 1.0),
+    ("search_radius", -1.0), ("search_radius", INF), ("search_radius", NAN),
+]
+SOLVER_CASES = [(integrator, field, bad) for field, bad in BAD_SOLVER
+                for integrator in BOTH]
+
+
+@pytest.mark.parametrize("integrator, field, bad", SOLVER_CASES,
+                         ids=[f"{i}-{f}={v}" for i, f, v in SOLVER_CASES])
+def test_bad_solver_option_is_rejected_naming_its_field(entry, integrator, field, bad):
+    # on ex4a's Newton route tol_resid=-1 used to read as an output lost at t0
+    e = entry("ex4a")
+    name = "solver" if integrator == "simulate" else "fibre"
+    with pytest.raises(ConfigurationError, match=rf"^{name}\.{field} "):
+        _run(e, integrator, **{name: SolveOptions(**{field: bad})})
+
+
+ONE_SHOT = {
+    "solve_output": lambda e, o: solve_output(
+        e.system, e.nonlinearity, 0.0, [0.5, 0.2], [0.0, 0.0], o),
+    "enumerate_fibre_multistart": lambda e, o: enumerate_fibre_multistart(
+        e.nonlinearity, e.system.D, 0.0, [0.5, 0.2], o),
+    "enumerate_fibre": lambda e, o: enumerate_fibre(
+        e.nonlinearity, e.system.D, 0.0, [0.5, 0.2], o),
+    "probe_fibre_nonempty": lambda e, o: probe_fibre_nonempty(
+        e.system, e.nonlinearity, (0.0, 1.0), n_w=2, fibre_opts=o),
+    "probe_fibre_convexity": lambda e, o: probe_fibre_convexity(
+        e.system, e.nonlinearity, (0.0, 1.0), n_w=2, fibre_opts=o),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ONE_SHOT))
+@pytest.mark.parametrize("field, bad", BAD_SOLVER[::2])
+def test_one_shot_entries_reject_bad_solver_options(entry, call, field, bad):
+    prefix = "fibre_opts\\." if call.startswith("probe") else ""
+    with pytest.raises(ConfigurationError, match=rf"^{prefix}{field} "):
+        ONE_SHOT[call](entry("ex4a"), SolveOptions(**{field: bad}))
+
+
+def test_refine_escape_time_rejects_bad_solver_options(entry):
+    e = entry("ex3b")
+    rec = simulate(e.system, e.nonlinearity, e.input, 0.0, e.x0, SimOptions(dt=1e-2))
+    assert rec.termination.kind == "no_output_solution"
+    with pytest.raises(ConfigurationError, match=r"^solver\.n_starts "):
+        refine_escape_time(rec, e.system, e.nonlinearity, e.input,
+                           opts=SimOptions(solver=SolveOptions(n_starts=-1)))
+
+
+def test_edge_solver_options_pass(entry):
+    e = entry("ex4a")
+    sol = solve_output(e.system, e.nonlinearity, 0.0, [0.5, 0.2], [0.0, 0.0],
+                       SolveOptions(n_starts=0, max_iter=1))
+    assert sol.status == "not_converged" and sol.certificate["n_starts"] == 1
+    rec = _run(e, "simulate", solver=SolveOptions(n_starts=0))
+    assert rec.termination.kind == "reached_tmax"
+
+
+def test_cli_bad_solver_option_exit_2(tmp_path, capsys, monkeypatch):
+    # a configuration error, not the exit 3 of an output lost at t0
+    monkeypatch.setattr(cli, "SolveOptions",
+                        lambda **kw: SolveOptions(tol_resid=-1.0, **kw))
+    code = main(["simulate", "--system", str(CONFIGS / "ex4a.json"),
+                 "--tmax", "0.01", "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "solver.tol_resid must be finite and positive" in captured.err
+    assert not (tmp_path / "run.csv").exists()
 
 
 @pytest.mark.parametrize("name", ["sec42a", "ex3b"])

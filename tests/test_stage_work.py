@@ -1,6 +1,7 @@
-"""Per-time work on the exact route is done once: time-varying pieces are
-resolved once per distinct time, expressions are compiled once into plain
-functions, and a solve hands on the u = f(t, y) its residual used."""
+"""Per-time work is done once: time-varying pieces and the time factors of
+the opaque built-in maps are resolved once per distinct time, constant
+widths and gains give static pieces, expressions are compiled once into
+plain functions, and a solve hands on the u = f(t, y) its residual used."""
 
 import ast
 import math
@@ -11,8 +12,10 @@ import pytest
 from luresim import (EvaluationError, InclusionOptions, ScalarPiece,
                      SelectionPolicy, SolveOptions, SystemMatrices,
                      compile_scalar_expression, compile_vector_expression,
-                     deadzone_saturation, piecewise_scalar, saturation_scaled,
+                     deadzone_saturation, normalized_gain, normalized_rotation,
+                     piecewise_scalar, rotated_radial, saturation_scaled,
                      simulate_inclusion, solve_output)
+from luresim.nonlinearity import rotation_matrix
 from luresim import config
 
 
@@ -48,9 +51,11 @@ def _counting_pieces(pieces):
 
 def test_rk4_inclusion_resolves_each_piece_twice_per_step(entry):
     # stages 2 and 3 share t + h/2; stage 4, the landing point and the
-    # accepted sample share t + h; stage 1 is the accepted sample
+    # accepted sample share t + h; stage 1 is the accepted sample.  A
+    # numeric width gives static pieces, so the width is a function of t.
     e = entry("sec42a")
-    pieces, counts = _counting_pieces(e.nonlinearity.pieces)
+    varying = deadzone_saturation(width=lambda t: 0.3)
+    pieces, counts = _counting_pieces(varying.pieces)
     f = piecewise_scalar(pieces, name="deadzone_saturation")
     assert counts and any(counts.values())      # the tiling check ran
     for key in counts:
@@ -95,6 +100,105 @@ def test_memo_distinguishes_signed_zero():
     assert f.resolved_structure(-0.0)[2].hi == neg
     assert f.resolved_structure(0.0)[2].hi == pos
     assert f.resolved_structure(-0.0)[2].hi == neg
+
+
+def test_constant_width_pieces_are_static_and_bit_equal():
+    # a numeric width or gain builds float piece fields, resolved once; they
+    # evaluate bit for bit as the same map with a constant function of t
+    pairs = [(deadzone_saturation(0.3), deadzone_saturation(width=lambda t: 0.3)),
+             (deadzone_saturation(0), deadzone_saturation(width=lambda t: 0.0)),
+             (saturation_scaled(0.7), saturation_scaled(gain=lambda t: 0.7))]
+    xs = [-0.0, 0.0, 0.3, -0.3, 1.3, -1.3, 0.29999999999999993, 1.3000000000000003,
+          -5.0, 0.7, 1.0, -1.0, 1e-300, -1e-300, 2.5]
+    for static, varying in pairs:
+        assert all(pc.static for pc in static.pieces)
+        assert not any(pc.static for pc in varying.pieces[1:-1])
+        for t in (0.0, -0.0, 0.5, 3.0):
+            for a, b in zip(static.resolved_structure(t),
+                            varying.resolved_structure(t)):
+                assert all(_same_bits(getattr(a, k), getattr(b, k))
+                           for k in ("lo", "hi", "c0", "c1", "c2"))
+            for x in xs:
+                assert _same_bits(static.eval_scalar(t, x), varying.eval_scalar(t, x))
+            X = np.array(xs)
+            assert (static.eval_batch(t, X[:, None]).tobytes()
+                    == varying.eval_batch(t, X[:, None]).tobytes())
+    assert deadzone_saturation(0.3).params == {"width": 0.3}
+
+
+# ---------------------------------------------------------------------------
+# Per-time factors of the opaque built-in maps
+# ---------------------------------------------------------------------------
+
+def _counted(fn):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+    return counted, calls
+
+
+MEMO_TIMES = [0.0, 0.0, -0.0, -0.0, 0.0, 0.5, 0.5, 0.5, math.nan, math.nan,
+              1.25, np.float64(1.25), 1.25, -0.0, 2.0 ** -1074, 0.5]
+
+
+def _distinct_runs(times):
+    """Calls a one-entry memo makes: one per change of bits, one per NaN."""
+    runs, last = 0, None
+    for t in times:
+        key = np.float64(t).tobytes()
+        if key != last or math.isnan(t):
+            runs += 1
+        last = key
+    return runs
+
+
+@pytest.mark.parametrize("build, direct", [
+    (lambda angle: rotated_radial(angle=angle),
+     lambda angle, t, xi: xi - float(np.linalg.norm(xi))
+     * (rotation_matrix(angle(t)) @ xi)),
+    (lambda angle: normalized_rotation(frame=lambda t: rotation_matrix(angle(t))),
+     lambda angle, t, xi: (1.0 / math.sqrt(1.0 + float(xi @ xi)))
+     * (rotation_matrix(angle(t)) @ xi)),
+    (lambda angle: normalized_gain(gain=angle, p=2),
+     lambda angle, t, xi: (angle(t) / (1.0 + np.linalg.norm(xi))) * xi),
+])
+def test_time_factors_memoised_per_time(build, direct):
+    # the angle tells -0.0 from 0.0; NaN gives NaN factors and never hits
+    def angle(t):
+        return 0.25 + 0.5 * math.copysign(1.0, t) + math.sin(t)
+
+    counted, calls = _counted(angle)
+    f = build(counted)
+    xi = np.array([0.6, -0.0])
+    with np.errstate(invalid="ignore"):
+        for t in MEMO_TIMES:
+            got, want = f.fn(t, xi), direct(angle, t, xi)
+            assert got.tobytes() == want.tobytes(), t
+        assert len(calls) == _distinct_runs(MEMO_TIMES)
+        # the batched form shares the memo; one time per row resolves each
+        # distinct time, in the same bits
+        X = np.array([[0.6, -0.0], [-1.5, 0.25], [0.0, 2.0]])
+        for t in (0.5, -0.0, 0.0):
+            rows = f.fn_batch(np.asarray(t), X)
+            for xi_row, row in zip(X, rows):
+                assert row.tobytes() == direct(angle, t, xi_row).tobytes()
+        T = np.array([-0.0, 0.5, 0.0])
+        rows = f.fn_batch(T, X)
+        for t, xi_row, row in zip(T.tolist(), X, rows):
+            assert row.tobytes() == direct(angle, t, xi_row).tobytes()
+
+
+def test_per_time_memo_keys_on_bits():
+    from luresim.nonlinearity import _PerTime
+    counted, calls = _counted(lambda t: math.copysign(1.0, t) + t)
+    memo = _PerTime(counted)
+    for t in MEMO_TIMES:
+        got = memo(t)
+        want = math.copysign(1.0, t) + t
+        assert _same_bits(got, want) or (math.isnan(got) and math.isnan(want))
+    assert len(calls) == _distinct_runs(MEMO_TIMES)
 
 
 # ---------------------------------------------------------------------------
