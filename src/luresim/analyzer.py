@@ -469,12 +469,7 @@ def check_growth_condition(f: Nonlinearity, D, t_window,
     rho_grid = tuple(float(r) for r in rho_grid)
     if any(r <= 0 for r in rho_grid):
         raise ConfigurationError("rho grid must be positive")
-    rng = np.random.default_rng(seed)
-    if p == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        dirs = rng.standard_normal((n_dir, p))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = ProbeGrid(n_dir=n_dir, seed=seed).directions(p)
     times = np.linspace(t_window[0], t_window[1], n_t)
     radii_all = np.geomspace(min(rho_grid), r_max, 24)
     # Ratios on every radius any rho scans (rho itself, then radii_all),

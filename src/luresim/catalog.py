@@ -17,16 +17,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .analyzer import analyze_system
+from .config import _build_builtin
 from .errors import UsageError
 from .inclusion import (InclusionOptions, SelectionPolicy, check_image_convexity,
                         simulate_inclusion)
 from .integrator import (SimOptions, compare_to_reference, refine_escape_time,
                          simulate)
-from .nonlinearity import (Nonlinearity, deadzone_saturation, halfband_slopes,
-                           identity_minus_atan, normalized_gain,
-                           normalized_rotation, parabolic_band,
-                           radial_three_zone, rotated_radial,
-                           saturation_scaled)
+from .nonlinearity import Nonlinearity
 from .output_solver import enumerate_fibre_exact
 from .signals import InputSignal, polynomial_input, zero_input
 from .system import SystemMatrices, eval_F
@@ -118,7 +115,7 @@ def _build_ex3a() -> CatalogEntry:
     return CatalogEntry(
         name="ex3a",
         title="output equation with a bounded range: existence fails off the band",
-        system=_band_system(), nonlinearity=halfband_slopes(),
+        system=_band_system(), nonlinearity=_build_builtin("halfband_slopes", {}),
         input=zero_input(1), t0=0.0, x0=np.array([1.5, 0.0]),
         tmax=1.0, dt=1e-3,
         expected_verdicts=_verdicts("fail_witness", "fail_witness",
@@ -190,7 +187,7 @@ def _build_ex3c() -> CatalogEntry:
     return CatalogEntry(
         name="ex3c",
         title="two-valued fibres: two solutions from one initial state",
-        system=_scalar_sys(-1.0), nonlinearity=parabolic_band(),
+        system=_scalar_sys(-1.0), nonlinearity=_build_builtin("parabolic_band", {}),
         input=zero_input(1), t0=0.0, x0=np.array([0.25]),
         tmax=2.0, dt=1e-4, references=refs,
         expected_verdicts=_verdicts("pass_sampled", "fail_witness",
@@ -230,7 +227,7 @@ def _build_ex3d() -> CatalogEntry:
         system=SystemMatrices(A=[[1.0, -1.0], [-1.0, 1.0]],
                               B=[[1.0], [-1.0]], B_e=[[1.0], [-1.0]],
                               C=[[1.0, 1.0]], D=[[1.0]], D_e=[[1.0]]),
-        nonlinearity=identity_minus_atan(),
+        nonlinearity=_build_builtin("identity_minus_atan", {}),
         input=polynomial_input([[0.0], [1.0]]),     # v(t) = t
         t0=0.0, x0=np.array([-1.0, 1.0]),
         tmax=2.0, dt=1e-3, references=(ref,),
@@ -244,14 +241,13 @@ def _build_ex3d() -> CatalogEntry:
     )
 
 
-def _build_ex4a(radial_gain=None, angle=None) -> CatalogEntry:
+def _build_ex4a(angle="t") -> CatalogEntry:
     return CatalogEntry(
         name="ex4a",
         title="rotating radial map: invertible output, superlinear gain",
         system=SystemMatrices(A=np.zeros((2, 2)), B=np.eye(2), B_e=np.eye(2),
                               C=np.eye(2), D=np.eye(2), D_e=np.zeros((2, 2))),
-        nonlinearity=rotated_radial(radial_gain=radial_gain, angle=angle,
-                                    angle_expr="t"),
+        nonlinearity=_build_builtin("rotated_radial", {"angle": angle}),
         input=zero_input(2), t0=0.0, x0=np.array([1.0, 0.0]),
         tmax=5.0, dt=1e-3,
         expected_verdicts=_verdicts("pass_sampled", "pass_sampled",
@@ -269,7 +265,8 @@ def _build_ex4b() -> CatalogEntry:
     return CatalogEntry(
         name="ex4b",
         title="normalized rotation with contractive feedthrough",
-        system=_planar_sys(-1.0, 0.5), nonlinearity=normalized_rotation(),
+        system=_planar_sys(-1.0, 0.5),
+        nonlinearity=_build_builtin("normalized_rotation", {}),
         input=zero_input(2), t0=0.0, x0=np.array([1.0, 1.0]),
         tmax=10.0, dt=1e-3,
         expected_verdicts=_verdicts("pass_sampled", "pass_sampled",
@@ -283,10 +280,7 @@ def _build_ex4b() -> CatalogEntry:
 
 
 def _build_ex4c(gain=0.5) -> CatalogEntry:
-    if isinstance(gain, str):
-        f = normalized_gain(gain=_compile_time_expr(gain), p=2, gain_expr=gain)
-    else:
-        f = normalized_gain(gain=gain, p=2)
+    f = _build_builtin("normalized_gain", {"gain": gain, "p": 2})
     return CatalogEntry(
         name="ex4c",
         title="normalized gain: complete and unique for gains below one",
@@ -305,10 +299,7 @@ def _build_ex4c(gain=0.5) -> CatalogEntry:
 
 
 def _build_sec42a(width=0.3) -> CatalogEntry:
-    if isinstance(width, str):
-        f = deadzone_saturation(width=_compile_time_expr(width))
-    else:
-        f = deadzone_saturation(width=width)
+    f = _build_builtin("deadzone_saturation", {"width": width})
     return CatalogEntry(
         name="sec42a",
         title="deadzone-saturation: segment fibres with convex images",
@@ -329,7 +320,8 @@ def _build_sec42b() -> CatalogEntry:
     return CatalogEntry(
         name="sec42b",
         title="radial three-zone map: segment fibres along rays",
-        system=_planar_sys(-1.0, 0.5), nonlinearity=radial_three_zone(p=2),
+        system=_planar_sys(-1.0, 0.5),
+        nonlinearity=_build_builtin("radial_three_zone", {"p": 2}),
         input=zero_input(2), t0=0.0, x0=np.array([1.5, 0.0]),
         tmax=5.0, dt=1e-3,
         expected_verdicts=_verdicts("pass_sampled", "fail_witness",
@@ -343,10 +335,7 @@ def _build_sec42b() -> CatalogEntry:
 
 
 def _build_sec42c(gain="min(1, 0.5*t)") -> CatalogEntry:
-    if isinstance(gain, str):
-        f = saturation_scaled(gain=_compile_time_expr(gain), gain_expr=gain)
-    else:
-        f = saturation_scaled(gain=gain)
+    f = _build_builtin("saturation_scaled", {"gain": gain})
     return CatalogEntry(
         name="sec42c",
         title="time-varying saturation: fibres fatten as the gain reaches one",
@@ -362,13 +351,6 @@ def _build_sec42c(gain="min(1, 0.5*t)") -> CatalogEntry:
               "solvability for t < 2, and the segment fibre [-1, 1] at "
               "w = 0 once the gain saturates at one.",
     )
-
-
-def _compile_time_expr(expr: str):
-    """Compile a scalar expression of t (used for time-varying parameters)."""
-    from .config import compile_scalar_expression
-
-    return compile_scalar_expression(expr)
 
 
 _BUILDERS = {
@@ -388,9 +370,10 @@ _BUILDERS = {
 def build_example(name: str, **params) -> CatalogEntry:
     """Construct a catalog entry by name.
 
-    Some entries take parameters (ex4c: ``gain``; sec42a: ``width``;
-    sec42c: ``gain``; ex4a: ``radial_gain``, ``angle``); defaults match
-    the shipped configuration.
+    Some entries take parameters, read as a config file reads them (ex4c
+    ``gain``, sec42a ``width``, sec42c ``gain``: a number or an expression
+    of t; ex4a ``angle``: an expression of t); defaults match the shipped
+    configuration.
     """
     if name not in _BUILDERS:
         raise UsageError(

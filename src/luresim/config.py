@@ -13,12 +13,12 @@ from __future__ import annotations
 import ast
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nonlinearity as nl
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EvaluationError
 from .nonlinearity import Nonlinearity, ScalarPiece
 from .signals import (InputSignal, constant_input, piecewise_constant_input,
                       polynomial_input, zero_input)
@@ -35,6 +35,8 @@ _ALLOWED_FUNCS = {
     "max": max,
     "exp": math.exp,
 }
+# the least number of arguments of the functions that take several
+_LEAST_ARGS = {"min": 2, "max": 2, "norm": 1}
 
 
 def _err(path: str, message: str) -> ConfigurationError:
@@ -73,6 +75,9 @@ class _ExprChecker(ast.NodeVisitor):
                                   "exp, norm may be called")
         if node.keywords:
             raise _err(self.path, "keyword arguments are not allowed")
+        n, least = len(node.args), _LEAST_ARGS.get(node.func.id, 1)
+        if n < least or (n > 1 and node.func.id not in _LEAST_ARGS):
+            raise _err(self.path, f"{node.func.id} given {n} arguments")
         for arg in node.args:
             self.visit(arg)
 
@@ -87,24 +92,36 @@ def _compile_expression(expr: str, names: list[str], path: str):
 
     The function body is the checked expression itself, so every operation
     and ``math`` call is the one ``eval`` would make; only the whitelisted
-    functions are reachable, as globals, and builtins are empty.
+    functions are reachable, as globals, and builtins are empty.  A domain
+    error, an overflow or a complex value raises EvaluationError at t and
+    the point, with the original error as its cause.
     """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise _err(path, f"syntax error: {exc.msg}") from None
     _ExprChecker(set(names), path).visit(tree)
-    # lambda t, xi_1, ...: float(<expression>); the checker admits no
-    # name "float", so the conversion cannot be reached from the expression
-    body = ast.Call(func=ast.Name(id="float", ctx=ast.Load()),
-                    args=[tree.body], keywords=[])
-    params = ast.arguments(posonlyargs=[], args=[ast.arg(arg=n) for n in names],
-                           kwonlyargs=[], kw_defaults=[], defaults=[])
-    lam = ast.fix_missing_locations(ast.Expression(
-        body=ast.Lambda(args=params, body=body)))
-    code = compile(lam, filename=f"<{path}>", mode="eval")
-    env = {"__builtins__": {}, **_ALLOWED_FUNCS, "norm": _norm, "float": float}
-    return eval(code, env)
+    # The expression names only its variables and the whitelisted functions
+    # (with valid argument counts), so it cannot reach the names below, and
+    # a TypeError is an operation on a complex value.  The checked
+    # expression takes the place of the "...".
+    args = ", ".join(names)
+    module = ast.parse(f"def expression({args}):\n"
+                       f"    try:\n"
+                       f"        return float(...)\n"
+                       f"    except _FAILURES as exc:\n"
+                       f"        raise _failed(exc, {args}) from exc\n")
+    module.body[0].body[0].body[0].value.args = [tree.body]
+    code = compile(ast.fix_missing_locations(module), f"<{path}>", "exec")
+
+    def failed(exc, *values):
+        return EvaluationError(f"{path}: {exc} at {dict(zip(names, values))}",
+                               t=values[0], point=np.array(values[1:]))
+
+    env = {"__builtins__": {}, **_ALLOWED_FUNCS, "norm": _norm, "float": float,
+           "_FAILURES": (ArithmeticError, ValueError, TypeError), "_failed": failed}
+    exec(code, env)
+    return env["expression"]
 
 
 def compile_scalar_expression(expr: str, path: str = "expression"):
@@ -131,75 +148,89 @@ def compile_vector_expression(exprs: list[str], p: int,
 # Builtin nonlinearity registry
 # ---------------------------------------------------------------------------
 
-def _scalar_or_expr(value, path: str):
-    if isinstance(value, (int, float)):
-        return float(value)
+def _number(value, path: str, expected: str = "a finite number") -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise _err(path, f"expected {expected}")
+    return float(value)
+
+
+def _count(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise _err(path, "expected an integer >= 1")
+    return value
+
+
+def _time_expr(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise _err(path, "expected an expression of t")
+    return value
+
+
+def _number_or_time_expr(value, path: str):
     if isinstance(value, str):
-        return compile_scalar_expression(value, path)
-    raise _err(path, "expected a number or an expression of t")
+        return value
+    return _number(value, path, "a finite number or an expression of t")
 
 
-def _build_builtin(name: str, params: dict, path: str) -> Nonlinearity:
-    known = {"zero", "linear", "halfband_slopes", "parabolic_band",
-             "identity_minus_atan", "deadzone_saturation", "saturation_scaled",
-             "normalized_gain", "rotated_radial", "normalized_rotation",
-             "radial_three_zone"}
-    if name not in known:
-        raise _err(path, f"unknown builtin {name!r}; valid: {sorted(known)}")
-    params = dict(params)
+def _matrix(value, path: str) -> list[list[float]]:
+    try:
+        arr = np.array(value, dtype=float, ndmin=2)
+    except (TypeError, ValueError):
+        raise _err(path, "expected a finite numeric matrix") from None
+    if arr.ndim != 2 or not np.isfinite(arr).all():
+        raise _err(path, "expected a finite numeric matrix")
+    return arr.tolist()
 
-    def take(key, default=None, required=False):
-        if key in params:
-            return params.pop(key)
-        if required:
-            raise _err(f"{path}.params.{key}", "required parameter missing")
-        return default
 
-    if name == "zero":
-        out = nl.zero_nonlinearity(int(take("m", required=True)),
-                                   int(take("p", required=True)))
-    elif name == "linear":
-        out = nl.linear_nonlinearity(take("K", required=True))
-    elif name == "halfband_slopes":
-        out = nl.halfband_slopes()
-    elif name == "parabolic_band":
-        out = nl.parabolic_band()
-    elif name == "identity_minus_atan":
-        out = nl.identity_minus_atan()
-    elif name == "deadzone_saturation":
-        width = take("width", 0.3)
-        out = nl.deadzone_saturation(_scalar_or_expr(width, f"{path}.params.width"))
-        if isinstance(width, (int, float)):
-            out.params["width"] = float(width)
-        else:
-            out.params["width"] = width
-    elif name == "saturation_scaled":
-        gain = take("gain", 1.0)
-        compiled = _scalar_or_expr(gain, f"{path}.params.gain")
-        out = nl.saturation_scaled(gain=compiled,
-                                   gain_expr=gain if isinstance(gain, str) else None)
-        if isinstance(gain, (int, float)):
-            out.params["gain"] = float(gain)
-    elif name == "normalized_gain":
-        gain = take("gain", 0.5)
-        p = int(take("p", 2))
-        compiled = _scalar_or_expr(gain, f"{path}.params.gain")
-        out = nl.normalized_gain(gain=compiled, p=p,
-                                 gain_expr=gain if isinstance(gain, str) else None)
-        if isinstance(gain, (int, float)):
-            out.params["gain"] = float(gain)
-    elif name == "rotated_radial":
-        angle = take("angle", "t")
-        out = nl.rotated_radial(angle=compile_scalar_expression(
-            angle, f"{path}.params.angle"), angle_expr=angle)
-    elif name == "normalized_rotation":
-        out = nl.normalized_rotation(omega=float(take("omega", 1.0)),
-                                     p=int(take("p", 2)))
-    else:   # radial_three_zone
-        out = nl.radial_three_zone(p=int(take("p", 2)))
-    if params:
-        raise _err(f"{path}.params", f"unknown parameters {sorted(params)}")
-    return out
+# name -> (builder, {parameter: (reader, default)}); a reader checks a
+# given value and returns it as the map's params record it, and a default
+# of None marks a required parameter
+_BUILTINS = {
+    "zero": (nl.zero_nonlinearity, {"m": (_count, None), "p": (_count, None)}),
+    "linear": (nl.linear_nonlinearity, {"K": (_matrix, None)}),
+    "halfband_slopes": (nl.halfband_slopes, {}),
+    "parabolic_band": (nl.parabolic_band, {}),
+    "identity_minus_atan": (nl.identity_minus_atan, {}),
+    "deadzone_saturation": (nl.deadzone_saturation,
+                            {"width": (_number_or_time_expr, 0.3)}),
+    "saturation_scaled": (nl.saturation_scaled,
+                          {"gain": (_number_or_time_expr, 1.0)}),
+    "normalized_gain": (nl.normalized_gain,
+                        {"gain": (_number_or_time_expr, 0.5), "p": (_count, 2)}),
+    "rotated_radial": (nl.rotated_radial, {"angle": (_time_expr, "t")}),
+    "normalized_rotation": (nl.normalized_rotation,
+                            {"omega": (_number, 1.0), "p": (_count, 2)}),
+    "radial_three_zone": (nl.radial_three_zone, {"p": (_count, 2)}),
+}
+
+
+def _build_builtin(name: str, params, path: str = "nonlinearity.builtin"
+                   ) -> Nonlinearity:
+    """The built-in map ``name``, for config files and the catalog alike.
+
+    Each parameter, given or default, is read once and recorded as read
+    (an expression of t as its text) in the map's ``params``, so a config
+    written from them builds the same map.  Errors name the field.
+    """
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise _err(f"{path}.name",
+                   f"unknown builtin {name!r}; valid: {sorted(_BUILTINS)}")
+    builder, spec = _BUILTINS[name]
+    if not isinstance(params, dict):
+        raise _err(f"{path}.params", "expected an object")
+    if set(params) - set(spec):
+        raise _err(f"{path}.params",
+                   f"unknown parameters {sorted(set(params) - set(spec))}")
+    record, args = {}, {}
+    for key, (read, default) in spec.items():
+        field = f"{path}.params.{key}"
+        if key not in params and default is None:
+            raise _err(field, "required parameter missing")
+        record[key] = args[key] = read(params.get(key, default), field)
+        if isinstance(record[key], str):
+            args[key] = compile_scalar_expression(record[key], field)
+    return replace(builder(**args), params=record)
 
 
 def _build_piecewise(spec: dict, path: str) -> Nonlinearity:
@@ -284,11 +315,7 @@ def parse_config(text: str) -> SystemConfig:
     for key in _MATRIX_NAMES:
         if key not in matrices_raw:
             raise _err(f"matrices.{key}", "required matrix missing")
-        value = matrices_raw.pop(key)
-        arr = np.atleast_2d(np.asarray(value, dtype=float))
-        if arr.ndim != 2:
-            raise _err(f"matrices.{key}", "expected a nested numeric array")
-        mats[key] = arr
+        mats[key] = np.array(_matrix(matrices_raw.pop(key), f"matrices.{key}"))
     if matrices_raw:
         raise _err("matrices", f"unknown fields {sorted(matrices_raw)}")
 
@@ -312,16 +339,10 @@ def parse_config(text: str) -> SystemConfig:
                    "expected exactly one of: builtin, piecewise_scalar, expression")
     (tag, payload), = nonlin_raw.items()
     if tag == "builtin":
-        if not isinstance(payload, dict):
-            raise _err("nonlinearity.builtin", "expected an object")
-        payload = dict(payload)
-        name = payload.pop("name", None)
-        params = payload.pop("params", {})
-        if payload:
-            raise _err("nonlinearity.builtin", f"unknown fields {sorted(payload)}")
-        if not isinstance(name, str):
-            raise _err("nonlinearity.builtin.name", "expected a builtin name")
-        f = _build_builtin(name, params, "nonlinearity.builtin")
+        if not isinstance(payload, dict) or set(payload) - {"name", "params"}:
+            raise _err("nonlinearity.builtin", "expected an object with a name "
+                                               "and optional params")
+        f = _build_builtin(payload.get("name"), payload.get("params", {}))
     elif tag == "piecewise_scalar":
         f = _build_piecewise(payload, "nonlinearity.piecewise_scalar")
     elif tag == "expression":

@@ -32,8 +32,8 @@ from .integrator import (Termination, TrajectoryRecord, _integrate, _plant,
                          _Plant, _Recorder, _rk_step, _validate_run)
 from .nonlinearity import Nonlinearity, all_finite, row_norms, vec_norm
 from .output_solver import (FibreSet, SolveOptions, _as_float, _checked,
-                            enumerate_fibre_exact, enumerate_fibre_multistart,
-                            exact_structure_available)
+                            _exact_route, enumerate_fibre_exact,
+                            enumerate_fibre_multistart)
 from .system import SystemMatrices
 
 
@@ -148,9 +148,9 @@ def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
 
 
 def enumerate_fibre(f: Nonlinearity, D, t: float, w, opts: SolveOptions) -> FibreSet:
-    """F_t^{-1}(w): exact enumeration where the structure allows, else multistart."""
-    return _fibre_on_route(exact_structure_available(f, D), f, D, t, w,
-                           _checked(opts))
+    """F_t^{-1}(w) on the route ``_exact_route`` picks: exact, or multistart."""
+    opts = _checked(opts)
+    return _fibre_on_route(_exact_route(f, D, opts), f, D, t, w, opts)
 
 
 def _fibre_on_route(exact: bool, f: Nonlinearity, D, t: float, w,
@@ -226,7 +226,7 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     t0, x0, fibre_opts = _validate_run(opts, t0, x0, sys, v)
     plant = _plant(sys, v)
     rec = _Recorder(plant, with_branches=True)
-    exact = exact_structure_available(f, sys.D)
+    exact = _exact_route(f, sys.D, fibre_opts)
     branch = -1                        # index of the last selection
 
     def fibre(t: float, x, vt) -> FibreSet:

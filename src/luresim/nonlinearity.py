@@ -504,7 +504,7 @@ def deadzone_saturation(width=0.3) -> Nonlinearity:
     return piecewise_scalar(pieces, name="deadzone_saturation", params=params)
 
 
-def saturation_scaled(gain=1.0, gain_expr: str | None = None) -> Nonlinearity:
+def saturation_scaled(gain=1.0) -> Nonlinearity:
     """Scalar saturation scaled by a (possibly time-varying) gain h(t) in [0, 1].
 
     A numeric gain gives static pieces.
@@ -514,15 +514,11 @@ def saturation_scaled(gain=1.0, gain_expr: str | None = None) -> Nonlinearity:
         ScalarPiece(lo=-1.0, hi=1.0, c1=_of_param(gain, lambda h: h)),
         ScalarPiece(lo=1.0, hi=_INF, c0=_of_param(gain, lambda h: h)),
     )
-    params = {}
-    if gain_expr is not None:
-        params["gain"] = gain_expr
-    elif not callable(gain):
-        params["gain"] = float(gain)
+    params = {} if callable(gain) else {"gain": float(gain)}
     return piecewise_scalar(pieces, name="saturation_scaled", params=params)
 
 
-def normalized_gain(gain=0.5, p: int = 2, gain_expr: str | None = None) -> Nonlinearity:
+def normalized_gain(gain=0.5, p: int = 2) -> Nonlinearity:
     """f(t, xi) = h(t) xi / (1 + ||xi||): linearly bounded, radially flattening.
 
     A callable gain must be a pure function of t: its value is reused
@@ -557,11 +553,7 @@ def normalized_gain(gain=0.5, p: int = 2, gain_expr: str | None = None) -> Nonli
             - outer / (rl * sq)[:, None, None])
         return out
 
-    params = {"p": p}
-    if gain_expr is not None:
-        params["gain"] = gain_expr
-    elif not callable(gain):
-        params["gain"] = float(gain)
+    params = {"p": p} if callable(gain) else {"gain": float(gain), "p": p}
     return Nonlinearity(m=p, p=p, fn=fn, fn_batch=fn_batch, jac=jac,
                         jac_batch=jac_batch, name="normalized_gain",
                         params=params)
@@ -572,8 +564,7 @@ def rotation_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def rotated_radial(radial_gain=None, angle=None, angle_expr: str | None = None
-                   ) -> Nonlinearity:
+def rotated_radial(radial_gain=None, angle=None) -> Nonlinearity:
     """Planar f(t, xi) = xi - g(||xi||) R(theta(t)) xi.
 
     Defaults g(s) = s and theta(t) = t, for which s*g(s) is injective and
@@ -594,11 +585,8 @@ def rotated_radial(radial_gain=None, angle=None, angle_expr: str | None = None
         rotations = _at_times(rotation, T)
         return X - gains[:, None] * np.matmul(rotations, X[..., None])[..., 0]
 
-    params = {}
-    if angle_expr is not None:
-        params["angle"] = angle_expr
     return Nonlinearity(m=2, p=2, fn=fn, fn_batch=fn_batch,
-                        name="rotated_radial", params=params)
+                        name="rotated_radial")
 
 
 def normalized_rotation(omega: float = 1.0, p: int = 2, frame=None) -> Nonlinearity:

@@ -8,12 +8,14 @@ Three routes:
 * ``enumerate_fibre_exact``: closed-form enumeration of the whole fibre
   F_t^{-1}(w) for piecewise-scalar and radially structured nonlinearities
   (points and flat segments, residual at roundoff level).
-* ``brute_force_fibre_oracle``: an independent dense-scan oracle used to
-  cross-check the exact enumeration; it never shares code with it.
+* ``brute_force_fibre_oracle``: a dense-scan oracle that cross-checks the
+  exact enumeration by its own scan; a scalar fibre of either is assembled
+  by the same ``_assemble_scalar_fibre`` and ``FibreSet.of_floats``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
@@ -45,10 +47,10 @@ class SolveOptions:
     residual is cut off, not failed.  A multistart fibre runs Newton from
     ``n_starts`` seeded Halton points within ``search_radius`` of its
     centre and merges solutions closer than twice ``tol_sep``.
-    ``use_structure`` allows the exact fibre.  ``tol_resid``, ``tol_sep``
-    and ``search_radius`` must be finite and positive, ``max_iter`` an
-    integer >= 1 and ``n_starts`` one >= 0: a run, or a one-shot call,
-    rejects other values where they enter, naming the field.
+    ``use_structure`` allows the exact fibre on every route.  ``tol_resid``,
+    ``tol_sep`` and ``search_radius`` must be finite and positive,
+    ``max_iter`` an integer >= 1, ``n_starts`` and ``seed`` ones >= 0 (not
+    bools): a run, or a one-shot call, rejects others, naming the field.
     """
 
     tol_resid: float = 1e-10
@@ -77,9 +79,10 @@ def _checked(opts: SolveOptions | None, prefix: str = "") -> SolveOptions:
                 and value > 0):
             raise ConfigurationError(
                 f"{prefix}{name} must be finite and positive, got {value!r}")
-    for name, least in (("max_iter", 1), ("n_starts", 0)):
+    for name, least in (("max_iter", 1), ("n_starts", 0), ("seed", 0)):
         value = getattr(opts, name)
-        if not (isinstance(value, numbers.Integral) and value >= least):
+        if not (isinstance(value, numbers.Integral)
+                and not isinstance(value, bool) and value >= least):
             raise ConfigurationError(
                 f"{prefix}{name} must be an integer >= {least}, got {value!r}")
     return _CheckedOptions(**{fld.name: getattr(opts, fld.name)
@@ -535,7 +538,7 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
         if y_guess.size != p:
             raise ConfigurationError(f"y_guess must have length {p}")
 
-    if opts.use_structure and exact_structure_available(f, D):
+    if _exact_route(f, D, opts):
         fib = enumerate_fibre_exact(f, D, t, w, tol_sep=opts.tol_sep)
         iters = 0
         if fib.empty:
@@ -579,6 +582,8 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
 def _scalar_bracket_roots(f: Nonlinearity, D: np.ndarray, t: float,
                           w: np.ndarray, center: np.ndarray,
                           opts: SolveOptions) -> list[float]:
+    """Roots of the residual's sign changes on a grid around center; grid
+    points and brackets where f is not finite are skipped."""
     d = float(D[0, 0])
     w0 = float(w[0])
     c = float(center[0])
@@ -588,7 +593,7 @@ def _scalar_bracket_roots(f: Nonlinearity, D: np.ndarray, t: float,
 
     xs = np.linspace(c - opts.search_radius, c + opts.search_radius,
                      _BRACKET_POINTS)
-    vals = np.array([resid(x) for x in xs])
+    vals = xs - d * f.eval_rows(t, xs[:, None])[0][:, 0] - w0
     roots = []
     for i in range(xs.size - 1):
         if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
@@ -596,7 +601,8 @@ def _scalar_bracket_roots(f: Nonlinearity, D: np.ndarray, t: float,
         if vals[i] == 0.0:
             roots.append(float(xs[i]))
         elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(float(brentq(resid, xs[i], xs[i + 1], xtol=1e-13)))
+            with contextlib.suppress(EvaluationError):      # f not finite inside
+                roots.append(float(brentq(resid, xs[i], xs[i + 1], xtol=1e-13)))
     if vals.size and vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
@@ -612,6 +618,11 @@ def exact_structure_available(f: Nonlinearity, D) -> bool:
     if f.kind == "radial":
         return scalar_feedthrough(_as_feedthrough(D)) is not None
     return False
+
+
+def _exact_route(f: Nonlinearity, D, opts: SolveOptions) -> bool:
+    """The route rule of every solve and fibre: exact, or numeric."""
+    return opts.use_structure and exact_structure_available(f, D)
 
 
 def _piece_roots_for_target(pc, d: float, target: float,

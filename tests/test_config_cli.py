@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from luresim import (EXAMPLE_NAMES, ConfigurationError, config_text,
-                     entry_to_config, parse_config)
+from luresim import (EXAMPLE_NAMES, ConfigurationError, build_example,
+                     config_text, entry_to_config, parse_config)
 from luresim.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +36,60 @@ def test_round_trip_every_entry(entry, name):
         assert np.allclose(cfg.nonlinearity(t, xi), e.nonlinearity(t, xi),
                            atol=1e-12)
         assert np.allclose(cfg.input(t), e.input(t), atol=1e-15)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("ex4a", {"angle": "2*t"}), ("sec42a", {"width": "0.5"}),
+    ("sec42c", {"gain": 0.5}), ("ex4c", {"gain": "0.5+0*t"}),
+])
+def test_round_trip_of_entry_parameters(name, params):
+    # a parameter given to the catalog is written as given, so the config
+    # reloads the same map, bit for bit
+    e = build_example(name, **params)
+    cfg = parse_config(config_text(e))
+    assert cfg.nonlinearity.params == e.nonlinearity.params
+    assert all(e.nonlinearity.params[key] == value for key, value in params.items())
+    p = e.nonlinearity.p
+    for t in (0.0, 0.3, 1.3, 2.5):
+        for xi in (np.full(p, 0.4), np.linspace(-1.7, 1.1, p), np.full(p, 1.2)):
+            want = e.nonlinearity(t, xi)
+            assert cfg.nonlinearity(t, xi).tobytes() == want.tobytes()
+
+
+def _with_builtin(doc, name, params):
+    doc["nonlinearity"] = {"builtin": {"name": name, "params": params}}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("rotated_radial", "angle", 0.5),
+    ("normalized_gain", "p", None),
+    ("normalized_gain", "p", True),
+    ("normalized_gain", "p", 0),
+    ("normalized_rotation", "omega", "x"),
+    ("saturation_scaled", "gain", [1.0]),
+    ("linear", "K", [["a", 1.0], [0.0, 1.0]]),
+    ("linear", "K", [[1.0, 0.0], [0.0]]),
+    ("linear", "K", [[float("inf"), 0.0], [0.0, 1.0]]),
+])
+def test_bad_builtin_parameter_is_rejected_naming_it(entry, name, key, value):
+    doc = entry_to_config(entry("ex4b"))          # n = m = p = 2
+    with pytest.raises(ConfigurationError,
+                       match=rf"^nonlinearity\.builtin\.params\.{key}: "):
+        parse_config(_with_builtin(doc, name, {key: value}))
+
+
+def test_builtin_parameters_missing_or_unknown(entry):
+    doc = entry_to_config(entry("ex4b"))
+    with pytest.raises(ConfigurationError,
+                       match=r"^nonlinearity\.builtin\.params\.K: required"):
+        parse_config(_with_builtin(doc, "linear", {}))
+    with pytest.raises(ConfigurationError, match=r"unknown parameters \['q'\]"):
+        parse_config(_with_builtin(doc, "rotated_radial", {"q": 1}))
+    with pytest.raises(ConfigurationError, match="unknown builtin 'nope'"):
+        parse_config(_with_builtin(doc, "nope", {}))
+    cfg = parse_config(_with_builtin(doc, "linear", {"K": [[2, 0], [0, 1]]}))
+    assert cfg.nonlinearity.params == {"K": [[2.0, 0.0], [0.0, 1.0]]}
 
 
 def test_shipped_configs_match_catalog(entry):
@@ -193,6 +247,18 @@ def test_cli_config_error_exit_2(tmp_path):
     code = main(["simulate", "--system", str(bad), "--out",
                  str(tmp_path / "x")])
     assert code == 2
+
+
+def test_cli_expression_domain_error_exit_1(tmp_path, entry, capsys):
+    # sqrt(xi_1) at a sampled negative point: a named evaluation error
+    doc = entry_to_config(entry("ex3d"))
+    doc["nonlinearity"] = {"expression": ["sqrt(xi_1)"]}
+    cfg = tmp_path / "sqrt.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["analyze", "--system", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nonlinearity.expression[0]: math domain error")
+    assert "Traceback" not in err
 
 
 def test_cli_fibre_reports_segment(tmp_path, entry, capsys):

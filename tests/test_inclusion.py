@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import luresim.inclusion as inclusion
 from luresim import (ConfigurationError, EmptyFibreError, FibreSet,
                      InclusionOptions, Nonlinearity, ScalarPiece,
-                     SelectionPolicy, SimOptions, SystemMatrices,
+                     SelectionPolicy, SimOptions, SolveOptions, SystemMatrices,
                      check_image_convexity, compare_to_reference,
                      constant_input, enumerate_fibre_exact, parabolic_band,
                      piecewise_scalar, residual_norm, select_from_fibre,
@@ -381,3 +381,30 @@ def test_convexity_violation_on_three_point_fibre():
     verdict = check_image_convexity(f, [[1.0]], 0.0, [0.1], fib)
     assert verdict.kind == "violation"
     assert verdict.witness is not None
+
+
+def test_use_structure_false_takes_the_multistart_route(entry, monkeypatch):
+    # enumerate_fibre and simulate_inclusion follow the rule solve_output
+    # follows: with use_structure off, no fibre is enumerated exactly
+    e = entry("ex3c")
+    off = SolveOptions(use_structure=False)
+    exact = inclusion.enumerate_fibre(e.nonlinearity, e.system.D, 0.0, [0.1],
+                                      SolveOptions())
+    fib = inclusion.enumerate_fibre(e.nonlinearity, e.system.D, 0.0, [0.1], off)
+    assert exact.exact and not fib.exact
+    assert np.allclose(fib.points, exact.points, atol=1e-9)     # three points
+    calls = {"exact": 0, "multistart": 0}
+    for route in calls:
+        original = getattr(inclusion, f"enumerate_fibre_{route}")
+
+        def counting(*args, _original=original, _route=route, **kwargs):
+            calls[_route] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inclusion, f"enumerate_fibre_{route}", counting)
+    rec = simulate_inclusion(e.system, e.nonlinearity, e.input, 0.0, e.x0,
+                             SelectionPolicy.fixed_branch(1),
+                             InclusionOptions(dt=1e-3, tmax=0.01, fibre=off))
+    assert rec.termination.kind == "reached_tmax" and rec.n_samples == 11
+    assert calls == {"exact": 0, "multistart": rec.n_samples}
+    assert np.allclose(rec.x[:, 0], 0.25, atol=1e-9)       # the constant branch

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from luresim import (EXAMPLE_NAMES, ConfigurationError, FibreSet, ScalarPiece,
-                     SelectionPolicy, SolveOptions, brute_force_fibre_oracle,
-                     check_image_convexity, deadzone_saturation,
+from luresim import (EXAMPLE_NAMES, ConfigurationError, EvaluationError,
+                     FibreSet, ScalarPiece, SelectionPolicy, SolveOptions,
+                     brute_force_fibre_oracle, check_image_convexity,
+                     compile_vector_expression, deadzone_saturation,
                      enumerate_fibre_exact, enumerate_fibre_multistart,
-                     identity_minus_atan, parabolic_band, piecewise_scalar,
-                     residual_norm, select_from_fibre, solve_output,
-                     zero_nonlinearity)
+                     identity_minus_atan, parabolic_band, parse_config,
+                     piecewise_scalar, residual_norm, select_from_fibre,
+                     solve_output, zero_nonlinearity)
 from luresim.inclusion import _fold_candidates
 from luresim.output_solver import _newton
 
@@ -241,6 +243,39 @@ def test_multistart_trivial_zero_map():
     fib = enumerate_fibre_multistart(f, [[1.0]], 0.0, [0.4])
     assert len(fib.points) == 1
     assert fib.points[0][0] == pytest.approx(0.4, abs=1e-10)
+
+
+def test_multistart_grid_skips_points_where_f_overflows():
+    # exp(100 y^2) overflows over most of the search window; the scalar
+    # grid skips those points as the stacked starts do, and both
+    # dimensions read the fibre of w = 0.5 (which holds no root) as empty
+    opts = SolveOptions()
+    for p in (1, 2):
+        f = compile_vector_expression(
+            [f"exp(100*xi_{i + 1}*xi_{i + 1})" for i in range(p)], p)
+        with np.errstate(over="ignore", invalid="ignore"):     # huge steps
+            fib = enumerate_fibre_multistart(f, 1e-3 * np.eye(p), 0.0,
+                                             np.full(p, 0.5), opts)
+        assert fib.empty, p
+
+
+def test_expression_domain_error_is_stepped_around():
+    # sqrt(y) fails for y < 0, the warm start among them: Newton gives up
+    # there and the multistart fibre around it finds the one root,
+    # y - sqrt(y)/2 = 1 at y = ((1 + sqrt(17))/4)^2
+    cfg = parse_config(json.dumps({
+        "matrices": {"A": [[0.0]], "B": [[1.0]], "B_e": [[0.0]], "C": [[1.0]],
+                     "D": [[0.5]], "D_e": [[0.0]]},
+        "nonlinearity": {"expression": ["sqrt(xi_1)"]},
+        "input": {"zero": True}}))
+    with pytest.raises(EvaluationError) as exc:
+        cfg.nonlinearity(0.5, [-4.0])
+    assert exc.value.t == 0.5 and exc.value.point.tolist() == [-4.0]
+    sol = solve_output(cfg.system, cfg.nonlinearity, 0.0, [1.0], [-4.0])
+    assert sol.status == "unique_point"
+    assert sol.y[0] == pytest.approx(((1.0 + math.sqrt(17.0)) / 4.0) ** 2,
+                                     abs=1e-9)
+    assert sol.y[0] == pytest.approx(1.6404, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ BAD_SOLVER = [
     ("max_iter", 0), ("max_iter", 2.5),
     ("n_starts", -3), ("n_starts", 1.0),
     ("search_radius", -1.0), ("search_radius", INF), ("search_radius", NAN),
+    ("seed", -1), ("seed", 1.5), ("seed", True),
 ]
 SOLVER_CASES = [(integrator, field, bad) for field, bad in BAD_SOLVER
                 for integrator in BOTH]
@@ -109,6 +110,15 @@ def test_one_shot_entries_reject_bad_solver_options(entry, call, field, bad):
     prefix = "fibre_opts\\." if call.startswith("probe") else ""
     with pytest.raises(ConfigurationError, match=rf"^{prefix}{field} "):
         ONE_SHOT[call](entry("ex4a"), SolveOptions(**{field: bad}))
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True])
+def test_bad_seed_is_rejected_before_the_halton_starts(entry, bad):
+    # scipy's Halton sampler used to raise a bare ValueError on seed=-1
+    e = entry("ex4a")
+    with pytest.raises(ConfigurationError, match=r"^seed must be an integer >= 0"):
+        enumerate_fibre_multistart(e.nonlinearity, e.system.D, 0.0, [0.5, 0.2],
+                                   SolveOptions(seed=bad))
 
 
 def test_refine_escape_time_rejects_bad_solver_options(entry):

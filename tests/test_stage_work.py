@@ -253,11 +253,14 @@ def test_compiled_vector_expression_matches_eval():
 
 
 def test_compiled_expression_errors_match_eval():
+    # the error eval raises is the cause of an EvaluationError at that t
     compiled = compile_scalar_expression("sqrt(t)")
-    with pytest.raises(ValueError):
+    with pytest.raises(EvaluationError) as exc:
         compiled(-1.0)
-    with pytest.raises(ZeroDivisionError):
+    assert type(exc.value.__cause__) is ValueError and exc.value.t == -1.0
+    with pytest.raises(EvaluationError) as exc:
         compile_scalar_expression("1 / t")(0.0)
+    assert type(exc.value.__cause__) is ZeroDivisionError
     # the conversion wrapper is not reachable from an expression
     with pytest.raises(config.ConfigurationError):
         compile_scalar_expression("float(t)")

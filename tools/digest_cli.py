@@ -1,7 +1,7 @@
 """Print one SHA-256 digest per output of a fixed set of CLI calls.
 
-Each call runs ``python -m luresim.cli`` with ``--seed 0`` in a fresh
-temporary directory; the digests cover its stdout, stderr, exit code and
+Each call runs ``python -m luresim.cli`` (with ``--seed 0`` where the
+subcommand takes one) in a fresh temporary directory; the digests cover its stdout, stderr, exit code and
 every file it writes.  Two checkouts print the same lines exactly when the
 CLI produced the same bytes, so ``diff`` of the output on the parent and on
 the change shows byte-identity::
@@ -13,9 +13,10 @@ The calls import luresim from the ``src`` directory beside this script.
 The set: ``simulate`` on ex3b and ex4a at their config defaults,
 ``simulate --inclusion --policy fixed_branch:0`` on ex3c (and, with
 ``--method rk45_adaptive``, a method inclusion mode does not have),
-``analyze --out`` on all ten configs, and ``fibre`` on sec42a and ex4b plus
-the dense-scan oracle (``--scan-radius``) on ex3c.  A line reads
-``<call> <output> <sha256>``.
+``analyze --out`` on all ten configs, ``fibre`` on sec42a and ex4b plus
+the dense-scan oracle (``--scan-radius``) on ex3c, and ``example NAME
+--emit-config`` for each catalog entry (one per shipped config).  A line
+reads ``<call> <output> <sha256>``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ CONFIGS = ROOT / "configs"
 
 def _calls():
     def cfg(name):
-        return ["--system", str(CONFIGS / f"{name}.json")]
+        return ["--system", str(CONFIGS / f"{name}.json"), "--seed", "0"]
 
     for name in ("ex3b", "ex4a"):
         yield f"simulate/{name}", ["simulate", *cfg(name), "--out", "run"]
@@ -50,6 +51,9 @@ def _calls():
     yield "fibre/ex4b", ["fibre", *cfg("ex4b"), "--t", "0.5", "--w", "0.4,-0.2"]
     yield "fibre-scan/ex3c", ["fibre", *cfg("ex3c"), "--w", "0.1",
                               "--scan-radius", "3"]
+    for path in sorted(CONFIGS.glob("*.json")):
+        yield f"emit-config/{path.stem}", ["example", path.stem,
+                                           "--emit-config", "config.json"]
 
 
 def _sha(data: bytes) -> str:
@@ -67,7 +71,7 @@ def main(argv=None) -> int:
     for label, args in _calls():
         with tempfile.TemporaryDirectory() as work:
             proc = subprocess.run(
-                [sys.executable, "-m", "luresim.cli", *args, "--seed", "0"],
+                [sys.executable, "-m", "luresim.cli", *args],
                 cwd=work, capture_output=True, env=env)
             print(f"{label} stdout {_sha(proc.stdout)}")
             print(f"{label} stderr {_sha(proc.stderr)}")
