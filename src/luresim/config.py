@@ -367,7 +367,7 @@ def parse_config(text: str) -> SystemConfig:
                                          and set(ipayload) <= {"m_e"}):
             raise _err("input.zero", "expected true or an object {\"m_e\": int}")
         if isinstance(ipayload, dict) and "m_e" in ipayload \
-                and int(ipayload["m_e"]) != m_e:
+                and _count(ipayload["m_e"], "input.zero.m_e") != m_e:
             raise _err("input.zero.m_e", f"got {ipayload['m_e']}, expected {m_e}")
         signal = zero_input(m_e)
     elif itag == "constant":
@@ -387,14 +387,17 @@ def parse_config(text: str) -> SystemConfig:
         raise _err("defaults", "expected an object")
     defaults_raw = dict(defaults_raw)
     defaults = {}
-    for key, cast in (("t0", float), ("tmax", float), ("dt", float)):
+    for key in ("t0", "tmax", "dt"):
         if key in defaults_raw:
-            defaults[key] = cast(defaults_raw.pop(key))
+            defaults[key] = _number(defaults_raw.pop(key), f"defaults.{key}")
     if "x0" in defaults_raw:
-        x0 = np.asarray(defaults_raw.pop("x0"), dtype=float).reshape(-1)
-        if x0.size != n:
-            raise _err("defaults.x0", f"has length {x0.size}, expected n={n}")
-        defaults["x0"] = x0
+        x0 = defaults_raw.pop("x0")
+        if not isinstance(x0, list):
+            raise _err("defaults.x0", f"expected a list of n={n} numbers")
+        if len(x0) != n:
+            raise _err("defaults.x0", f"has length {len(x0)}, expected n={n}")
+        defaults["x0"] = np.array([_number(v, f"defaults.x0[{i}]")
+                                   for i, v in enumerate(x0)])
     if defaults_raw:
         raise _err("defaults", f"unknown fields {sorted(defaults_raw)}")
 
@@ -427,12 +430,23 @@ def _signal_to_dict(signal: InputSignal) -> dict:
 
 
 def entry_to_config(entry) -> dict:
-    """Serialize a catalog entry into the config schema."""
+    """Serialize a catalog entry into the config schema.
+
+    Only a built-in map whose ``params`` record every parameter of its
+    name reloads as the same map; any other raises ConfigurationError
+    naming the field that cannot be written.
+    """
     mats = {key: [[float(v) for v in row] for row in getattr(entry.system, key)]
             for key in _MATRIX_NAMES}
     f = entry.nonlinearity
-    if not f.name:
-        raise ConfigurationError("nonlinearity is not serializable (no name)")
+    if f.name not in _BUILTINS:
+        raise _err("nonlinearity.builtin.name",
+                   f"{f.name or 'an unnamed map'!r} is not a builtin")
+    for key in _BUILTINS[f.name][1]:
+        if key not in f.params:
+            raise _err(f"nonlinearity.builtin.params.{key}",
+                       "not recorded by the map (a callable parameter?), "
+                       "so a config would not rebuild it")
     return {
         "matrices": mats,
         "nonlinearity": {"builtin": {"name": f.name, "params": dict(f.params)}},

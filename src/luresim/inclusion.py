@@ -25,14 +25,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, EmptyFibreError
 from .integrator import (Termination, TrajectoryRecord, _integrate, _plant,
                          _Plant, _Recorder, _rk_step, _validate_run)
 from .nonlinearity import Nonlinearity, all_finite, row_norms, vec_norm
-from .output_solver import (FibreSet, SolveOptions, _as_float, _checked,
-                            _exact_route, enumerate_fibre_exact,
+from .output_solver import (FibreSet, SolveOptions, _as_float, _brentq,
+                            _checked, _exact_route, enumerate_fibre_exact,
                             enumerate_fibre_multistart)
 from .system import SystemMatrices
 
@@ -337,7 +336,7 @@ def _land_on_fold(fibre, stage, plant: _Plant, f: Nonlinearity, d: float,
     if g_lo == 0.0:
         s_hat = s_lo
     elif g_lo * g_hi < 0.0:
-        s_hat = float(brentq(gap, s_lo, s_hi, xtol=1e-16, rtol=8.9e-16))
+        s_hat = _brentq(gap, s_lo, s_hi, xtol=1e-16, rtol=8.9e-16)
     else:
         s_hat = s_lo
     t_hat = t + s_hat * h

@@ -19,10 +19,10 @@ import contextlib
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .derivatives import finite_diff_jacobian, finite_diff_jacobians
 from .errors import ConfigurationError, EvaluationError
@@ -471,13 +471,49 @@ def _halton_starts(center: np.ndarray, radius: float, n: int, seed: int) -> np.n
     return center + radius * z * scale
 
 
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % q for q in primes if q * q <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _scrambled_halton(p: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the scrambled Halton sequence in [0, 1)^p.
+
+    Owen's random digit permutations ("A randomized Halton algorithm in
+    R", arXiv:1706.02808): one permutation of the digits 0 .. b-1 for each
+    of the ceil(54 / log2 b) - 1 digit places of prime base b, the leading
+    zero digits included, drawn by ``np.random.default_rng(seed)`` base
+    after base.  The draws and the digit sums run in the order of
+    ``scipy.stats.qmc.Halton(d=p, scramble=True, seed=seed).random(n)``,
+    so the points keep its bits.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.empty((n, p))
+    for i, base in enumerate(_first_primes(p)):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        quotient = np.arange(n)
+        b2r = 1.0 / base
+        total = np.zeros(n)
+        for perm in perms:
+            total += perm[quotient % base] * b2r
+            quotient //= base
+            b2r /= base
+        u[:, i] = total
+    return u
+
+
 @functools.lru_cache(maxsize=32)
 def _halton_offsets(p: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Scrambled Halton points in [-1, 1]^p and the factors pulling them into the ball."""
-    from scipy.stats import qmc
-
-    u = qmc.Halton(d=p, scramble=True, seed=seed).random(n)
-    z = 2.0 * u - 1.0
+    z = 2.0 * _scrambled_halton(p, n, seed) - 1.0
     norms = np.linalg.norm(z, axis=1)
     scale = np.where(norms > 1.0, 1.0 / norms, 1.0)[:, None]
     z.setflags(write=False)
@@ -602,10 +638,80 @@ def _scalar_bracket_roots(f: Nonlinearity, D: np.ndarray, t: float,
             roots.append(float(xs[i]))
         elif vals[i] * vals[i + 1] < 0.0:
             with contextlib.suppress(EvaluationError):      # f not finite inside
-                roots.append(float(brentq(resid, xs[i], xs[i + 1], xtol=1e-13)))
+                roots.append(_brentq(resid, xs[i], xs[i + 1], xtol=1e-13))
     if vals.size and vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
+
+
+def _brentq(f, a: float, b: float, xtol: float = 2e-12,
+            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
+    """A root of the scalar f in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, 1973) as scipy.optimize.brentq runs it, step for step,
+    so a root keeps its bits: xcur is the best estimate, xblk the
+    contrapoint, xpre the previous estimate; an inverse quadratic or
+    secant step scur is taken while it stays short, else a bisection
+    step sbis, and never a step under the tolerance delta.  A NaN value
+    or a bracket without a sign change raises ValueError, running out of
+    iterations RuntimeError.
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------
@@ -895,8 +1001,7 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
                 points.append(float(xs[i]))
         crossings = (~flat[:-1] & ~flat[1:]) & (resid[:-1] * resid[1:] < 0.0)
         for i in np.flatnonzero(crossings).tolist():
-            points.append(float(brentq(resid_scalar, xs[i], xs[i + 1],
-                                       xtol=1e-13)))
+            points.append(_brentq(resid_scalar, xs[i], xs[i + 1], xtol=1e-13))
         pts, segs = _assemble_scalar_fibre(points, segments, resid_scalar,
                                            tol_sep=h_scan * 0.5)
         return FibreSet.of_floats(pts, segs, exact=False, t=t, w=target)

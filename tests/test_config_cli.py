@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from luresim import (EXAMPLE_NAMES, ConfigurationError, build_example,
-                     config_text, entry_to_config, parse_config)
+from luresim import (EXAMPLE_NAMES, ConfigurationError, ScalarPiece,
+                     build_example, config_text, deadzone_saturation,
+                     entry_to_config, parse_config, piecewise_scalar)
 from luresim.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +123,64 @@ def test_unknown_fields_rejected(entry):
     doc["defaults"]["dtmax"] = 1.0
     with pytest.raises(ConfigurationError, match="defaults"):
         parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t0", "x"), ("t0", float("nan")), ("tmax", None), ("dt", True),
+])
+def test_bad_default_time_is_rejected_naming_it(entry, field, value):
+    doc = entry_to_config(entry("ex3b"))
+    doc["defaults"][field] = value
+    with pytest.raises(ConfigurationError, match=rf"^defaults\.{field}: expected"):
+        parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value, field", [
+    (["a", 1], r"defaults\.x0\[0\]"), ([1.0, None], r"defaults\.x0\[1\]"),
+    ([[1.0, 0.0]], r"defaults\.x0"), (1.5, r"defaults\.x0"),
+])
+def test_bad_default_x0_is_rejected_naming_it(entry, value, field):
+    doc = entry_to_config(entry("ex3a"))          # n = 2
+    doc["defaults"]["x0"] = value
+    with pytest.raises(ConfigurationError, match=rf"^{field}: "):
+        parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", ["one", 1.0, 0, True])
+def test_bad_zero_input_m_e_is_rejected_naming_it(entry, value):
+    doc = entry_to_config(entry("ex3a"))
+    doc["input"] = {"zero": {"m_e": value}}
+    with pytest.raises(ConfigurationError,
+                       match=r"^input\.zero\.m_e: expected an integer"):
+        parse_config(json.dumps(doc))
+
+
+def test_cli_bad_default_exits_2_naming_it(tmp_path, entry, capsys):
+    doc = entry_to_config(entry("ex3b"))
+    doc["defaults"]["t0"] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["simulate", "--system", str(bad), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "defaults.t0" in err and "Traceback" not in err
+
+
+def test_entry_to_config_refuses_unrecorded_parameter(entry):
+    e = dataclasses.replace(entry("sec42a"),
+                            nonlinearity=deadzone_saturation(width=lambda t: 0.5))
+    with pytest.raises(ConfigurationError,
+                       match=r"^nonlinearity\.builtin\.params\.width: "):
+        entry_to_config(e)
+    e = dataclasses.replace(e, nonlinearity=deadzone_saturation(width=0.5))
+    assert parse_config(config_text(e)).nonlinearity.params == {"width": 0.5}
+
+
+def test_entry_to_config_refuses_non_builtin(entry):
+    e = dataclasses.replace(entry("ex3b"), nonlinearity=piecewise_scalar(
+        (ScalarPiece(lo=-math.inf, hi=math.inf, c1=0.5),), name="half"))
+    with pytest.raises(ConfigurationError, match=r"^nonlinearity\.builtin\.name: "):
+        entry_to_config(e)
 
 
 def test_parse_error_carries_location():

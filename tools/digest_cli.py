@@ -14,9 +14,10 @@ The set: ``simulate`` on ex3b and ex4a at their config defaults,
 ``simulate --inclusion --policy fixed_branch:0`` on ex3c (and, with
 ``--method rk45_adaptive``, a method inclusion mode does not have),
 ``analyze --out`` on all ten configs, ``fibre`` on sec42a and ex4b plus
-the dense-scan oracle (``--scan-radius``) on ex3c, and ``example NAME
---emit-config`` for each catalog entry (one per shipped config).  A line
-reads ``<call> <output> <sha256>``.
+the dense-scan oracle (``--scan-radius``) on ex3c, and, for each catalog
+entry (one per shipped config), ``example NAME --emit-config`` and
+``example NAME --verify --quick``, which checks the entry's closed-form
+references.  A line reads ``<call> <output> <sha256>``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ def _calls():
     for path in sorted(CONFIGS.glob("*.json")):
         yield f"emit-config/{path.stem}", ["example", path.stem,
                                            "--emit-config", "config.json"]
+    for path in sorted(CONFIGS.glob("*.json")):
+        yield f"verify-quick/{path.stem}", ["example", path.stem, "--verify",
+                                            "--quick"]
 
 
 def _sha(data: bytes) -> str:
