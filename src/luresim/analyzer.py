@@ -6,6 +6,19 @@ margin for I - D M over sampled Clarke generators, linear growth with
 gain margin against the feedthrough norm, one-sided monotonicity, and
 the fibre nonemptiness/convexity assumptions of the inclusion route).
 
+The audit has one sampling plan; only the time window and the seed vary.
+Radial unboundedness scans ``ProbeGrid``: 25 times, radii 1, 2, ..., 1024
+and 64 directions, against the levels 1, 2, 10, 100.  The pair probes
+(upper and lower Lipschitz, monotonicity) draw 4096 pairs in the cube
+[-2, 2]^p.  The determinant probe takes 5 times and the origin, two cube
+corners and 20 points of that cube, each with its centre Jacobian and 16
+Clarke samples of radius 1e-4.  Growth scans 13 times, 32 directions, the
+radii 1, 2, 4, 8, 16 and 24 radii from 1 to 64.  The fibre probes sample
+40 reachable outputs and search each fibre from 24 starts within radius
+10.  A lower quotient below 1e-6 or a determinant below 1e-6 is a
+failure; growth passes with margin 0.05 below 1/||D||, monotonicity with
+margin 1e-3 either side of 1.
+
 Sampling can certify failure with a reproducible witness; it can never
 prove a hypothesis, so the passing verdict is named ``pass_sampled``.
 Refining a probe keeps previously found witnesses, so a failure never
@@ -15,7 +28,8 @@ flips back to a pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,6 +47,27 @@ EPS_FLOOR = 1e-6
 GROWTH_MARGIN = 0.05
 MONO_MARGIN = 1e-3
 
+# The rest of the sampling plan (see the module docstring).
+_BOX = 2.0
+_N_PAIRS = 4096
+_N_W = 40
+_RHO_LEVELS = (1.0, 2.0, 10.0, 100.0)
+_CLARKE_RADIUS = 1e-4
+_GROWTH_RHOS = (1.0, 2.0, 4.0, 8.0, 16.0)
+_GROWTH_N_DIR = 32
+_GROWTH_R_MAX = 64.0
+_FIBRE_OPTS = SolveOptions(n_starts=24, search_radius=10.0)
+
+
+def _checked_window(t_window) -> tuple[float, float]:
+    """``t_window`` as floats; it must be two finite numbers 0 <= a < b."""
+    pair = isinstance(t_window, (tuple, list, np.ndarray)) and len(t_window) == 2
+    if not (pair and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                         for v in t_window) and 0 <= t_window[0] < t_window[1]):
+        raise ConfigurationError(f"t_window must be two finite numbers a, b "
+                                 f"with 0 <= a < b, got {t_window!r}")
+    return float(t_window[0]), float(t_window[1])
+
 
 @dataclass(frozen=True)
 class ProbeGrid:
@@ -45,9 +80,10 @@ class ProbeGrid:
     seed: int = 0
 
     def __post_init__(self):
-        ta, tb = self.t_window
-        if ta < 0 or tb <= ta:
-            raise ConfigurationError("time window must satisfy 0 <= t_a < t_b")
+        object.__setattr__(self, "t_window", _checked_window(self.t_window))
+        if not (isinstance(self.seed, numbers.Integral)
+                and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.n_t < 1 or self.n_dir < 1:
             raise ConfigurationError("n_t and n_dir must be positive")
         radii = tuple(float(r) for r in self.radii)
@@ -77,16 +113,6 @@ class CheckRecord:
     table: dict | None = None
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "witness": self.witness,
-            "table": self.table,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class TheoremTag:
@@ -95,15 +121,6 @@ class TheoremTag:
     satisfied: list[str]
     violated: list[str]
     qualifier: str = "sampled"
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "granted": self.granted,
-            "satisfied": self.satisfied,
-            "violated": self.violated,
-            "qualifier": self.qualifier,
-        }
 
 
 @dataclass
@@ -128,8 +145,8 @@ class AnalysisReport:
 
     def to_dict(self) -> dict:
         return {
-            "checks": [rec.to_dict() for rec in self.records],
-            "applicability": [tg.to_dict() for tg in self.applicability],
+            "checks": [asdict(rec) for rec in self.records],
+            "applicability": [asdict(tg) for tg in self.applicability],
         }
 
 
@@ -147,10 +164,7 @@ def _first_min(values: np.ndarray, start: float = math.inf) -> int | None:
 
 def _first_max(values: np.ndarray, start: float = -math.inf) -> int | None:
     """``_first_min`` for a scan keeping strictly larger values."""
-    if values.size == 0:
-        return None
-    k = int(np.argmax(np.where(np.isnan(values), -math.inf, values)))
-    return k if values[k] > start else None
+    return _first_min(-values, -start)
 
 
 def _interleave(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -161,17 +175,13 @@ def _interleave(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _merge_prior(record: CheckRecord, prior: CheckRecord | None,
                  still_violates) -> CheckRecord:
     """Failures found at coarser settings are retained under refinement."""
-    if prior is None or prior.verdict != "fail_witness" or prior.witness is None:
+    if (prior is None or prior.verdict != "fail_witness" or prior.witness is None
+            or record.verdict == "fail_witness" or not still_violates(prior.witness)):
         return record
-    if record.verdict == "fail_witness":
-        return record
-    if still_violates(prior.witness):
-        prior_copy = CheckRecord(name=record.name, verdict="fail_witness",
-                                 margin=min(record.margin, prior.margin),
-                                 witness=prior.witness, table=record.table,
-                                 detail="witness retained from coarser probe")
-        return prior_copy
-    return record
+    return CheckRecord(name=record.name, verdict="fail_witness",
+                       margin=min(record.margin, prior.margin),
+                       witness=prior.witness, table=record.table,
+                       detail="witness retained from coarser probe")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +190,6 @@ def _merge_prior(record: CheckRecord, prior: CheckRecord | None,
 
 def probe_radial_unboundedness(sys: SystemMatrices, f: Nonlinearity,
                                grid: ProbeGrid | None = None,
-                               rho_levels: tuple[float, ...] = (1.0, 2.0, 10.0, 100.0),
                                prior: CheckRecord | None = None) -> CheckRecord:
     """Does ||F_t(xi)|| grow without bound in ||xi||, uniformly over the window?
 
@@ -208,24 +217,20 @@ def probe_radial_unboundedness(sys: SystemMatrices, f: Nonlinearity,
     minima_arr = np.array(minima)
     tail_min = np.minimum.accumulate(minima_arr[::-1])[::-1]
     sigma_table = {}
-    failed_level = None
-    for rho in rho_levels:
+    for rho in _RHO_LEVELS:
         idx = np.nonzero(tail_min >= rho)[0]
-        if idx.size:
-            sigma_table[rho] = float(grid.radii[idx[0]])
-        else:
-            sigma_table[rho] = None
-            if failed_level is None:
-                failed_level = rho
+        sigma_table[rho] = float(grid.radii[idx[0]]) if idx.size else None
+    failed_level = next((rho for rho, sigma in sigma_table.items() if sigma is None),
+                        None)
     table = {"radii": list(grid.radii), "min_norm_F": [float(v) for v in minima],
              "sigma": {str(k): v for k, v in sigma_table.items()}}
     if failed_level is None:
         record = CheckRecord(name="radial_unbounded", verdict="pass_sampled",
-                             margin=float(tail_min[-1] - max(rho_levels)),
+                             margin=float(tail_min[-1] - max(_RHO_LEVELS)),
                              table=table)
     else:
-        k = int(np.argmin(minima_arr[-3:])) + len(minima) - 3 if len(minima) >= 3 \
-            else int(np.argmin(minima_arr))
+        k = max(len(minima) - 3, 0)            # the least of the last three
+        k += int(np.argmin(minima_arr[k:]))
         t_w, xi_w = argmins[k]
         witness = {"t": t_w, "xi": [float(v) for v in xi_w],
                    "norm_F": float(minima[k]), "rho_level": float(failed_level)}
@@ -244,54 +249,78 @@ def probe_radial_unboundedness(sys: SystemMatrices, f: Nonlinearity,
 # Two-sided Lipschitz estimates
 # ---------------------------------------------------------------------------
 
+def _pair_extremes(G, pairs, numerator, denominator, floor: float) -> tuple:
+    """Extremes of numerator(G(t,xi) - G(t,zeta), xi - zeta) / denominator(xi - zeta).
+
+    ``pairs`` is the row arrays (T, XI, ZE); ``G(T, X)`` maps each row of X
+    at the time of its row.  Pairs whose denominator is below ``floor``
+    are skipped unevaluated; the others are evaluated as one interleaved
+    stack.  Returns the first maximum and its witness, then the first
+    minimum and its witness; (-inf, None, inf, None) without a quotient.
+    """
+    T, XI, ZE = pairs
+    diff = XI - ZE
+    den = denominator(diff)
+    ratio = np.full(T.shape, np.nan)
+    keep = np.nonzero(~(den < floor))[0]
+    if keep.size:
+        values = G(np.repeat(T[keep], 2), _interleave(XI[keep], ZE[keep]))
+        ratio[keep] = numerator(values[0::2] - values[1::2], diff[keep]) / den[keep]
+
+    def extreme(i, none):
+        return (none, None) if i is None else (float(ratio[i]), {
+            "t": float(T[i]), "xi": [float(v) for v in XI[i]],
+            "zeta": [float(v) for v in ZE[i]], "ratio": float(ratio[i])})
+
+    return (*extreme(_first_max(ratio), -math.inf),
+            *extreme(_first_min(ratio), math.inf))
+
+
+def _norm_quotient(G, pairs) -> tuple:
+    """``_pair_extremes`` of ||G(t,xi) - G(t,zeta)|| / ||xi - zeta||."""
+    return _pair_extremes(G, pairs, lambda dG, diff: row_norms(dG), row_norms,
+                          1e-14)
+
+
 def _lipschitz_extremes(G, p: int, t_window, box, n_pairs: int, seed: int,
                         extra_pairs=()) -> dict:
     """Max and min of ||G(t,xi)-G(t,zeta)|| / ||xi-zeta|| over sampled pairs.
 
-    ``G(T, X)`` maps each row of X at the time of its row.  ``box`` is the
-    half-width of the sampling cube (scalar) or an explicit (lo, hi) pair.
-    Extra pairs (t, xi, zeta) are evaluated in addition to the random
-    draws; the extreme ratios and their witnesses are returned.
+    ``box`` is the half-width of the sampling cube (scalar) or an explicit
+    (lo, hi) pair.  Extra pairs (t, xi, zeta) are evaluated in addition to
+    the random draws; the extreme ratios and their witnesses are returned.
     """
     if n_pairs < 1:
         raise ConfigurationError("n_pairs must be positive")
-    T, XI, ZE = _with_extra(_pair_draws(n_pairs, p, t_window, box, seed),
-                            extra_pairs, p)
-    gap = row_norms(XI - ZE)
-    ratio = np.full(T.shape, np.nan)
-    keep = np.nonzero(~(gap < 1e-14))[0]
-    if keep.size:
-        values = G(np.repeat(T[keep], 2), _interleave(XI[keep], ZE[keep]))
-        ratio[keep] = row_norms(values[0::2] - values[1::2]) / gap[keep]
-
-    def witness(i):
-        return None if i is None else {
-            "t": float(T[i]), "xi": [float(v) for v in XI[i]],
-            "zeta": [float(v) for v in ZE[i]], "ratio": float(ratio[i])}
-
-    i_max, i_min = _first_max(ratio), _first_min(ratio)
-    return {"lambda_hat": -math.inf if i_max is None else float(ratio[i_max]),
-            "eps_hat": math.inf if i_min is None else float(ratio[i_min]),
-            "witness_max": witness(i_max), "witness_min": witness(i_min)}
+    hi, w_hi, lo, w_lo = _norm_quotient(
+        G, _pair_draws(n_pairs, p, t_window, box, seed, extra_pairs))
+    return {"lambda_hat": hi, "eps_hat": lo, "witness_max": w_hi,
+            "witness_min": w_lo}
 
 
-def _pair_draws(n_pairs: int, p: int, t_window, box, seed: int):
-    """Seeded pairs (t, xi, zeta) in the window and the box, as row arrays."""
+def _pair_draws(n_pairs: int, p: int, t_window, box, seed: int, extra_pairs=()):
+    """Seeded pairs (t, xi, zeta) in the window and the box, followed by the
+    listed extra pairs, as row arrays."""
     lo, hi = (-box, box) if np.isscalar(box) else box
     draws = np.random.default_rng(seed).random((n_pairs, 2 * p + 1))
     ta, tb = t_window
-    return (ta + (tb - ta) * draws[:, 0], lo + (hi - lo) * draws[:, 1:p + 1],
-            lo + (hi - lo) * draws[:, p + 1:])
-
-
-def _with_extra(draws, extra_pairs, p: int):
-    """The drawn pairs followed by the listed (t, xi, zeta) pairs."""
+    pairs = (ta + (tb - ta) * draws[:, 0], lo + (hi - lo) * draws[:, 1:p + 1],
+             lo + (hi - lo) * draws[:, p + 1:])
     if not extra_pairs:
-        return draws
-    T, XI, ZE = draws
-    return (np.concatenate((T, [float(t) for t, _, _ in extra_pairs])),
-            np.vstack((XI, np.reshape([xi for _, xi, _ in extra_pairs], (-1, p)))),
-            np.vstack((ZE, np.reshape([ze for _, _, ze in extra_pairs], (-1, p)))))
+        return pairs
+    return tuple(np.concatenate(ab) for ab in zip(pairs, _stack_pairs(extra_pairs, p)))
+
+
+def _stack_pairs(pairs, p: int):
+    """Listed (t, xi, zeta) pairs as row arrays."""
+    return (np.array([float(t) for t, _, _ in pairs]),
+            np.array([xi for _, xi, _ in pairs], dtype=float).reshape(-1, p),
+            np.array([ze for _, _, ze in pairs], dtype=float).reshape(-1, p))
+
+
+def _witness_pair(w: dict, p: int):
+    """A pair witness as a one-row stack."""
+    return _stack_pairs([(w["t"], w["xi"], w["zeta"])], p)
 
 
 def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,
@@ -344,7 +373,7 @@ def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,
     return pairs
 
 
-def check_upper_lipschitz(f: Nonlinearity, t_window, box, n_pairs: int = 4096,
+def check_upper_lipschitz(f: Nonlinearity, t_window, box, n_pairs: int = _N_PAIRS,
                           seed: int = 0) -> CheckRecord:
     est = _lipschitz_extremes(f.eval_batch, f.p, t_window, box, n_pairs, seed)
     return CheckRecord(name="upper_lipschitz", verdict="pass_sampled",
@@ -355,8 +384,7 @@ def check_upper_lipschitz(f: Nonlinearity, t_window, box, n_pairs: int = 4096,
 
 
 def check_lower_lipschitz(sys: SystemMatrices, f: Nonlinearity, t_window, box,
-                          n_pairs: int = 4096, seed: int = 0,
-                          eps_floor: float = EPS_FLOOR,
+                          n_pairs: int = _N_PAIRS, seed: int = 0,
                           prior: CheckRecord | None = None) -> CheckRecord:
     """Lower quotient of F: a zero ratio witnesses failure of injectivity."""
     def F(t, xi):
@@ -367,23 +395,15 @@ def check_lower_lipschitz(sys: SystemMatrices, f: Nonlinearity, t_window, box,
                               extra_pairs=extra)
     eps_hat = est["eps_hat"]
     table = {"eps_hat": eps_hat, "n_collision_pairs": len(extra)}
-    if eps_hat < eps_floor:
-        record = CheckRecord(name="lower_lipschitz", verdict="fail_witness",
-                             margin=eps_hat, witness=est["witness_min"],
-                             table=table,
-                             detail="lower quotient collapses; F not boundedly invertible")
-    else:
-        record = CheckRecord(name="lower_lipschitz", verdict="pass_sampled",
-                             margin=eps_hat, table=table,
-                             witness=est["witness_min"])
+    failed = eps_hat < EPS_FLOOR
+    record = CheckRecord(name="lower_lipschitz",
+                         verdict="fail_witness" if failed else "pass_sampled",
+                         margin=eps_hat, witness=est["witness_min"], table=table,
+                         detail="lower quotient collapses; F not boundedly invertible"
+                         if failed else "")
 
     def still_violates(w):
-        xi = np.asarray(w["xi"], dtype=float)
-        zeta = np.asarray(w["zeta"], dtype=float)
-        gap = float(np.linalg.norm(xi - zeta))
-        if gap < 1e-14:
-            return False
-        return float(np.linalg.norm(F(w["t"], xi) - F(w["t"], zeta))) / gap < eps_floor
+        return _norm_quotient(F, _witness_pair(w, f.p))[2] < EPS_FLOOR
 
     return _merge_prior(record, prior, still_violates)
 
@@ -394,9 +414,7 @@ def check_lower_lipschitz(sys: SystemMatrices, f: Nonlinearity, t_window, box,
 
 def check_determinant_condition(f: Nonlinearity, D, t_window, box,
                                 n_t: int = 5, n_xi: int = 20,
-                                clarke_radius: float = 1e-4,
                                 clarke_samples: int = 16, seed: int = 0,
-                                delta_floor: float = DELTA_FLOOR,
                                 prior: CheckRecord | None = None) -> CheckRecord:
     """delta_hat = min |det(I - D M)| over sampled Clarke generators M.
 
@@ -418,7 +436,7 @@ def check_determinant_condition(f: Nonlinearity, D, t_window, box,
     for t in times:
         # Per point: the centre Jacobian, then its Clarke ball samples.
         centre = finite_diff_jacobians(f, float(t), points)
-        ball = sample_clarke_jacobians(f, float(t), points, radius=clarke_radius,
+        ball = sample_clarke_jacobians(f, float(t), points, radius=_CLARKE_RADIUS,
                                        n_samples=clarke_samples, seed=seed)
         mats = np.concatenate((centre[:, None], ball), axis=1)
         mats = mats.reshape((-1,) + mats.shape[2:])
@@ -431,8 +449,8 @@ def check_determinant_condition(f: Nonlinearity, D, t_window, box,
                        "xi": [float(v) for v in points[k // (1 + clarke_samples)]],
                        "det": float(dets[k])}
     table = {"delta_hat": delta_hat, "b_hat": b_hat,
-             "delta_floor": delta_floor}
-    if delta_hat < delta_floor:
+             "delta_floor": DELTA_FLOOR}
+    if delta_hat < DELTA_FLOOR:
         record = CheckRecord(name="determinant", verdict="fail_witness",
                              margin=delta_hat, witness=witness, table=table,
                              detail="I - D M nearly singular at witness")
@@ -443,7 +461,7 @@ def check_determinant_condition(f: Nonlinearity, D, t_window, box,
     def still_violates(w):
         xi = np.asarray(w["xi"], dtype=float)
         M = finite_diff_jacobian(f, w["t"], xi)
-        return abs(float(np.linalg.det(eye - D @ M))) < delta_floor
+        return abs(float(np.linalg.det(eye - D @ M))) < DELTA_FLOOR
 
     return _merge_prior(record, prior, still_violates)
 
@@ -452,29 +470,23 @@ def check_determinant_condition(f: Nonlinearity, D, t_window, box,
 # Growth condition c ||D|| < 1
 # ---------------------------------------------------------------------------
 
-def check_growth_condition(f: Nonlinearity, D, t_window,
-                           rho_grid=(1.0, 2.0, 4.0, 8.0, 16.0),
-                           n_dir: int = 32, n_t: int = 13, seed: int = 0,
-                           r_max: float = 64.0, margin: float = GROWTH_MARGIN,
+def check_growth_condition(f: Nonlinearity, D, t_window, n_t: int = 13, seed: int = 0,
                            prior: CheckRecord | None = None) -> CheckRecord:
     """c_hat(rho) = max ||f(t,xi)|| / ||xi|| over sampled ||xi|| >= rho.
 
-    Passes when some rho achieves c_hat(rho) ||D|| < 1 - margin; fails
+    Passes when some rho achieves c_hat(rho) ||D|| <= 1 - GROWTH_MARGIN; fails
     with a witness when even the largest rho shows ratios with
     c ||D|| >= 1.
     """
     D = np.atleast_2d(np.asarray(D, dtype=float))
     p = D.shape[1]
     dnorm = float(np.linalg.norm(D, 2))
-    rho_grid = tuple(float(r) for r in rho_grid)
-    if any(r <= 0 for r in rho_grid):
-        raise ConfigurationError("rho grid must be positive")
-    dirs = ProbeGrid(n_dir=n_dir, seed=seed).directions(p)
+    dirs = ProbeGrid(n_dir=_GROWTH_N_DIR, seed=seed).directions(p)
     times = np.linspace(t_window[0], t_window[1], n_t)
-    radii_all = np.geomspace(min(rho_grid), r_max, 24)
+    radii_all = np.geomspace(min(_GROWTH_RHOS), _GROWTH_R_MAX, 24)
     # Ratios on every radius any rho scans (rho itself, then radii_all),
     # evaluated once; each rho then scans its columns in (t, r, d) order.
-    radii = np.concatenate((rho_grid, radii_all))
+    radii = np.concatenate((_GROWTH_RHOS, radii_all))
     shape = (times.size, radii.size, len(dirs))
     X = np.broadcast_to(radii[:, None, None] * dirs, shape + (p,))
     T = np.broadcast_to(times[:, None, None], shape)
@@ -482,8 +494,8 @@ def check_growth_condition(f: Nonlinearity, D, t_window,
               / radii[:, None])
     table_c = {}
     witnesses = {}
-    for i, rho in enumerate(rho_grid):
-        cols = np.concatenate(([i], len(rho_grid) + np.nonzero(radii_all >= rho)[0]))
+    for i, rho in enumerate(_GROWTH_RHOS):
+        cols = np.concatenate(([i], len(_GROWTH_RHOS) + np.nonzero(radii_all >= rho)[0]))
         scan = ratios[:, cols].reshape(-1)
         k = _first_max(scan, 0.0)
         table_c[rho] = 0.0 if k is None else float(scan[k])
@@ -496,7 +508,7 @@ def check_growth_condition(f: Nonlinearity, D, t_window,
     table = {"c_hat": {str(k): v for k, v in table_c.items()},
              "norm_D": dnorm, "best_rho": best_rho,
              "best_c_times_normD": best}
-    if best <= 1.0 - margin:
+    if best <= 1.0 - GROWTH_MARGIN:
         record = CheckRecord(name="growth", verdict="pass_sampled",
                              margin=1.0 - best, table=table)
     elif all(c * dnorm >= 1.0 for c in table_c.values()):
@@ -546,9 +558,8 @@ def _slope_probe_pairs(f: Nonlinearity, t_window, clip: float = 16.0,
     return pairs
 
 
-def check_monotonicity(f: Nonlinearity, D, t_window, box, n_pairs: int = 4096,
-                       seed: int = 0, annulus_rho: float | None = None,
-                       margin: float = MONO_MARGIN,
+def check_monotonicity(f: Nonlinearity, D, t_window, box, n_pairs: int = _N_PAIRS,
+                       seed: int = 0,
                        prior: CheckRecord | None = None) -> CheckRecord:
     """Pair quotients <D f(t,xi) - D f(t,zeta), xi - zeta> / ||xi - zeta||^2.
 
@@ -558,39 +569,25 @@ def check_monotonicity(f: Nonlinearity, D, t_window, box, n_pairs: int = 4096,
     """
     D = np.atleast_2d(np.asarray(D, dtype=float))
     p = D.shape[1]
-    T, XI, ZE = _pair_draws(n_pairs, p, t_window, box, seed)
-    if annulus_rho is not None:
-        XI, ZE = _push_out(XI, annulus_rho), _push_out(ZE, annulus_rho)
-    else:
-        T, XI, ZE = _with_extra((T, XI, ZE), _slope_probe_pairs(f, t_window), p)
-    diff = XI - ZE
-    d2 = np.vecdot(diff, diff)
-    ratio = np.full(T.shape, np.nan)
-    keep = np.nonzero(~(d2 < 1e-24))[0]
-    if keep.size:
-        values = f.eval_batch(np.repeat(T[keep], 2), _interleave(XI[keep], ZE[keep]))
-        moved = np.matmul(D, (values[0::2] - values[1::2])[..., None])[..., 0]
-        ratio[keep] = np.vecdot(moved, diff[keep]) / d2[keep]
 
-    def witness(i):
-        return None if i is None else {
-            "t": float(T[i]), "xi": [float(v) for v in XI[i]],
-            "zeta": [float(v) for v in ZE[i]], "ratio": float(ratio[i])}
+    def quotient(pairs):
+        return _pair_extremes(
+            f.eval_batch, pairs,
+            lambda df, diff: np.vecdot(np.matmul(D, df[..., None])[..., 0], diff),
+            lambda diff: np.vecdot(diff, diff), 1e-24)
 
-    i1, i2 = _first_max(ratio), _first_min(ratio)
-    g1 = -math.inf if i1 is None else float(ratio[i1])
-    g2 = math.inf if i2 is None else float(ratio[i2])
-    w1, w2 = witness(i1), witness(i2)
+    g1, w1, g2, w2 = quotient(_pair_draws(n_pairs, p, t_window, box, seed,
+                                          _slope_probe_pairs(f, t_window)))
     table = {"gamma1_hat": g1, "gamma2_hat": g2}
-    if g1 <= 1.0 - margin:
+    if g1 <= 1.0 - MONO_MARGIN:
         record = CheckRecord(name="monotonicity", verdict="pass_sampled",
                              margin=1.0 - g1, table=table,
                              detail="gamma_1 branch")
-    elif g2 >= 1.0 + margin:
+    elif g2 >= 1.0 + MONO_MARGIN:
         record = CheckRecord(name="monotonicity", verdict="pass_sampled",
                              margin=g2 - 1.0, table=table,
                              detail="gamma_2 branch")
-    elif g1 >= 1.0 + margin and g2 <= 1.0 - margin:
+    elif g1 >= 1.0 + MONO_MARGIN and g2 <= 1.0 - MONO_MARGIN:
         record = CheckRecord(name="monotonicity", verdict="fail_witness",
                              margin=min(g1 - 1.0, 1.0 - g2),
                              witness={"gamma1": w1, "gamma2": w2}, table=table,
@@ -601,26 +598,12 @@ def check_monotonicity(f: Nonlinearity, D, t_window, box, n_pairs: int = 4096,
                              table=table)
 
     def still_violates(w):
-        def ratio_of(ww):
-            xi = np.asarray(ww["xi"], dtype=float)
-            zeta = np.asarray(ww["zeta"], dtype=float)
-            diff = xi - zeta
-            d2 = float(diff @ diff)
-            if d2 < 1e-24:
-                return 1.0
-            return float((D @ (f(ww["t"], xi) - f(ww["t"], zeta))) @ diff) / d2
-        return (ratio_of(w["gamma1"]) >= 1.0) and (ratio_of(w["gamma2"]) <= 1.0)
+        # A pair too close for a quotient gives (-inf, None, inf, None), so
+        # it counts as violating both ways.
+        return (quotient(_witness_pair(w["gamma1"], p))[2] >= 1.0
+                and quotient(_witness_pair(w["gamma2"], p))[0] <= 1.0)
 
     return _merge_prior(record, prior, still_violates)
-
-
-def _push_out(X: np.ndarray, rho: float) -> np.ndarray:
-    """Scale each nonzero row with norm below rho out to norm rho."""
-    norms = row_norms(X)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = rho / norms
-    scale = np.where((norms > 0) & (ratio > 1.0), ratio, 1.0)
-    return X * scale[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +626,11 @@ def _sample_outputs(sys: SystemMatrices, t_window, n_w: int, seed: int,
 
 
 def probe_fibre_nonempty(sys: SystemMatrices, f: Nonlinearity, t_window,
-                         n_w: int = 40, seed: int = 0,
+                         n_w: int = _N_W, seed: int = 0,
                          fibre_opts: SolveOptions | None = None,
                          prior: CheckRecord | None = None) -> CheckRecord:
     """Nonemptiness of F_t^{-1}(w) over sampled reachable outputs w."""
-    fibre_opts = _checked(fibre_opts or SolveOptions(n_starts=24, search_radius=10.0),
-                          "fibre_opts.")
+    fibre_opts = _checked(fibre_opts or _FIBRE_OPTS, "fibre_opts.")
     n_empty = 0
     witness = None
     for t, w in _sample_outputs(sys, t_window, n_w, seed):
@@ -667,14 +649,13 @@ def probe_fibre_nonempty(sys: SystemMatrices, f: Nonlinearity, t_window,
                              margin=0.0, table=table)
 
     def still_violates(w):
-        fib = enumerate_fibre(f, sys.D, w["t"], np.asarray(w["w"]), fibre_opts)
-        return fib.empty
+        return enumerate_fibre(f, sys.D, w["t"], np.asarray(w["w"]), fibre_opts).empty
 
     return _merge_prior(record, prior, still_violates)
 
 
 def probe_fibre_convexity(sys: SystemMatrices, f: Nonlinearity, t_window,
-                          n_w: int = 40, seed: int = 0,
+                          n_w: int = _N_W, seed: int = 0,
                           fibre_opts: SolveOptions | None = None,
                           prior: CheckRecord | None = None) -> CheckRecord:
     """Convexity of f(t, F_t^{-1}(w)) over sampled reachable outputs.
@@ -682,8 +663,7 @@ def probe_fibre_convexity(sys: SystemMatrices, f: Nonlinearity, t_window,
     Branch-meeting output values are probed in addition to random ones,
     since set-valued fibres live exactly there.
     """
-    fibre_opts = _checked(fibre_opts or SolveOptions(n_starts=24, search_radius=10.0),
-                          "fibre_opts.")
+    fibre_opts = _checked(fibre_opts or _FIBRE_OPTS, "fibre_opts.")
     probes = _sample_outputs(sys, t_window, n_w, seed)
     pairs = _collision_pairs(sys, f, t_window)
     if pairs:
@@ -714,10 +694,8 @@ def probe_fibre_convexity(sys: SystemMatrices, f: Nonlinearity, t_window,
 
     def still_violates(w):
         fib = enumerate_fibre(f, sys.D, w["t"], np.asarray(w["w"]), fibre_opts)
-        if fib.empty:
-            return False
-        return check_image_convexity(f, sys.D, w["t"], np.asarray(w["w"]),
-                                  fib).kind == "violation"
+        return not fib.empty and check_image_convexity(
+            f, sys.D, w["t"], np.asarray(w["w"]), fib).kind == "violation"
 
     return _merge_prior(record, prior, still_violates)
 
@@ -729,12 +707,7 @@ def probe_fibre_convexity(sys: SystemMatrices, f: Nonlinearity, t_window,
 @dataclass
 class AnalyzerOptions:
     t_window: tuple[float, float] = (0.0, 10.0)
-    box_halfwidth: float = 2.0
-    n_pairs: int = 4096
-    n_w: int = 40
     seed: int = 0
-    grid: ProbeGrid | None = None
-    fibre_opts: SolveOptions | None = None
 
 
 _RULES = {
@@ -758,25 +731,13 @@ def theorem_applicability(records: list[CheckRecord],
     by_name = {rec.name: rec for rec in records}
     tags = []
     for tag_name, routes in _RULES.items():
-        granted = False
-        satisfied: list[str] = []
-        violated: list[str] = []
-        for route in routes:
-            route_ok = all(
-                name in by_name and by_name[name].verdict == "pass_sampled"
-                for name in route
-            )
-            for name in route:
-                rec = by_name.get(name)
-                if rec is None:
-                    continue
-                if rec.verdict == "pass_sampled" and name not in satisfied:
-                    satisfied.append(name)
-                if rec.verdict != "pass_sampled" and name not in violated:
-                    violated.append(name)
-            granted = granted or route_ok
-        tags.append(TheoremTag(name=tag_name, granted=granted,
-                               satisfied=satisfied, violated=violated))
+        passed = {name: by_name[name].verdict == "pass_sampled"
+                  for route in routes for name in route if name in by_name}
+        tags.append(TheoremTag(
+            name=tag_name,
+            granted=any(all(passed.get(name) for name in route) for route in routes),
+            satisfied=[name for name, ok in passed.items() if ok],
+            violated=[name for name, ok in passed.items() if not ok]))
     return AnalysisReport(records=list(records), applicability=tags)
 
 
@@ -784,21 +745,16 @@ def analyze_system(sys: SystemMatrices, f: Nonlinearity,
                    opts: AnalyzerOptions | None = None) -> AnalysisReport:
     """Run every probe and aggregate the applicability report."""
     opts = opts or AnalyzerOptions()
-    grid = opts.grid or ProbeGrid(t_window=opts.t_window, seed=opts.seed)
-    box = opts.box_halfwidth
-    tw = opts.t_window
+    grid = ProbeGrid(t_window=opts.t_window, seed=opts.seed)    # checks both
+    tw, seed = grid.t_window, grid.seed
     records = [
         probe_radial_unboundedness(sys, f, grid),
-        check_upper_lipschitz(f, tw, box, n_pairs=opts.n_pairs, seed=opts.seed),
-        check_lower_lipschitz(sys, f, tw, box, n_pairs=opts.n_pairs,
-                              seed=opts.seed),
-        check_determinant_condition(f, sys.D, tw, box, seed=opts.seed),
-        check_growth_condition(f, sys.D, tw, seed=opts.seed),
-        check_monotonicity(f, sys.D, tw, box, n_pairs=opts.n_pairs,
-                           seed=opts.seed),
-        probe_fibre_nonempty(sys, f, tw, n_w=opts.n_w, seed=opts.seed,
-                             fibre_opts=opts.fibre_opts),
-        probe_fibre_convexity(sys, f, tw, n_w=opts.n_w, seed=opts.seed,
-                              fibre_opts=opts.fibre_opts),
+        check_upper_lipschitz(f, tw, _BOX, seed=seed),
+        check_lower_lipschitz(sys, f, tw, _BOX, seed=seed),
+        check_determinant_condition(f, sys.D, tw, _BOX, seed=seed),
+        check_growth_condition(f, sys.D, tw, seed=seed),
+        check_monotonicity(f, sys.D, tw, _BOX, seed=seed),
+        probe_fibre_nonempty(sys, f, tw, seed=seed),
+        probe_fibre_convexity(sys, f, tw, seed=seed),
     ]
     return theorem_applicability(records)

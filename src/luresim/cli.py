@@ -85,8 +85,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = load_config(args.system)
-    ta, _, tb = args.twindow.partition(":")
-    opts = AnalyzerOptions(t_window=(float(ta), float(tb)), seed=args.seed)
+    try:
+        ta, tb = (float(tok) for tok in args.twindow.split(":"))
+    except ValueError:
+        raise ConfigurationError(f"--twindow must read a:b with two numbers, "
+                                 f"got {args.twindow!r}") from None
+    opts = AnalyzerOptions(t_window=(ta, tb), seed=args.seed)
     report = analyze_system(cfg.system, cfg.nonlinearity, opts)
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out:

@@ -36,6 +36,7 @@ _SCAN_ROWS = 1 << 16    # grid cells per evaluation of the planar oracle
 _BRACKET_POINTS = 129   # scalar sign-change grid across the search diameter
 _RESID_FLOOR = 1e-6     # a fruitless search this close reads not_converged
 _FLOAT = np.dtype(float)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -736,9 +737,10 @@ def _piece_roots_for_target(pc, d: float, target: float,
     """Roots of x - d*piece(x) = target on this piece.
 
     Returns (points, segments) lists of floats / (lo, hi) tuples.
-    The quadratic vertex is admitted as a near-root when the discriminant
-    is marginally negative but the residual there stays within EXACT_TOL;
-    this keeps the enumeration stable against roundoff at double roots.
+    When the residual at the quadratic vertex is within the rounding error
+    of F there, or a marginally negative discriminant leaves it within
+    EXACT_TOL, the vertex is the one (double) root; this keeps the
+    enumeration stable against roundoff at double roots.
     """
     lo, hi = pc.lo, pc.hi
     if r_lo_clip is not None:
@@ -760,7 +762,8 @@ def _piece_roots_for_target(pc, d: float, target: float,
 
     a = -d * pc.c2
     b = 1.0 - d * pc.c1
-    c = -d * pc.c0 - target
+    dc0 = d * pc.c0
+    c = -dc0 - target
     scale = max(1.0, abs(b), abs(c))
     if abs(a) <= 1e-14 * scale:
         if abs(b) <= 1e-14 * scale:
@@ -768,11 +771,17 @@ def _piece_roots_for_target(pc, d: float, target: float,
                 return [], [(lo, hi)]        # flat piece at the target value
             return [], []
         root = -c / b
-        return ([root] if _in_interval(root, lo, hi) else []), []
+        if abs(a) * root * root <= EXACT_TOL:    # no curvature at the root
+            return ([root] if _in_interval(root, lo, hi) else []), []
 
     disc = b * b - 4.0 * a * c
+    # 4|a| times the rounding error of F(vertex) - target = disc / (4a): its
+    # terms are |vertex| = |b / 2a|, |d c1 vertex| <= (1 + |b|) |vertex|,
+    # |a| vertex^2 = |b vertex| / 2, |d c0| and |target|
+    disc_tol = 32.0 * _EPS * (abs(b) * (1.0 + 0.75 * abs(b))
+                              + abs(a) * (abs(dc0) + abs(target)))
     pts = []
-    if disc > 0.0:
+    if disc > disc_tol:
         if b == 0.0:
             # Symmetric pair: compute once so the two roots agree to the bit
             # (norm ties must be exact for deterministic branch ordering).
@@ -785,12 +794,11 @@ def _piece_roots_for_target(pc, d: float, target: float,
         for root in roots:
             if _in_interval(root, lo, hi):
                 pts.append(root)
-    else:
-        # residual at the vertex is |disc| / (4|a|)
-        if abs(disc) / (4.0 * abs(a)) <= EXACT_TOL:
-            vertex = -b / (2.0 * a)
-            if _in_interval(vertex, lo, hi):
-                pts.append(vertex)
+    elif disc >= -disc_tol or abs(disc) / (4.0 * abs(a)) <= EXACT_TOL:
+        # a double root up to roundoff, or a vertex residual within EXACT_TOL
+        vertex = -b / (2.0 * a)
+        if _in_interval(vertex, lo, hi):
+            pts.append(vertex)
     return pts, []
 
 

@@ -1,12 +1,18 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
-from luresim import (ProbeGrid, SystemMatrices, analyze_system,
+from luresim import (AnalyzerOptions, ConfigurationError, ProbeGrid,
+                     SystemMatrices, analyze_system,
                      check_determinant_condition, check_growth_condition,
                      check_lower_lipschitz, check_monotonicity,
                      check_upper_lipschitz, enumerate_fibre_exact, eval_F,
-                     linear_nonlinearity, probe_fibre_nonempty,
-                     probe_radial_unboundedness, theorem_applicability,
+                     linear_nonlinearity, probe_fibre_convexity,
+                     probe_fibre_nonempty, probe_radial_unboundedness,
+                     theorem_applicability,
                      zero_nonlinearity)
 from luresim.analyzer import _lipschitz_extremes
 
@@ -336,3 +342,43 @@ def test_theorem_applicability_requires_route_records():
     report = theorem_applicability([])
     for tag in report.applicability:
         assert not tag.granted
+
+
+# ---------------------------------------------------------------------------
+# Options and the one sampling plan
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", True), ("t_window", ("a", "b")),
+    ("t_window", (5.0,)), ("t_window", (0.0, math.inf)),
+    ("t_window", (0.0, math.nan))])
+def test_analyzer_options_rejected_naming_the_field(entry, field, value):
+    e = entry("ex3c")
+    opts = AnalyzerOptions(**{field: value})
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        analyze_system(e.system, e.nonlinearity, opts)
+
+
+def _dump(records):
+    return json.dumps([dataclasses.asdict(rec) for rec in records], sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["ex3c", "ex4b"])
+@pytest.mark.parametrize("t_window, seed", [((0.0, 10.0), 0), ((0.5, 3.0), 11)])
+def test_audit_equals_its_probes_called_alone(entry, name, t_window, seed):
+    # the audit samples as each probe does by default on the cube of
+    # half-width 2, at the same window and seed
+    e = entry(name)
+    sys, f, D = e.system, e.nonlinearity, e.system.D
+    alone = [
+        probe_radial_unboundedness(sys, f, ProbeGrid(t_window=t_window, seed=seed)),
+        check_upper_lipschitz(f, t_window, 2.0, seed=seed),
+        check_lower_lipschitz(sys, f, t_window, 2.0, seed=seed),
+        check_determinant_condition(f, D, t_window, 2.0, seed=seed),
+        check_growth_condition(f, D, t_window, seed=seed),
+        check_monotonicity(f, D, t_window, 2.0, seed=seed),
+        probe_fibre_nonempty(sys, f, t_window, seed=seed),
+        probe_fibre_convexity(sys, f, t_window, seed=seed),
+    ]
+    report = analyze_system(sys, f, AnalyzerOptions(t_window=t_window, seed=seed))
+    assert _dump(report.records) == _dump(alone)

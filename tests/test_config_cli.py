@@ -321,6 +321,17 @@ def test_cli_expression_domain_error_exit_1(tmp_path, entry, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--twindow", "a:b"], "--twindow"), (["--twindow", "5"], "--twindow"),
+    (["--twindow", "0:1:2"], "--twindow"), (["--twindow", "0:inf"], "t_window"),
+    (["--seed", "-1"], "seed")])
+def test_cli_analyze_bad_option_exits_2_naming_it(capsys, args, named):
+    code = main(["analyze", "--system", str(CONFIG_DIR / "ex3c.json"), *args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {named} must")
+
+
 def test_cli_fibre_reports_segment(tmp_path, entry, capsys):
     cfg = _write_config(tmp_path, entry("sec42a"), "sec42a")
     code = main(["fibre", "--system", str(cfg), "--t", "0", "--w", "0.3"])

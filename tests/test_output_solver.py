@@ -437,6 +437,56 @@ def test_exact_fibre_matches_oracle_on_random_tilings(case, w):
         assert abs(la - lb) <= h_scan and abs(ha - hb) <= h_scan
 
 
+@settings(max_examples=25, deadline=None)
+@given(case=_continuous_tilings(), data=st.data())
+def test_exact_fibre_at_fold_targets_on_random_tilings(case, data):
+    # w is a fold value, so the fold point is a root that may be tangent
+    # (double); it must appear once, and the roots away from every fold at
+    # level w, where the oracle's sign-change scan sees them, must match
+    f, d, t = case
+    folds = _fold_candidates(f, d, t)
+    assume(folds)
+    xi_fold, w = data.draw(st.sampled_from(folds))
+    R = 4.0
+    exact = enumerate_fibre_exact(f, [[d]], t, [w])
+    for pt in exact.points:      # at roundoff, which grows with |xi| and |w|
+        scale = max(1.0, abs(pt[0]), abs(w))
+        assert residual_norm(f, [[d]], t, pt, [w]) <= 1e-12 * scale
+    # roots closer than 2 tol_sep = 2e-6 are one fibre element
+    near = [float(pt[0]) for pt in exact.points
+            if abs(float(pt[0]) - xi_fold) <= 2e-6]
+    covered = any(float(a[0]) - 2e-6 <= xi_fold <= float(b[0]) + 2e-6
+                  for a, b in exact.segments)
+    assert len(near) == (0 if covered else 1), (xi_fold, near, exact.segments)
+
+    at_level = [x for x, value in folds if abs(value - w) <= 1e-3]
+
+    def away(fib):
+        pts, _ = _clip_exact_to_window(fib, R, margin=1e-2)
+        return [x for x in pts if all(abs(x - xf) > 1e-3 for xf in at_level)]
+
+    oracle = brute_force_fibre_oracle(f, [[d]], t, [w], R=R, h_scan=1e-3)
+    e_pts, o_pts = away(exact), away(oracle)
+    assert len(e_pts) == len(o_pts), (e_pts, o_pts)
+    for a, b in zip(e_pts, o_pts):
+        assert abs(a - b) < 1e-8
+
+
+@pytest.mark.parametrize("c0, c1, c2, d", [
+    # vertex at 109: a roundoff-positive discriminant gave two roots 2.9e-6 apart
+    (0.12486449283930501, 1.3647014061798703, -0.05391826678738054,
+     -0.09622051959869271),
+    # vertex at 5e8: against the target's scale the curvature read as none,
+    # and the linear root 2.5e8 had residual 6.25e7
+    (0.0, 0.0, 1e-9, 1.0)])
+def test_tangent_root_is_the_vertex_once(c0, c1, c2, d):
+    f = piecewise_scalar([ScalarPiece(lo=-math.inf, hi=math.inf, c0=c0, c1=c1,
+                                      c2=c2)])
+    ((vertex, w),) = _fold_candidates(f, d, 0.0)
+    fib = enumerate_fibre_exact(f, [[d]], 0.0, [w])
+    assert [float(pt[0]) for pt in fib.points] == [vertex]
+
+
 @pytest.mark.parametrize("name", ["ex3a", "ex3c", "ex3d", "sec42a", "sec42c"])
 def test_exact_fibre_entries_at_roundoff(entry, name):
     # residual of every exact point and finite segment endpoint <= 1e-12

@@ -1,8 +1,9 @@
 """Print one SHA-256 digest per output of a fixed set of CLI calls.
 
 Each call runs ``python -m luresim.cli`` (with ``--seed 0`` where the
-subcommand takes one) in a fresh temporary directory; the digests cover its stdout, stderr, exit code and
-every file it writes.  Two checkouts print the same lines exactly when the
+subcommand takes one, unless said otherwise) in a fresh temporary
+directory; the digests cover its stdout, stderr, exit code and every file
+it writes.  Two checkouts print the same lines exactly when the
 CLI produced the same bytes, so ``diff`` of the output on the parent and on
 the change shows byte-identity::
 
@@ -13,7 +14,8 @@ The calls import luresim from the ``src`` directory beside this script.
 The set: ``simulate`` on ex3b and ex4a at their config defaults,
 ``simulate --inclusion --policy fixed_branch:0`` on ex3c (and, with
 ``--method rk45_adaptive``, a method inclusion mode does not have),
-``analyze --out`` on all ten configs, ``fibre`` on sec42a and ex4b plus
+``analyze --out`` on all ten configs, again with ``--seed 11 --twindow
+0:3`` (off the golden seed and window), ``fibre`` on sec42a and ex4b plus
 the dense-scan oracle (``--scan-radius``) on ex3c, and, for each catalog
 entry (one per shipped config), ``example NAME --emit-config`` and
 ``example NAME --verify --quick``, which checks the entry's closed-form
@@ -35,8 +37,8 @@ CONFIGS = ROOT / "configs"
 
 
 def _calls():
-    def cfg(name):
-        return ["--system", str(CONFIGS / f"{name}.json"), "--seed", "0"]
+    def cfg(name, seed="0"):
+        return ["--system", str(CONFIGS / f"{name}.json"), "--seed", seed]
 
     for name in ("ex3b", "ex4a"):
         yield f"simulate/{name}", ["simulate", *cfg(name), "--out", "run"]
@@ -48,6 +50,10 @@ def _calls():
     for path in sorted(CONFIGS.glob("*.json")):
         yield f"analyze/{path.stem}", ["analyze", *cfg(path.stem), "--out",
                                        "report.json"]
+    for path in sorted(CONFIGS.glob("*.json")):
+        yield f"analyze-seed11/{path.stem}", ["analyze", *cfg(path.stem, "11"),
+                                              "--twindow", "0:3", "--out",
+                                              "report.json"]
     yield "fibre/sec42a", ["fibre", *cfg("sec42a"), "--w", "0.3"]
     yield "fibre/ex4b", ["fibre", *cfg("ex4b"), "--t", "0.5", "--w", "0.4,-0.2"]
     yield "fibre-scan/ex3c", ["fibre", *cfg("ex3c"), "--w", "0.1",
