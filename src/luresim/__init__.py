@@ -36,6 +36,6 @@ from .output_solver import (FibreSet, OutputSolution, SolveOptions,
                             solve_output)
 from .signals import (InputSignal, constant_input, piecewise_constant_input,
                       polynomial_input, zero_input)
-from .system import SystemMatrices, eval_F, gronwall_bound
+from .system import SystemMatrices, eval_F
 
 __version__ = "0.1.0"

@@ -331,7 +331,7 @@ def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,
     breakpoints, interior extrema); any set-valued fibre yields pairs
     with lower quotient exactly zero.
     """
-    if not exact_structure_available(f, sys.D):
+    if f.kind == "conformal" or not exact_structure_available(f, sys.D):
         return []
     pairs = []
     d = float(sys.D[0, 0])
@@ -721,8 +721,7 @@ _RULES = {
 }
 
 
-def theorem_applicability(records: list[CheckRecord],
-                          flags: dict | None = None) -> AnalysisReport:
+def theorem_applicability(records: list[CheckRecord]) -> AnalysisReport:
     """Map satisfied hypothesis sets to applicable-result tags.
 
     Every tag carries the "sampled" qualifier: a granted tag means the

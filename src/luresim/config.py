@@ -161,6 +161,12 @@ def _count(value, path: str) -> int:
     return value
 
 
+def _planar(value, path: str) -> int:
+    if _count(value, path) != 2:
+        raise _err(path, "expected 2: the map is planar")
+    return value
+
+
 def _time_expr(value, path: str) -> str:
     if not isinstance(value, str):
         raise _err(path, "expected an expression of t")
@@ -200,7 +206,7 @@ _BUILTINS = {
                         {"gain": (_number_or_time_expr, 0.5), "p": (_count, 2)}),
     "rotated_radial": (nl.rotated_radial, {"angle": (_time_expr, "t")}),
     "normalized_rotation": (nl.normalized_rotation,
-                            {"omega": (_number, 1.0), "p": (_count, 2)}),
+                            {"omega": (_number, 1.0), "p": (_planar, 2)}),
     "radial_three_zone": (nl.radial_three_zone, {"p": (_count, 2)}),
 }
 

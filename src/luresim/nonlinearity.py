@@ -9,6 +9,9 @@ Three structured kinds get exact treatment downstream:
 * ``radial`` (m = p): f(t, xi) = a(t, ||xi||) xi / ||xi|| with a scalar
   piecewise amplitude profile, so fibres reduce to a scalar problem along
   the direction of the target.
+* ``conformal`` (m = p): f(t, xi) = alpha(t, ||xi||) xi, alpha real or,
+  with xi read as a complex number (p = 2), complex; with D = d I a fibre
+  comes from the roots of one polynomial in the radius.
 * ``smooth`` / ``expression``: opaque evaluators, numeric treatment only.
 """
 
@@ -179,12 +182,38 @@ def _first_match(resolved, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sqrt(x):
+    """``math.sqrt`` of a float, ``np.sqrt`` of a row array: the same bits."""
+    return math.sqrt(x) if type(x) is float else np.sqrt(x)
+
+
+class Conformal(NamedTuple):
+    """f(t, xi) = alpha(t, ||xi||) xi with alpha = c + g(t, r) u(t), c 0 or 1.
+
+    ``at_time(t)``, memoised per time, is the rotation U(t) of the unit
+    phase u(t) when ``rotating`` (p = 2), else a real factor of g (u = 1).
+    ``gain`` and ``slope`` give g and dg/dr at (factor, r), r a float or a
+    row array.  ``modulus(factor, d, rho)`` lists, highest first, the
+    coefficients of r^2 |1 - d alpha|^2 - rho^2 times a positive factor, a
+    polynomial in s = sqrt(1 + r^2) when ``in_s``, else in r.
+    """
+
+    c: float
+    at_time: Callable
+    gain: Callable
+    slope: Callable
+    modulus: Callable
+    rotating: bool = False
+    in_s: bool = False
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """Evaluator for f(t, xi) in R^m, xi in R^p, plus optional structure.
 
-    The structured kinds evaluate through their resolved pieces; ``fn`` is
-    the evaluator of the opaque kinds only.  ``fn_batch(T, X)``, when
+    The piecewise kinds evaluate through their resolved pieces; ``fn`` is
+    the evaluator of the others (a conformal map's four evaluators come
+    from its ``Conformal`` structure).  ``fn_batch(T, X)``, when
     given, is the vectorised ``fn``: it maps an N x p stack to N x m rows
     equal to ``fn`` bit for bit, with T a 0-d time or one time per row.
     ``jac_batch(T, X)`` is the vectorised ``jac`` in the same way: N x m x p
@@ -194,7 +223,7 @@ class Nonlinearity:
     m: int
     p: int
     fn: Callable[[float, np.ndarray], np.ndarray] | None = None
-    kind: str = "smooth"     # smooth | piecewise_scalar | radial | expression
+    kind: str = "smooth"     # smooth | piecewise_scalar | radial | conformal | expression
     pieces: tuple[ScalarPiece, ...] | None = None
     profile: tuple[ScalarPiece, ...] | None = None
     jac: Callable[[float, np.ndarray], np.ndarray] | None = None
@@ -202,6 +231,7 @@ class Nonlinearity:
     params: dict = field(default_factory=dict)
     fn_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     jac_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    conformal: Conformal | None = None
 
     def __post_init__(self):
         if self.kind == "piecewise_scalar":
@@ -218,6 +248,8 @@ class Nonlinearity:
                     raise ConfigurationError(
                         "radial amplitude profile must vanish at r = 0"
                     )
+        elif self.kind == "conformal" and self.conformal is None:
+            raise ConfigurationError("conformal nonlinearity needs its structure")
         elif self.fn is None:
             raise ConfigurationError(
                 f"nonlinearity of kind {self.kind!r} needs the evaluator fn"
@@ -257,6 +289,8 @@ class Nonlinearity:
         if self.kind == "radial":
             r = vec_norm(xi)
             out = np.zeros(self.p) if r == 0.0 else (self.amplitude(t, r) / r) * xi
+        elif self.kind == "conformal":
+            out = self.fn(t, xi)        # a flat float vector
         else:
             out = self._fn_row(t, xi)
         if out.shape[0] != self.m:
@@ -409,6 +443,54 @@ def radial_scalar_profile(profile, p: int, name: str = "",
                         name=name, params=params or {})
 
 
+def conformal_map(cf: Conformal, p: int, name: str = "",
+                  params: dict | None = None) -> Nonlinearity:
+    """Build f(t, xi) = alpha(t, ||xi||) xi with its evaluators from alpha:
+    f = g U xi + c xi and Df = M(alpha) + M(d alpha / dr) xi xi^T / r =
+    g U + (dg/dr / r) (U xi) xi^T + c I (U = I for a real alpha), each
+    batch row equal to its one-point value bit for bit."""
+    c, at_time, gain, slope, _, rotating, _ = cf
+    eye = np.eye(p)
+
+    def fn(t, xi):
+        factor = at_time(t)
+        out = gain(factor, vec_norm(xi)) * (factor @ xi if rotating else xi)
+        if c:
+            out += xi
+        return out
+
+    def fn_batch(T, X):
+        factor = _at_times(at_time, T)
+        V = np.matmul(factor, X[..., None])[..., 0] if rotating else X
+        out = gain(factor, row_norms(X))[:, None] * V
+        if c:
+            out += X
+        return out
+
+    def jac(t, xi):
+        factor, r = at_time(t), vec_norm(xi)
+        k = slope(factor, r) / (r or 1.0)   # at r = 0 it multiplies xi = 0
+        out = (gain(factor, r) * (factor if rotating else eye)
+               + np.outer(k * (factor @ xi if rotating else xi), xi))
+        if c:
+            out += eye
+        return out
+
+    def jac_batch(T, X):
+        factor, r = _at_times(at_time, T), row_norms(X)
+        V = np.matmul(factor, X[..., None])[..., 0] if rotating else X
+        k = slope(factor, r) / np.where(r != 0.0, r, 1.0)
+        out = (gain(factor, r)[:, None, None] * (factor if rotating else eye)
+               + (k[:, None] * V)[:, :, None] * X[:, None, :])
+        if c:
+            out += eye
+        return out
+
+    return Nonlinearity(m=p, p=p, kind="conformal", conformal=cf, fn=fn,
+                        fn_batch=fn_batch, jac=jac, jac_batch=jac_batch,
+                        name=name, params=params or {})
+
+
 # ---------------------------------------------------------------------------
 # Built-in nonlinearities (also addressable by name from config files)
 # ---------------------------------------------------------------------------
@@ -521,42 +603,20 @@ def saturation_scaled(gain=1.0) -> Nonlinearity:
 def normalized_gain(gain=0.5, p: int = 2) -> Nonlinearity:
     """f(t, xi) = h(t) xi / (1 + ||xi||): linearly bounded, radially flattening.
 
-    A callable gain must be a pure function of t: its value is reused
-    while t repeats.
+    alpha = h(t) / (1 + r) is real, so any p will do.  A callable gain must
+    be a pure function of t: its value is reused while t repeats.
     """
     h = _PerTime(gain) if callable(gain) else (lambda _t, _h=float(gain): _h)
 
-    def fn(t, xi):
-        return (h(t) / (1.0 + np.linalg.norm(xi))) * xi
+    def modulus(ht, d, rho):            # r^2 (r + 1 - d h)^2 - rho^2 (1 + r)^2
+        k = 1.0 - d * ht
+        return 1.0, 2.0 * k, k * k - rho * rho, -2.0 * rho * rho, -rho * rho
 
-    def fn_batch(T, X):
-        return (_at_times(h, T) / (1.0 + row_norms(X)))[:, None] * X
-
-    def jac(t, xi):
-        r = float(np.linalg.norm(xi))
-        ht = h(t)
-        if r == 0.0:
-            return ht * np.eye(p)
-        return ht * (np.eye(p) / (1.0 + r) - np.outer(xi, xi) / (r * (1.0 + r) ** 2))
-
-    def jac_batch(T, X):
-        r = row_norms(X)
-        ht = np.broadcast_to(_at_times(h, T), r.shape).astype(float)
-        out = ht[:, None, None] * np.eye(p)          # the rows at the origin
-        live = r != 0.0
-        rl, Xl = r[live], X[live]
-        outer = Xl[:, :, None] * Xl[:, None, :]
-        # float ** 2 is libm pow, which numpy's squaring does not always match
-        sq = np.array([(1.0 + s) ** 2 for s in rl.tolist()])
-        out[live] = ht[live, None, None] * (
-            np.eye(p) / (1.0 + rl)[:, None, None]
-            - outer / (rl * sq)[:, None, None])
-        return out
-
-    params = {"p": p} if callable(gain) else {"gain": float(gain), "p": p}
-    return Nonlinearity(m=p, p=p, fn=fn, fn_batch=fn_batch, jac=jac,
-                        jac_batch=jac_batch, name="normalized_gain",
-                        params=params)
+    return conformal_map(
+        Conformal(0, h, lambda ht, r: ht / (1.0 + r),
+                  lambda ht, r: -ht / ((1.0 + r) * (1.0 + r)), modulus), p,
+        name="normalized_gain",
+        params={"p": p} if callable(gain) else {"gain": float(gain), "p": p})
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -564,68 +624,45 @@ def rotation_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def rotated_radial(radial_gain=None, angle=None) -> Nonlinearity:
-    """Planar f(t, xi) = xi - g(||xi||) R(theta(t)) xi.
+def rotated_radial(angle=None) -> Nonlinearity:
+    """Planar f(t, xi) = xi - ||xi|| R(theta(t)) xi, by default theta(t) = t.
 
-    Defaults g(s) = s and theta(t) = t, for which s*g(s) is injective and
-    radially unbounded, so xi - f is a homeomorphism for every t although
-    the growth of f itself is superlinear.  The angle must be a pure
-    function of t: R(theta(t)) is reused while t repeats.
+    alpha = 1 + r u(t) with u = -e^{i theta(t)}: with D = I, ||xi - f|| =
+    ||xi||^2, so xi - f is a homeomorphism for every t although the growth
+    of f itself is superlinear.  The angle must be a pure function of t:
+    -R(theta(t)) is reused while t repeats.
     """
-    g = radial_gain if radial_gain is not None else (lambda s: s)
     theta = angle if angle is not None else (lambda t: t)
-    rotation = _PerTime(lambda t: rotation_matrix(theta(t)))
 
-    def fn(t, xi):
-        return xi - g(vec_norm(xi)) * (rotation(t) @ xi)
+    def turn(t):                        # -R(theta(t)); -1.0 * keeps a NaN's sign
+        a = theta(t)
+        c, s = -1.0 * math.cos(a), -1.0 * math.sin(a)
+        return np.array([[c, -s], [s, c]])
 
-    def fn_batch(T, X):
-        r = row_norms(X)
-        gains = r if radial_gain is None else np.array([g(s) for s in r.tolist()])
-        rotations = _at_times(rotation, T)
-        return X - gains[:, None] * np.matmul(rotations, X[..., None])[..., 0]
+    return conformal_map(Conformal(
+        1, _PerTime(turn), lambda U, r: r,
+        lambda U, r: 1.0, rotating=True,
+        # r^2 |1 - d - d r u|^2 - rho^2, with cos theta = -U[0, 0]
+        modulus=lambda U, d, rho: (d * d, -2.0 * d * (1.0 - d) * float(U[0, 0]),
+                                   (1.0 - d) * (1.0 - d), 0.0, -rho * rho)),
+        2, name="rotated_radial")
 
-    return Nonlinearity(m=2, p=2, fn=fn, fn_batch=fn_batch,
-                        name="rotated_radial")
 
+def normalized_rotation(omega: float = 1.0, p: int = 2) -> Nonlinearity:
+    """Planar f(t, xi) = R(omega t) xi / s, s = sqrt(1 + ||xi||^2); p is 2."""
+    if p != 2:
+        raise ConfigurationError(f"normalized_rotation is planar: p must be 2, got {p!r}")
 
-def normalized_rotation(omega: float = 1.0, p: int = 2, frame=None) -> Nonlinearity:
-    """f(t, xi) = g(||xi||) J(t) xi with g(s) = 1/sqrt(1+s^2), J(t) orthogonal.
+    def modulus(J, d, rho):             # (s^2 - 1)(s^2 - 2 d s cos + d^2) - rho^2 s^2
+        dc = d * float(J[0, 0])
+        return 1.0, -2.0 * dc, d * d - 1.0 - rho * rho, 2.0 * dc, -d * d
 
-    The default frame is the planar rotation J(t) = R(omega t).  A frame
-    must be a pure function of t: J(t) is reused while t repeats.
-    """
-    if frame is None:
-        if p != 2:
-            raise ConfigurationError("default rotation frame requires p = 2")
-        J = _PerTime(lambda t: rotation_matrix(omega * t))
-    else:
-        J = _PerTime(frame)
-
-    def fn(t, xi):
-        s = float(np.linalg.norm(xi))
-        return (1.0 / math.sqrt(1.0 + s * s)) * (J(t) @ xi)
-
-    def fn_batch(T, X):
-        s = row_norms(X)
-        frames = _at_times(J, T)
-        return (1.0 / np.sqrt(1.0 + s * s))[:, None] * np.matmul(frames, X[..., None])[..., 0]
-
-    def jac(t, xi):
-        s2 = float(xi @ xi)
-        P = np.outer(xi, xi) / (1.0 + s2)
-        return (1.0 / math.sqrt(1.0 + s2)) * (J(t) @ (np.eye(p) - P))
-
-    def jac_batch(T, X):
-        s2 = np.vecdot(X, X)
-        P = (X[:, :, None] * X[:, None, :]) / (1.0 + s2)[:, None, None]
-        frames = _at_times(J, T)
-        return ((1.0 / np.sqrt(1.0 + s2))[:, None, None]
-                * np.matmul(frames, np.eye(p) - P))
-
-    return Nonlinearity(m=p, p=p, fn=fn, fn_batch=fn_batch, jac=jac,
-                        jac_batch=jac_batch, name="normalized_rotation",
-                        params={"omega": float(omega), "p": p})
+    return conformal_map(Conformal(
+        0, _PerTime(lambda t: rotation_matrix(omega * t)),
+        lambda J, r: 1.0 / _sqrt(1.0 + r * r),
+        lambda J, r: -r / ((1.0 + r * r) * _sqrt(1.0 + r * r)), modulus,
+        rotating=True, in_s=True),
+        2, name="normalized_rotation", params={"omega": float(omega), "p": p})
 
 
 def radial_three_zone(p: int = 2) -> Nonlinearity:

@@ -6,7 +6,7 @@ Three routes:
   fibre's element nearest the warm start, else damped Newton from the
   warm start, falling back to the multistart fibre's nearest element.
 * ``enumerate_fibre_exact``: closed-form enumeration of the whole fibre
-  F_t^{-1}(w) for piecewise-scalar and radially structured nonlinearities
+  F_t^{-1}(w) for piecewise-scalar, radial and conformal nonlinearities
   (points and flat segments, residual at roundoff level).
 * ``brute_force_fibre_oracle``: a dense-scan oracle that cross-checks the
   exact enumeration by its own scan; a scalar fibre of either is assembled
@@ -722,7 +722,7 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12,
 def exact_structure_available(f: Nonlinearity, D) -> bool:
     if f.kind == "piecewise_scalar":
         return _as_feedthrough(D).shape == (1, 1)
-    if f.kind == "radial":
+    if f.kind in ("radial", "conformal"):
         return scalar_feedthrough(_as_feedthrough(D)) is not None
     return False
 
@@ -856,8 +856,11 @@ def enumerate_fibre_exact(f: Nonlinearity, D, t: float, w,
     form (affine, quadratic, or arctan pieces) and keep roots inside the
     piece interval; flat pieces matching w contribute segments.  Radial
     case: the same machinery applied to the amplitude profile along the
-    target direction.  A piecewise-scalar fibre is float-backed
-    (``FibreSet.of_floats``), and its w may be a float.
+    target direction.  Conformal case (D = d I): the real roots of one
+    polynomial in the radius, each radius r giving the one point
+    w / (1 - d alpha(t, r)) (``_conformal_fibre``).  A piecewise-scalar
+    fibre is float-backed (``FibreSet.of_floats``), and its w may be a
+    float.
     """
     D = _as_feedthrough(D)
     p = D.shape[0]
@@ -882,38 +885,135 @@ def enumerate_fibre_exact(f: Nonlinearity, D, t: float, w,
         return FibreSet.of_floats(pts, segs, exact=True, t=t, w=target)
 
     w = _target(w, p)
-    if f.kind == "radial":
-        d = scalar_feedthrough(D)
-        if d is None:
-            raise ConfigurationError("radial fibre needs D to be a multiple of I")
-        rho = float(np.linalg.norm(w))
-        pts_raw, segs_raw = [], []
-        for pc in f.resolved_structure(t):
-            pts, segs = _piece_roots_for_target(pc, d, rho, r_lo_clip=0.0)
-            pts_raw.extend(r for r in pts if r >= -1e-12)
-            segs_raw.extend((max(lo, 0.0), hi) for lo, hi in segs)
+    if f.kind not in ("radial", "conformal"):
+        raise ConfigurationError(
+            f"exact fibre enumeration is not available for kind {f.kind!r}")
+    d = scalar_feedthrough(D)
+    if d is None:
+        raise ConfigurationError(f"{f.kind} fibre needs D to be a multiple of I")
+    if f.kind == "conformal":
+        return _conformal_fibre(f, d, t, w, tol_sep)
+    rho = float(np.linalg.norm(w))
+    pts_raw, segs_raw = [], []
+    for pc in f.resolved_structure(t):
+        pts, segs = _piece_roots_for_target(pc, d, rho, r_lo_clip=0.0)
+        pts_raw.extend(r for r in pts if r >= -1e-12)
+        segs_raw.extend((max(lo, 0.0), hi) for lo, hi in segs)
 
-        def resid_of(r: float) -> float:
-            return r - d * f.amplitude(t, r) - rho
+    def resid_of(r: float) -> float:
+        return r - d * f.amplitude(t, r) - rho
 
-        radii, rsegs = _assemble_scalar_fibre(pts_raw, segs_raw, resid_of, tol_sep)
-        if rho == 0.0:
-            if any(r > tol_sep for r in radii) or rsegs:
-                raise ConfigurationError(
-                    "fibre of the origin is a sphere; not representable"
-                )
-            points = tuple(np.zeros(f.p) for r in radii if r <= tol_sep)[:1]
-            return FibreSet(points=points, segments=(), exact=True, t=t, w=w.copy())
-        direction = w / rho
-        return FibreSet(
-            points=tuple(r * direction for r in radii),
-            segments=tuple((lo * direction, hi * direction) for lo, hi in rsegs),
-            exact=True, t=t, w=w.copy(),
-        )
-
-    raise ConfigurationError(
-        f"exact fibre enumeration is not available for kind {f.kind!r}"
+    radii, rsegs = _assemble_scalar_fibre(pts_raw, segs_raw, resid_of, tol_sep)
+    if rho == 0.0:
+        if any(r > tol_sep for r in radii) or rsegs:
+            raise ConfigurationError(
+                "fibre of the origin is a sphere; not representable"
+            )
+        points = tuple(np.zeros(f.p) for r in radii if r <= tol_sep)[:1]
+        return FibreSet(points=points, segments=(), exact=True, t=t, w=w.copy())
+    direction = w / rho
+    return FibreSet(
+        points=tuple(r * direction for r in radii),
+        segments=tuple((lo * direction, hi * direction) for lo, hi in rsegs),
+        exact=True, t=t, w=w.copy(),
     )
+
+
+def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
+                     tol_sep: float) -> FibreSet:
+    """The fibre of F_t(y) = (1 - d alpha(t, |y|)) y over w.
+
+    Its radii, the roots r >= 0 of r |1 - d alpha(t, r)| = |w|, are the
+    nonnegative roots of the modulus polynomial, each polished by Newton
+    steps in r.  A radius gives the one point y = w / (1 - d alpha(t, r)),
+    kept when its residual is at most EXACT_TOL.
+    """
+    cf, rho, factor = f.conformal, vec_norm(w), f.conformal.at_time(t)
+    u = complex(factor[0, 0], factor[1, 0]) if cf.rotating else 1.0
+
+    def phi(r: float):
+        """(r |beta| - rho, its derivative in r, beta = 1 - d alpha(t, r))."""
+        beta = 1.0 - d * (cf.c + cf.gain(factor, r) * u)
+        size = abs(beta)
+        dsize = -d * (beta.conjugate() * cf.slope(factor, r) * u).real / (size or 1.0)
+        return r * size - rho, size + r * dsize, beta
+
+    coeffs = list(cf.modulus(factor, d, rho))
+    if cf.in_s:                         # in x = s - 1 >= 0: a Taylor shift by 1
+        for i in range(len(coeffs) - 1):
+            for j in range(1, len(coeffs) - i):
+                coeffs[j] += coeffs[j - 1]
+    radii = []
+    for r in _nonnegative_roots(coeffs):
+        if cf.in_s:
+            r = math.sqrt(r * (2.0 + r))
+        value, slope, _ = phi(r)
+        for _ in range(4):              # Newton steps, kept while they lower |phi|
+            r_new = max(r - value / slope, 0.0) if slope else r
+            if abs(r_new - r) <= 2.0 * _EPS * r:
+                break
+            value_new, slope_new, _ = phi(r_new)
+            if not abs(value_new) < abs(value):
+                break
+            r, value, slope = r_new, value_new, slope_new
+        radii.append(r)
+    radii, _ = _assemble_scalar_fibre(radii, [], lambda r: phi(r)[0], tol_sep)
+    if rho == 0.0:          # the origin, and spheres where 1 - d alpha(t, r) = 0
+        if any(r > tol_sep and abs(phi(r)[0]) <= EXACT_TOL for r in radii):
+            raise ConfigurationError("fibre of the origin is a sphere; not representable")
+        return FibreSet(points=(np.zeros(f.p),), segments=(), exact=True, t=t, w=w.copy())
+    norm = abs if cf.rotating else vec_norm
+    target = complex(w[0], w[1]) if cf.rotating else w
+    points = []
+    for r in radii:
+        beta = phi(r)[2]
+        if not beta:
+            continue
+        # w / beta as r w / rho turned by beta's phase: its length stays r
+        # where beta is near 0 and w / beta would carry beta's relative error
+        y = target * (r / rho) * (beta.conjugate() / abs(beta))
+        if norm(phi(norm(y))[2] * y - target) <= EXACT_TOL:
+            points.append(np.array([y.real, y.imag]) if cf.rotating else y)
+    return FibreSet(points=points, segments=(), exact=True, t=t, w=w.copy())
+
+
+def _nonnegative_roots(coeffs: list) -> list[float]:
+    """The real roots z >= 0 of a polynomial, coefficients highest first.
+
+    With P(0) < 0 and one sign change in the coefficients there is exactly
+    one (Descartes' rule of signs): Newton's method finds it from half of
+    Fujiwara's root bound, or nearer 0 from one Newton step from 0 if P
+    rises there, kept inside [0, bound] by bisection.  Otherwise the roots
+    are the real eigenvalues of the companion matrix, up to an imaginary
+    part of 1e-6 of their size (a double root can split so).  Leading
+    coefficients below eps^2 of the largest are removed from ``coeffs`` in
+    place.
+    """
+    big = max(map(abs, coeffs))
+    while len(coeffs) > 1 and abs(coeffs[0]) <= _EPS * _EPS * big:
+        del coeffs[0]                   # a root beyond 1 / eps^2 of the others
+    if len(coeffs) < 2:
+        return []
+    signs = [c > 0.0 for c in coeffs if c]
+    if coeffs[-1] < 0.0 and sum(a != b for a, b in zip(signs, signs[1:])) == 1:
+        z = max(abs(c / coeffs[0]) ** (1.0 / k) for k, c in enumerate(coeffs[1:], 1))
+        lo, hi = 0.0, 2.0 * z
+        if coeffs[-2] > 0.0:            # or from one Newton step from 0
+            z = min(z, -coeffs[-1] / coeffs[-2])
+        for _ in range(100):
+            value = slope = 0.0
+            for c in coeffs:
+                value, slope = value * z + c, slope * z + value
+            step = value / slope if slope else math.inf
+            if abs(step) <= 2.0 * _EPS * z:
+                break
+            lo, hi = (z, hi) if value < 0.0 else (lo, z)
+            z = z - step if lo < z - step < hi else 0.5 * (lo + hi)
+        return [z]
+    companion = np.eye(len(coeffs) - 1, k=-1)
+    companion[0] = [c / -coeffs[0] for c in coeffs[1:]]
+    return [max(z.real, 0.0) for z in np.linalg.eigvals(companion).tolist()
+            if abs(z.imag) <= 1e-6 * max(1.0, abs(z)) and z.real >= -1e-9]
 
 
 # ---------------------------------------------------------------------------

@@ -119,28 +119,3 @@ def apply_F(D: np.ndarray, f, t, xi) -> np.ndarray:
         raise ConfigurationError(f"xi has length {xi.shape[0]}, expected p={p}")
     return xi - D @ f(t, xi)
 
-
-def gronwall_bound(c: float, h_values, t0: float, grid) -> np.ndarray:
-    """Integral-inequality bound t -> c * exp(int_{t0}^t h).
-
-    The integral is accumulated with the trapezoid rule on the given grid,
-    which must be strictly increasing and start at t0.  Used as a diagnostic
-    envelope, not as a control quantity.
-    """
-    grid = np.asarray(grid, dtype=float)
-    h_values = np.asarray(h_values, dtype=float)
-    if c < 0:
-        raise ConfigurationError("c must be non-negative")
-    if grid.ndim != 1 or grid.size < 1 or grid[0] != t0:
-        raise ConfigurationError("grid must be a 1-d array starting at t0")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ConfigurationError("grid must be strictly increasing")
-    if h_values.shape != grid.shape:
-        raise ConfigurationError("h_values must match the grid")
-    if np.any(h_values < 0):
-        raise ConfigurationError("h samples must be non-negative")
-    integral = np.zeros_like(grid)
-    if grid.size > 1:
-        steps = np.diff(grid)
-        integral[1:] = np.cumsum(0.5 * steps * (h_values[:-1] + h_values[1:]))
-    return c * np.exp(integral)

@@ -15,6 +15,7 @@ from luresim import (EXAMPLE_NAMES, ConfigurationError, EvaluationError,
                      radial_scalar_profile, radial_three_zone, rotated_radial,
                      sample_clarke_jacobian, sample_clarke_jacobians,
                      saturation_scaled, zero_nonlinearity)
+from luresim.nonlinearity import rotation_matrix
 from luresim.output_solver import _halton_starts, _newton, _newton_stack
 
 
@@ -46,8 +47,9 @@ NONLINEARITIES = {
     "normalized_gain_time_varying": lambda: normalized_gain(lambda t: 0.5 + 0.3 * math.cos(t)),
     "normalized_rotation": normalized_rotation,
     "rotated_radial": rotated_radial,
-    "rotated_radial_custom_gain": lambda: rotated_radial(radial_gain=lambda s: s * s,
-                                                         angle=lambda t: 2.0 * t),
+    "rotated_radial_custom_gain": lambda: Nonlinearity(
+        m=2, p=2, name="rotated_radial_custom_gain",
+        fn=lambda t, xi: xi - float(xi @ xi) * (rotation_matrix(2.0 * t) @ xi)),
     "radial_three_zone": radial_three_zone,
     "radial_time_varying": _time_varying_radial,
     "expression": lambda: compile_vector_expression(

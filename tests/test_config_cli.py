@@ -69,6 +69,7 @@ def _with_builtin(doc, name, params):
     ("normalized_gain", "p", True),
     ("normalized_gain", "p", 0),
     ("normalized_rotation", "omega", "x"),
+    ("normalized_rotation", "p", 3),
     ("saturation_scaled", "gain", [1.0]),
     ("linear", "K", [["a", 1.0], [0.0, 1.0]]),
     ("linear", "K", [[1.0, 0.0], [0.0]]),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ def test_atan_composition_flat_at_origin():
 
 
 def test_normalized_rotation_identity_frame_at_origin():
-    f = normalized_rotation(p=2, frame=lambda t: np.eye(2))
+    f = Nonlinearity(m=2, p=2, fn=lambda t, xi: xi / math.sqrt(1.0 + float(xi @ xi)))
     J = finite_diff_jacobian(f, 0.3, np.zeros(2))
     assert np.max(np.abs(J - np.eye(2))) < 1e-8
 

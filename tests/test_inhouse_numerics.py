@@ -126,7 +126,8 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
 
     e = entries["ex4a"]
     rec = simulate(e.system, e.nonlinearity, e.input, e.t0, e.x0,
-                   SimOptions(method="rk4_fixed", dt=1e-3, tmax=0.05))
+                   SimOptions(method="rk4_fixed", dt=1e-3, tmax=0.05,
+                              solver=SolveOptions(use_structure=False)))
     assert rec.n_samples > 1
 
     e = entries["ex3c"]

@@ -132,10 +132,13 @@ def test_refine_escape_time_rejects_bad_solver_options(entry):
 
 def test_edge_solver_options_pass(entry):
     e = entry("ex4a")
-    sol = solve_output(e.system, e.nonlinearity, 0.0, [0.5, 0.2], [0.0, 0.0],
-                       SolveOptions(n_starts=0, max_iter=1))
+    opts = SolveOptions(n_starts=0, max_iter=1, use_structure=False)
+    sol = solve_output(e.system, e.nonlinearity, 0.0, [0.5, 0.2], [0.3, 0.1], opts)
     assert sol.status == "not_converged" and sol.certificate["n_starts"] == 1
-    rec = _run(e, "simulate", solver=SolveOptions(n_starts=0))
+    # at the origin the Jacobian of F = |xi| R xi is singular: Newton stops
+    sol = solve_output(e.system, e.nonlinearity, 0.0, [0.5, 0.2], [0.0, 0.0], opts)
+    assert sol.status == "no_solution" and sol.certificate["n_starts"] == 1
+    rec = _run(e, "simulate", solver=SolveOptions(n_starts=0, use_structure=False))
     assert rec.termination.kind == "reached_tmax"
 
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luresim import (ConfigurationError, SystemMatrices, constant_input,
-                     eval_F, gronwall_bound, normalized_gain,
-                     piecewise_constant_input, polynomial_input,
-                     rotated_radial, zero_input, zero_nonlinearity)
+                     eval_F, normalized_gain, piecewise_constant_input,
+                     polynomial_input, rotated_radial, zero_input,
+                     zero_nonlinearity)
 from luresim.system import scalar_feedthrough
 
 
@@ -128,39 +128,6 @@ def test_rotating_radial_norm_identity(rng):
         xi = rng.standard_normal(2) * 2.0
         lhs = float(np.linalg.norm(eval_F(sys, f, t, xi)))
         assert abs(lhs - float(xi @ xi)) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Integral-inequality bound
-# ---------------------------------------------------------------------------
-
-def test_gronwall_zero_integrand():
-    grid = np.linspace(0.0, 3.0, 50)
-    bound = gronwall_bound(1.0, np.zeros_like(grid), 0.0, grid)
-    assert np.array_equal(bound, np.ones_like(grid))
-
-
-def test_gronwall_constant_integrand():
-    grid = np.linspace(0.0, 1.0, 11)
-    bound = gronwall_bound(2.0, np.full_like(grid, 3.0), 0.0, grid)
-    # trapezoid is exact for constants: 2 e^{3t}
-    assert abs(bound[-1] - 2.0 * math.exp(3.0)) < 1e-9
-
-
-def test_gronwall_linear_integrand_closed_form():
-    # h(s) = s integrates to t^2/2, so the bound is e^{t^2/2}; at t = 2
-    # that is e^2.
-    grid = np.linspace(0.0, 2.0, 1000)
-    bound = gronwall_bound(1.0, grid.copy(), 0.0, grid)
-    assert abs(bound[-1] - math.exp(2.0)) < 1e-4
-    expected = np.exp(grid ** 2 / 2.0)
-    assert np.max(np.abs(bound - expected)) < 1e-4
-
-
-def test_gronwall_rejects_negative_samples():
-    grid = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ConfigurationError):
-        gronwall_bound(1.0, np.array([0.0, 1.0, -0.1, 1.0, 1.0]), 0.0, grid)
 
 
 # ---------------------------------------------------------------------------

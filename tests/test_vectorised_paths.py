@@ -59,7 +59,7 @@ def _convexity_cases(entry):
         e = entry(name)
         for t, w in ((0.0, [0.5, 0.2]), (1.3, [-1.0, 2.0])):
             cases.append((e, t, enumerate_fibre(e.nonlinearity, e.system.D, t, w,
-                                                SolveOptions(seed=0))))
+                                                SolveOptions(seed=0, use_structure=False))))
     e = entry("sec42b")                       # several points: a violation
     pts = tuple(np.array(p) for p in ([0.5, 0.0], [3.0, 0.0], [0.0, 3.0]))
     cases.append((e, 0.0, FibreSet(points=pts, segments=(), exact=False)))

@@ -15,7 +15,9 @@ The grid:
 
 - ``simulate`` on each of the ten catalog entries with ``rk4_fixed`` and
   ``rk45_adaptive`` at the entry's dt and tmax, followed by
-  ``refine_escape_time`` (time_tol 1e-7) where the run stops early;
+  ``refine_escape_time`` (time_tol 1e-7) where the run stops early, and
+  the same on the planar entries ex4a, ex4b and ex4c on the Newton route
+  (``use_structure=False``; lines ``simulate-newton/...``);
 - ``simulate_inclusion`` with ``euler`` and ``rk4`` at dt 1e-3 and the
   entry's tmax, for every entry whose fibres are enumerated exactly, under
   the policies ``nearest_previous``, ``min_norm``, ``max_norm``,
@@ -83,11 +85,14 @@ def _line(name: str, run) -> str:
             f"{_digest(record, escape, False)} {flags}")
 
 
-def _simulate(label: str, name: str, method: str) -> str:
+def _simulate(label: str, name: str, method: str,
+              use_structure: bool = True) -> str:
     entry = _entry(name)
 
     def run():
-        opts = luresim.SimOptions(method=method, dt=entry.dt, tmax=entry.tmax)
+        opts = luresim.SimOptions(
+            method=method, dt=entry.dt, tmax=entry.tmax,
+            solver=luresim.SolveOptions(use_structure=use_structure))
         record = luresim.simulate(entry.system, entry.nonlinearity,
                                   entry.input, entry.t0, entry.x0, opts)
         escape = None
@@ -144,6 +149,10 @@ def _grid():
     for name in names:
         for method in ("rk4_fixed", "rk45_adaptive"):
             yield f"simulate/{name}/{method}", _simulate, (name, method)
+    for name in ("ex4a", "ex4b", "ex4c"):
+        for method in ("rk4_fixed", "rk45_adaptive"):
+            yield (f"simulate-newton/{name}/{method}", _simulate,
+                   (name, method, False))
     for name in names:
         for method in ("euler", "rk4"):
             for policy in POLICIES:
