@@ -205,7 +205,7 @@ _BUILTINS = {
     "normalized_gain": (nl.normalized_gain,
                         {"gain": (_number_or_time_expr, 0.5), "p": (_count, 2)}),
     "rotated_radial": (nl.rotated_radial, {"angle": (_time_expr, "t")}),
-    "normalized_rotation": (nl.normalized_rotation,
+    "normalized_rotation": (lambda omega, p: nl.normalized_rotation(omega),
                             {"omega": (_number, 1.0), "p": (_planar, 2)}),
     "radial_three_zone": (nl.radial_three_zone, {"p": (_count, 2)}),
 }

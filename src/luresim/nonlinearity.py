@@ -195,7 +195,7 @@ class Conformal(NamedTuple):
     ``gain`` and ``slope`` give g and dg/dr at (factor, r), r a float or a
     row array.  ``modulus(factor, d, rho)`` lists, highest first, the
     coefficients of r^2 |1 - d alpha|^2 - rho^2 times a positive factor, a
-    polynomial in s = sqrt(1 + r^2) when ``in_s``, else in r.
+    polynomial in z >= 0 with r = radius(z) (by default z = r).
     """
 
     c: float
@@ -204,7 +204,7 @@ class Conformal(NamedTuple):
     slope: Callable
     modulus: Callable
     rotating: bool = False
-    in_s: bool = False
+    radius: Callable = float
 
 
 @dataclass(frozen=True)
@@ -455,26 +455,20 @@ def conformal_map(cf: Conformal, p: int, name: str = "",
     def fn(t, xi):
         factor = at_time(t)
         out = gain(factor, vec_norm(xi)) * (factor @ xi if rotating else xi)
-        if c:
-            out += xi
-        return out
+        return out + xi if c else out
 
     def fn_batch(T, X):
         factor = _at_times(at_time, T)
         V = np.matmul(factor, X[..., None])[..., 0] if rotating else X
         out = gain(factor, row_norms(X))[:, None] * V
-        if c:
-            out += X
-        return out
+        return out + X if c else out
 
     def jac(t, xi):
         factor, r = at_time(t), vec_norm(xi)
         k = slope(factor, r) / (r or 1.0)   # at r = 0 it multiplies xi = 0
         out = (gain(factor, r) * (factor if rotating else eye)
                + np.outer(k * (factor @ xi if rotating else xi), xi))
-        if c:
-            out += eye
-        return out
+        return out + eye if c else out
 
     def jac_batch(T, X):
         factor, r = _at_times(at_time, T), row_norms(X)
@@ -482,9 +476,7 @@ def conformal_map(cf: Conformal, p: int, name: str = "",
         k = slope(factor, r) / np.where(r != 0.0, r, 1.0)
         out = (gain(factor, r)[:, None, None] * (factor if rotating else eye)
                + (k[:, None] * V)[:, :, None] * X[:, None, :])
-        if c:
-            out += eye
-        return out
+        return out + eye if c else out
 
     return Nonlinearity(m=p, p=p, kind="conformal", conformal=cf, fn=fn,
                         fn_batch=fn_batch, jac=jac, jac_batch=jac_batch,
@@ -648,21 +640,19 @@ def rotated_radial(angle=None) -> Nonlinearity:
         2, name="rotated_radial")
 
 
-def normalized_rotation(omega: float = 1.0, p: int = 2) -> Nonlinearity:
-    """Planar f(t, xi) = R(omega t) xi / s, s = sqrt(1 + ||xi||^2); p is 2."""
-    if p != 2:
-        raise ConfigurationError(f"normalized_rotation is planar: p must be 2, got {p!r}")
+def normalized_rotation(omega: float = 1.0) -> Nonlinearity:
+    """Planar f(t, xi) = R(omega t) xi / s, s = sqrt(1 + ||xi||^2)."""
 
-    def modulus(J, d, rho):             # (s^2 - 1)(s^2 - 2 d s cos + d^2) - rho^2 s^2
-        dc = d * float(J[0, 0])
-        return 1.0, -2.0 * dc, d * d - 1.0 - rho * rho, 2.0 * dc, -d * d
+    def modulus(J, d, rho):     # (s^2 - 1)(s^2 - 2 d s cos + d^2) - rho^2 s^2, s = 1 + x
+        dc, k = d * float(J[0, 0]), d * d - rho * rho
+        return 1.0, 4.0 - 2.0 * dc, 5.0 - 6.0 * dc + k, 2.0 * (1.0 - 2.0 * dc + k), -rho * rho
 
     return conformal_map(Conformal(
         0, _PerTime(lambda t: rotation_matrix(omega * t)),
         lambda J, r: 1.0 / _sqrt(1.0 + r * r),
         lambda J, r: -r / ((1.0 + r * r) * _sqrt(1.0 + r * r)), modulus,
-        rotating=True, in_s=True),
-        2, name="normalized_rotation", params={"omega": float(omega), "p": p})
+        rotating=True, radius=lambda x: math.sqrt(x * (2.0 + x))),
+        2, name="normalized_rotation", params={"omega": float(omega), "p": 2})
 
 
 def radial_three_zone(p: int = 2) -> Nonlinearity:

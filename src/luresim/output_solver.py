@@ -923,10 +923,10 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
                      tol_sep: float) -> FibreSet:
     """The fibre of F_t(y) = (1 - d alpha(t, |y|)) y over w.
 
-    Its radii, the roots r >= 0 of r |1 - d alpha(t, r)| = |w|, are the
-    nonnegative roots of the modulus polynomial, each polished by Newton
-    steps in r.  A radius gives the one point y = w / (1 - d alpha(t, r)),
-    kept when its residual is at most EXACT_TOL.
+    Its radii, the roots r >= 0 of r |1 - d alpha(t, r)| = |w|, come from
+    the nonnegative roots of the modulus polynomial, each polished by
+    Newton steps in r.  A radius gives the one point y = w / (1 - d alpha),
+    kept when its residual is within EXACT_TOL of the size of y and w.
     """
     cf, rho, factor = f.conformal, vec_norm(w), f.conformal.at_time(t)
     u = complex(factor[0, 0], factor[1, 0]) if cf.rotating else 1.0
@@ -938,15 +938,12 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
         dsize = -d * (beta.conjugate() * cf.slope(factor, r) * u).real / (size or 1.0)
         return r * size - rho, size + r * dsize, beta
 
-    coeffs = list(cf.modulus(factor, d, rho))
-    if cf.in_s:                         # in x = s - 1 >= 0: a Taylor shift by 1
-        for i in range(len(coeffs) - 1):
-            for j in range(1, len(coeffs) - i):
-                coeffs[j] += coeffs[j - 1]
+    def solves(r: float, residual: float) -> bool:
+        return residual <= EXACT_TOL * max(1.0, rho, r)
+
     radii = []
-    for r in _nonnegative_roots(coeffs):
-        if cf.in_s:
-            r = math.sqrt(r * (2.0 + r))
+    for z in _nonnegative_roots(list(cf.modulus(factor, d, rho))):
+        r = cf.radius(z)
         value, slope, _ = phi(r)
         for _ in range(4):              # Newton steps, kept while they lower |phi|
             r_new = max(r - value / slope, 0.0) if slope else r
@@ -959,7 +956,7 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
         radii.append(r)
     radii, _ = _assemble_scalar_fibre(radii, [], lambda r: phi(r)[0], tol_sep)
     if rho == 0.0:          # the origin, and spheres where 1 - d alpha(t, r) = 0
-        if any(r > tol_sep and abs(phi(r)[0]) <= EXACT_TOL for r in radii):
+        if any(r > tol_sep and solves(r, abs(phi(r)[0])) for r in radii):
             raise ConfigurationError("fibre of the origin is a sphere; not representable")
         return FibreSet(points=(np.zeros(f.p),), segments=(), exact=True, t=t, w=w.copy())
     norm = abs if cf.rotating else vec_norm
@@ -972,7 +969,7 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
         # w / beta as r w / rho turned by beta's phase: its length stays r
         # where beta is near 0 and w / beta would carry beta's relative error
         y = target * (r / rho) * (beta.conjugate() / abs(beta))
-        if norm(phi(norm(y))[2] * y - target) <= EXACT_TOL:
+        if solves(r, norm(phi(norm(y))[2] * y - target)):
             points.append(np.array([y.real, y.imag]) if cf.rotating else y)
     return FibreSet(points=points, segments=(), exact=True, t=t, w=w.copy())
 

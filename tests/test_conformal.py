@@ -67,11 +67,6 @@ def test_derived_jacobian_matches_differences(make, rng):
     assert np.array_equal(f.jac(0.3, origin), f.jac_batch(np.asarray(0.3), origin[None])[0])
 
 
-def test_normalized_rotation_is_planar():
-    with pytest.raises(ConfigurationError, match="p must be 2"):
-        normalized_rotation(p=3)
-
-
 # ---------------------------------------------------------------------------
 # Closed forms (ex4a, ex4c) and the quartic (ex4b) on recorded outputs
 # ---------------------------------------------------------------------------
@@ -136,6 +131,24 @@ def test_fibre_against_the_scan_oracle(make, d, t, w):
     for z in oracle.points:                             # nothing the scan sees is missed
         gap = min(np.linalg.norm(z - y) for y in fib.points)
         assert gap <= 1e-4 * max(1.0, np.linalg.norm(z)), (z, fib.points)
+
+
+# a correct y carries a residual of a few eps |w|: a large target keeps its points
+@pytest.mark.parametrize("make, d, w", [
+    ("rotated_radial", 1.0, (1e4, 0.0)),
+    ("rotated_radial", 3.0, (-2e5, 7e4)),
+    ("normalized_rotation", 0.5, (6e4, -8e4)),
+    ("normalized_gain", 0.5, (0.0, 1e5)),
+    ("normalized_gain", 4.0, (3e5, 4e5)),
+])
+def test_fibre_of_a_large_target(make, d, w):
+    f, t, w = MAPS[make](), 0.7, np.array(w)
+    sol = solve_output(_planar_system(d), f, t, w, w)
+    assert sol.status == "unique_point" and sol.n_found == 1
+    assert sol.residual <= 1e-12 * np.linalg.norm(w)
+    if make == "rotated_radial" and d == 1.0:   # ex4a's map: y = R(t)^T w / sqrt|w|
+        want = rotation_matrix(t).T @ w / math.sqrt(np.linalg.norm(w))
+        assert np.linalg.norm(sol.y - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # two of the three roots lie near the circle where 1 - d alpha = 0, or d^2

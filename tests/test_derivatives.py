@@ -43,7 +43,7 @@ def test_nonfinite_evaluation_reported_with_point():
 # ---------------------------------------------------------------------------
 
 def test_smooth_map_gives_singleton_cluster():
-    f = normalized_rotation(p=2)
+    f = normalized_rotation()
     xi = np.array([0.4, -0.2])
     centre = finite_diff_jacobian(f, 1.0, xi)
     sample = sample_clarke_jacobian(f, 1.0, xi, radius=1e-7, n_samples=16,
