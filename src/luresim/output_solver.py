@@ -924,9 +924,10 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
     """The fibre of F_t(y) = (1 - d alpha(t, |y|)) y over w.
 
     Its radii, the roots r >= 0 of r |1 - d alpha(t, r)| = |w|, come from
-    the nonnegative roots of the modulus polynomial, each polished by
-    Newton steps in r.  A radius gives the one point y = w / (1 - d alpha),
-    kept when its residual is within EXACT_TOL of the size of y and w.
+    the nonnegative roots of the modulus polynomial; companion eigenvalues
+    are polished by Newton steps in r.  A radius gives the one point
+    y = w / (1 - d alpha), kept when its residual is within EXACT_TOL of
+    the size of y and w.
     """
     cf, rho, factor = f.conformal, vec_norm(w), f.conformal.at_time(t)
     u = complex(factor[0, 0], factor[1, 0]) if cf.rotating else 1.0
@@ -941,9 +942,7 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
     def solves(r: float, residual: float) -> bool:
         return residual <= EXACT_TOL * max(1.0, rho, r)
 
-    radii = []
-    for z in _nonnegative_roots(list(cf.modulus(factor, d, rho))):
-        r = cf.radius(z)
+    def polish(r: float) -> float:
         value, slope, _ = phi(r)
         for _ in range(4):              # Newton steps, kept while they lower |phi|
             r_new = max(r - value / slope, 0.0) if slope else r
@@ -953,7 +952,11 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
             if not abs(value_new) < abs(value):
                 break
             r, value, slope = r_new, value_new, slope_new
-        radii.append(r)
+        return r
+
+    roots, converged = _nonnegative_roots(list(cf.modulus(factor, d, rho)))
+    # an eigenvalue's error is eps times the largest root, not eps times its own
+    radii = [cf.radius(z) if converged else polish(cf.radius(z)) for z in roots]
     radii, _ = _assemble_scalar_fibre(radii, [], lambda r: phi(r)[0], tol_sep)
     if rho == 0.0:          # the origin, and spheres where 1 - d alpha(t, r) = 0
         if any(r > tol_sep and solves(r, abs(phi(r)[0])) for r in radii):
@@ -974,23 +977,24 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
     return FibreSet(points=points, segments=(), exact=True, t=t, w=w.copy())
 
 
-def _nonnegative_roots(coeffs: list) -> list[float]:
-    """The real roots z >= 0 of a polynomial, coefficients highest first.
+def _nonnegative_roots(coeffs: list) -> tuple[list[float], bool]:
+    """The real roots z >= 0 of a polynomial, coefficients highest first,
+    and whether Newton's method has refined them.
 
     With P(0) < 0 and one sign change in the coefficients there is exactly
-    one (Descartes' rule of signs): Newton's method finds it from half of
-    Fujiwara's root bound, or nearer 0 from one Newton step from 0 if P
-    rises there, kept inside [0, bound] by bisection.  Otherwise the roots
-    are the real eigenvalues of the companion matrix, up to an imaginary
-    part of 1e-6 of their size (a double root can split so).  Leading
-    coefficients below eps^2 of the largest are removed from ``coeffs`` in
-    place.
+    one (Descartes' rule of signs): Newton's method finds it to 2 eps from
+    half of Fujiwara's root bound, or nearer 0 from one Newton step from 0
+    if P rises there, kept inside [0, bound] by bisection.  Otherwise the
+    roots are the real eigenvalues of the companion matrix, up to an
+    imaginary part of 1e-6 of their size (a double root can split so).
+    Leading coefficients below eps^2 of the largest are removed from
+    ``coeffs`` in place.
     """
     big = max(map(abs, coeffs))
     while len(coeffs) > 1 and abs(coeffs[0]) <= _EPS * _EPS * big:
         del coeffs[0]                   # a root beyond 1 / eps^2 of the others
     if len(coeffs) < 2:
-        return []
+        return [], True
     signs = [c > 0.0 for c in coeffs if c]
     if coeffs[-1] < 0.0 and sum(a != b for a, b in zip(signs, signs[1:])) == 1:
         z = max(abs(c / coeffs[0]) ** (1.0 / k) for k, c in enumerate(coeffs[1:], 1))
@@ -1006,11 +1010,11 @@ def _nonnegative_roots(coeffs: list) -> list[float]:
                 break
             lo, hi = (z, hi) if value < 0.0 else (lo, z)
             z = z - step if lo < z - step < hi else 0.5 * (lo + hi)
-        return [z]
+        return [z], True
     companion = np.eye(len(coeffs) - 1, k=-1)
     companion[0] = [c / -coeffs[0] for c in coeffs[1:]]
     return [max(z.real, 0.0) for z in np.linalg.eigvals(companion).tolist()
-            if abs(z.imag) <= 1e-6 * max(1.0, abs(z)) and z.real >= -1e-9]
+            if abs(z.imag) <= 1e-6 * max(1.0, abs(z)) and z.real >= -1e-9], False
 
 
 # ---------------------------------------------------------------------------
