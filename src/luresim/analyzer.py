@@ -38,8 +38,8 @@ from .derivatives import (finite_diff_jacobian, finite_diff_jacobians,
 from .errors import ConfigurationError
 from .inclusion import _fold_candidates, check_image_convexity, enumerate_fibre
 from .nonlinearity import Nonlinearity, row_norms
-from .output_solver import (SolveOptions, _checked, enumerate_fibre_exact,
-                            exact_structure_available)
+from .output_solver import (SolveOptions, _checked, _identity,
+                            enumerate_fibre_exact, exact_structure_available)
 from .system import SystemMatrices, eval_F
 
 DELTA_FLOOR = 1e-6
@@ -328,44 +328,33 @@ def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,
     """Pairs of distinct fibre points: exact witnesses of F-collisions.
 
     Fibres are enumerated at the output values where branches meet (piece
-    breakpoints, interior extrema); any set-valued fibre yields pairs
-    with lower quotient exactly zero.
+    breakpoints, interior extrema of the scalar map; for a radial map those
+    at s > 0, along the first axis, as the others mirror them); any
+    set-valued fibre yields pairs with lower quotient exactly zero.
     """
-    if f.kind == "conformal" or not exact_structure_available(f, sys.D):
+    if f.pieces is None or not exact_structure_available(f, sys.D):
         return []
     pairs = []
     d = float(sys.D[0, 0])
-    ta, tb = t_window
-    for t in np.linspace(ta, tb, 5):
-        if f.kind == "piecewise_scalar":
-            cands = _fold_candidates(f, d, float(t))
-            targets = [np.array([wv]) for _, wv in cands]
-        else:
-            targets = []
-            for pc in f.resolved_structure(float(t)):
-                for end in (pc.lo, pc.hi):
-                    if math.isfinite(end) and end > 0:
-                        amp = end - d * f.amplitude(float(t), end)
-                        e1 = np.zeros(f.p)
-                        e1[0] = 1.0
-                        targets.append(amp * e1)
-        for w in targets:
+    e1 = _identity(f.p)[0]
+    for t in np.linspace(t_window[0], t_window[1], 5):
+        for xi, wv in _fold_candidates(f, d, float(t)):
+            if f.kind == "radial" and not xi > 0:
+                continue
             try:
-                fib = enumerate_fibre_exact(f, sys.D, float(t), w)
+                fib = enumerate_fibre_exact(f, sys.D, float(t), wv * e1)
             except ConfigurationError:
                 continue
-            pts = [np.asarray(pt, dtype=float) for pt in fib.points]
-            for a, b in fib.segments:
-                a = np.asarray(a, dtype=float)
-                b = np.asarray(b, dtype=float)
-                a_fin, b_fin = np.all(np.isfinite(a)), np.all(np.isfinite(b))
-                if a_fin and b_fin:
-                    pts.extend((a, 0.5 * (a + b), b))
-                elif a_fin:
+            xs = list(fib._floats[0])
+            for lo, hi in fib._floats[1]:
+                if math.isfinite(lo) and math.isfinite(hi):
+                    xs.extend((lo, 0.5 * (lo + hi), hi))
+                elif math.isfinite(lo):
                     # Unbounded segment: pair the end with an interior point.
-                    pts.extend((a, a + np.sign(b - a)))
-                elif b_fin:
-                    pts.extend((b, b + np.sign(a - b)))
+                    xs.extend((lo, lo + 1.0))
+                elif math.isfinite(hi):
+                    xs.extend((hi, hi - 1.0))
+            pts = [fib._vector(x) for x in xs]
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     if float(np.linalg.norm(pts[i] - pts[j])) > 1e-12:
@@ -535,26 +524,22 @@ def check_growth_condition(f: Nonlinearity, D, t_window, n_t: int = 13, seed: in
 def _slope_probe_pairs(f: Nonlinearity, t_window, clip: float = 16.0,
                        delta: float = 1e-3) -> list[tuple]:
     """Deterministic pairs hugging each piece end, so the extreme local
-    slopes enter the monotonicity quotients regardless of the random box."""
-    if f.kind not in ("piecewise_scalar", "radial"):
+    slopes enter the monotonicity quotients regardless of the random box
+    (a radial map's along the first axis)."""
+    if f.pieces is None:
         return []
     pairs = []
-    lo_clip = 0.0 if f.kind == "radial" else -clip
+    e1 = _identity(f.p)[0]
     for t in np.linspace(t_window[0], t_window[1], 5):
         for pc in f.resolved_structure(float(t)):
-            lo = max(pc.lo, lo_clip)
+            lo = max(pc.lo, -clip)
             hi = min(pc.hi, clip)
             step = min(delta, (hi - lo) / 8.0)
             if step <= 0:
                 continue
             anchors = ((lo + step, lo + 2 * step), (hi - 2 * step, hi - step))
             for a, b in anchors:
-                if f.kind == "radial":
-                    e1 = np.zeros(f.p)
-                    e1[0] = 1.0
-                    pairs.append((float(t), a * e1, b * e1))
-                else:
-                    pairs.append((float(t), np.array([a]), np.array([b])))
+                pairs.append((float(t), a * e1, b * e1))
     return pairs
 
 

@@ -595,8 +595,7 @@ def verify_example(name: str, quick: bool = False) -> VerificationReport:
         record("radial_segment_fibre", ok, f"fibre={fib.to_dict()}")
         verdict = check_image_convexity(entry.nonlinearity, entry.system.D, 0.0,
                                      w, fib)
-        record("convex_image", verdict.kind in ("convex_exact", "convex_sampled"),
-               verdict.kind)
+        record("convex_image", verdict.kind == "convex_exact", verdict.kind)
 
     elif name == "sec42c":
         f = entry.nonlinearity

@@ -29,7 +29,8 @@ import numpy as np
 from .errors import ConfigurationError, EmptyFibreError
 from .integrator import (Termination, TrajectoryRecord, _integrate, _plant,
                          _Plant, _Recorder, _rk_step, _validate_run)
-from .nonlinearity import Nonlinearity, all_finite, row_norms, vec_norm
+from .nonlinearity import (Nonlinearity, _eval_resolved, all_finite, row_norms,
+                           vec_norm)
 from .output_solver import (FibreSet, SolveOptions, _as_float, _brentq,
                             _checked, _exact_route, enumerate_fibre_exact,
                             enumerate_fibre_multistart)
@@ -249,9 +250,10 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
         return rec.build(term)
     rec.push(t0, x0, y, u, vt, branch=branch)
 
-    d_scalar = float(sys.D[0, 0]) if sys.dims[3] == 1 and exact else None
-    # A static map with no breakpoint or vertex has no fold to land on.
-    if (d_scalar is not None and all(pc.static for pc in f.pieces or f.profile)
+    # Folds are landed on where the scalar map has pieces; a static map
+    # with no breakpoint or vertex has no fold to land on.
+    d_scalar = float(sys.D[0, 0]) if sys.dims[3] == 1 and exact and f.pieces else None
+    if (d_scalar is not None and all(pc.static for pc in f.pieces)
             and not _fold_candidates(f, d_scalar, t0)):
         d_scalar = None
     tol = opts.jump_tol
@@ -374,14 +376,11 @@ def _poly_range_on(pc, lo: float, hi: float) -> tuple[float, float]:
     for end in (lo, hi):
         if math.isfinite(end):
             values.append(pc.value(end))
+        elif pc.c2 or pc.c1:            # the limit at an infinite end: c2 x^2 leads
+            values.append(math.copysign(math.inf, pc.c2 if pc.c2 else pc.c1 * end))
         else:
-            sign = 1.0 if end > 0 else -1.0
-            slope = pc.c2 * sign * math.inf if pc.c2 else pc.c1 * sign
-            if pc.c2 == 0.0 and pc.c1 == 0.0:
-                values.append(pc.c0 + pc.atan_coeff * math.copysign(math.pi / 2, end)
-                              if pc.atan_coeff else pc.c0)
-            else:
-                values.append(math.copysign(math.inf, slope if slope else 1.0))
+            values.append(pc.c0 + pc.atan_coeff * math.copysign(math.pi / 2, end)
+                          if pc.atan_coeff else pc.c0)
     if pc.atan_coeff == 0.0 and pc.c2 != 0.0:
         vertex = -pc.c1 / (2.0 * pc.c2)
         if lo <= vertex <= hi:
@@ -400,22 +399,23 @@ def check_image_convexity(f: Nonlinearity, D, t: float, w,
                           fib: FibreSet) -> ConvexityVerdict:
     """Is the image of the nonlinearity over the fibre a convex set?
 
-    Exact scalar path: the image is a union of closed intervals computed
-    piecewise; convex iff they merge into one (gap tolerance 1e-9).
+    Exact scalar path, for a fibre that ``enumerate_fibre_exact`` gave of a
+    piecewise-scalar or radial map: the image of x (of s u along a radial
+    fibre's ray u) is g(t, x) (g(t, s) u), a union of closed intervals
+    computed piecewise; convex iff they merge into one (gap tolerance 1e-9,
+    the witness in the scalar values).
     Sampled path: midpoints of random image pairs must lie within
     tolerance of some image sample.
     """
     if fib.empty:
         return ConvexityVerdict(kind="convex_exact")
 
-    if fib.exact and f.kind == "piecewise_scalar":
-        intervals: list[tuple[float, float]] = []
-        for pt in fib.points:
-            val = f.eval_scalar(t, float(pt[0]))
-            intervals.append((val, val))
-        for a, b in fib.segments:
-            lo, hi = float(a[0]), float(b[0])
-            for pc in f.resolved_structure(t):
+    if fib.exact and fib._floats is not None and f.kind in ("piecewise_scalar", "radial"):
+        pieces = f.resolved_structure(t)
+        points, segments = fib._floats
+        intervals = [(g, g) for g in (_eval_resolved(pieces, x) for x in points)]
+        for lo, hi in segments:
+            for pc in pieces:
                 olo, ohi = max(lo, pc.lo), min(hi, pc.hi)
                 if olo <= ohi:
                     intervals.append(_poly_range_on(pc, olo, ohi))

@@ -7,8 +7,10 @@ Three structured kinds get exact treatment downstream:
   arctan term, with possibly time-dependent coefficients and breakpoints.
   This is what makes output fibres exactly enumerable.
 * ``radial`` (m = p): f(t, xi) = a(t, ||xi||) xi / ||xi|| with a scalar
-  piecewise amplitude profile, so fibres reduce to a scalar problem along
-  the direction of the target.
+  piecewise amplitude profile on [0, inf).  Its pieces are the profile's
+  odd extension g(t, s) = sign(s) a(t, |s|) over the real line: f maps
+  s u to g(t, s) u for every unit u, so along the ray of a target it is
+  a piecewise-scalar map, and every exact consumer reads it as one.
 * ``conformal`` (m = p): f(t, xi) = alpha(t, ||xi||) xi, alpha real or,
   with xi read as a complex number (p = 2), complex; with D = d I a fibre
   comes from the roots of one polynomial in the radius.
@@ -211,8 +213,8 @@ class Conformal(NamedTuple):
 class Nonlinearity:
     """Evaluator for f(t, xi) in R^m, xi in R^p, plus optional structure.
 
-    The piecewise kinds evaluate through their resolved pieces; ``fn`` is
-    the evaluator of the others (a conformal map's four evaluators come
+    The piecewise kinds evaluate through their resolved pieces (a radial
+    map's are set from its profile); ``fn`` is the evaluator of the others (a conformal map's four evaluators come
     from its ``Conformal`` structure).  ``fn_batch(T, X)``, when
     given, is the vectorised ``fn``: it maps an N x p stack to N x m rows
     equal to ``fn`` bit for bit, with T a 0-d time or one time per row.
@@ -242,12 +244,7 @@ class Nonlinearity:
             if self.m != self.p:
                 raise ConfigurationError("radial nonlinearity requires m = p")
             _check_tiling(self.profile, lo_start=0.0)
-            for t in (0.0, 0.7, 3.1):
-                a0 = self.profile[0].at(t).value(0.0)
-                if abs(a0) > 1e-12:
-                    raise ConfigurationError(
-                        "radial amplitude profile must vanish at r = 0"
-                    )
+            object.__setattr__(self, "pieces", _odd_extension(self.profile))
         elif self.kind == "conformal" and self.conformal is None:
             raise ConfigurationError("conformal nonlinearity needs its structure")
         elif self.fn is None:
@@ -256,18 +253,19 @@ class Nonlinearity:
             )
         # Time-independent pieces resolve once; time-varying ones once per
         # distinct t, through a one-entry memo (stages share their times).
-        structure = self.pieces if self.kind == "piecewise_scalar" else self.profile
-        if structure is not None and all(pc.static for pc in structure):
+        pieces = self.pieces
+        if pieces is not None and all(pc.static for pc in pieces):
             object.__setattr__(self, "_static_resolved",
-                               [pc.at(0.0) for pc in structure])
+                               [pc.at(0.0) for pc in pieces])
         else:
             object.__setattr__(self, "_static_resolved", None)
         object.__setattr__(self, "_memo", _PerTime(
-            lambda t: [pc.at(t) for pc in structure]))
+            lambda t: [pc.at(t) for pc in pieces]))
 
     def resolved_structure(self, t: float) -> list["ResolvedPiece"]:
-        """The pieces at time t.  Piece callables must be pure functions of t:
-        the last time's resolution is reused while t keeps the same bits."""
+        """The pieces over the real line at time t (a radial map's odd
+        extension).  Piece callables must be pure functions of t: the last
+        time's resolution is reused while t keeps the same bits."""
         if self._static_resolved is not None:
             return self._static_resolved
         return self._memo(t)
@@ -288,7 +286,8 @@ class Nonlinearity:
             return np.array([value])
         if self.kind == "radial":
             r = vec_norm(xi)
-            out = np.zeros(self.p) if r == 0.0 else (self.amplitude(t, r) / r) * xi
+            out = (np.zeros(self.p) if r == 0.0 else
+                   (_eval_resolved(self.resolved_structure(t), r) / r) * xi)
         elif self.kind == "conformal":
             out = self.fn(t, xi)        # a flat float vector
         else:
@@ -364,8 +363,7 @@ class Nonlinearity:
     def _resolved_rows(self, t, T: np.ndarray) -> list[ResolvedPiece]:
         if T.ndim == 0 or self._static_resolved is not None:
             return self.resolved_structure(t)
-        structure = self.pieces if self.kind == "piecewise_scalar" else self.profile
-        return [_resolve_rows(pc, T) for pc in structure]
+        return [_resolve_rows(pc, T) for pc in self.pieces]
 
     def _bad_length(self, length: int) -> ConfigurationError:
         return ConfigurationError(
@@ -391,12 +389,6 @@ class Nonlinearity:
             return _first_match(self.resolved_structure(t), x)
         return self.eval_batch(t, x.reshape(-1, 1)).reshape(x.shape)
 
-    def amplitude(self, t: float, r: float) -> float:
-        """Radial amplitude a(t, r) for the radial kind."""
-        if self.kind != "radial":
-            raise ConfigurationError("amplitude is defined for radial kind only")
-        return _eval_resolved(self.resolved_structure(t), r)
-
 
 def row_time(t, i: int):
     """The time of row i: t itself when it is one time for all rows."""
@@ -404,6 +396,8 @@ def row_time(t, i: int):
 
 
 def _check_tiling(pieces, lo_start: float):
+    """Pieces must tile [lo_start, inf) continuously; a radial profile
+    (lo_start 0) must also vanish at 0."""
     if not pieces:
         raise ConfigurationError("piecewise structure needs at least one piece")
     for t in (0.0, 0.7, 3.1):
@@ -412,6 +406,8 @@ def _check_tiling(pieces, lo_start: float):
             raise ConfigurationError(
                 f"first piece must start at {lo_start}, got {resolved[0].lo}"
             )
+        if lo_start == 0.0 and abs(resolved[0].value(0.0)) > 1e-12:
+            raise ConfigurationError("radial amplitude profile must vanish at r = 0")
         if resolved[-1].hi != _INF:
             raise ConfigurationError("last piece must extend to +inf")
         for left, right in zip(resolved, resolved[1:]):
@@ -427,6 +423,18 @@ def _check_tiling(pieces, lo_start: float):
                         f"pieces disagree at breakpoint {b} (t={t}): "
                         f"{left.value(b)} vs {right.value(b)}"
                     )
+
+
+def _odd_extension(profile) -> tuple[ScalarPiece, ...]:
+    """Pieces of g(t, s) = sign(s) a(t, |s|) over the real line, in order:
+    each profile piece mirrored onto s <= 0 (-a(t, -s) negates c0 and c2),
+    then the profile itself."""
+    def neg(v):
+        return _of_param(v, lambda x: -x)
+
+    return tuple(ScalarPiece(lo=neg(pc.hi), hi=neg(pc.lo), c0=neg(pc.c0), c1=pc.c1,
+                             c2=neg(pc.c2), atan_coeff=pc.atan_coeff)
+                 for pc in reversed(profile)) + tuple(profile)
 
 
 def piecewise_scalar(pieces, name: str = "", params: dict | None = None,

@@ -7,7 +7,9 @@ Three routes:
   warm start, falling back to the multistart fibre's nearest element.
 * ``enumerate_fibre_exact``: closed-form enumeration of the whole fibre
   F_t^{-1}(w) for piecewise-scalar, radial and conformal nonlinearities
-  (points and flat segments, residual at roundoff level).
+  (points and flat segments, residual at roundoff level).  A radial map
+  is the piecewise-scalar map s -> s - d g(t, s) along the ray of w, so
+  both kinds share one scalar enumeration.
 * ``brute_force_fibre_oracle``: a dense-scan oracle that cross-checks the
   exact enumeration by its own scan; a scalar fibre of either is assembled
   by the same ``_assemble_scalar_fibre`` and ``FibreSet.of_floats``.
@@ -37,6 +39,10 @@ _BRACKET_POINTS = 129   # scalar sign-change grid across the search diameter
 _RESID_FLOOR = 1e-6     # a fruitless search this close reads not_converged
 _FLOAT = np.dtype(float)
 _EPS = float(np.finfo(float).eps)
+# the analysis that proves an empty exact fibre empty, by kind
+_EXCLUDED_BY = {"piecewise_scalar": "exact piecewise range analysis",
+                "radial": "exact piecewise range analysis along the ray of w",
+                "conformal": "exact root analysis of the modulus polynomial"}
 
 
 @dataclass
@@ -118,24 +124,27 @@ class FibreSet:
     """Exact or approximate representation of F_t^{-1}(w).
 
     ``points`` are isolated solutions; ``segments`` are closed solution
-    segments (scalar flat pieces, or radial segments for structured
-    vector nonlinearities).  Scalar segments may have an infinite
-    endpoint when a flat piece is unbounded.
+    segments, the flat pieces of a scalar map or of a radial map along its
+    ray.  A segment may have an infinite endpoint when a flat piece is
+    unbounded.  Segments given as arrays are intervals of vectors of
+    length one.
 
     A piecewise-scalar fibre (exact or the oracle's) is built by
     ``of_floats``: its points and intervals stay plain floats, so its
     elements, ``nearest`` and the selection policies give floats, and the
-    ``points`` / ``segments`` arrays are built only when read.
+    ``points`` / ``segments`` arrays are built only when read.  An exact
+    radial fibre holds the same floats as coordinates s along the unit
+    vector ``_ray`` = w / |w|, its elements s * ``_ray``.
     """
 
     __slots__ = ("exact", "t", "_w", "_points", "_segments", "_floats",
-                 "_ordered")
+                 "_ray", "_ordered")
 
     def __init__(self, points, segments, exact: bool, t: float = 0.0,
                  w: np.ndarray | None = None):
         self.exact, self.t, self._w = exact, t, w
         self._points, self._segments = tuple(points), tuple(segments)
-        self._floats = None
+        self._floats = self._ray = None
         items = [((vec_norm(pt), tuple(pt.tolist())), "point", pt)
                  for pt in self._points]
         for a, b in self._segments:
@@ -145,12 +154,17 @@ class FibreSet:
 
     @classmethod
     def of_floats(cls, points: list[float], segments: list[tuple[float, float]],
-                  exact: bool, t: float, w: float) -> "FibreSet":
-        """The fibre of the scalar target w with these points and intervals,
-        ordered by the same (norm, entries) key as the array form."""
+                  exact: bool, t: float, w) -> "FibreSet":
+        """The fibre of the target w with these points and intervals,
+        ordered by the same (norm, entries) key as the array form: of the
+        float w, or, for a vector w, the coordinates s of its elements s u
+        along the ray u = w / |w| (any unit vector for w = 0)."""
         fib = cls.__new__(cls)
         fib.exact, fib.t, fib._w = exact, t, w
-        fib._points = fib._segments = None
+        fib._points = fib._segments = fib._ray = None
+        if isinstance(w, np.ndarray):
+            rho = vec_norm(w)
+            fib._ray = w / rho if rho else _identity(w.size)[0]
         fib._floats = (points, segments)
         items = [((math.sqrt(x * x), x), "point", x) for x in points]
         for lo, hi in segments:
@@ -159,22 +173,33 @@ class FibreSet:
         fib._ordered = _in_order(items)
         return fib
 
+    def _vector(self, x: float) -> np.ndarray:
+        """The element of a float-backed fibre at the float x.  An infinite
+        x is the end at infinity along the ray: 0 where the ray is, not NaN."""
+        ray = self._ray
+        if ray is None:
+            return np.array([x])
+        if math.isfinite(x):
+            return x * ray
+        return np.multiply(x, ray, where=ray != 0.0, out=np.zeros_like(ray))
+
     @property
     def points(self) -> tuple[np.ndarray, ...]:
         if self._points is None:
-            self._points = tuple(np.array([x]) for x in self._floats[0])
+            self._points = tuple(map(self._vector, self._floats[0]))
         return self._points
 
     @property
     def segments(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         if self._segments is None:
-            self._segments = tuple((np.array([lo]), np.array([hi]))
+            self._segments = tuple((self._vector(lo), self._vector(hi))
                                    for lo, hi in self._floats[1])
         return self._segments
 
     @property
     def w(self) -> np.ndarray | None:
-        return self._w if self._floats is None else np.array([self._w])
+        scalar = self._floats is not None and self._ray is None
+        return np.array([self._w]) if scalar else self._w
 
     @property
     def empty(self) -> bool:
@@ -193,18 +218,29 @@ class FibreSet:
 
     def elements(self) -> list[tuple[str, object]]:
         """Deterministic ordering: sort by (norm of representative, entries)."""
-        return list(self._ordered)
+        if self._ray is None:
+            return list(self._ordered)
+        return [(kind, self._vector(payload) if kind == "point"
+                 else tuple(map(self._vector, payload)))
+                for kind, payload in self._ordered]
 
     def nearest(self, target) -> tuple:
         """Closest fibre element to target: (value, distance, element index).
 
-        The first element in order wins a tie.  A float-backed fibre takes
-        a float (or a vector of length one) and gives a float value.
+        The first element in order wins a tie.  A piecewise-scalar fibre
+        takes a float (or a vector of length one) and gives a float value.
+        A radial fibre projects target onto its ray and clamps the
+        coordinate into each segment.
         """
         if not self._ordered:
             raise ConfigurationError("nearest() called on an empty fibre")
+        ray = self._ray
         if self._floats is not None:
-            x = _as_float(target)
+            if ray is None:
+                x = _as_float(target)
+            else:       # the nearest s u is the s nearest target's coordinate
+                target = np.asarray(target, dtype=float).reshape(-1)
+                x = float(np.sum(target * ray))
             best = None
             for idx, (kind, payload) in enumerate(self._ordered):
                 cand = payload if kind == "point" else min(max(x, payload[0]),
@@ -213,14 +249,18 @@ class FibreSet:
                 dist = math.sqrt(diff * diff)
                 if best is None or dist < best[1]:
                     best = (cand, dist, idx)
-            return best
+            if ray is None:
+                return best
+            y = best[0] * ray
+            return y, vec_norm(y - target), best[2]
         target = np.asarray(target, dtype=float).reshape(-1)
         best = None
         for idx, (kind, payload) in enumerate(self._ordered):
             if kind == "point":
                 cand = payload
-            else:
-                cand = _project_onto_segment(target, *payload)
+            else:                               # an interval of length-one vectors
+                cand = np.array([min(max(float(target[0]), float(payload[0][0])),
+                                     float(payload[1][0]))])
             dist = vec_norm(cand - target)
             if best is None or dist < best[1]:
                 best = (cand, dist, idx)
@@ -259,18 +299,6 @@ def _as_float(value, name: str = "target") -> float:
     if arr.size != 1:
         raise ConfigurationError(f"{name} must have length 1")
     return float(arr[0])
-
-
-def _project_onto_segment(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.size == 1:
-        lo, hi = float(a[0]), float(b[0])
-        return np.array([min(max(float(target[0]), lo), hi)])
-    d = b - a
-    denom = float(d @ d)
-    if denom == 0.0:
-        return a.copy()
-    s = min(max(float((target - a) @ d) / denom, 0.0), 1.0)
-    return a + s * d
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +610,7 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
             return OutputSolution(
                 status="no_solution", y=None, residual=math.inf, iterations=0,
                 certificate={"kind": "range_exclusion",
-                             "detail": "exact piecewise range analysis"},
+                             "detail": _EXCLUDED_BY[f.kind]},
             )
     else:
         w_vec = np.array([w]) if scalar else w
@@ -732,8 +760,7 @@ def _exact_route(f: Nonlinearity, D, opts: SolveOptions) -> bool:
     return opts.use_structure and exact_structure_available(f, D)
 
 
-def _piece_roots_for_target(pc, d: float, target: float,
-                            r_lo_clip: float | None = None):
+def _piece_roots_for_target(pc, d: float, target: float):
     """Roots of x - d*piece(x) = target on this piece.
 
     Returns (points, segments) lists of floats / (lo, hi) tuples.
@@ -743,8 +770,6 @@ def _piece_roots_for_target(pc, d: float, target: float,
     enumeration stable against roundoff at double roots.
     """
     lo, hi = pc.lo, pc.hi
-    if r_lo_clip is not None:
-        lo = max(lo, r_lo_clip)
     if pc.atan_coeff != 0.0:
         a = -d * pc.c2
         b = 1.0 - d * pc.c1
@@ -855,68 +880,50 @@ def enumerate_fibre_exact(f: Nonlinearity, D, t: float, w,
     Piecewise-scalar case: per piece, solve x - d*piece(x) = w in closed
     form (affine, quadratic, or arctan pieces) and keep roots inside the
     piece interval; flat pieces matching w contribute segments.  Radial
-    case: the same machinery applied to the amplitude profile along the
-    target direction.  Conformal case (D = d I): the real roots of one
-    polynomial in the radius, each radius r giving the one point
-    w / (1 - d alpha(t, r)) (``_conformal_fibre``).  A piecewise-scalar
-    fibre is float-backed (``FibreSet.of_floats``), and its w may be a
-    float.
+    case (D = d I): f maps s u to g(t, s) u, g the profile's odd
+    extension, so with u = w / |w| the fibre is s u over the same scalar
+    fibre of s - d g(t, s) = |w|, s of either sign.  Conformal case (D =
+    d I): the real roots of one polynomial in the radius, each radius r
+    giving the one point w / (1 - d alpha(t, r)) (``_conformal_fibre``).
+    Both scalar kinds give float-backed fibres (``FibreSet.of_floats``);
+    a piecewise-scalar fibre's w may be a float.
     """
     D = _as_feedthrough(D)
     p = D.shape[0]
-
     if f.kind == "piecewise_scalar":
         target = _scalar_target(w) if p == 1 else _target(w, p)
         if D.shape != (1, 1):
             raise ConfigurationError("piecewise-scalar fibre needs scalar D")
-        d = float(D[0, 0])
-        resolved = f.resolved_structure(t)
-        pts_raw: list[float] = []
-        segs_raw: list[tuple[float, float]] = []
-        for pc in resolved:
-            pts, segs = _piece_roots_for_target(pc, d, target)
-            pts_raw.extend(pts)
-            segs_raw.extend(segs)
-
-        def resid_of(x: float) -> float:
-            return x - d * _eval_resolved(resolved, x) - target
-
-        pts, segs = _assemble_scalar_fibre(pts_raw, segs_raw, resid_of, tol_sep)
-        return FibreSet.of_floats(pts, segs, exact=True, t=t, w=target)
-
-    w = _target(w, p)
-    if f.kind not in ("radial", "conformal"):
-        raise ConfigurationError(
-            f"exact fibre enumeration is not available for kind {f.kind!r}")
-    d = scalar_feedthrough(D)
-    if d is None:
-        raise ConfigurationError(f"{f.kind} fibre needs D to be a multiple of I")
-    if f.kind == "conformal":
-        return _conformal_fibre(f, d, t, w, tol_sep)
-    rho = float(np.linalg.norm(w))
-    pts_raw, segs_raw = [], []
-    for pc in f.resolved_structure(t):
-        pts, segs = _piece_roots_for_target(pc, d, rho, r_lo_clip=0.0)
-        pts_raw.extend(r for r in pts if r >= -1e-12)
-        segs_raw.extend((max(lo, 0.0), hi) for lo, hi in segs)
-
-    def resid_of(r: float) -> float:
-        return r - d * f.amplitude(t, r) - rho
-
-    radii, rsegs = _assemble_scalar_fibre(pts_raw, segs_raw, resid_of, tol_sep)
-    if rho == 0.0:
-        if any(r > tol_sep for r in radii) or rsegs:
+        d, level = float(D[0, 0]), target
+    else:
+        w = _target(w, p)
+        if f.kind not in ("radial", "conformal"):
             raise ConfigurationError(
-                "fibre of the origin is a sphere; not representable"
-            )
-        points = tuple(np.zeros(f.p) for r in radii if r <= tol_sep)[:1]
-        return FibreSet(points=points, segments=(), exact=True, t=t, w=w.copy())
-    direction = w / rho
-    return FibreSet(
-        points=tuple(r * direction for r in radii),
-        segments=tuple((lo * direction, hi * direction) for lo, hi in rsegs),
-        exact=True, t=t, w=w.copy(),
-    )
+                f"exact fibre enumeration is not available for kind {f.kind!r}")
+        d = scalar_feedthrough(D)
+        if d is None:
+            raise ConfigurationError(f"{f.kind} fibre needs D to be a multiple of I")
+        if f.kind == "conformal":
+            return _conformal_fibre(f, d, t, w, tol_sep)
+        target, level = w.copy(), vec_norm(w)
+
+    pieces = f.resolved_structure(t)
+    pts_raw: list[float] = []
+    segs_raw: list[tuple[float, float]] = []
+    for pc in pieces:
+        pts, segs = _piece_roots_for_target(pc, d, level)
+        pts_raw.extend(pts)
+        segs_raw.extend(segs)
+
+    def resid_of(x: float) -> float:
+        return x - d * _eval_resolved(pieces, x) - level
+
+    pts, segs = _assemble_scalar_fibre(pts_raw, segs_raw, resid_of, tol_sep)
+    if f.kind == "radial" and level == 0.0:     # s = 0, and spheres |y| = |s|
+        if any(abs(x) > tol_sep for x in pts) or segs:
+            raise ConfigurationError("fibre of the origin is a sphere; not representable")
+        pts = [0.0] if pts else []
+    return FibreSet.of_floats(pts, segs, exact=True, t=t, w=target)
 
 
 def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,

@@ -10,9 +10,9 @@ from luresim import (ConfigurationError, EmptyFibreError, FibreSet,
                      InclusionOptions, Nonlinearity, ScalarPiece,
                      SelectionPolicy, SimOptions, SolveOptions, SystemMatrices,
                      check_image_convexity, compare_to_reference,
-                     constant_input, enumerate_fibre_exact, parabolic_band,
-                     piecewise_scalar, residual_norm, select_from_fibre,
-                     simulate, simulate_inclusion)
+                     constant_input, enumerate_fibre_exact, normalized_gain,
+                     parabolic_band, piecewise_scalar, residual_norm,
+                     select_from_fibre, simulate, simulate_inclusion)
 
 LN2 = math.log(2.0)
 
@@ -408,3 +408,14 @@ def test_use_structure_false_takes_the_multistart_route(entry, monkeypatch):
     assert rec.termination.kind == "reached_tmax" and rec.n_samples == 11
     assert calls == {"exact": 0, "multistart": rec.n_samples}
     assert np.allclose(rec.x[:, 0], 0.25, atol=1e-9)       # the constant branch
+
+
+def test_scalar_conformal_map_runs_without_fold_landing():
+    # a conformal map with p = 1 takes the exact route but has no pieces,
+    # so there is no fold to land on
+    sys = SystemMatrices(A=[[-1.0]], B=[[1.0]], B_e=[[0.0]], C=[[1.0]],
+                         D=[[0.5]], D_e=[[0.0]])
+    rec = simulate_inclusion(sys, normalized_gain(0.5, p=1), lambda t: np.zeros(1),
+                             0.0, [1.0], SelectionPolicy.min_norm(),
+                             InclusionOptions(dt=1e-3, tmax=0.01))
+    assert rec.termination.kind == "reached_tmax" and rec.n_samples == 11

@@ -52,9 +52,11 @@ def _convexity_loop(f, t, fib):
 
 def _convexity_cases(entry):
     cases = []
-    e = entry("sec42b")                       # radial segments
+    e = entry("sec42b")                       # radial segments, as inexact fibres
     for w in ([0.5, 0.0], [0.3, -0.4], [1.2, 0.1], [0.05, 0.02]):
-        cases.append((e, 0.0, enumerate_fibre_exact(e.nonlinearity, e.system.D, 0.0, w)))
+        fib = enumerate_fibre_exact(e.nonlinearity, e.system.D, 0.0, w)
+        cases.append((e, 0.0, FibreSet(points=fib.points, segments=fib.segments,
+                                       exact=False, w=fib.w)))
     for name in ("ex4a", "ex4b", "ex4c"):     # multistart fibres
         e = entry(name)
         for t, w in ((0.0, [0.5, 0.2]), (1.3, [-1.0, 2.0])):

@@ -15,7 +15,8 @@ The set: ``simulate`` on ex3b and ex4a at their config defaults,
 ``simulate --inclusion --policy fixed_branch:0`` on ex3c (and, with
 ``--method rk45_adaptive``, a method inclusion mode does not have),
 ``analyze --out`` on all ten configs, again with ``--seed 11 --twindow
-0:3`` (off the golden seed and window), ``fibre`` on sec42a and ex4b plus
+0:3`` (off the golden seed and window), ``fibre`` on sec42a, sec42b and
+ex4b (the three exact kinds: piecewise scalar, radial, conformal) plus
 the dense-scan oracle (``--scan-radius``) on ex3c, and, for each catalog
 entry (one per shipped config), ``example NAME --emit-config`` and
 ``example NAME --verify --quick``, which checks the entry's closed-form
@@ -55,6 +56,7 @@ def _calls():
                                               "--twindow", "0:3", "--out",
                                               "report.json"]
     yield "fibre/sec42a", ["fibre", *cfg("sec42a"), "--w", "0.3"]
+    yield "fibre/sec42b", ["fibre", *cfg("sec42b"), "--w", "0.3,0.4"]
     yield "fibre/ex4b", ["fibre", *cfg("ex4b"), "--t", "0.5", "--w", "0.4,-0.2"]
     yield "fibre-scan/ex3c", ["fibre", *cfg("ex3c"), "--w", "0.1",
                               "--scan-radius", "3"]
