@@ -428,9 +428,10 @@ def check_image_convexity(f: Nonlinearity, D, t: float, w,
                 merged[-1][1] = max(merged[-1][1], hi)
             else:
                 gap = lo - merged[-1][1]
-                worst_gap = max(worst_gap, gap)
-                witness = {"gap_interval": (merged[-1][1], lo),
-                           "midpoint": 0.5 * (merged[-1][1] + lo)}
+                if gap > worst_gap:         # the widest gap, the first on a tie
+                    worst_gap = gap
+                    witness = {"gap_interval": (merged[-1][1], lo),
+                               "midpoint": 0.5 * (merged[-1][1] + lo)}
                 merged.append([lo, hi])
         if len(merged) == 1:
             return ConvexityVerdict(kind="convex_exact")

@@ -7,9 +7,10 @@ Three routes:
   warm start, falling back to the multistart fibre's nearest element.
 * ``enumerate_fibre_exact``: closed-form enumeration of the whole fibre
   F_t^{-1}(w) for piecewise-scalar, radial and conformal nonlinearities
-  (points and flat segments, residual at roundoff level).  A radial map
-  is the piecewise-scalar map s -> s - d g(t, s) along the ray of w, so
-  both kinds share one scalar enumeration.
+  (points and flat segments, residual at roundoff level), from the raw
+  elements of one fibre function per kind, which ``solve_output`` shares.
+  A radial map is the piecewise-scalar map s -> s - d g(t, s) along the
+  ray of w, so both kinds share one scalar enumeration.
 * ``brute_force_fibre_oracle``: a dense-scan oracle that cross-checks the
   exact enumeration by its own scan; a scalar fibre of either is assembled
   by the same ``_assemble_scalar_fibre`` and ``FibreSet.of_floats``.
@@ -21,6 +22,7 @@ import contextlib
 import functools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, fields
 
@@ -39,6 +41,7 @@ _BRACKET_POINTS = 129   # scalar sign-change grid across the search diameter
 _RESID_FLOOR = 1e-6     # a fruitless search this close reads not_converged
 _FLOAT = np.dtype(float)
 _EPS = float(np.finfo(float).eps)
+_SORT_KEY = operator.itemgetter(0)
 # the analysis that proves an empty exact fibre empty, by kind
 _EXCLUDED_BY = {"piecewise_scalar": "exact piecewise range analysis",
                 "radial": "exact piecewise range analysis along the ray of w",
@@ -161,10 +164,8 @@ class FibreSet:
         along the ray u = w / |w| (any unit vector for w = 0)."""
         fib = cls.__new__(cls)
         fib.exact, fib.t, fib._w = exact, t, w
-        fib._points = fib._segments = fib._ray = None
-        if isinstance(w, np.ndarray):
-            rho = vec_norm(w)
-            fib._ray = w / rho if rho else _identity(w.size)[0]
+        fib._points = fib._segments = None
+        fib._ray = _ray(w) if isinstance(w, np.ndarray) else None
         fib._floats = (points, segments)
         items = [((math.sqrt(x * x), x), "point", x) for x in points]
         for lo, hi in segments:
@@ -278,10 +279,16 @@ class FibreSet:
         }
 
 
+def _ray(w: np.ndarray) -> np.ndarray:
+    """The unit vector w / |w| (e1 for w = 0) that a radial fibre lies along."""
+    rho = vec_norm(w)
+    return w / rho if rho else _identity(w.size)[0]
+
+
 def _in_order(items) -> tuple:
     """(kind, payload) of each (key, kind, payload) item, sorted stably by key."""
-    items.sort(key=lambda item: item[0])
-    return tuple((kind, payload) for _, kind, payload in items)
+    items.sort(key=_SORT_KEY)
+    return tuple([item[1:] for item in items])
 
 
 def _allclose_float(a: float, b: float) -> bool:
@@ -574,12 +581,17 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
                  opts: SolveOptions | None = None) -> OutputSolution:
     """Solve y - D f(t, y) = w, preferring the solution nearest to y_guess.
 
-    When the nonlinearity carries exact piecewise structure the whole
-    fibre is enumerated, which also certifies nonexistence by range
-    analysis.  Otherwise damped Newton runs from the guess and, on
-    singularity or stagnation, the multistart fibre around the guess is
-    searched.  Either fibre yields its element nearest to y_guess;
-    ``status="multiple"`` flags a fibre with more than one element.
+    When the nonlinearity carries exact structure the whole fibre is
+    enumerated, which also certifies nonexistence by range analysis.
+    Otherwise damped Newton runs from the guess and, on singularity or
+    stagnation, the multistart fibre around the guess is searched.  Either
+    fibre yields its element nearest to y_guess; ``status="multiple"``
+    flags a fibre with more than one element.
+
+    A run resolves its route once (``_exact_enumerator``), and a one-point
+    exact fibre is its own nearest element: the ``FibreSet`` and its
+    ``nearest`` are built only for two or more elements or a segment, with
+    equal bits.
 
     A search that finds nothing reads ``not_converged`` when some Newton
     start ran out of ``max_iter`` while its residual was still falling, or
@@ -603,15 +615,25 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
         if y_guess.size != p:
             raise ConfigurationError(f"y_guess must have length {p}")
 
-    if _exact_route(f, D, opts):
-        fib = enumerate_fibre_exact(f, D, t, w, tol_sep=opts.tol_sep)
-        iters = 0
-        if fib.empty:
+    route = _exact_route(f, D, opts)
+    if route is not None:
+        d, fibre_of = route
+        # a radial or conformal map takes its target as a vector, also for p = 1
+        target = np.array([w]) if scalar and f.kind != "piecewise_scalar" else w
+        points, segments = fibre_of(f, d, t, target, opts.tol_sep)
+        iters, fib = 0, None
+        if segments or len(points) > 1:
+            fib = _exact_fibre(f, t, target, points, segments)
+        elif not points:
             return OutputSolution(
                 status="no_solution", y=None, residual=math.inf, iterations=0,
                 certificate={"kind": "range_exclusion",
                              "detail": _EXCLUDED_BY[f.kind]},
             )
+        elif f.kind == "radial":        # the one point s u, u = w / |w|
+            y = points[0] * _ray(target)
+        else:
+            y = points[0]
     else:
         w_vec = np.array([w]) if scalar else w
         guess = np.array([y_guess]) if scalar else y_guess
@@ -633,15 +655,19 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
                              "min_residual": least},
             )
 
-    y, _, _ = fib.nearest(y_guess)
+    if fib is None:
+        status, n_found = "unique_point", 1
+    else:
+        y, _, _ = fib.nearest(y_guess)
+        status = "multiple" if fib.is_set_valued() else "unique_point"
+        n_found = fib.n_elements
     if scalar:
         y = _as_float(y)
     u, resid = _value_and_residual(f, D, t, y, w)
     if scalar and not floats:
         y, u = np.array([y]), np.array([u])
-    status = "multiple" if fib.is_set_valued() else "unique_point"
     return OutputSolution(status=status, y=y, residual=resid, iterations=iters,
-                          n_found=fib.n_elements, u=u)
+                          n_found=n_found, u=u)
 
 
 def _scalar_bracket_roots(f: Nonlinearity, D: np.ndarray, t: float,
@@ -748,16 +774,40 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12,
 # ---------------------------------------------------------------------------
 
 def exact_structure_available(f: Nonlinearity, D) -> bool:
+    return _exact_enumerator(f, D) is not None
+
+
+# the last (D, f, _exact_enumerator(f, D)), held strongly
+_last_enumerator: tuple = (None, None, None)
+
+
+def _exact_enumerator(f: Nonlinearity, D):
+    """(d, fibre function) of f's exact fibre under the feedthrough D, or
+    None without one: a piecewise-scalar map needs a 1 x 1 D = [[d]], a
+    radial or conformal one D = d I.  A run asks at every stage, so the
+    last answer is kept, with strong references, while f and a read-only D
+    (as a ``SystemMatrices`` holds it) are the same objects."""
+    global _last_enumerator
+    last_D, last_f, found = _last_enumerator
+    if last_D is D and last_f is f:
+        return found
+    D2 = _as_feedthrough(D)
     if f.kind == "piecewise_scalar":
-        return _as_feedthrough(D).shape == (1, 1)
-    if f.kind in ("radial", "conformal"):
-        return scalar_feedthrough(_as_feedthrough(D)) is not None
-    return False
+        d = float(D2[0, 0]) if D2.shape == (1, 1) else None
+    elif f.kind in ("radial", "conformal"):
+        d = scalar_feedthrough(D2)
+    else:
+        d = None
+    found = None if d is None else (d, _EXACT_FIBRES[f.kind])
+    if D2 is D and not D.flags.writeable:
+        _last_enumerator = (D, f, found)
+    return found
 
 
-def _exact_route(f: Nonlinearity, D, opts: SolveOptions) -> bool:
-    """The route rule of every solve and fibre: exact, or numeric."""
-    return opts.use_structure and exact_structure_available(f, D)
+def _exact_route(f: Nonlinearity, D, opts: SolveOptions):
+    """The route rule of every solve and fibre: ``_exact_enumerator``'s
+    (d, fibre function), or None for the numeric route."""
+    return _exact_enumerator(f, D) if opts.use_structure else None
 
 
 def _piece_roots_for_target(pc, d: float, target: float):
@@ -769,25 +819,25 @@ def _piece_roots_for_target(pc, d: float, target: float):
     EXACT_TOL, the vertex is the one (double) root; this keeps the
     enumeration stable against roundoff at double roots.
     """
-    lo, hi = pc.lo, pc.hi
-    if pc.atan_coeff != 0.0:
-        a = -d * pc.c2
-        b = 1.0 - d * pc.c1
-        aat = -d * pc.atan_coeff
+    lo, hi, c0, c1, c2, atan_coeff = pc
+    if atan_coeff != 0.0:
+        a = -d * c2
+        b = 1.0 - d * c1
+        aat = -d * atan_coeff
         if abs(a) > 1e-14 or abs(b) > 1e-14 or aat == 0.0:
             raise ConfigurationError(
                 "unsupported piece formula for exact fibre enumeration "
                 "(arctan piece solvable only when the linear part cancels)"
             )
-        arg = (target + d * pc.c0) / aat
+        arg = (target + d * c0) / aat
         if abs(arg) >= math.pi / 2.0:
             return [], []
         root = math.tan(arg)
         return ([root] if _in_interval(root, lo, hi) else []), []
 
-    a = -d * pc.c2
-    b = 1.0 - d * pc.c1
-    dc0 = d * pc.c0
+    a = -d * c2
+    b = 1.0 - d * c1
+    dc0 = d * c0
     c = -dc0 - target
     scale = max(1.0, abs(b), abs(c))
     if abs(a) <= 1e-14 * scale:
@@ -841,6 +891,8 @@ def _assemble_scalar_fibre(point_vals: list[float],
     kept, the first on a tie; a cluster of equal roots (one root found on
     two touching pieces) keeps its first without evaluating.
     """
+    if not segment_vals and len(point_vals) < 2:
+        return list(point_vals), []         # nothing to merge
     pts: list[float] = []
     for group in _cluster_scalar_sorted(point_vals, 2.0 * tol_sep):
         if group[0] == group[-1]:
@@ -891,22 +943,38 @@ def enumerate_fibre_exact(f: Nonlinearity, D, t: float, w,
     D = _as_feedthrough(D)
     p = D.shape[0]
     if f.kind == "piecewise_scalar":
-        target = _scalar_target(w) if p == 1 else _target(w, p)
+        w = _scalar_target(w) if p == 1 else _target(w, p)
         if D.shape != (1, 1):
             raise ConfigurationError("piecewise-scalar fibre needs scalar D")
-        d, level = float(D[0, 0]), target
     else:
         w = _target(w, p)
         if f.kind not in ("radial", "conformal"):
             raise ConfigurationError(
                 f"exact fibre enumeration is not available for kind {f.kind!r}")
-        d = scalar_feedthrough(D)
-        if d is None:
-            raise ConfigurationError(f"{f.kind} fibre needs D to be a multiple of I")
-        if f.kind == "conformal":
-            return _conformal_fibre(f, d, t, w, tol_sep)
-        target, level = w.copy(), vec_norm(w)
+    route = _exact_enumerator(f, D)
+    if route is None:
+        raise ConfigurationError(f"{f.kind} fibre needs D to be a multiple of I")
+    d, fibre_of = route
+    return _exact_fibre(f, t, w, *fibre_of(f, d, t, w, tol_sep))
 
+
+def _exact_fibre(f: Nonlinearity, t: float, w, points: list,
+                 segments: list) -> FibreSet:
+    """The exact ``FibreSet`` of the target w from the raw elements of its
+    kind's fibre function: floats for the scalar kinds, vectors for a
+    conformal map."""
+    if f.kind == "conformal":
+        return FibreSet(points=points, segments=(), exact=True, t=t, w=w.copy())
+    return FibreSet.of_floats(points, segments, exact=True, t=t,
+                              w=w if f.kind == "piecewise_scalar" else w.copy())
+
+
+def _scalar_fibre(f: Nonlinearity, d: float, t: float, w,
+                  tol_sep: float) -> tuple[list[float], list[tuple[float, float]]]:
+    """The points and intervals x with x - d g(t, x) = w, g the map's pieces;
+    for a radial map (g its odd extension) the coordinates along w / |w| at
+    the level |w|."""
+    level = vec_norm(w) if f.kind == "radial" else w
     pieces = f.resolved_structure(t)
     pts_raw: list[float] = []
     segs_raw: list[tuple[float, float]] = []
@@ -923,11 +991,11 @@ def enumerate_fibre_exact(f: Nonlinearity, D, t: float, w,
         if any(abs(x) > tol_sep for x in pts) or segs:
             raise ConfigurationError("fibre of the origin is a sphere; not representable")
         pts = [0.0] if pts else []
-    return FibreSet.of_floats(pts, segs, exact=True, t=t, w=target)
+    return pts, segs
 
 
 def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
-                     tol_sep: float) -> FibreSet:
+                     tol_sep: float) -> tuple[list[np.ndarray], list]:
     """The fibre of F_t(y) = (1 - d alpha(t, |y|)) y over w.
 
     Its radii, the roots r >= 0 of r |1 - d alpha(t, r)| = |w|, come from
@@ -937,25 +1005,30 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
     the size of y and w.
     """
     cf, rho, factor = f.conformal, vec_norm(w), f.conformal.at_time(t)
-    u = complex(factor[0, 0], factor[1, 0]) if cf.rotating else 1.0
+    c, gain, u = cf.c, cf.gain, (complex(factor[0, 0], factor[1, 0])
+                                 if cf.rotating else 1.0)
+
+    def beta(r: float):
+        """1 - d alpha(t, r)."""
+        return 1.0 - d * (c + gain(factor, r) * u)
 
     def phi(r: float):
-        """(r |beta| - rho, its derivative in r, beta = 1 - d alpha(t, r))."""
-        beta = 1.0 - d * (cf.c + cf.gain(factor, r) * u)
-        size = abs(beta)
-        dsize = -d * (beta.conjugate() * cf.slope(factor, r) * u).real / (size or 1.0)
-        return r * size - rho, size + r * dsize, beta
+        """(r |beta| - rho, its derivative in r)."""
+        b = beta(r)
+        size = abs(b)
+        dsize = -d * (b.conjugate() * cf.slope(factor, r) * u).real / (size or 1.0)
+        return r * size - rho, size + r * dsize
 
     def solves(r: float, residual: float) -> bool:
         return residual <= EXACT_TOL * max(1.0, rho, r)
 
     def polish(r: float) -> float:
-        value, slope, _ = phi(r)
+        value, slope = phi(r)
         for _ in range(4):              # Newton steps, kept while they lower |phi|
             r_new = max(r - value / slope, 0.0) if slope else r
             if abs(r_new - r) <= 2.0 * _EPS * r:
                 break
-            value_new, slope_new, _ = phi(r_new)
+            value_new, slope_new = phi(r_new)
             if not abs(value_new) < abs(value):
                 break
             r, value, slope = r_new, value_new, slope_new
@@ -968,20 +1041,24 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
     if rho == 0.0:          # the origin, and spheres where 1 - d alpha(t, r) = 0
         if any(r > tol_sep and solves(r, abs(phi(r)[0])) for r in radii):
             raise ConfigurationError("fibre of the origin is a sphere; not representable")
-        return FibreSet(points=(np.zeros(f.p),), segments=(), exact=True, t=t, w=w.copy())
+        return [np.zeros(f.p)], []
     norm = abs if cf.rotating else vec_norm
     target = complex(w[0], w[1]) if cf.rotating else w
     points = []
     for r in radii:
-        beta = phi(r)[2]
-        if not beta:
+        b = beta(r)
+        if not b:
             continue
         # w / beta as r w / rho turned by beta's phase: its length stays r
         # where beta is near 0 and w / beta would carry beta's relative error
-        y = target * (r / rho) * (beta.conjugate() / abs(beta))
-        if solves(r, norm(phi(norm(y))[2] * y - target)):
+        y = target * (r / rho) * (b.conjugate() / abs(b))
+        if solves(r, norm(beta(norm(y)) * y - target)):
             points.append(np.array([y.real, y.imag]) if cf.rotating else y)
-    return FibreSet(points=points, segments=(), exact=True, t=t, w=w.copy())
+    return points, []
+
+
+_EXACT_FIBRES = {"piecewise_scalar": _scalar_fibre, "radial": _scalar_fibre,
+                 "conformal": _conformal_fibre}
 
 
 def _nonnegative_roots(coeffs: list) -> tuple[list[float], bool]:

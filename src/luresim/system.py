@@ -19,7 +19,8 @@ from .errors import ConfigurationError
 
 
 def _as_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(value, dtype=float))
+    """A read-only float copy of value, so no caller's array can change it."""
+    mat = np.array(value, dtype=float, ndmin=2)
     if mat.shape != (rows, cols):
         raise ConfigurationError(
             f"matrix {name} has shape {mat.shape}, expected ({rows}, {cols})"
@@ -35,7 +36,8 @@ class SystemMatrices:
     """The sextuple (A, B, B_e, C, D, D_e) with validated dimensions.
 
     Dimensions are inferred from A (n x n), D (p x m) and D_e (p x m_e);
-    all six matrices must conform exactly.
+    all six matrices must conform exactly.  Each is held as a read-only
+    copy, so D, and what the output solver derives from it, stays fixed.
     """
 
     A: np.ndarray

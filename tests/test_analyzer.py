@@ -14,6 +14,7 @@ from luresim import (AnalyzerOptions, ConfigurationError, ProbeGrid,
                      probe_fibre_nonempty, probe_radial_unboundedness,
                      theorem_applicability,
                      zero_nonlinearity)
+from luresim import analyzer
 from luresim.analyzer import _lipschitz_extremes
 
 
@@ -382,3 +383,31 @@ def test_audit_equals_its_probes_called_alone(entry, name, t_window, seed):
     ]
     report = analyze_system(sys, f, AnalyzerOptions(t_window=t_window, seed=seed))
     assert _dump(report.records) == _dump(alone)
+
+
+def _pairs_bits(pairs) -> list:
+    return [(t, np.asarray(xi).tobytes(), np.asarray(ze).tobytes())
+            for t, xi, ze in pairs]
+
+
+def test_collision_pairs_are_kept_only_for_the_same_inputs(entry):
+    # the audit's two readers share one computation; a call that differs
+    # from the one before it in the map, the system or the window gets
+    # what a fresh call gives
+    a, b = entry("ex3c"), entry("sec42a")
+    other_d = SystemMatrices(A=a.system.A, B=a.system.B, B_e=a.system.B_e,
+                             C=a.system.C, D=2.0 * a.system.D, D_e=a.system.D_e)
+    calls = [(a.system, a.nonlinearity, (0.0, 10.0)),
+             (a.system, a.nonlinearity, (0.0, 10.0)),
+             (a.system, b.nonlinearity, (0.0, 10.0)),
+             (a.system, b.nonlinearity, (0.5, 3.0)),
+             (other_d, b.nonlinearity, (0.5, 3.0)),
+             (b.system, a.nonlinearity, (0.0, 10.0))]
+    seen = []
+    for sys, f, window in calls:
+        kept = _pairs_bits(analyzer._collision_pairs(sys, f, window))
+        analyzer._last_pairs = (None, None, None, ())
+        assert kept == _pairs_bits(analyzer._collision_pairs(sys, f, window))
+        seen.append(kept)
+    assert seen[0] == seen[1] and all(seen)
+    assert all(x != y for x, y in zip(seen[1:], seen[2:]))

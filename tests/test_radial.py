@@ -201,3 +201,16 @@ def test_exact_ray_path_agrees_with_the_sampled_path(f, w, fib, convex):
     if not convex:                          # a gap between images of the fibre
         lo, hi = exact.witness["gap_interval"]
         assert 0.5 < hi - lo <= exact.gap
+
+
+def test_convexity_witness_is_the_widest_gap():
+    # the sawtooth's images at |w| = 1/2 are -9, -5/3, -1, 1, 7: the widest
+    # gap, (-9, -5/3), comes first, and the last one, (1, 7), is narrower
+    f, w = _profile(*SAWTOOTH), np.array([0.3, 0.4])
+    verdict = check_image_convexity(f, np.eye(2), 0.0, w,
+                                    enumerate_fibre_exact(f, np.eye(2), 0.0, w))
+    lo, hi = verdict.witness["gap_interval"]
+    assert verdict.gap == pytest.approx(22.0 / 3.0, rel=1e-14)
+    assert hi - lo == verdict.gap
+    assert (lo, hi) == pytest.approx((-9.0, -5.0 / 3.0), rel=1e-14)
+    assert verdict.witness["midpoint"] == 0.5 * (lo + hi)

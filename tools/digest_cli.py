@@ -20,7 +20,8 @@ ex4b (the three exact kinds: piecewise scalar, radial, conformal) plus
 the dense-scan oracle (``--scan-radius``) on ex3c, and, for each catalog
 entry (one per shipped config), ``example NAME --emit-config`` and
 ``example NAME --verify --quick``, which checks the entry's closed-form
-references.  A line reads ``<call> <output> <sha256>``.
+references, and, last, ``example NAME --verify`` in full mode on ex3c,
+ex3d, ex4a, ex4b and ex4c.  A line reads ``<call> <output> <sha256>``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def _calls():
     for path in sorted(CONFIGS.glob("*.json")):
         yield f"verify-quick/{path.stem}", ["example", path.stem, "--verify",
                                             "--quick"]
+    for name in ("ex3c", "ex3d", "ex4a", "ex4b", "ex4c"):
+        yield f"verify/{name}", ["example", name, "--verify"]
 
 
 def _sha(data: bytes) -> str:
