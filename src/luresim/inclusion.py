@@ -32,7 +32,8 @@ from .integrator import (Termination, TrajectoryRecord, _integrate, _plant,
 from .nonlinearity import (Nonlinearity, _eval_resolved, all_finite, row_norms,
                            vec_norm)
 from .output_solver import (FibreSet, SolveOptions, _as_float, _brentq,
-                            _checked, _exact_route, enumerate_fibre_exact,
+                            _checked, _evaluate, _exact_fibre, _exact_route,
+                            _exact_target, enumerate_fibre_exact,
                             enumerate_fibre_multistart)
 from .system import SystemMatrices
 
@@ -150,13 +151,7 @@ def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
 def enumerate_fibre(f: Nonlinearity, D, t: float, w, opts: SolveOptions) -> FibreSet:
     """F_t^{-1}(w) on the route ``_exact_route`` picks: exact, or multistart."""
     opts = _checked(opts)
-    return _fibre_on_route(_exact_route(f, D, opts), f, D, t, w, opts)
-
-
-def _fibre_on_route(exact: bool, f: Nonlinearity, D, t: float, w,
-                    opts: SolveOptions) -> FibreSet:
-    """``enumerate_fibre`` with the route already chosen."""
-    if exact:
+    if _exact_route(f, D, opts) is not None:
         return enumerate_fibre_exact(f, D, t, w, tol_sep=opts.tol_sep)
     return enumerate_fibre_multistart(f, D, t, w, opts=opts)
 
@@ -227,28 +222,35 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     plant = _plant(sys, v)
     rec = _Recorder(plant, with_branches=True)
     exact = _exact_route(f, sys.D, fibre_opts)
+    p = sys.dims[3]
     branch = -1                        # index of the last selection
 
-    def fibre(t: float, x, vt) -> FibreSet:
-        """The fibre at (t, x), given vt = v(t); the route is fixed per run."""
-        return _fibre_on_route(exact, f, sys.D, t, plant.target(x, vt), fibre_opts)
+    def fibre(t: float, x, terms) -> FibreSet:
+        """The fibre at (t, x), given the input terms at t, on the route
+        resolved for the run."""
+        w = plant.target(x, terms)
+        if exact is None:
+            return enumerate_fibre_multistart(f, sys.D, t, w, opts=fibre_opts)
+        d, fibre_of = exact
+        w = _exact_target(f, w, p)
+        return _exact_fibre(f, t, w, *fibre_of(f, d, t, w, fibre_opts.tol_sep))
 
     def stage(t: float, x, y_prev):
         nonlocal branch
-        vt = plant.input(t)
-        y, branch = select_from_fibre(fibre(t, x, vt), policy, prev_y=y_prev)
-        y = plant.value(y)
-        u = plant.eval_f(f, t, y)
-        return y, u, plant.slope(x, u, vt), vt
+        terms = plant.input(t)
+        y, branch = select_from_fibre(fibre(t, x, terms), policy, prev_y=y_prev)
+        u = _evaluate(f, t, y)
+        y, u = plant.value(y), plant.value(u)
+        return y, u, plant.slope(x, u, terms), terms
 
     x0 = plant.value(x0)
     try:
-        y, u, k, vt = stage(t0, x0, plant.target(x0, plant.input(t0)))
+        y, u, k, terms = stage(t0, x0, plant.target(x0, plant.input(t0)))
     except EmptyFibreError:
         term = Termination(kind="no_output_solution", time=t0,
                            bracket=(t0, t0), detail="empty fibre at initial time")
         return rec.build(term)
-    rec.push(t0, x0, y, u, vt, branch=branch)
+    rec.push(t0, x0, y, u, terms, branch=branch)
 
     # Folds are landed on where the scalar map has pieces; a static map
     # with no breakpoint or vertex has no fold to land on.
@@ -295,7 +297,7 @@ def _land_on_fold(fibre, stage, plant: _Plant, f: Nonlinearity, d: float,
                   t: float, x, y, k, h: float, jump_tol: float):
     """Bisect the step onto the output-map fold where the branch vanishes.
 
-    Returns the landed (t_hat, x_hat, y_hat, u, xdot, v(t_hat)), selected by
+    Returns the landed (t_hat, x_hat, y_hat, u, xdot, input terms), selected by
     ``stage``, on success, None when no fold explains the event.  The state
     is corrected along C^T so the landed output value is exact; an
     invariant fold (zero drift) is then followed without further events.
@@ -351,12 +353,12 @@ def _land_on_fold(fibre, stage, plant: _Plant, f: Nonlinearity, d: float,
     if t_hat <= t + 1e-15 * max(1.0, abs(t)):
         return None
     try:
-        y_sel, u, k_hat, vt = stage(t_hat, x_hat, y_hat)
+        y_sel, u, k_hat, terms = stage(t_hat, x_hat, y_hat)
     except EmptyFibreError:
         return None
     if vec_norm(y_sel - y_hat) > jump_tol:
         return None
-    return t_hat, x_hat, y_sel, u, k_hat, vt
+    return t_hat, x_hat, y_sel, u, k_hat, terms
 
 
 # ---------------------------------------------------------------------------

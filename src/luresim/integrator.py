@@ -41,7 +41,10 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .nonlinearity import all_finite, vec_norm
-from .output_solver import SolveOptions, _as_float, _checked, solve_output
+from .output_solver import (SolveOptions, _as_float, _checked, _evaluate,
+                            _exact_choice, _exact_route, _range_exclusion,
+                            _scalar_target, _target, solve_output)
+from .signals import _fixed_value
 from .system import SystemMatrices
 
 _RK45_C = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
@@ -60,6 +63,8 @@ _RK45_E = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0,
 
 # Recent outputs searched for divergence when the step size collapses.
 _COLLAPSE_WINDOW = 10
+# Rows that ``write_csv`` formats at a time.
+_CSV_BLOCK = 4096
 
 _EPS = float(np.finfo(float).eps)
 
@@ -136,39 +141,44 @@ class _Plant:
     """The linear part of ``sys`` and its input v, on the loop's values.
 
     Values are 1-d arrays: the state x, the output y, u = f(t, y), the
-    slope and v(t).  ``value`` turns an initial state or a solver or fibre
-    output (a float from a float-backed fibre) into the loop's form.
+    slope and the input terms (D_e v(t), B_e v(t)), which a zero or
+    constant input computes once per run.  ``value`` turns an initial state
+    or a solver or fibre output (a float) into the loop's form.
     """
 
     def __init__(self, sys: SystemMatrices, v):
         self.sys, self.v = sys, v
+        fixed = _fixed_value(v)
+        self.fixed = None if fixed is None else self.terms(fixed)
 
     def value(self, y):
         return np.array([y]) if type(y) is float else y
 
     def input(self, t: float):
-        return self.v(t)
+        """The input terms at t."""
+        return self.fixed or self.terms(self.v(t))
 
-    def target(self, x, vt):
+    def terms(self, vt):
+        """(D_e v(t), B_e v(t)) of the input value vt = v(t)."""
+        return self.sys.D_e @ vt, self.sys.B_e @ vt
+
+    def target(self, x, terms):
         """w = C x + D_e v(t)."""
-        return self.sys.C @ x + self.sys.D_e @ vt
+        return self.sys.C @ x + terms[0]
 
-    def slope(self, x, u, vt):
+    def slope(self, x, u, terms):
         """xdot = A x + B u + B_e v(t)."""
         sys = self.sys
-        return sys.A @ x + sys.B @ u + sys.B_e @ vt
+        return sys.A @ x + sys.B @ u + terms[1]
 
-    def residual(self, x, y, u, vt) -> float:
+    def residual(self, x, y, u, terms) -> float:
         """||y - D u - C x - D_e v(t)||."""
         sys = self.sys
-        return vec_norm(y - sys.D @ u - sys.C @ x - sys.D_e @ vt)
+        return vec_norm(y - sys.D @ u - sys.C @ x - terms[0])
 
     def keep(self, value) -> np.ndarray:
         """A copy of a value for the record."""
         return np.array(value, dtype=float)
-
-    def eval_f(self, f, t: float, y):
-        return f(t, y)
 
     def shift_target(self, x, r: float):
         """x moved along C^T so that the (scalar) target C x grows by r."""
@@ -181,37 +191,32 @@ class _ScalarPlant(_Plant):
 
     Each 1 x 1 product a x is taken as ``0.0 + a * x``, numpy's
     accumulation, so that signed zeros keep their bits: [[-1.]] @ [0.] is
-    +0.0.  f(t, y) goes through ``eval_scalar``.
+    +0.0.
     """
 
     def __init__(self, sys: SystemMatrices, v):
-        super().__init__(sys, v)
         self.a, self.b, self.b_e, self.c, self.d, self.d_e = (
             float(M[0, 0]) for M in (sys.A, sys.B, sys.B_e, sys.C, sys.D, sys.D_e))
+        super().__init__(sys, v)
 
     value = staticmethod(_as_float)
 
-    def input(self, t: float) -> float:
-        return self.value(self.v(t))
+    def terms(self, vt) -> tuple[float, float]:
+        vt = _as_float(vt)
+        return 0.0 + self.d_e * vt, 0.0 + self.b_e * vt
 
-    def target(self, x: float, vt: float) -> float:
-        return (0.0 + self.c * x) + (0.0 + self.d_e * vt)
+    def target(self, x: float, terms) -> float:
+        return (0.0 + self.c * x) + terms[0]
 
-    def slope(self, x: float, u: float, vt: float) -> float:
-        return ((0.0 + self.a * x) + (0.0 + self.b * u)) + (0.0 + self.b_e * vt)
+    def slope(self, x: float, u: float, terms) -> float:
+        return ((0.0 + self.a * x) + (0.0 + self.b * u)) + terms[1]
 
-    def residual(self, x: float, y: float, u: float, vt: float) -> float:
-        r = y - (0.0 + self.d * u) - (0.0 + self.c * x) - (0.0 + self.d_e * vt)
+    def residual(self, x: float, y: float, u: float, terms) -> float:
+        r = y - (0.0 + self.d * u) - (0.0 + self.c * x) - terms[0]
         return math.sqrt(r * r)
 
     def keep(self, value: float) -> float:
         return value
-
-    def eval_f(self, f, t: float, y: float) -> float:
-        u = f.eval_scalar(t, y)
-        if not math.isfinite(u):
-            raise f._non_finite(t, np.array([y]))
-        return u
 
     def shift_target(self, x: float, r: float) -> float:
         return x + self.c * (r / (self.c * self.c))
@@ -223,35 +228,49 @@ def _plant(sys: SystemMatrices, v) -> _Plant:
 
 
 class _SolvingStage:
-    """Stage callable resolving the output with ``solve_output``.
+    """Stage callable ``stage(t, x, y_prev) -> (y, u, xdot, input terms)``.
 
-    ``stage(t, x, y_prev) -> (y, u, xdot, v(t))``, with u = f(t, y) taken
-    from the solution.  ``multiple`` records whether any solve since it was
+    The route is resolved once: an exact-route stage takes ``solve_output``'s
+    output from ``_exact_choice`` directly, a Newton-route one calls
+    ``solve_output``.  ``multiple`` records whether any solve since it was
     last cleared chose among several outputs.
     """
 
     def __init__(self, plant: _Plant, f, solver: SolveOptions):
         self.plant, self.f, self.solver = plant, f, solver
+        self.route = _exact_route(f, plant.sys.D, solver)
+        self.p = plant.sys.dims[3]
         self.multiple = False
 
     def __call__(self, t: float, x, y_prev):
-        plant = self.plant
-        vt = plant.input(t)
-        sol = solve_output(plant.sys, self.f, t, plant.target(x, vt), y_prev,
-                           self.solver)
-        if sol.y is None:
-            raise _StageFailure(sol.certificate)
-        if sol.status == "multiple":
-            self.multiple = True
-        y, u = plant.value(sol.y), plant.value(sol.u)
-        return y, u, plant.slope(x, u, vt), vt
+        plant, f = self.plant, self.f
+        terms = plant.input(t)
+        w = plant.target(x, terms)
+        if self.route is None:
+            sol = solve_output(plant.sys, f, t, w, y_prev, self.solver)
+            if sol.y is None:
+                raise _StageFailure(sol.certificate)
+            if sol.status == "multiple":
+                self.multiple = True
+            y, u = plant.value(sol.y), plant.value(sol.u)
+        else:
+            w = _scalar_target(w) if self.p == 1 else _target(w, self.p)
+            y, fib = _exact_choice(f, *self.route, t, w, y_prev,
+                                   self.solver.tol_sep)
+            if y is None:
+                raise _StageFailure(_range_exclusion(f))
+            if fib is not None and fib.is_set_valued():
+                self.multiple = True
+            u = _evaluate(f, t, y)
+            y, u = plant.value(y), plant.value(u)
+        return y, u, plant.slope(x, u, terms), terms
 
 
 def _rk_step(method: str, stage, t: float, x, h: float, y, k1):
     """One ``euler``, ``rk4`` or ``rkf45`` step from (t, x), whose output y
-    and slope k1 are stage 1; x, y and k1 are plant values.  Later stages call ``stage(t, x, y_prev) ->
-    (y, u, xdot, v(t))``.  Returns (x_new, mean slope or None, error
-    estimate or None, last stage output).
+    and slope k1 are stage 1; x, y and k1 are plant values.  Later stages
+    call ``stage(t, x, y_prev) -> (y, u, xdot, input terms)``.  Returns
+    (x_new, mean slope or None, error estimate or None, last stage output).
     """
     if method == "euler":
         return x + h * k1, k1, None, y
@@ -302,11 +321,11 @@ class _Recorder:
         self.branches: list[int] = []
         self._norms = (0.0, 0.0)          # (||y||, ||u||) of the last sample
 
-    def push(self, t, x, y, u, vt, flag="", branch=-1):
-        """Record a sample with u = f(t, y) and vt = v(t); its residual is
-        ||y - D u - C x - D_e v(t)||."""
+    def push(self, t, x, y, u, terms, flag="", branch=-1):
+        """Record a sample with u = f(t, y) and the input terms at t; its
+        residual is ||y - D u - C x - D_e v(t)||."""
         plant = self.plant
-        resid = plant.residual(x, y, u, vt)
+        resid = plant.residual(x, y, u, terms)
         y, u = plant.keep(y), plant.keep(u)
         ynorm, unorm = vec_norm(y), vec_norm(u)
         if self.times:
@@ -391,7 +410,7 @@ def _integrate(rec: _Recorder, opts, t: float, x, y, k, h: float,
     values, and return the termination.
 
     ``advance(t, x, y, k, h) -> (sample | None, h_next, failed)`` attempts
-    one step of size h.  A sample (t, x, y, u, xdot, v(t), branch, flag) is
+    one step of size h.  A sample (t, x, y, u, xdot, input terms, branch, flag) is
     recorded; None with ``failed`` marks an unresolvable output, None
     without it a rejected step.  A collapse is bracketed by the last
     failed step since the last sample, else by the step floor.
@@ -421,8 +440,8 @@ def _integrate(rec: _Recorder, opts, t: float, x, y, k, h: float,
             fail_h = h_eff
         if sample is None:
             continue
-        t, x, y, u, k, vt, branch, flag = sample
-        rec.push(t, x, y, u, vt, flag=flag, branch=branch)
+        t, x, y, u, k, terms, branch, flag = sample
+        rec.push(t, x, y, u, terms, flag=flag, branch=branch)
         fail_h = None
         if vec_norm(x) > opts.blowup_threshold:
             return Termination(kind="blow_up", time=t,
@@ -460,14 +479,14 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
     guess = plant.value(_initial_guess(sys, f, t0, w0))
     x0 = plant.value(x0)
     try:
-        y, u, k, vt = stage(t0, x0, guess)
+        y, u, k, terms = stage(t0, x0, guess)
     except _StageFailure as exc:
         detail = dict(exc.certificate or {})
         term = Termination(kind="no_output_solution", time=t0,
                            bracket=(t0, t0), detail=f"unsolvable at initial time: {detail}")
         return rec.build(term)
     # a solve that chose among several outputs is flagged, never silent
-    rec.push(t0, x0, y, u, vt, flag="multiple" if stage.multiple else "")
+    rec.push(t0, x0, y, u, terms, flag="multiple" if stage.multiple else "")
 
     def advance(t, x, y, k, h):
         """One RK step; RKF45 rejects it on its error estimate."""
@@ -578,31 +597,27 @@ def compare_to_reference(record: TrajectoryRecord, reference) -> dict:
 # Emission
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_csv(record: TrajectoryRecord, path) -> None:
-    """CSV with columns t, x_1..x_n, y_1..y_p, u_1..u_m, residual[, branch]."""
-    n = record.x.shape[1] if record.n_samples else 0
-    p = record.y.shape[1] if record.n_samples else 0
-    m = record.u.shape[1] if record.n_samples else 0
+    """CSV with columns t, x_1..x_n, y_1..y_p, u_1..u_m, residual[, branch];
+    each value as ``format(value, '.17g')``, which '%.17g' equals."""
+    n, p, m = (a.shape[1] if record.n_samples else 0
+               for a in (record.x, record.y, record.u))
     header = (["t"] + [f"x_{i+1}" for i in range(n)]
               + [f"y_{i+1}" for i in range(p)]
               + [f"u_{i+1}" for i in range(m)] + ["residual"])
-    with_branch = record.branches is not None
-    if with_branch:
+    columns = [record.times, record.x, record.y, record.u, record.residuals]
+    template = ",".join(["%.17g"] * (n + p + m + 2))
+    if record.branches is not None:     # small integers, exact as floats
         header.append("branch")
-    lines = [",".join(header)]
-    for i in range(record.n_samples):
-        row = ([_fmt(record.times[i])] + [_fmt(v) for v in record.x[i]]
-               + [_fmt(v) for v in record.y[i]] + [_fmt(v) for v in record.u[i]]
-               + [_fmt(record.residuals[i])])
-        if with_branch:
-            row.append(str(int(record.branches[i])))
-        lines.append(",".join(row))
+        columns.append(record.branches)
+        template += ",%d"
+    rows = np.column_stack(columns)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        # a block of rows at a time as floats, which bounds the memory
+        for start in range(0, record.n_samples, _CSV_BLOCK):
+            block = rows[start:start + _CSV_BLOCK].tolist()
+            fh.writelines([template % tuple(row) + "\n" for row in block])
 
 
 def summary_dict(record: TrajectoryRecord) -> dict:

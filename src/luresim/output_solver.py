@@ -2,9 +2,10 @@
 
 Three routes:
 
-* ``solve_output``: the workhorse inside the integrators; the exact
-  fibre's element nearest the warm start, else damped Newton from the
-  warm start, falling back to the multistart fibre's nearest element.
+* ``solve_output``: the exact fibre's element nearest the warm start,
+  else damped Newton from the warm start, falling back to the multistart
+  fibre's nearest element.  A run holds its route: its exact-route stages
+  call ``_exact_choice``, which ``solve_output`` shares, directly.
 * ``enumerate_fibre_exact``: closed-form enumeration of the whole fibre
   F_t^{-1}(w) for piecewise-scalar, radial and conformal nonlinearities
   (points and flat segments, residual at roundoff level), from the raw
@@ -343,17 +344,24 @@ def residual_norm(f: Nonlinearity, D, t: float, y, w) -> float:
                     - np.asarray(w, dtype=float).reshape(-1))
 
 
+def _evaluate(f: Nonlinearity, t: float, y):
+    """f(t, y) at an output y: a float for a float y (``eval_scalar``)."""
+    if type(y) is not float:
+        return f(t, y)
+    u = f.eval_scalar(t, y)
+    if not math.isfinite(u):
+        raise f._non_finite(t, np.array([y]))
+    return u
+
+
 def _value_and_residual(f: Nonlinearity, D: np.ndarray, t: float, y, w):
     """(f(t, y), ||y - D f(t, y) - w||) with one evaluation.
 
     With a 1 x 1 feedthrough, y and w are floats and so is f(t, y).
     """
+    u = _evaluate(f, t, y)
     if D.shape == (1, 1):
-        fy = f.eval_scalar(t, y)
-        if not math.isfinite(fy):
-            raise f._non_finite(t, np.array([y]))
-        return fy, abs(y - float(D[0, 0]) * fy - w)
-    u = f(t, y)
+        return u, abs(y - float(D[0, 0]) * u - w)
     return u, vec_norm(y - D @ u - w)
 
 
@@ -588,10 +596,10 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
     fibre yields its element nearest to y_guess; ``status="multiple"``
     flags a fibre with more than one element.
 
-    A run resolves its route once (``_exact_enumerator``), and a one-point
-    exact fibre is its own nearest element: the ``FibreSet`` and its
-    ``nearest`` are built only for two or more elements or a segment, with
-    equal bits.
+    A run holds its route, and its exact-route stages call this function's
+    exact route, ``_exact_choice``, without its checks and its
+    ``OutputSolution``.  A one-point exact fibre is its own nearest element:
+    no ``FibreSet`` is built for it, with equal bits.
 
     A search that finds nothing reads ``not_converged`` when some Newton
     start ran out of ``max_iter`` while its residual was still falling, or
@@ -617,23 +625,12 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
 
     route = _exact_route(f, D, opts)
     if route is not None:
-        d, fibre_of = route
-        # a radial or conformal map takes its target as a vector, also for p = 1
-        target = np.array([w]) if scalar and f.kind != "piecewise_scalar" else w
-        points, segments = fibre_of(f, d, t, target, opts.tol_sep)
-        iters, fib = 0, None
-        if segments or len(points) > 1:
-            fib = _exact_fibre(f, t, target, points, segments)
-        elif not points:
-            return OutputSolution(
-                status="no_solution", y=None, residual=math.inf, iterations=0,
-                certificate={"kind": "range_exclusion",
-                             "detail": _EXCLUDED_BY[f.kind]},
-            )
-        elif f.kind == "radial":        # the one point s u, u = w / |w|
-            y = points[0] * _ray(target)
-        else:
-            y = points[0]
+        y, fib = _exact_choice(f, *route, t, w, y_guess, opts.tol_sep)
+        if y is None:
+            return OutputSolution(status="no_solution", y=None,
+                                  residual=math.inf, iterations=0,
+                                  certificate=_range_exclusion(f))
+        iters = 0
     else:
         w_vec = np.array([w]) if scalar else w
         guess = np.array([y_guess]) if scalar else y_guess
@@ -654,20 +651,47 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
                 certificate={"kind": "exhaustion", "n_starts": opts.n_starts + 1,
                              "min_residual": least},
             )
+        y, _, _ = fib.nearest(y_guess)
+        if scalar:
+            y = _as_float(y)
 
     if fib is None:
         status, n_found = "unique_point", 1
     else:
-        y, _, _ = fib.nearest(y_guess)
         status = "multiple" if fib.is_set_valued() else "unique_point"
         n_found = fib.n_elements
-    if scalar:
-        y = _as_float(y)
     u, resid = _value_and_residual(f, D, t, y, w)
     if scalar and not floats:
         y, u = np.array([y]), np.array([u])
     return OutputSolution(status=status, y=y, residual=resid, iterations=iters,
                           n_found=n_found, u=u)
+
+
+def _exact_choice(f: Nonlinearity, d: float, fibre_of, t: float, w, y_guess,
+                  tol_sep: float) -> tuple:
+    """(y, fibre): y the element nearest y_guess of the exact fibre of the
+    checked target w, floats when D is 1 x 1; fibre None for one point,
+    which is its own nearest element.  An empty fibre gives (None, None)."""
+    scalar = type(w) is float
+    # a radial or conformal map takes its target as a vector, also for p = 1
+    target = np.array([w]) if scalar and f.kind != "piecewise_scalar" else w
+    points, segments = fibre_of(f, d, t, target, tol_sep)
+    fib = None
+    if segments or len(points) > 1:
+        fib = _exact_fibre(f, t, target, points, segments)
+        y = fib.nearest(y_guess)[0]
+    elif not points:
+        return None, None
+    elif f.kind == "radial":            # the one point s u, u = w / |w|
+        y = points[0] * _ray(target)
+    else:
+        y = points[0]
+    return (_as_float(y) if scalar else y), fib
+
+
+def _range_exclusion(f: Nonlinearity) -> dict:
+    """The certificate of an empty exact fibre."""
+    return {"kind": "range_exclusion", "detail": _EXCLUDED_BY[f.kind]}
 
 
 def _scalar_bracket_roots(f: Nonlinearity, D: np.ndarray, t: float,
@@ -777,31 +801,18 @@ def exact_structure_available(f: Nonlinearity, D) -> bool:
     return _exact_enumerator(f, D) is not None
 
 
-# the last (D, f, _exact_enumerator(f, D)), held strongly
-_last_enumerator: tuple = (None, None, None)
-
-
 def _exact_enumerator(f: Nonlinearity, D):
     """(d, fibre function) of f's exact fibre under the feedthrough D, or
     None without one: a piecewise-scalar map needs a 1 x 1 D = [[d]], a
-    radial or conformal one D = d I.  A run asks at every stage, so the
-    last answer is kept, with strong references, while f and a read-only D
-    (as a ``SystemMatrices`` holds it) are the same objects."""
-    global _last_enumerator
-    last_D, last_f, found = _last_enumerator
-    if last_D is D and last_f is f:
-        return found
-    D2 = _as_feedthrough(D)
+    radial or conformal one D = d I."""
+    D = _as_feedthrough(D)
     if f.kind == "piecewise_scalar":
-        d = float(D2[0, 0]) if D2.shape == (1, 1) else None
+        d = float(D[0, 0]) if D.shape == (1, 1) else None
     elif f.kind in ("radial", "conformal"):
-        d = scalar_feedthrough(D2)
+        d = scalar_feedthrough(D)
     else:
         d = None
-    found = None if d is None else (d, _EXACT_FIBRES[f.kind])
-    if D2 is D and not D.flags.writeable:
-        _last_enumerator = (D, f, found)
-    return found
+    return None if d is None else (d, _EXACT_FIBRES[f.kind])
 
 
 def _exact_route(f: Nonlinearity, D, opts: SolveOptions):
@@ -941,21 +952,25 @@ def enumerate_fibre_exact(f: Nonlinearity, D, t: float, w,
     a piecewise-scalar fibre's w may be a float.
     """
     D = _as_feedthrough(D)
-    p = D.shape[0]
-    if f.kind == "piecewise_scalar":
-        w = _scalar_target(w) if p == 1 else _target(w, p)
-        if D.shape != (1, 1):
-            raise ConfigurationError("piecewise-scalar fibre needs scalar D")
-    else:
-        w = _target(w, p)
-        if f.kind not in ("radial", "conformal"):
-            raise ConfigurationError(
-                f"exact fibre enumeration is not available for kind {f.kind!r}")
+    w = _exact_target(f, w, D.shape[0])
+    if f.kind == "piecewise_scalar" and D.shape != (1, 1):
+        raise ConfigurationError("piecewise-scalar fibre needs scalar D")
+    if f.kind not in _EXACT_FIBRES:
+        raise ConfigurationError(
+            f"exact fibre enumeration is not available for kind {f.kind!r}")
     route = _exact_enumerator(f, D)
     if route is None:
         raise ConfigurationError(f"{f.kind} fibre needs D to be a multiple of I")
     d, fibre_of = route
     return _exact_fibre(f, t, w, *fibre_of(f, d, t, w, tol_sep))
+
+
+def _exact_target(f: Nonlinearity, w, p: int):
+    """The target w, checked, as its kind's fibre function takes it: a
+    float for a piecewise-scalar map with p = 1, else a vector."""
+    if f.kind == "piecewise_scalar" and p == 1:
+        return _scalar_target(w)
+    return _target(w, p)
 
 
 def _exact_fibre(f: Nonlinearity, t: float, w, points: list,

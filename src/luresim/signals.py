@@ -75,6 +75,14 @@ class InputSignal:
         return out
 
 
+def _fixed_value(v) -> np.ndarray | None:
+    """v(t), the same for every t, when v is a zero or constant
+    ``InputSignal``; None for a time-varying signal or any other callable."""
+    if isinstance(v, InputSignal) and v.kind in ("zero", "constant"):
+        return v.eval(0.0)
+    return None
+
+
 def zero_input(m_e: int) -> InputSignal:
     return InputSignal(kind="zero", m_e=m_e)
 

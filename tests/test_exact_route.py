@@ -2,9 +2,9 @@
 
 A solve on the exact route is the element of ``enumerate_fibre_exact``'s
 fibre nearest the warm start, with u = f(t, y) and the residual of that y.
-``solve_output`` takes a one-point fibre without building its ``FibreSet``
-and remembers its route between calls; both must leave every bit as the
-definition gives it.
+``solve_output`` takes a one-point fibre without building its ``FibreSet``;
+a run's stage resolves its route once and takes the exact route without
+``solve_output``.  Both must leave every bit as the definition gives it.
 """
 
 import types
@@ -12,10 +12,12 @@ import types
 import numpy as np
 import pytest
 
-from luresim import (SolveOptions, SystemMatrices, enumerate_fibre_exact,
-                     normalized_gain, parabolic_band, radial_three_zone,
-                     residual_norm, solve_output)
-from luresim import output_solver
+from luresim import (ConfigurationError, SolveOptions, SystemMatrices,
+                     enumerate_fibre_exact, normalized_gain, parabolic_band,
+                     radial_three_zone, residual_norm, solve_output,
+                     zero_input)
+from luresim import integrator
+from luresim.output_solver import _checked
 
 
 def _system(D) -> SystemMatrices:
@@ -53,7 +55,40 @@ def _assert_as_defined(sys, f, t, w, guess, opts=None):
     assert _bits(sol.y) == _bits(y) and _bits(sol.u) == _bits(u)
     floats = sys.D.shape == (1, 1) and type(guess) is float
     assert (type(sol.y) is float, type(sol.u) is float) == (floats, floats)
+    _assert_stage_as_solve(sys, f, t, w, guess, opts)
     return sol
+
+
+def _stages(sys, f, opts):
+    """A run's stage on each form of the plant of a system whose output
+    target is its state: C = I, no input."""
+    run_sys = _system(sys.D)
+    plants = [integrator._plant(run_sys, zero_input(1))]
+    if run_sys.dims == (1, 1, 1, 1):
+        plants.append(integrator._Plant(run_sys, zero_input(1)))
+    return [integrator._SolvingStage(plant, f, _checked(opts))
+            for plant in plants]
+
+
+def _assert_stage_as_solve(sys, f, t, w, guess, opts):
+    """The stage gives ``solve_output``'s (y, u, multiple) bit for bit, or
+    fails with its certificate."""
+    for stage in _stages(sys, f, opts):
+        plant = stage.plant
+        x, y_prev = (plant.value(np.asarray(z, dtype=float).reshape(-1))
+                     for z in (w, guess))
+        target = plant.target(x, plant.input(t))
+        sol = solve_output(plant.sys, f, t, target, y_prev, opts)
+        if sol.y is None:
+            with pytest.raises(integrator._StageFailure) as failure:
+                stage(t, x, y_prev)
+            assert failure.value.certificate == sol.certificate
+            continue
+        y, u, _, _ = stage(t, x, y_prev)
+        for got, want in ((y, plant.value(sol.y)), (u, plant.value(sol.u))):
+            assert type(got) is type(want) and _bits(got) == _bits(want)
+        assert stage.multiple == (sol.status == "multiple")
+        stage.multiple = False
 
 
 def _draws(rng, n: int, p: int, scale: float, t_max: float):
@@ -136,8 +171,7 @@ def test_constructed_maps_as_defined(f, d, statuses):
 
 
 def _fresh(sys, f, t, w, guess, opts):
-    """``solve_output`` with no route remembered."""
-    output_solver._last_enumerator = (None, None, None)
+    """``solve_output``, which resolves its route at every call."""
     return solve_output(sys, f, t, w, guess, opts)
 
 
@@ -196,3 +230,38 @@ def test_system_matrices_own_their_entries():
     sys = _system(D)
     D[0] = 1.0
     assert sys.D[0, 0] == 0.5 and not sys.D.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["ex3b", "sec42b", "ex4a"])
+def test_stage_rejects_a_non_finite_target_as_solve_output_does(entry, name):
+    e = entry(name)
+    for stage in _stages(e.system, e.nonlinearity, SolveOptions()):
+        p = stage.plant.sys.dims[3]
+        x, y_prev = stage.plant.value(np.full(p, np.nan)), stage.plant.value(np.zeros(p))
+        with pytest.raises(ConfigurationError) as want:
+            solve_output(stage.plant.sys, e.nonlinearity, 0.0, x, y_prev)
+        with pytest.raises(ConfigurationError) as got:
+            stage(0.0, x, y_prev)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", ["ex3b", "sec42b", "ex4b"])
+def test_stage_without_structure_takes_the_newton_route(entry, monkeypatch, name):
+    e = entry(name)
+    numeric = SolveOptions(use_structure=False)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(solve_output(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(integrator, "solve_output", counted)
+    p = e.system.dims[3]
+    w, guess = np.full(p, 0.3), np.full(p, 0.5)
+    for stage in _stages(e.system, e.nonlinearity, numeric):
+        assert stage.route is None
+        x, y_prev = stage.plant.value(w), stage.plant.value(guess)
+        y, u, _, _ = stage(0.0, x, y_prev)
+        sol = solves[-1]
+        assert sol.status == "unique_point" and sol.iterations > 0
+        assert _bits(y) == _bits(sol.y) and _bits(u) == _bits(sol.u)

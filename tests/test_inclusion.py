@@ -285,13 +285,13 @@ def test_rk4_inclusion_enumerates_each_stage_fibre_once(entry, monkeypatch):
     # stages and the landing point) plus the initial one
     e = entry("sec42a")
     calls = []
-    enumerate_exact = inclusion.enumerate_fibre_exact
+    exact_fibre = inclusion._exact_fibre
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
-        return enumerate_exact(*args, **kwargs)
+        calls.append(args[1])
+        return exact_fibre(*args, **kwargs)
 
-    monkeypatch.setattr(inclusion, "enumerate_fibre_exact", counting)
+    monkeypatch.setattr(inclusion, "_exact_fibre", counting)
     rec = simulate_inclusion(e.system, e.nonlinearity, e.input, 0.0, e.x0,
                              SelectionPolicy.nearest_previous(),
                              InclusionOptions(method="rk4", dt=1e-3, tmax=0.1))
@@ -307,13 +307,13 @@ def test_fold_free_map_skips_fold_landing(entry, monkeypatch):
     # them, and the run needs about one fibre per attempted step
     e = entry("ex3d")
     calls = []
-    enumerate_exact = inclusion.enumerate_fibre_exact
+    exact_fibre = inclusion._exact_fibre
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
-        return enumerate_exact(*args, **kwargs)
+        calls.append(args[1])
+        return exact_fibre(*args, **kwargs)
 
-    monkeypatch.setattr(inclusion, "enumerate_fibre_exact", counting)
+    monkeypatch.setattr(inclusion, "_exact_fibre", counting)
     rec = simulate_inclusion(e.system, e.nonlinearity, e.input, e.t0, e.x0,
                              SelectionPolicy.nearest_previous(),
                              InclusionOptions(method="euler", dt=1e-3,

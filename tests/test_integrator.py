@@ -129,15 +129,20 @@ def test_output_equation_consistency(entry, rng):
 def test_rk4_solves_each_stage_point_once(entry, monkeypatch):
     # stage 1 reuses the accepted point's output: four solves per step
     # (three stages and the landing point) plus the initial one
+    # (an exact-route stage solves through _exact_choice, a Newton-route
+    # one through solve_output)
     e = entry("sec42c")
     calls = []
-    solve = integrator.solve_output
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return solve(*args, **kwargs)
+    def counting(solve):
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(integrator, "solve_output", counting)
+    for name in ("solve_output", "_exact_choice"):
+        monkeypatch.setattr(integrator, name,
+                            counting(getattr(integrator, name)))
     rec = simulate(e.system, e.nonlinearity, e.input, 0.0, e.x0,
                    SimOptions(method="rk4_fixed", dt=1e-3, tmax=0.2))
     steps = rec.n_samples - 1
@@ -291,6 +296,46 @@ def test_csv_and_summary_emission(tmp_path, entry):
     assert summary == summary_dict(rec) | {"bracket": summary["bracket"]}
 
 
+def _csv_per_value(record) -> str:
+    """The CSV as formatted one value at a time, ``format(v, '.17g')``."""
+    n, p, m = (a.shape[1] if record.n_samples else 0
+               for a in (record.x, record.y, record.u))
+    header = (["t"] + [f"x_{i+1}" for i in range(n)]
+              + [f"y_{i+1}" for i in range(p)]
+              + [f"u_{i+1}" for i in range(m)] + ["residual"])
+    if record.branches is not None:
+        header.append("branch")
+    lines = [",".join(header)]
+    for i in range(record.n_samples):
+        values = ([record.times[i], *record.x[i], *record.y[i], *record.u[i],
+                   record.residuals[i]])
+        row = [format(float(v), ".17g") for v in values]
+        if record.branches is not None:
+            row.append(str(int(record.branches[i])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("samples", [0, 1, 7, integrator._CSV_BLOCK + 3])
+@pytest.mark.parametrize("with_branches", [False, True])
+def test_csv_bytes_equal_per_value_formatting(tmp_path, samples, with_branches):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                1e308, 0.1, 1.0 / 3.0, -2.5, 123456789.0, 1e-7, 1e22]
+    rng = np.random.default_rng(11)
+    # every special value once the record has two or more samples
+    values = rng.permutation(np.resize(specials, samples * 7)).reshape(samples, 7)
+    record = integrator.TrajectoryRecord(
+        times=values[:, 0], x=values[:, 1:3], y=values[:, 3:4],
+        u=values[:, 4:6], residuals=values[:, 6],
+        termination=integrator.Termination(kind="reached_tmax", time=1.0),
+        y_integral=np.zeros(samples), u_integral=np.zeros(samples),
+        branches=(rng.integers(-1, 12, size=samples) if with_branches
+                  else None))
+    path = tmp_path / "run.csv"
+    write_csv(record, path)
+    assert path.read_bytes() == _csv_per_value(record).encode()
+
+
 def test_summary_reports_termination_fields(entry):
     e = entry("ex3b")
     rec = simulate(e.system, e.nonlinearity, e.input, 0.0, e.x0,
@@ -321,10 +366,12 @@ def test_scalar_plant_matches_array_products(rng):
         arrays = integrator._Plant(sys, None)
         X, Y, U, V = (np.array([z]) for z in (x, y, u, vt))
         x, y, u, vt = float(x), float(y), float(u), float(vt)
-        assert _same_bits(floats.target(x, vt), arrays.target(X, V))
-        assert _same_bits(floats.slope(x, u, vt), arrays.slope(X, U, V))
-        assert _same_bits(floats.residual(x, y, u, vt),
-                          arrays.residual(X, Y, U, V))
+        terms, TERMS = floats.terms(vt), arrays.terms(V)
+        assert all(map(_same_bits, terms, TERMS))
+        assert _same_bits(floats.target(x, terms), arrays.target(X, TERMS))
+        assert _same_bits(floats.slope(x, u, terms), arrays.slope(X, U, TERMS))
+        assert _same_bits(floats.residual(x, y, u, terms),
+                          arrays.residual(X, Y, U, TERMS))
         if c * c != 0.0:
             assert _same_bits(floats.shift_target(x, vt),
                               arrays.shift_target(X, float(vt)))

@@ -9,7 +9,7 @@ on the parent and on the change::
 ``--only REGEX`` digests only the lines whose name matches REGEX
 (``re.search``): ``--only '^inclusion/'`` takes the exact-route runs in
 seconds, ``--only 'ex3c|sec42a'`` two entries, ``--only '^solve/'`` the
-Newton-route solves.
+Newton-route solves, ``--only '^emit/'`` the emitted files alone.
 
 The grid:
 
@@ -35,6 +35,11 @@ Newton from the warm start fails: for every entry, 12 seeded (t, w,
 y_guess) draws with ``max_iter`` 1 and 100.  A line reads ``<solve>
 <outcome> <iterations>``, the outcome digesting status, y, u, residual,
 the number of fibre elements and the certificate.
+
+Last come the emitted files: a line ``emit/<run> <digest>`` per
+``simulate`` and ``simulate_inclusion`` run digests the bytes that
+``write_csv`` and ``write_summary_json`` write for its record (the error,
+as above, for a run that raises).
 """
 
 from __future__ import annotations
@@ -42,8 +47,10 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import re
 import sys
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -74,19 +81,33 @@ def _entry(name: str):
     return luresim.build_example(name)
 
 
-def _line(name: str, run) -> str:
+def _emitted(record) -> str:
+    """SHA-256 of the bytes write_csv and then write_summary_json write."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for write in (luresim.write_csv, luresim.write_summary_json):
+            path = os.path.join(tmp, "out")
+            write(record, path)
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
+def _line(name: str, run) -> tuple[str, str]:
+    """The run's line and the digest of its emitted files; on an error,
+    the error in place of both."""
     try:
         record, escape = run()
     except luresim.LuresimError as exc:
-        return f"{name} error {type(exc).__name__}: {exc}"
+        error = f"error {type(exc).__name__}: {exc}"
+        return f"{name} {error}", error
     counts = Counter(fl for fl in record.flags if fl)
     flags = ",".join(f"{k}:{counts[k]}" for k in sorted(counts)) or "-"
     return (f"{name} {_digest(record, escape, True)} "
-            f"{_digest(record, escape, False)} {flags}")
+            f"{_digest(record, escape, False)} {flags}", _emitted(record))
 
 
-def _simulate(label: str, name: str, method: str,
-              use_structure: bool = True) -> str:
+def _simulate(name: str, method: str, use_structure: bool = True):
     entry = _entry(name)
 
     def run():
@@ -101,11 +122,11 @@ def _simulate(label: str, name: str, method: str,
                 record, entry.system, entry.nonlinearity, entry.input,
                 time_tol=1e-7, opts=opts)
         return record, escape
-    return _line(label, run)
+    return run
 
 
-def _inclusion(label: str, name: str, method: str, policy: str) -> str | None:
-    """The run's line; None for an entry without exact fibres."""
+def _inclusion(name: str, method: str, policy: str):
+    """The run; None for an entry without exact fibres."""
     entry = _entry(name)
     if not luresim.exact_structure_available(entry.nonlinearity,
                                              entry.system.D):
@@ -118,7 +139,7 @@ def _inclusion(label: str, name: str, method: str, policy: str) -> str | None:
             entry.system, entry.nonlinearity, entry.input, entry.t0,
             entry.x0, luresim.SelectionPolicy.parse(policy), opts)
         return record, None
-    return _line(label, run)
+    return run
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,25 +164,21 @@ def _solve(label: str, name: str, max_iter: int, k: int) -> str:
     return f"{label} {h.hexdigest()} {sol.iterations}"
 
 
-def _grid():
-    """(line name, function, arguments) of every line, in print order."""
+def _runs():
+    """(line name, run or None) of every run, in print order."""
     names = luresim.EXAMPLE_NAMES
     for name in names:
         for method in ("rk4_fixed", "rk45_adaptive"):
-            yield f"simulate/{name}/{method}", _simulate, (name, method)
+            yield f"simulate/{name}/{method}", _simulate(name, method)
     for name in ("ex4a", "ex4b", "ex4c"):
         for method in ("rk4_fixed", "rk45_adaptive"):
-            yield (f"simulate-newton/{name}/{method}", _simulate,
-                   (name, method, False))
+            yield (f"simulate-newton/{name}/{method}",
+                   _simulate(name, method, False))
     for name in names:
         for method in ("euler", "rk4"):
             for policy in POLICIES:
-                yield (f"inclusion/{name}/{method}/{policy}", _inclusion,
-                       (name, method, policy))
-    for name in names:
-        for max_iter in (1, 100):
-            for k in range(12):
-                yield f"solve/{name}/{max_iter}/{k}", _solve, (name, max_iter, k)
+                yield (f"inclusion/{name}/{method}/{policy}",
+                       _inclusion(name, method, policy))
 
 
 def main(argv=None) -> int:
@@ -171,11 +188,22 @@ def main(argv=None) -> int:
                              "REGEX (default: all)")
     args = parser.parse_args(argv)
     pattern = re.compile(args.only)
-    for label, line_of, line_args in _grid():
-        if pattern.search(label):
-            line = line_of(label, *line_args)
-            if line is not None:
-                print(line, flush=True)
+    emitted = {}            # the emit digest of each run whose line printed
+    for label, run in _runs():
+        if run is not None and pattern.search(label):
+            line, emitted[label] = _line(label, run)
+            print(line, flush=True)
+    for name in luresim.EXAMPLE_NAMES:
+        for max_iter in (1, 100):
+            for k in range(12):
+                label = f"solve/{name}/{max_iter}/{k}"
+                if pattern.search(label):
+                    print(_solve(label, name, max_iter, k), flush=True)
+    for label, run in _runs():
+        if run is not None and pattern.search(f"emit/{label}"):
+            if label not in emitted:
+                emitted[label] = _line(label, run)[1]
+            print(f"emit/{label} {emitted.pop(label)}", flush=True)
     return 0
 
 
