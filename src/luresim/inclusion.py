@@ -6,17 +6,18 @@ inclusion.  The measurable-selection argument that gives existence is
 non-constructive; the deterministic policies here are its constructive
 stand-in, and they reproduce distinct solutions from one initial state.
 
-Branch bookkeeping: fibre elements are sorted by (norm, entries), so
-``fixed_branch`` is deterministic across runs.  A selection that moves by
-more than ``jump_tol * max(1, ||y||)`` in one step (y the previous
-output), or whose fibre empties, is an event: where the exact scalar
-structure is available the step is bisected onto the fold of the output
-map and the state is landed there exactly, otherwise the jump is taken
-and flagged, never silent.
+Fibre elements are sorted by (norm, entries), so ``fixed_branch`` is
+deterministic.  A selection that moves by more than ``jump_tol * max(1,
+||y||)`` in one step (y the previous output), or whose fibre empties, is
+an event: with exact scalar structure the step is bisected onto the fold
+of the output map and the state landed there exactly, else the jump is
+taken and flagged, never silent.
 
 ``simulate_inclusion`` runs the one stepping loop, ``integrator._integrate``;
 its ``advance`` hook holds the jump test, the fold landing and the limit
-on consecutive landings, and its stage records the selected branch.
+on consecutive landings.  Its stage records the branch that ``_choose``,
+the policies' one routine, selects: from the raw floats of the fibre of
+a piecewise-scalar map, without a ``FibreSet``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .nonlinearity import (Nonlinearity, _eval_resolved, all_finite, row_norms,
                            vec_norm)
 from .output_solver import (FibreSet, SolveOptions, _as_float, _brentq,
                             _checked, _evaluate, _exact_fibre, _exact_route,
-                            _exact_target, enumerate_fibre_exact,
+                            _exact_target, _float_elements, _nearest_float,
+                            _scalar_target, enumerate_fibre_exact,
                             enumerate_fibre_multistart)
 from .system import SystemMatrices
 
@@ -51,6 +53,8 @@ class SelectionPolicy:
             raise ConfigurationError(f"unknown selection policy {self.kind!r}")
         if self.kind == "segment_parameter" and not 0.0 <= self.s <= 1.0:
             raise ConfigurationError("segment parameter must lie in [0, 1]")
+        if self.kind == "fixed_branch" and self.index < 0:
+            raise ConfigurationError(f"fixed_branch index must be >= 0, got {self.index}")
 
     @classmethod
     def nearest_previous(cls):
@@ -74,16 +78,23 @@ class SelectionPolicy:
 
     @classmethod
     def parse(cls, text: str) -> "SelectionPolicy":
-        name, _, arg = text.partition(":")
-        if name == "fixed_branch":
-            return cls.fixed_branch(int(arg or 0))
-        if name == "segment_parameter":
-            return cls.segment_parameter(float(arg or 0.5))
-        return cls(kind=name)
+        """``name[:argument]``; raises ConfigurationError naming the text."""
+        name, colon, arg = text.partition(":")
+        try:
+            if name == "fixed_branch":
+                return cls.fixed_branch(int(arg or 0))
+            if name == "segment_parameter":
+                return cls.segment_parameter(float(arg or 0.5))
+            if colon:
+                raise ValueError(f"{name} takes no argument")
+            return cls(kind=name)
+        except (ValueError, ConfigurationError) as exc:
+            raise ConfigurationError(
+                f"bad selection policy {text!r}: {exc}") from None
 
 
-def _element_value(kind: str, payload, policy: SelectionPolicy):
-    if kind == "point":
+def _element_value(payload, policy: SelectionPolicy):
+    if type(payload) is not tuple:
         return payload
     a, b = payload
     if policy.kind == "max_norm":
@@ -106,32 +117,39 @@ def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
     Raises EmptyFibreError on an empty fibre; that signal propagates to the
     integrator as loss of existence.
     """
-    if fib.empty:
+    if fib._floats is not None and fib._ray is None:        # floats on the line
+        return _choose(fib._ordered, policy, prev_y)
+    elements = fib._ordered if fib._ray is None else [e for _, e in fib.elements()]
+    return _choose(elements, policy, prev_y, fib.nearest)
+
+
+def _choose(elements, policy: SelectionPolicy, prev_y, nearest=None) -> tuple:
+    """(value, index) that ``policy`` picks from a fibre's elements in order
+    (points, segments as (a, b)), the first on a tie: floats on the line, or
+    any, with ``nearest(target)`` giving the (value, distance, index)."""
+    if not elements:
         raise EmptyFibreError("fibre is empty")
-
-    if policy.kind == "nearest_previous":
-        if prev_y is None:
+    kind = policy.kind
+    if kind == "nearest_previous" or kind == "min_norm":
+        if kind == "nearest_previous" and prev_y is None:
             raise ConfigurationError("nearest_previous requires a previous output")
-        value, _, idx = fib.nearest(prev_y)
+        target = prev_y if kind == "nearest_previous" else 0.0     # 0: the origin
+        value, _, idx = (nearest(target) if nearest
+                         else _nearest_float(elements, _as_float(target)))
         return value, idx
 
-    if policy.kind == "min_norm":
-        value, _, idx = fib.nearest(0.0)     # the origin, broadcast to length p
-        return value, idx
-
-    elements = fib.elements()
-    if policy.kind == "fixed_branch":
-        if not 0 <= policy.index < len(elements):
+    if kind == "fixed_branch":
+        idx = policy.index
+        if not 0 <= idx < len(elements):
             raise ConfigurationError(
-                f"fixed_branch index {policy.index} out of range "
+                f"fixed_branch index {idx} out of range "
                 f"(fibre has {len(elements)} elements)"
             )
-        idx = policy.index
-        value = _element_value(*elements[idx], policy)
+        value = _element_value(elements[idx], policy)
 
-    elif policy.kind == "segment_parameter":
-        for idx, (kind, payload) in enumerate(elements):
-            if kind == "segment":
+    elif kind == "segment_parameter":
+        for idx, payload in enumerate(elements):
+            if type(payload) is tuple:
                 a, b = payload
                 if not (all_finite(a) and all_finite(b)):
                     raise ConfigurationError(
@@ -141,8 +159,7 @@ def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
         raise ConfigurationError("segment_parameter policy needs a segment fibre")
 
     else:                                    # max_norm, the first on a tie
-        values = [_element_value(kind, payload, policy)
-                  for kind, payload in elements]
+        values = [_element_value(payload, policy) for payload in elements]
         idx = max(range(len(values)), key=lambda i: vec_norm(values[i]))
         value = values[idx]
     return (value if type(value) is float else np.array(value, dtype=float)), idx
@@ -222,6 +239,7 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     plant = _plant(sys, v)
     rec = _Recorder(plant, with_branches=True)
     exact = _exact_route(f, sys.D, fibre_opts)
+    on_line = exact is not None and f.kind == "piecewise_scalar"
     p = sys.dims[3]
     branch = -1                        # index of the last selection
 
@@ -238,7 +256,12 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     def stage(t: float, x, y_prev):
         nonlocal branch
         terms = plant.input(t)
-        y, branch = select_from_fibre(fibre(t, x, terms), policy, prev_y=y_prev)
+        if on_line:     # the fibre's raw floats, chosen from without a FibreSet
+            w = _scalar_target(plant.target(x, terms))
+            raw = exact[1](f, exact[0], t, w, fibre_opts.tol_sep)
+            y, branch = _choose(_float_elements(*raw), policy, y_prev)
+        else:
+            y, branch = select_from_fibre(fibre(t, x, terms), policy, y_prev)
         u = _evaluate(f, t, y)
         y, u = plant.value(y), plant.value(u)
         return y, u, plant.slope(x, u, terms), terms

@@ -33,6 +33,7 @@ point.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .nonlinearity import all_finite, vec_norm
+from .nonlinearity import all_finite, row_norms, vec_norm
 from .output_solver import (SolveOptions, _as_float, _checked, _evaluate,
                             _exact_choice, _exact_route, _range_exclusion,
                             _scalar_target, _target, solve_output)
@@ -176,10 +177,6 @@ class _Plant:
         sys = self.sys
         return vec_norm(y - sys.D @ u - sys.C @ x - terms[0])
 
-    def keep(self, value) -> np.ndarray:
-        """A copy of a value for the record."""
-        return np.array(value, dtype=float)
-
     def shift_target(self, x, r: float):
         """x moved along C^T so that the (scalar) target C x grows by r."""
         c_row = self.sys.C[0]
@@ -214,9 +211,6 @@ class _ScalarPlant(_Plant):
     def residual(self, x: float, y: float, u: float, terms) -> float:
         r = y - (0.0 + self.d * u) - (0.0 + self.c * x) - terms[0]
         return math.sqrt(r * r)
-
-    def keep(self, value: float) -> float:
-        return value
 
     def shift_target(self, x: float, r: float) -> float:
         return x + self.c * (r / (self.c * self.c))
@@ -306,7 +300,8 @@ def _initial_guess(sys: SystemMatrices, f, t0: float, w0: np.ndarray) -> np.ndar
 
 
 class _Recorder:
-    """The accepted samples of one run, in the plant's values."""
+    """The accepted samples of one run, in the plant's values, which the
+    loop hands in fresh; x0 alone may be a view of the caller's array."""
 
     def __init__(self, plant: _Plant, with_branches: bool = False):
         self.plant, self.with_branches = plant, with_branches
@@ -315,48 +310,39 @@ class _Recorder:
         self.ys: list[np.ndarray] = []
         self.us: list[np.ndarray] = []
         self.residuals: list[float] = []
-        self.y_int: list[float] = []
-        self.u_int: list[float] = []
         self.flags: list[str] = []
         self.branches: list[int] = []
-        self._norms = (0.0, 0.0)          # (||y||, ||u||) of the last sample
 
     def push(self, t, x, y, u, terms, flag="", branch=-1):
         """Record a sample with u = f(t, y) and the input terms at t; its
         residual is ||y - D u - C x - D_e v(t)||."""
-        plant = self.plant
-        resid = plant.residual(x, y, u, terms)
-        y, u = plant.keep(y), plant.keep(u)
-        ynorm, unorm = vec_norm(y), vec_norm(u)
-        if self.times:
-            dt = t - self.times[-1]
-            ylast, ulast = self._norms
-            self.y_int.append(self.y_int[-1] + 0.5 * dt * (ylast + ynorm))
-            self.u_int.append(self.u_int[-1] + 0.5 * dt * (ulast + unorm))
-        else:
-            self.y_int.append(0.0)
-            self.u_int.append(0.0)
-        self._norms = (ynorm, unorm)
+        self.residuals.append(self.plant.residual(x, y, u, terms))
+        self.xs.append(x if self.times else copy.copy(x))
         self.times.append(float(t))
-        self.xs.append(plant.keep(x))
         self.ys.append(y)
         self.us.append(u)
-        self.residuals.append(resid)
         self.flags.append(flag)
         self.branches.append(branch)
 
     def build(self, termination: Termination) -> TrajectoryRecord:
         n, m, _, p = self.plant.sys.dims
         count = len(self.times)
+        times = np.array(self.times)
+        y = np.array(self.ys).reshape(count, p)
+        u = np.array(self.us).reshape(count, m)
+        # running trapezoidal integrals of ||y||, ||u||; cumsum is sequential
+        norms = np.array([row_norms(y), row_norms(u)])
+        steps = 0.5 * np.diff(times) * (norms[:, :-1] + norms[:, 1:])
+        integrals = np.cumsum(np.hstack([np.zeros((2, 1)), steps]), axis=1)
         return TrajectoryRecord(
-            times=np.array(self.times),
+            times=times,
             x=np.array(self.xs).reshape(count, n),
-            y=np.array(self.ys).reshape(count, p),
-            u=np.array(self.us).reshape(count, m),
+            y=y,
+            u=u,
             residuals=np.array(self.residuals),
             termination=termination,
-            y_integral=np.array(self.y_int),
-            u_integral=np.array(self.u_int),
+            y_integral=integrals[0, :count],
+            u_integral=integrals[1, :count],
             branches=(np.array(self.branches, dtype=int)
                       if self.with_branches else None),
             flags=self.flags,
@@ -441,7 +427,7 @@ def _integrate(rec: _Recorder, opts, t: float, x, y, k, h: float,
         if sample is None:
             continue
         t, x, y, u, k, terms, branch, flag = sample
-        rec.push(t, x, y, u, terms, flag=flag, branch=branch)
+        rec.push(t, x, y, u, terms, flag, branch)
         fail_h = None
         if vec_norm(x) > opts.blowup_threshold:
             return Termination(kind="blow_up", time=t,

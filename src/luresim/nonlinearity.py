@@ -259,6 +259,8 @@ class Nonlinearity:
                                [pc.at(0.0) for pc in pieces])
         else:
             object.__setattr__(self, "_static_resolved", None)
+        # (d.hex(), (piece, image lo, hi) of x - d g(x)), set by output_solver
+        object.__setattr__(self, "_images", None)
         object.__setattr__(self, "_memo", _PerTime(
             lambda t: [pc.at(t) for pc in pieces]))
 

@@ -149,12 +149,12 @@ class FibreSet:
         self.exact, self.t, self._w = exact, t, w
         self._points, self._segments = tuple(points), tuple(segments)
         self._floats = self._ray = None
-        items = [((vec_norm(pt), tuple(pt.tolist())), "point", pt)
-                 for pt in self._points]
+        items = [((vec_norm(pt), tuple(pt.tolist())), pt) for pt in self._points]
         for a, b in self._segments:
             rep = a if not all_finite(b) else 0.5 * (a + b)
-            items.append(((vec_norm(rep), tuple(rep.tolist())), "segment", (a, b)))
-        self._ordered = _in_order(items)
+            items.append(((vec_norm(rep), tuple(rep.tolist())), (a, b)))
+        items.sort(key=_SORT_KEY)
+        self._ordered = tuple([item[1] for item in items])   # segments as pairs
 
     @classmethod
     def of_floats(cls, points: list[float], segments: list[tuple[float, float]],
@@ -168,11 +168,7 @@ class FibreSet:
         fib._points = fib._segments = None
         fib._ray = _ray(w) if isinstance(w, np.ndarray) else None
         fib._floats = (points, segments)
-        items = [((math.sqrt(x * x), x), "point", x) for x in points]
-        for lo, hi in segments:
-            rep = lo if not math.isfinite(hi) else 0.5 * (lo + hi)
-            items.append(((math.sqrt(rep * rep), rep), "segment", (lo, hi)))
-        fib._ordered = _in_order(items)
+        fib._ordered = tuple(_float_elements(points, segments))
         return fib
 
     def _vector(self, x: float) -> np.ndarray:
@@ -220,11 +216,9 @@ class FibreSet:
 
     def elements(self) -> list[tuple[str, object]]:
         """Deterministic ordering: sort by (norm of representative, entries)."""
-        if self._ray is None:
-            return list(self._ordered)
-        return [(kind, self._vector(payload) if kind == "point"
-                 else tuple(map(self._vector, payload)))
-                for kind, payload in self._ordered]
+        vector = self._vector if self._ray is not None else (lambda e: e)
+        return [("segment", tuple(map(vector, e))) if type(e) is tuple
+                else ("point", vector(e)) for e in self._ordered]
 
     def nearest(self, target) -> tuple:
         """Closest fibre element to target: (value, distance, element index).
@@ -243,22 +237,15 @@ class FibreSet:
             else:       # the nearest s u is the s nearest target's coordinate
                 target = np.asarray(target, dtype=float).reshape(-1)
                 x = float(np.sum(target * ray))
-            best = None
-            for idx, (kind, payload) in enumerate(self._ordered):
-                cand = payload if kind == "point" else min(max(x, payload[0]),
-                                                           payload[1])
-                diff = cand - x
-                dist = math.sqrt(diff * diff)
-                if best is None or dist < best[1]:
-                    best = (cand, dist, idx)
+            best = _nearest_float(self._ordered, x)
             if ray is None:
                 return best
             y = best[0] * ray
             return y, vec_norm(y - target), best[2]
         target = np.asarray(target, dtype=float).reshape(-1)
         best = None
-        for idx, (kind, payload) in enumerate(self._ordered):
-            if kind == "point":
+        for idx, payload in enumerate(self._ordered):
+            if type(payload) is not tuple:
                 cand = payload
             else:                               # an interval of length-one vectors
                 cand = np.array([min(max(float(target[0]), float(payload[0][0])),
@@ -286,10 +273,27 @@ def _ray(w: np.ndarray) -> np.ndarray:
     return w / rho if rho else _identity(w.size)[0]
 
 
-def _in_order(items) -> tuple:
-    """(kind, payload) of each (key, kind, payload) item, sorted stably by key."""
-    items.sort(key=_SORT_KEY)
-    return tuple([item[1:] for item in items])
+def _float_elements(points: list[float], segments: list) -> list:
+    """The float points and (lo, hi) intervals of a fibre in its order: by
+    (norm, value) of a point or an interval's midpoint (lo if hi = inf)."""
+    return sorted(points + segments, key=_float_key) if segments or points[1:] else points
+
+
+def _float_key(e) -> tuple[float, float]:
+    x = e if type(e) is not tuple else e[0] if not math.isfinite(e[1]) else 0.5 * (e[0] + e[1])
+    return math.sqrt(x * x), x
+
+
+def _nearest_float(elements, x: float) -> tuple:
+    """(value, distance, index) of the float point or (lo, hi) nearest x."""
+    best = None
+    for idx, el in enumerate(elements):
+        cand = min(max(x, el[0]), el[1]) if type(el) is tuple else el
+        diff = cand - x
+        dist = math.sqrt(diff * diff)
+        if best is None or dist < best[1]:
+            best = (cand, dist, idx)
+    return best
 
 
 def _allclose_float(a: float, b: float) -> bool:
@@ -563,16 +567,6 @@ def _halton_offsets(p: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     z.setflags(write=False)
     scale.setflags(write=False)
     return z, scale
-
-
-def _cluster_scalar_sorted(values: list[float], tol: float) -> list[list[float]]:
-    groups: list[list[float]] = []
-    for v in sorted(values):
-        if groups and v - groups[-1][-1] <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return groups
 
 
 def _cluster_vectors(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
@@ -888,6 +882,32 @@ def _piece_roots_for_target(pc, d: float, target: float):
     return pts, []
 
 
+def _piece_image(pc, d: float) -> tuple[float, float]:
+    """The targets w for which ``_piece_roots_for_target`` may find a root
+    on the static piece pc: F = x - d pc(x) over the piece widened by twice
+    ``_in_interval``'s tolerance (a flat F: its level), widened by 2 EXACT_TOL
+    and 64 eps times the size of F's terms and b^2 / |a| (root rounding, the
+    discriminant slack).  Arctan, near-linear (branch set by w), NaN: any w."""
+    lo, hi, c0, c1, c2, atan_coeff = pc
+    a, b, dc0 = -d * c2, 1.0 - d * c1, d * c0
+    if atan_coeff or (abs(a) <= 1e-12 * max(1.0, abs(b)) if a else 1e-14 < abs(b) <= 1e-12):
+        return -math.inf, math.inf
+    xs = ([lo - 2e-12 * max(1.0, abs(lo)), hi + 2e-12 * max(1.0, abs(hi))]
+          if a or abs(b) > 1e-14 else [0.0])
+    if a and xs[0] < -b / (2.0 * a) < xs[1]:
+        xs.append(-b / (2.0 * a))           # the vertex
+    # at an infinite end, F's limit: a x^2 leads, else b x
+    values = [(a * x + b) * x - dc0 if math.isfinite(x)
+              else math.copysign(math.inf, a) if a else b * x for x in xs]
+    size = abs(dc0) + sum(abs(v) + abs(a) * x * x + abs(b * x)
+                          for x, v in zip(xs, values) if math.isfinite(x))
+    slack = 2.0 * EXACT_TOL + 64.0 * _EPS * (size + ((b * b + abs(b)) / abs(a) if a else 0.0))
+    image = (min(values) - slack, max(values) + slack)
+    if any(map(math.isnan, values)) or not image[0] <= image[1]:
+        return -math.inf, math.inf
+    return image
+
+
 def _in_interval(x: float, lo: float, hi: float) -> bool:
     tol = 1e-12 * max(1.0, abs(x))
     return (lo - tol) <= x <= (hi + tol)
@@ -904,16 +924,18 @@ def _assemble_scalar_fibre(point_vals: list[float],
     """
     if not segment_vals and len(point_vals) < 2:
         return list(point_vals), []         # nothing to merge
-    pts: list[float] = []
-    for group in _cluster_scalar_sorted(point_vals, 2.0 * tol_sep):
-        if group[0] == group[-1]:
-            pts.append(group[0])
-            continue
-        candidates = group + [0.5 * (group[0] + group[-1])]
-        best = min(candidates, key=lambda x: abs(resid_of(x)))
-        pts.append(best)
+    groups: list[list[float]] = []
+    for x in sorted(point_vals):
+        if groups and x - groups[-1][-1] <= 2.0 * tol_sep:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    # ascending and distinct, as the groups are
+    pts = [g[0] if g[0] == g[-1]
+           else min(g + [0.5 * (g[0] + g[-1])], key=lambda x: abs(resid_of(x)))
+           for g in groups]
     if not segment_vals:
-        return sorted(set(pts)), []
+        return pts, []
     segs: list[tuple[float, float]] = []
     for lo, hi in sorted(segment_vals):
         if segs and lo <= segs[-1][1] + 1e-9:
@@ -991,9 +1013,16 @@ def _scalar_fibre(f: Nonlinearity, d: float, t: float, w,
     the level |w|."""
     level = vec_norm(w) if f.kind == "radial" else w
     pieces = f.resolved_structure(t)
+    candidates = pieces
+    if f._static_resolved is not None:      # skip pieces whose image excludes w
+        kept = f._images                    # (d.hex(), (piece, lo, hi) triples)
+        if kept is None or kept[0] != d.hex():
+            kept = (d.hex(), [(pc, *_piece_image(pc, d)) for pc in pieces])
+            object.__setattr__(f, "_images", kept)
+        candidates = [pc for pc, lo, hi in kept[1] if lo <= level <= hi]
     pts_raw: list[float] = []
     segs_raw: list[tuple[float, float]] = []
-    for pc in pieces:
+    for pc in candidates:
         pts, segs = _piece_roots_for_target(pc, d, level)
         pts_raw.extend(pts)
         segs_raw.extend(segs)

@@ -291,6 +291,19 @@ def test_cli_inclusion_rejects_method_it_lacks(tmp_path, entry, capsys, method):
     assert not (tmp_path / "rejected.csv").exists()
 
 
+@pytest.mark.parametrize("policy", ["fixed_branch:x", "segment_parameter:abc",
+                                    "fixed_branch:-1", "nearest_previous:3"])
+def test_cli_inclusion_bad_policy_exits_2_naming_it(tmp_path, entry, capsys,
+                                                    policy):
+    cfg = _write_config(tmp_path, entry("ex3c"), "ex3c")
+    code = main(["simulate", "--system", str(cfg), "--inclusion", "--policy",
+                 policy, "--tmax", "0.05", "--out", str(tmp_path / "bad")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: bad selection policy {policy!r}")
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_cli_inclusion_default_method_is_euler(tmp_path, entry):
     cfg = _write_config(tmp_path, entry("ex3c"), "ex3c")
     texts = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import luresim.inclusion as inclusion
+import luresim.output_solver as output_solver
 from luresim import (ConfigurationError, EmptyFibreError, FibreSet,
                      InclusionOptions, Nonlinearity, ScalarPiece,
                      SelectionPolicy, SimOptions, SolveOptions, SystemMatrices,
@@ -93,6 +94,26 @@ def test_empty_fibre_raises_signal():
 def test_invalid_segment_parameter():
     with pytest.raises(ConfigurationError):
         SelectionPolicy.segment_parameter(1.5)
+
+
+@pytest.mark.parametrize("text", ["fixed_branch:x", "segment_parameter:abc",
+                                  "fixed_branch:-1", "nearest_previous:3",
+                                  "min_norm:", "closest"])
+def test_parse_rejects_bad_policy_naming_it(text):
+    with pytest.raises(ConfigurationError, match=f"policy {text!r}"):
+        SelectionPolicy.parse(text)
+
+
+def test_negative_fixed_branch_rejected():
+    with pytest.raises(ConfigurationError, match="index must be >= 0"):
+        SelectionPolicy.fixed_branch(-1)
+
+
+def test_parse_defaults():
+    assert SelectionPolicy.parse("fixed_branch") == SelectionPolicy.fixed_branch(0)
+    assert SelectionPolicy.parse("segment_parameter:") == \
+        SelectionPolicy.segment_parameter(0.5)
+    assert SelectionPolicy.parse("max_norm") == SelectionPolicy.max_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +301,24 @@ def test_empty_fibre_at_start_terminates(entry):
     assert rec.n_samples == 0
 
 
+def _count_fibre_calls(monkeypatch, kind):
+    """The times at which the exact fibre function of ``kind`` is called."""
+    calls = []
+    fibre_of = output_solver._EXACT_FIBRES[kind]
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return fibre_of(*args, **kwargs)
+
+    monkeypatch.setitem(output_solver._EXACT_FIBRES, kind, counting)
+    return calls
+
+
 def test_rk4_inclusion_enumerates_each_stage_fibre_once(entry, monkeypatch):
     # stage 1 reuses the accepted selection: four fibres per step (three
     # stages and the landing point) plus the initial one
     e = entry("sec42a")
-    calls = []
-    exact_fibre = inclusion._exact_fibre
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return exact_fibre(*args, **kwargs)
-
-    monkeypatch.setattr(inclusion, "_exact_fibre", counting)
+    calls = _count_fibre_calls(monkeypatch, "piecewise_scalar")
     rec = simulate_inclusion(e.system, e.nonlinearity, e.input, 0.0, e.x0,
                              SelectionPolicy.nearest_previous(),
                              InclusionOptions(method="rk4", dt=1e-3, tmax=0.1))
@@ -306,14 +333,7 @@ def test_fold_free_map_skips_fold_landing(entry, monkeypatch):
     # blow-up have no fold to land on: no bisection enumerates fibres for
     # them, and the run needs about one fibre per attempted step
     e = entry("ex3d")
-    calls = []
-    exact_fibre = inclusion._exact_fibre
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return exact_fibre(*args, **kwargs)
-
-    monkeypatch.setattr(inclusion, "_exact_fibre", counting)
+    calls = _count_fibre_calls(monkeypatch, e.nonlinearity.kind)
     rec = simulate_inclusion(e.system, e.nonlinearity, e.input, e.t0, e.x0,
                              SelectionPolicy.nearest_previous(),
                              InclusionOptions(method="euler", dt=1e-3,

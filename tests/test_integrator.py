@@ -6,10 +6,13 @@ import pytest
 from scipy.linalg import expm
 
 import luresim.integrator as integrator
-from luresim import (Nonlinearity, SimOptions, SystemMatrices, UsageError,
-                     compare_to_reference, refine_escape_time, simulate,
+from luresim import (InclusionOptions, Nonlinearity, SelectionPolicy,
+                     SimOptions, SystemMatrices, UsageError, build_example,
+                     compare_to_reference, linear_nonlinearity,
+                     refine_escape_time, simulate, simulate_inclusion,
                      summary_dict, write_csv, write_summary_json,
                      zero_input, zero_nonlinearity)
+from luresim.nonlinearity import vec_norm
 
 LN2 = math.log(2.0)
 PI_2 = math.pi / 2.0
@@ -411,3 +414,84 @@ def test_float_stage_equals_array_path(entry, monkeypatch, name, x0, v):
             assert _same_bits(getattr(got, field), getattr(want, field)), field
         assert got.flags == want.flags
         assert got.termination == want.termination
+
+
+# ---------------------------------------------------------------------------
+# The recorder's norms and running integrals
+# ---------------------------------------------------------------------------
+
+def _running_sums(times, ys, us):
+    """The running integrals of ||y|| and ||u||, summed sample after sample
+    from each sample's own norm."""
+    y_int, u_int = [], []
+    for k, t in enumerate(times):
+        ynorm, unorm = vec_norm(ys[k]), vec_norm(us[k])
+        if k:
+            dt = t - times[k - 1]
+            y_int.append(y_int[-1] + 0.5 * dt * (ylast + ynorm))
+            u_int.append(u_int[-1] + 0.5 * dt * (ulast + unorm))
+        else:
+            y_int.append(0.0)
+            u_int.append(0.0)
+        ylast, ulast = ynorm, unorm
+    return np.array(y_int), np.array(u_int)
+
+
+def _assert_integrals_of(rec):
+    y_int, u_int = _running_sums(rec.times.tolist(), rec.y, rec.u)
+    assert rec.y_integral.tobytes() == y_int.tobytes()
+    assert rec.u_integral.tobytes() == u_int.tobytes()
+    assert rec.y_integral.shape == rec.u_integral.shape == rec.times.shape
+
+
+def _system(n, p):
+    rng = np.random.default_rng(n * 10 + p)
+    return SystemMatrices(A=-np.eye(n), B=rng.normal(size=(n, p)),
+                          B_e=np.zeros((n, 1)), C=rng.normal(size=(p, n)),
+                          D=0.1 * rng.normal(size=(p, p)), D_e=np.zeros((p, 1)))
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (2, 2), (3, 3)])
+@pytest.mark.parametrize("count", [0, 1, 2, 20001])
+def test_recorder_integrals_equal_the_running_sum(n, p, count):
+    # (1, 1) records on floats, the others on arrays; the values span six
+    # decades, so a sum in another order would show in the bits
+    sys = _system(n, p)
+    plant = integrator._plant(sys, zero_input(1))
+    rec = integrator._Recorder(plant)
+    rng = np.random.default_rng(count)
+    times = np.cumsum(rng.uniform(1e-4, 1e-2, count)) - 0.5
+    terms = plant.input(0.0)
+    for t in times.tolist():
+        x, y, u = (rng.normal(size=k) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+                   for k in (n, p, p))
+        if isinstance(plant, integrator._ScalarPlant):     # the float form
+            x, y, u = float(x[0]), float(y[0]), float(u[0])
+        rec.push(t, x, y, u, terms)
+    record = rec.build(integrator.Termination(kind="reached_tmax", time=0.0))
+    assert record.n_samples == count
+    _assert_integrals_of(record)
+
+
+def test_recorder_keeps_a_copy_of_the_first_state():
+    sys, A = _linear_test_system()
+    x0 = np.array([1.0, 0.5])
+    rec = simulate(sys, zero_nonlinearity(1, 1), zero_input(1), 0.0, x0,
+                   SimOptions(dt=0.1, tmax=0.3))
+    x0[:] = 7.0
+    assert rec.x[0].tolist() == [1.0, 0.5]
+
+
+def test_integrals_of_runs():
+    # a p = 3 linear map on arrays, and ex3c's branch 0, which lands on a fold
+    sys = _system(3, 3)
+    rec = simulate(sys, linear_nonlinearity(np.diag([0.5, -0.2, 1.0])),
+                   zero_input(1), 0.0, [1.0, -2.0, 0.5], SimOptions(dt=1e-2, tmax=1.0))
+    assert rec.n_samples == 101
+    _assert_integrals_of(rec)
+    e = build_example("ex3c")
+    rec = simulate_inclusion(e.system, e.nonlinearity, e.input, e.t0, e.x0,
+                             SelectionPolicy.fixed_branch(0),
+                             InclusionOptions(dt=1e-3, tmax=e.tmax))
+    assert "fold" in rec.flags
+    _assert_integrals_of(rec)

@@ -15,7 +15,10 @@ from luresim import (EXAMPLE_NAMES, ConfigurationError, EvaluationError,
                      piecewise_scalar, residual_norm, select_from_fibre,
                      solve_output, zero_nonlinearity)
 from luresim.inclusion import _fold_candidates
-from luresim.output_solver import _newton
+from luresim.nonlinearity import _eval_resolved
+from luresim.output_solver import (_assemble_scalar_fibre, _newton,
+                                   _piece_image, _piece_roots_for_target,
+                                   _scalar_fibre)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +382,14 @@ def _resolve(value, t: float) -> float:
 
 
 @st.composite
-def _continuous_tilings(draw):
+def _continuous_tilings(draw, varying=None):
     """(f, d, t): a continuous piecewise-quadratic f, a scalar feedthrough d
-    and a time t.  A time-varying f (one draw in two) has coefficients
-    c + rate sin(t) and breakpoints moving together by shift sin(t)."""
+    and a time t.  A time-varying f (one draw in two, unless ``varying`` is
+    given) has coefficients c + rate sin(t) and breakpoints moving together
+    by shift sin(t)."""
     coeff = st.floats(-2.0, 2.0)
-    varying = draw(st.booleans())
+    if varying is None:
+        varying = draw(st.booleans())
     breaks = sorted(draw(st.lists(st.floats(-3.0, 3.0), max_size=3,
                                   unique=True)))
     if varying:
@@ -470,6 +475,89 @@ def test_exact_fibre_at_fold_targets_on_random_tilings(case, data):
     assert len(e_pts) == len(o_pts), (e_pts, o_pts)
     for a, b in zip(e_pts, o_pts):
         assert abs(a - b) < 1e-8
+
+
+@st.composite
+def _degenerate_static_tilings(draw):
+    """(f, d): a static continuous tiling whose pieces may be degenerate:
+    c2 subnormal, F = x - d f flat or flat to a few ulps, or an arctan piece
+    whose linear part cancels (the one kind ``_piece_roots_for_target``
+    solves); breakpoints may sit at -1e6 and 1e6.  Coefficients on a grid
+    of 2^-10 and d a power of two keep the terms at +-1e6 exact, so the
+    offsets that continuity fixes pass the tiling check."""
+    coeff = st.integers(-2048, 2048).map(lambda k: k / 1024.0)
+    d = draw(st.sampled_from([-2.0, -0.5, -0.125, 0.25, 1.0, 2.0]))
+    breaks = set(draw(st.lists(st.floats(-3.0, 3.0), max_size=3, unique=True)))
+    breaks |= set(draw(st.sets(st.sampled_from([-1e6, 1e6]))))
+    edges = [-math.inf, *sorted(breaks), math.inf]
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        shape = draw(st.sampled_from(["quadratic", "subnormal", "flat",
+                                      "nearly_flat", "arctan"]))
+        c1, c2, atan_coeff = draw(coeff), draw(coeff), 0.0
+        if shape == "subnormal":
+            c2 = draw(st.sampled_from([2.2e-309, -2.2e-309, 5e-324]))
+        elif shape == "flat":
+            c1, c2 = 1.0 / d, 0.0
+        elif shape == "nearly_flat":
+            c1 = (1.0 / d) * (1.0 + draw(st.integers(-4, 4)) * 2.0 ** -52)
+            c2 = draw(st.sampled_from([0.0, 1e-17, -3e-16]))
+        elif shape == "arctan":
+            c1, c2 = 1.0 / d, 0.0
+            atan_coeff = draw(coeff.filter(lambda v: v != 0.0))
+        # continuity at the breakpoint fixes the offset
+        c0 = (pieces[-1].at(0.0).value(lo)
+              - ScalarPiece(lo, hi, 0.0, c1, c2, atan_coeff).at(0.0).value(lo)
+              if pieces else draw(coeff))
+        pieces.append(ScalarPiece(lo=lo, hi=hi, c0=c0, c1=c1, c2=c2,
+                                  atan_coeff=atan_coeff))
+    try:
+        return piecewise_scalar(pieces), d
+    except ConfigurationError:      # an offset at +-1e6 off by its rounding
+        assume(False)
+
+
+def _every_piece_fibre(f, d, w, tol_sep=1e-6):
+    """The scalar fibre from every piece, none skipped."""
+    pieces = f.resolved_structure(0.0)
+    pts, segs = [], []
+    for pc in pieces:
+        p, s = _piece_roots_for_target(pc, d, w)
+        pts += p
+        segs += s
+    return _assemble_scalar_fibre(
+        pts, segs, lambda x: x - d * _eval_resolved(pieces, x) - w, tol_sep)
+
+
+def _outcome(fibre, *args):
+    try:
+        pts, segs = fibre(*args)
+    except ConfigurationError as exc:
+        return repr(exc)
+    return [x.hex() for x in pts], [(lo.hex(), hi.hex()) for lo, hi in segs]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.one_of(_continuous_tilings(varying=False).map(lambda c: c[:2]),
+                     _degenerate_static_tilings()),
+       data=st.data())
+def test_piece_skip_never_drops_a_root(case, data):
+    # a static map skips the pieces whose widened image excludes the
+    # target; the fibre must keep every bit of the every-piece fibre at the
+    # image ends, the fold values and the skip bounds, a few ulps either side,
+    # also after the map's images were kept for another d
+    f, d = case
+    assert f._static_resolved is not None
+    w_free = data.draw(st.floats(-10.0, 10.0))
+    for dd in (d, -d):
+        levels = [value for _, value in _fold_candidates(f, dd, 0.0)]
+        for pc in f.resolved_structure(0.0):
+            levels += _piece_image(pc, dd)
+        for level in filter(math.isfinite, [*levels, w_free]):
+            for k in range(-3, 4):
+                w = level + k * math.ulp(level)
+                assert (_outcome(_scalar_fibre, f, dd, 0.0, w, 1e-6)
+                        == _outcome(_every_piece_fibre, f, dd, w)), (dd, level, k)
 
 
 @pytest.mark.parametrize("c0, c1, c2, d", [

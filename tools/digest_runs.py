@@ -21,7 +21,11 @@ The grid:
 - ``simulate_inclusion`` with ``euler`` and ``rk4`` at dt 1e-3 and the
   entry's tmax, for every entry whose fibres are enumerated exactly, under
   the policies ``nearest_previous``, ``min_norm``, ``max_norm``,
-  ``fixed_branch:0`` and ``fixed_branch:1``.
+  ``fixed_branch:0`` and ``fixed_branch:1``;
+- the runs of perfbench's ``inclusion`` workload (lines
+  ``inclusion-bench/...``): ex3c with ``euler`` at dt 1e-4 under
+  ``fixed_branch:0`` and ``fixed_branch:1``, and sec42a with ``rk4`` at dt
+  1e-3 under ``nearest_previous`` (the same run as its ``inclusion/`` line).
 
 A line reads ``<run> <all> <no-flags> <flag counts>``: ``<all>`` digests
 times, x, y, u, residuals, both running integrals, branches, flags,
@@ -59,6 +63,10 @@ import luresim
 
 POLICIES = ("nearest_previous", "min_norm", "max_norm", "fixed_branch:0",
             "fixed_branch:1")
+# (entry, method, dt, policy) of each run of perfbench's inclusion workload
+BENCH_INCLUSION = (("ex3c", "euler", 1e-4, "fixed_branch:0"),
+                   ("ex3c", "euler", 1e-4, "fixed_branch:1"),
+                   ("sec42a", "rk4", 1e-3, "nearest_previous"))
 
 
 def _digest(record, escape, with_flags: bool) -> str:
@@ -125,7 +133,7 @@ def _simulate(name: str, method: str, use_structure: bool = True):
     return run
 
 
-def _inclusion(name: str, method: str, policy: str):
+def _inclusion(name: str, method: str, policy: str, dt: float = 1e-3):
     """The run; None for an entry without exact fibres."""
     entry = _entry(name)
     if not luresim.exact_structure_available(entry.nonlinearity,
@@ -133,7 +141,7 @@ def _inclusion(name: str, method: str, policy: str):
         return None
 
     def run():
-        opts = luresim.InclusionOptions(method=method, dt=1e-3,
+        opts = luresim.InclusionOptions(method=method, dt=dt,
                                         tmax=entry.tmax)
         record = luresim.simulate_inclusion(
             entry.system, entry.nonlinearity, entry.input, entry.t0,
@@ -179,6 +187,9 @@ def _runs():
             for policy in POLICIES:
                 yield (f"inclusion/{name}/{method}/{policy}",
                        _inclusion(name, method, policy))
+    for name, method, dt, policy in BENCH_INCLUSION:
+        yield (f"inclusion-bench/{name}/{method}/{dt:g}/{policy}",
+               _inclusion(name, method, policy, dt))
 
 
 def main(argv=None) -> int:
