@@ -37,7 +37,7 @@ from .derivatives import (finite_diff_jacobian, finite_diff_jacobians,
                           sample_clarke_jacobians)
 from .errors import ConfigurationError
 from .inclusion import _fold_candidates, check_image_convexity, enumerate_fibre
-from .nonlinearity import Nonlinearity, row_norms
+from .nonlinearity import Nonlinearity, all_finite, row_norms
 from .output_solver import (SolveOptions, _checked, _identity,
                             enumerate_fibre_exact, exact_structure_available)
 from .system import SystemMatrices, eval_F
@@ -357,16 +357,15 @@ def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,
                 fib = enumerate_fibre_exact(f, sys.D, float(t), wv * e1)
             except ConfigurationError:
                 continue
-            xs = list(fib._floats[0])
-            for lo, hi in fib._floats[1]:
-                if math.isfinite(lo) and math.isfinite(hi):
-                    xs.extend((lo, 0.5 * (lo + hi), hi))
-                elif math.isfinite(lo):
-                    # Unbounded segment: pair the end with an interior point.
-                    xs.extend((lo, lo + 1.0))
-                elif math.isfinite(hi):
-                    xs.extend((hi, hi - 1.0))
-            pts = [fib._vector(x) for x in xs]
+            pts = list(fib.points)
+            for a, b in fib.segments:
+                if all_finite(a) and all_finite(b):
+                    pts.extend((a, 0.5 * (a + b), b))
+                # unbounded: the end and one unit inside, as w lies along e1
+                elif all_finite(a):
+                    pts.extend((a, a + np.sign(b)))
+                elif all_finite(b):
+                    pts.extend((b, b + np.sign(a)))
             for pt in pts:
                 pt.setflags(write=False)
             for i in range(len(pts)):

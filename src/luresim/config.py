@@ -260,7 +260,7 @@ def _build_piecewise(spec: dict, path: str) -> Nonlinearity:
                 return -math.inf
             if value == "inf":
                 return math.inf
-            if isinstance(value, (int, float)):
+            if isinstance(value, (int, float)) and not math.isnan(value):
                 return float(value)
             raise _err(f"{ppath}.{which}", "expected a number, 'inf' or '-inf'")
 
@@ -268,8 +268,9 @@ def _build_piecewise(spec: dict, path: str) -> Nonlinearity:
         if "poly" in raw:
             coeffs = raw.pop("poly")
             if (not isinstance(coeffs, list) or not 1 <= len(coeffs) <= 3
-                    or not all(isinstance(c, (int, float)) for c in coeffs)):
-                raise _err(f"{ppath}.poly", "expected 1 to 3 numeric coefficients")
+                    or not all(isinstance(c, (int, float)) and math.isfinite(c)
+                               for c in coeffs)):
+                raise _err(f"{ppath}.poly", "expected 1 to 3 finite numeric coefficients")
             coeffs = list(coeffs) + [0.0] * (3 - len(coeffs))
             pieces.append(ScalarPiece(lo=lo_v, hi=hi_v, c0=coeffs[0],
                                       c1=coeffs[1], c2=coeffs[2]))

@@ -15,9 +15,9 @@ taken and flagged, never silent.
 
 ``simulate_inclusion`` runs the one stepping loop, ``integrator._integrate``;
 its ``advance`` hook holds the jump test, the fold landing and the limit
-on consecutive landings.  Its stage records the branch that ``_choose``,
-the policies' one routine, selects: from the raw floats of the fibre of
-a piecewise-scalar map, without a ``FibreSet``.
+on consecutive landings.  Its stage records the branch that
+``output_solver._choose``, the policies' one routine, selects from the
+fibre value of the run's route, on every route and map kind.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ import numpy as np
 from .errors import ConfigurationError, EmptyFibreError
 from .integrator import (Termination, TrajectoryRecord, _integrate, _plant,
                          _Plant, _Recorder, _rk_step, _validate_run)
-from .nonlinearity import (Nonlinearity, _eval_resolved, all_finite, row_norms,
-                           vec_norm)
+from .nonlinearity import Nonlinearity, _eval_resolved, row_norms, vec_norm
 from .output_solver import (FibreSet, SolveOptions, _as_float, _brentq,
-                            _checked, _evaluate, _exact_fibre, _exact_route,
-                            _exact_target, _float_elements, _nearest_float,
-                            _scalar_target, enumerate_fibre_exact,
-                            enumerate_fibre_multistart)
+                            _checked, _choose, _evaluate, _exact_route,
+                            _multistart, _nearest, _target,
+                            enumerate_fibre_exact, enumerate_fibre_multistart,
+                            select_from_fibre)      # public here, by its policies
 from .system import SystemMatrices
 
 
@@ -91,78 +90,6 @@ class SelectionPolicy:
         except (ValueError, ConfigurationError) as exc:
             raise ConfigurationError(
                 f"bad selection policy {text!r}: {exc}") from None
-
-
-def _element_value(payload, policy: SelectionPolicy):
-    if type(payload) is not tuple:
-        return payload
-    a, b = payload
-    if policy.kind == "max_norm":
-        finite = [e for e in (a, b) if all_finite(e)]
-        if not finite:
-            raise ConfigurationError("max_norm undefined on unbounded segment")
-        return max(finite, key=vec_norm)
-    # representative for fixed_branch
-    if all_finite(b) and all_finite(a):
-        return 0.5 * (a + b)
-    return a if all_finite(a) else b
-
-
-def select_from_fibre(fib: FibreSet, policy: SelectionPolicy,
-                      prev_y=None) -> tuple:
-    """Deterministically pick one output from a fibre.
-
-    Returns (value, branch index into the sorted element list); the value
-    is a float for a float-backed (scalar) fibre, else a fresh array.
-    Raises EmptyFibreError on an empty fibre; that signal propagates to the
-    integrator as loss of existence.
-    """
-    if fib._floats is not None and fib._ray is None:        # floats on the line
-        return _choose(fib._ordered, policy, prev_y)
-    elements = fib._ordered if fib._ray is None else [e for _, e in fib.elements()]
-    return _choose(elements, policy, prev_y, fib.nearest)
-
-
-def _choose(elements, policy: SelectionPolicy, prev_y, nearest=None) -> tuple:
-    """(value, index) that ``policy`` picks from a fibre's elements in order
-    (points, segments as (a, b)), the first on a tie: floats on the line, or
-    any, with ``nearest(target)`` giving the (value, distance, index)."""
-    if not elements:
-        raise EmptyFibreError("fibre is empty")
-    kind = policy.kind
-    if kind == "nearest_previous" or kind == "min_norm":
-        if kind == "nearest_previous" and prev_y is None:
-            raise ConfigurationError("nearest_previous requires a previous output")
-        target = prev_y if kind == "nearest_previous" else 0.0     # 0: the origin
-        value, _, idx = (nearest(target) if nearest
-                         else _nearest_float(elements, _as_float(target)))
-        return value, idx
-
-    if kind == "fixed_branch":
-        idx = policy.index
-        if not 0 <= idx < len(elements):
-            raise ConfigurationError(
-                f"fixed_branch index {idx} out of range "
-                f"(fibre has {len(elements)} elements)"
-            )
-        value = _element_value(elements[idx], policy)
-
-    elif kind == "segment_parameter":
-        for idx, payload in enumerate(elements):
-            if type(payload) is tuple:
-                a, b = payload
-                if not (all_finite(a) and all_finite(b)):
-                    raise ConfigurationError(
-                        "segment_parameter undefined on unbounded segment"
-                    )
-                return (1.0 - policy.s) * a + policy.s * b, idx
-        raise ConfigurationError("segment_parameter policy needs a segment fibre")
-
-    else:                                    # max_norm, the first on a tie
-        values = [_element_value(payload, policy) for payload in elements]
-        idx = max(range(len(values)), key=lambda i: vec_norm(values[i]))
-        value = values[idx]
-    return (value if type(value) is float else np.array(value, dtype=float)), idx
 
 
 def enumerate_fibre(f: Nonlinearity, D, t: float, w, opts: SolveOptions) -> FibreSet:
@@ -239,29 +166,21 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     plant = _plant(sys, v)
     rec = _Recorder(plant, with_branches=True)
     exact = _exact_route(f, sys.D, fibre_opts)
-    on_line = exact is not None and f.kind == "piecewise_scalar"
-    p = sys.dims[3]
     branch = -1                        # index of the last selection
 
-    def fibre(t: float, x, terms) -> FibreSet:
-        """The fibre at (t, x), given the input terms at t, on the route
-        resolved for the run."""
+    def fibre(t: float, x, terms) -> tuple:
+        """The fibre value at (t, x), given the input terms at t, on the
+        route resolved for the run."""
         w = plant.target(x, terms)
         if exact is None:
-            return enumerate_fibre_multistart(f, sys.D, t, w, opts=fibre_opts)
-        d, fibre_of = exact
-        w = _exact_target(f, w, p)
-        return _exact_fibre(f, t, w, *fibre_of(f, d, t, w, fibre_opts.tol_sep))
+            w = _target(w, sys.dims[3])
+            return _multistart(f, sys.D, t, w, w, fibre_opts)[0]
+        return exact[1](f, exact[0], t, w, fibre_opts.tol_sep)
 
     def stage(t: float, x, y_prev):
         nonlocal branch
         terms = plant.input(t)
-        if on_line:     # the fibre's raw floats, chosen from without a FibreSet
-            w = _scalar_target(plant.target(x, terms))
-            raw = exact[1](f, exact[0], t, w, fibre_opts.tol_sep)
-            y, branch = _choose(_float_elements(*raw), policy, y_prev)
-        else:
-            y, branch = select_from_fibre(fibre(t, x, terms), policy, y_prev)
+        y, branch = _choose(fibre(t, x, terms), policy, y_prev)
         u = _evaluate(f, t, y)
         y, u = plant.value(y), plant.value(u)
         return y, u, plant.slope(x, u, terms), terms
@@ -328,9 +247,9 @@ def _land_on_fold(fibre, stage, plant: _Plant, f: Nonlinearity, d: float,
     def continues(s: float):
         ts = t + s * h
         fib = fibre(ts, x + s * h * k, plant.input(ts))
-        if fib.empty:
+        if not fib[1]:
             return None
-        cand, dist, _ = fib.nearest(y)
+        cand, dist, _ = _nearest(fib, y)
         return cand if dist <= jump_tol else None
 
     s_lo, s_hi = 0.0, 1.0
@@ -424,22 +343,28 @@ def check_image_convexity(f: Nonlinearity, D, t: float, w,
                           fib: FibreSet) -> ConvexityVerdict:
     """Is the image of the nonlinearity over the fibre a convex set?
 
-    Exact scalar path, for a fibre that ``enumerate_fibre_exact`` gave of a
-    piecewise-scalar or radial map: the image of x (of s u along a radial
-    fibre's ray u) is g(t, x) (g(t, s) u), a union of closed intervals
-    computed piecewise; convex iff they merge into one (gap tolerance 1e-9,
-    the witness in the scalar values).
+    Exact scalar path, for an exact fibre of a piecewise-scalar or radial
+    map: the image of x (of s u along a radial fibre's ray u = w / |w|) is
+    g(t, x) (g(t, s) u), a union of closed intervals computed piecewise;
+    convex iff they merge into one (gap tolerance 1e-9, the witness in the
+    scalar values).
     Sampled path: midpoints of random image pairs must lie within
     tolerance of some image sample.
     """
     if fib.empty:
         return ConvexityVerdict(kind="convex_exact")
 
-    if fib.exact and fib._floats is not None and f.kind in ("piecewise_scalar", "radial"):
+    if fib.exact and f.kind in ("piecewise_scalar", "radial"):
         pieces = f.resolved_structure(t)
-        points, segments = fib._floats
-        intervals = [(g, g) for g in (_eval_resolved(pieces, x) for x in points)]
-        for lo, hi in segments:
+        u = np.asarray(w, dtype=float).reshape(-1)      # the ray of a radial fibre
+        u = u / (vec_norm(u) or 1.0) if f.kind == "radial" else None
+        def coord(x) -> float:
+            """A float on the line; a vector's coordinate along u, or along e1."""
+            return x if type(x) is float else float(x[0] if u is None else x @ u)
+        elements = fib.elements()
+        intervals = [(g, g) for g in (_eval_resolved(pieces, coord(v))
+                                      for kind, v in elements if kind == "point")]
+        for lo, hi in (map(coord, v) for kind, v in elements if kind == "segment"):
             for pc in pieces:
                 olo, ohi = max(lo, pc.lo), min(hi, pc.hi)
                 if olo <= ohi:

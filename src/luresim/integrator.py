@@ -44,7 +44,7 @@ from .errors import ConfigurationError, UsageError
 from .nonlinearity import all_finite, row_norms, vec_norm
 from .output_solver import (SolveOptions, _as_float, _checked, _evaluate,
                             _exact_choice, _exact_route, _range_exclusion,
-                            _scalar_target, _target, solve_output)
+                            _set_valued, solve_output)
 from .signals import _fixed_value
 from .system import SystemMatrices
 
@@ -196,10 +196,12 @@ class _ScalarPlant(_Plant):
             float(M[0, 0]) for M in (sys.A, sys.B, sys.B_e, sys.C, sys.D, sys.D_e))
         super().__init__(sys, v)
 
-    value = staticmethod(_as_float)
+    @staticmethod
+    def value(y) -> float:
+        return y if type(y) is float else float(y[0])
 
     def terms(self, vt) -> tuple[float, float]:
-        vt = _as_float(vt)
+        vt = _as_float(vt, "v(t)")
         return 0.0 + self.d_e * vt, 0.0 + self.b_e * vt
 
     def target(self, x: float, terms) -> float:
@@ -233,7 +235,6 @@ class _SolvingStage:
     def __init__(self, plant: _Plant, f, solver: SolveOptions):
         self.plant, self.f, self.solver = plant, f, solver
         self.route = _exact_route(f, plant.sys.D, solver)
-        self.p = plant.sys.dims[3]
         self.multiple = False
 
     def __call__(self, t: float, x, y_prev):
@@ -248,12 +249,11 @@ class _SolvingStage:
                 self.multiple = True
             y, u = plant.value(sol.y), plant.value(sol.u)
         else:
-            w = _scalar_target(w) if self.p == 1 else _target(w, self.p)
             y, fib = _exact_choice(f, *self.route, t, w, y_prev,
                                    self.solver.tol_sep)
             if y is None:
                 raise _StageFailure(_range_exclusion(f))
-            if fib is not None and fib.is_set_valued():
+            if fib is not None and _set_valued(fib[1]):
                 self.multiple = True
             u = _evaluate(f, t, y)
             y, u = plant.value(y), plant.value(u)

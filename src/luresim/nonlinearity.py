@@ -398,12 +398,17 @@ def row_time(t, i: int):
 
 
 def _check_tiling(pieces, lo_start: float):
-    """Pieces must tile [lo_start, inf) continuously; a radial profile
+    """Pieces must tile [lo_start, inf) continuously, with edges that are
+    not NaN (they may be infinite) and finite coefficients; a radial profile
     (lo_start 0) must also vanish at 0."""
     if not pieces:
         raise ConfigurationError("piecewise structure needs at least one piece")
     for t in (0.0, 0.7, 3.1):
         resolved = [pc.at(t) for pc in pieces]
+        for i, pc in enumerate(resolved):
+            if math.isnan(pc.lo) or math.isnan(pc.hi) or not all(map(math.isfinite, pc[2:])):
+                raise ConfigurationError(f"piece {i} has a NaN edge or a non-finite "
+                                         f"coefficient at t={t}: {tuple(pc)}")
         if resolved[0].lo != lo_start:
             raise ConfigurationError(
                 f"first piece must start at {lo_start}, got {resolved[0].lo}"

@@ -8,13 +8,17 @@ Three routes:
   call ``_exact_choice``, which ``solve_output`` shares, directly.
 * ``enumerate_fibre_exact``: closed-form enumeration of the whole fibre
   F_t^{-1}(w) for piecewise-scalar, radial and conformal nonlinearities
-  (points and flat segments, residual at roundoff level), from the raw
-  elements of one fibre function per kind, which ``solve_output`` shares.
+  (points and flat segments, residual at roundoff level), from the fibre
+  value of one fibre function per kind, which ``solve_output`` shares.
   A radial map is the piecewise-scalar map s -> s - d g(t, s) along the
   ray of w, so both kinds share one scalar enumeration.
 * ``brute_force_fibre_oracle``: a dense-scan oracle that cross-checks the
   exact enumeration by its own scan; a scalar fibre of either is assembled
-  by the same ``_assemble_scalar_fibre`` and ``FibreSet.of_floats``.
+  by the same ``_assemble_scalar_fibre``.
+
+Every route gives one fibre value (``_order``): its frame, its elements
+in one order and whether it is exact.  ``_nearest`` and ``_choose`` work
+over it, and ``FibreSet`` is its public view.
 """
 
 from __future__ import annotations
@@ -23,14 +27,13 @@ import contextlib
 import functools
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .derivatives import finite_diff_jacobian, finite_diff_jacobians
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EmptyFibreError, EvaluationError
 from .nonlinearity import (Nonlinearity, _eval_resolved, all_finite, row_norms,
                            vec_norm)
 from .system import apply_F, scalar_feedthrough
@@ -42,7 +45,6 @@ _BRACKET_POINTS = 129   # scalar sign-change grid across the search diameter
 _RESID_FLOOR = 1e-6     # a fruitless search this close reads not_converged
 _FLOAT = np.dtype(float)
 _EPS = float(np.finfo(float).eps)
-_SORT_KEY = operator.itemgetter(0)
 # the analysis that proves an empty exact fibre empty, by kind
 _EXCLUDED_BY = {"piecewise_scalar": "exact piecewise range analysis",
                 "radial": "exact piecewise range analysis along the ray of w",
@@ -129,212 +131,248 @@ class FibreSet:
 
     ``points`` are isolated solutions; ``segments`` are closed solution
     segments, the flat pieces of a scalar map or of a radial map along its
-    ray.  A segment may have an infinite endpoint when a flat piece is
-    unbounded.  Segments given as arrays are intervals of vectors of
-    length one.
+    ray, each read in ascending order of entries.  A segment may have an
+    infinite endpoint when a flat piece is unbounded.
 
-    A piecewise-scalar fibre (exact or the oracle's) is built by
-    ``of_floats``: its points and intervals stay plain floats, so its
-    elements, ``nearest`` and the selection policies give floats, and the
-    ``points`` / ``segments`` arrays are built only when read.  An exact
-    radial fibre holds the same floats as coordinates s along the unit
-    vector ``_ray`` = w / |w|, its elements s * ``_ray``.
+    A view of one fibre value (``_order``).  On the line (the exact fibre of
+    a piecewise-scalar map, the oracle's for p = 1) ``elements``, ``nearest``
+    and the policies give floats; on a ray (a radial map's, along w / |w|,
+    or one given as vectors of length one, along e1) and in space, vectors.
     """
 
-    __slots__ = ("exact", "t", "_w", "_points", "_segments", "_floats",
-                 "_ray", "_ordered")
+    __slots__ = ("_value", "exact", "t", "w")
 
     def __init__(self, points, segments, exact: bool, t: float = 0.0,
                  w: np.ndarray | None = None):
-        self.exact, self.t, self._w = exact, t, w
-        self._points, self._segments = tuple(points), tuple(segments)
-        self._floats = self._ray = None
-        items = [((vec_norm(pt), tuple(pt.tolist())), pt) for pt in self._points]
-        for a, b in self._segments:
-            rep = a if not all_finite(b) else 0.5 * (a + b)
-            items.append(((vec_norm(rep), tuple(rep.tolist())), (a, b)))
-        items.sort(key=_SORT_KEY)
-        self._ordered = tuple([item[1] for item in items])   # segments as pairs
+        points, segments = list(points), [tuple(seg) for seg in segments]
+        if all(e.size == 1 for e in points + [e for seg in segments for e in seg]):
+            frame = _identity(1)[0]             # floats along e1
+            points = [float(pt[0]) for pt in points]
+            segments = [(float(a[0]), float(b[0])) for a, b in segments]
+        else:
+            frame = (points or segments[0])[0].size
+        self._value = (frame, _order(points, segments), exact)
+        self.exact, self.t, self.w = exact, t, w
 
     @classmethod
-    def of_floats(cls, points: list[float], segments: list[tuple[float, float]],
-                  exact: bool, t: float, w) -> "FibreSet":
-        """The fibre of the target w with these points and intervals,
-        ordered by the same (norm, entries) key as the array form: of the
-        float w, or, for a vector w, the coordinates s of its elements s u
-        along the ray u = w / |w| (any unit vector for w = 0)."""
+    def _view(cls, value: tuple, t: float, w: np.ndarray) -> "FibreSet":
         fib = cls.__new__(cls)
-        fib.exact, fib.t, fib._w = exact, t, w
-        fib._points = fib._segments = None
-        fib._ray = _ray(w) if isinstance(w, np.ndarray) else None
-        fib._floats = (points, segments)
-        fib._ordered = tuple(_float_elements(points, segments))
+        fib._value, fib.exact, fib.t, fib.w = value, value[2], t, w
         return fib
 
-    def _vector(self, x: float) -> np.ndarray:
-        """The element of a float-backed fibre at the float x.  An infinite
-        x is the end at infinity along the ray: 0 where the ray is, not NaN."""
-        ray = self._ray
-        if ray is None:
-            return np.array([x])
-        if math.isfinite(x):
-            return x * ray
-        return np.multiply(x, ray, where=ray != 0.0, out=np.zeros_like(ray))
+    def _sorted(self, segments: bool) -> list:
+        """The points or the segments in ascending order of entries."""
+        frame, elements = self._value[0], self._value[1]
+        return sorted((e for e in elements if (type(e) is tuple) == segments),
+                      key=(lambda e: np.ravel(e).tolist()) if type(frame) is int else None)
+
+    def _vector(self, x) -> np.ndarray:
+        v = _element(self._value[0], x)
+        return np.array([v]) if type(v) is float else v
 
     @property
     def points(self) -> tuple[np.ndarray, ...]:
-        if self._points is None:
-            self._points = tuple(map(self._vector, self._floats[0]))
-        return self._points
+        return tuple(map(self._vector, self._sorted(False)))
 
     @property
     def segments(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        if self._segments is None:
-            self._segments = tuple((self._vector(lo), self._vector(hi))
-                                   for lo, hi in self._floats[1])
-        return self._segments
-
-    @property
-    def w(self) -> np.ndarray | None:
-        scalar = self._floats is not None and self._ray is None
-        return np.array([self._w]) if scalar else self._w
+        return tuple((self._vector(a), self._vector(b)) for a, b in self._sorted(True))
 
     @property
     def empty(self) -> bool:
-        return not self._ordered
+        return not self._value[1]
 
     @property
     def n_elements(self) -> int:
-        return len(self._ordered)
+        return len(self._value[1])
 
     def is_set_valued(self) -> bool:
-        if len(self._ordered) >= 2:
-            return True
-        if self._floats is not None:
-            return not all(_allclose_float(lo, hi) for lo, hi in self._floats[1])
-        return not all(np.allclose(a, b) for a, b in self._segments)
+        return _set_valued(self._value[1])
 
     def elements(self) -> list[tuple[str, object]]:
         """Deterministic ordering: sort by (norm of representative, entries)."""
-        vector = self._vector if self._ray is not None else (lambda e: e)
-        return [("segment", tuple(map(vector, e))) if type(e) is tuple
-                else ("point", vector(e)) for e in self._ordered]
+        frame = self._value[0]
+        return [("segment", (_element(frame, e[0]), _element(frame, e[1])))
+                if type(e) is tuple else ("point", _element(frame, e))
+                for e in self._value[1]]
 
     def nearest(self, target) -> tuple:
-        """Closest fibre element to target: (value, distance, element index).
-
-        The first element in order wins a tie.  A piecewise-scalar fibre
-        takes a float (or a vector of length one) and gives a float value.
-        A radial fibre projects target onto its ray and clamps the
-        coordinate into each segment.
-        """
-        if not self._ordered:
-            raise ConfigurationError("nearest() called on an empty fibre")
-        ray = self._ray
-        if self._floats is not None:
-            if ray is None:
-                x = _as_float(target)
-            else:       # the nearest s u is the s nearest target's coordinate
-                target = np.asarray(target, dtype=float).reshape(-1)
-                x = float(np.sum(target * ray))
-            best = _nearest_float(self._ordered, x)
-            if ray is None:
-                return best
-            y = best[0] * ray
-            return y, vec_norm(y - target), best[2]
-        target = np.asarray(target, dtype=float).reshape(-1)
-        best = None
-        for idx, payload in enumerate(self._ordered):
-            if type(payload) is not tuple:
-                cand = payload
-            else:                               # an interval of length-one vectors
-                cand = np.array([min(max(float(target[0]), float(payload[0][0])),
-                                     float(payload[1][0]))])
-            dist = vec_norm(cand - target)
-            if best is None or dist < best[1]:
-                best = (cand, dist, idx)
-        return np.array(best[0], dtype=float), best[1], best[2]
+        """Closest fibre element to target: (value, distance, element index),
+        the first in order on a tie (``_nearest``)."""
+        return _nearest(self._value, target)
 
     def to_dict(self) -> dict:
-        w = self.w
         return {
             "points": [list(map(float, pt)) for pt in self.points],
             "segments": [[list(map(float, a)), list(map(float, b))]
                          for a, b in self.segments],
             "exact": self.exact,
             "t": float(self.t),
-            "w": None if w is None else list(map(float, w)),
+            "w": None if self.w is None else list(map(float, self.w)),
         }
 
 
-def _ray(w: np.ndarray) -> np.ndarray:
-    """The unit vector w / |w| (e1 for w = 0) that a radial fibre lies along."""
-    rho = vec_norm(w)
-    return w / rho if rho else _identity(w.size)[0]
+# A fibre value is (frame, elements, exact).  The frame places an element:
+# on the line (None) it is a float point or a (lo, hi) interval of floats;
+# on a ray, the unit vector u, the same floats are the coordinates s of the
+# elements s u; in space, the int p, a point is a vector of length p (and,
+# given to ``FibreSet``, a segment a pair of them).
 
 
-def _float_elements(points: list[float], segments: list) -> list:
-    """The float points and (lo, hi) intervals of a fibre in its order: by
-    (norm, value) of a point or an interval's midpoint (lo if hi = inf)."""
-    return sorted(points + segments, key=_float_key) if segments or points[1:] else points
+def _order(points: list, segments: list) -> list:
+    """The elements in the (norm, entries) order of a point or a segment's
+    midpoint (lo if hi is infinite), points first on a tie."""
+    return sorted(points + segments, key=_key) if segments or len(points) > 1 else points
 
 
-def _float_key(e) -> tuple[float, float]:
-    x = e if type(e) is not tuple else e[0] if not math.isfinite(e[1]) else 0.5 * (e[0] + e[1])
-    return math.sqrt(x * x), x
+def _key(e) -> tuple:
+    x = e if type(e) is not tuple else e[0] if not all_finite(e[1]) else 0.5 * (e[0] + e[1])
+    if type(x) is float:
+        return math.sqrt(x * x), x
+    return vec_norm(x), tuple(x.tolist())
 
 
-def _nearest_float(elements, x: float) -> tuple:
-    """(value, distance, index) of the float point or (lo, hi) nearest x."""
+def _element(frame, x):
+    """The element at x: x itself on the line and in space, x u on a ray u
+    (at an infinite x, 0 where u is 0, not NaN)."""
+    if type(frame) is not np.ndarray:
+        return x
+    if math.isfinite(x):
+        return x * frame
+    return np.multiply(x, frame, where=frame != 0.0, out=np.zeros_like(frame))
+
+
+def _set_valued(elements: list) -> bool:
+    """More than one element, or a segment whose ends are not allclose."""
+    return len(elements) >= 2 or any(type(e) is tuple and not np.allclose(*e)
+                                     for e in elements)
+
+
+def _nearest(value: tuple, target) -> tuple:
+    """(element, distance, index) of the element of a fibre value nearest
+    target, the first in order on a tie.  On the line target is a float (or
+    a vector of length one) and so is the element; on a ray the element is
+    the s u whose s is nearest target's coordinate along u, clamped into
+    each segment; in space, a point."""
+    frame, elements = value[0], value[1]
+    if not elements:
+        raise ConfigurationError("nearest() called on an empty fibre")
+    if frame is None:
+        x = _as_float(target, "target")
+    elif type(frame) is int:
+        x = target = _target(target, frame, "target")
+    else:
+        target = _target(target, frame.size, "target")
+        x = float(np.sum(target * frame))
     best = None
     for idx, el in enumerate(elements):
         cand = min(max(x, el[0]), el[1]) if type(el) is tuple else el
-        diff = cand - x
-        dist = math.sqrt(diff * diff)
+        dist = vec_norm(cand - x)
         if best is None or dist < best[1]:
             best = (cand, dist, idx)
-    return best
+    if frame is None:
+        return best
+    if type(frame) is int:
+        return np.array(best[0], dtype=float), best[1], best[2]
+    y = best[0] * frame
+    return y, vec_norm(y - target), best[2]
 
 
-def _allclose_float(a: float, b: float) -> bool:
-    """``np.allclose`` on one pair of entries, at its default tolerances."""
-    return (abs(a - b) <= 1e-8 + 1e-5 * abs(b) and math.isfinite(b)) or a == b
+def _choose(value: tuple, policy, prev_y) -> tuple:
+    """(element, index) that a ``SelectionPolicy`` picks from a fibre value,
+    the first in order on a tie: a float on the line, else a fresh vector.
+    An empty fibre raises EmptyFibreError."""
+    frame, elements = value[0], value[1]
+    if not elements:
+        raise EmptyFibreError("fibre is empty")
+    kind = policy.kind
+    if kind == "nearest_previous" or kind == "min_norm":
+        if kind == "nearest_previous" and prev_y is None:
+            raise ConfigurationError("nearest_previous requires a previous output")
+        target = prev_y if kind == "nearest_previous" else 0.0 if frame is None \
+            else np.zeros(frame if type(frame) is int else frame.size)
+        y, _, idx = _nearest(value, target)
+        return y, idx
+
+    if kind == "fixed_branch":
+        idx = policy.index
+        if not 0 <= idx < len(elements):
+            raise ConfigurationError(
+                f"fixed_branch index {idx} out of range "
+                f"(fibre has {len(elements)} elements)"
+            )
+        y = _representative(frame, elements[idx], kind)
+
+    elif kind == "segment_parameter":
+        idx = next((i for i, e in enumerate(elements) if type(e) is tuple), None)
+        if idx is None:
+            raise ConfigurationError("segment_parameter policy needs a segment fibre")
+        a, b = (_element(frame, end) for end in elements[idx])
+        if not (all_finite(a) and all_finite(b)):
+            raise ConfigurationError("segment_parameter undefined on unbounded segment")
+        y = (1.0 - policy.s) * a + policy.s * b
+
+    else:                                    # max_norm, the first on a tie
+        values = [_representative(frame, e, kind) for e in elements]
+        idx = max(range(len(values)), key=lambda i: vec_norm(values[i]))
+        y = values[idx]
+    return (y if type(y) is float else np.array(y, dtype=float)), idx
 
 
-def _as_float(value, name: str = "target") -> float:
-    """A float, or the one entry of a vector ``name`` of length one."""
+def _representative(frame, e, kind: str):
+    """A point, or a segment's end of largest norm (``max_norm``) or its
+    midpoint (the finite end of an unbounded one), as an element."""
+    if type(e) is not tuple:
+        return _element(frame, e)
+    a, b = _element(frame, e[0]), _element(frame, e[1])
+    if kind == "max_norm":
+        finite = [end for end in (a, b) if all_finite(end)]
+        if not finite:
+            raise ConfigurationError("max_norm undefined on unbounded segment")
+        return max(finite, key=vec_norm)
+    if all_finite(b) and all_finite(a):
+        return 0.5 * (a + b)
+    return a if all_finite(a) else b
+
+
+def select_from_fibre(fib: FibreSet, policy, prev_y=None) -> tuple:
+    """Deterministically pick one output from a fibre by a ``SelectionPolicy``.
+
+    Returns (value, branch index into the sorted element list); the value
+    is a float for a fibre on the line, else a fresh array.  Raises
+    EmptyFibreError on an empty fibre; that signal propagates to the
+    integrator as loss of existence.
+    """
+    return _choose(fib._value, policy, prev_y)
+
+
+def _as_float(value, name: str = "w") -> float:
+    """The finite float ``name``, given as a float or a vector of length one:
+    the target reader of the line."""
     if type(value) is float:
-        return value
-    if type(value) is np.ndarray and value.shape == (1,) and value.dtype is _FLOAT:
-        return value.item()         # a p = 1 stage's target or output
+        x = value
+    elif type(value) is np.ndarray and value.shape == (1,) and value.dtype is _FLOAT:
+        x = value.item()            # a p = 1 stage's target or output
+    else:
+        arr = np.asarray(value, dtype=float).reshape(-1)
+        x = float(arr[0]) if arr.size == 1 else math.nan
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{name} must be a finite vector of length 1")
+    return x
+
+
+def _target(value, p: int, name: str = "w") -> np.ndarray:
+    """The finite vector ``name`` of length p, flat: the target reader of a
+    ray and of space."""
     arr = np.asarray(value, dtype=float).reshape(-1)
-    if arr.size != 1:
-        raise ConfigurationError(f"{name} must have length 1")
-    return float(arr[0])
+    if arr.size != p or not all_finite(arr):
+        raise ConfigurationError(f"{name} must be a finite vector of length {p}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
 # Residual helpers
 # ---------------------------------------------------------------------------
-
-def _target(w, p: int) -> np.ndarray:
-    """The output target as a flat vector; it must be finite and of length p."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != p or not all_finite(w):
-        raise ConfigurationError(f"w must be a finite vector of length {p}")
-    return w
-
-
-def _scalar_target(w) -> float:
-    """``_target`` for p = 1, as a float."""
-    try:
-        x = _as_float(w, "w")
-    except ConfigurationError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise ConfigurationError("w must be a finite vector of length 1")
-    return x
-
 
 def _as_feedthrough(D) -> np.ndarray:
     if isinstance(D, np.ndarray) and D.ndim == 2 and D.dtype == np.float64:
@@ -356,17 +394,6 @@ def _evaluate(f: Nonlinearity, t: float, y):
     if not math.isfinite(u):
         raise f._non_finite(t, np.array([y]))
     return u
-
-
-def _value_and_residual(f: Nonlinearity, D: np.ndarray, t: float, y, w):
-    """(f(t, y), ||y - D f(t, y) - w||) with one evaluation.
-
-    With a 1 x 1 feedthrough, y and w are floats and so is f(t, y).
-    """
-    u = _evaluate(f, t, y)
-    if D.shape == (1, 1):
-        return u, abs(y - float(D[0, 0]) * u - w)
-    return u, vec_norm(y - D @ u - w)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +619,8 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
 
     A run holds its route, and its exact-route stages call this function's
     exact route, ``_exact_choice``, without its checks and its
-    ``OutputSolution``.  A one-point exact fibre is its own nearest element:
-    no ``FibreSet`` is built for it, with equal bits.
+    ``OutputSolution``.  Both routes choose from fibre values, and a
+    one-point exact fibre is its own nearest element.
 
     A search that finds nothing reads ``not_converged`` when some Newton
     start ran out of ``max_iter`` while its residual was still falling, or
@@ -610,12 +637,9 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
     scalar = D.shape == (1, 1)          # w, y_guess, y and u as floats
     floats = scalar and type(y_guess) is float      # ... also in the solution
     if scalar:
-        w, y_guess = _scalar_target(w), _as_float(y_guess, "y_guess")
+        w, y_guess = _as_float(w), _as_float(y_guess, "y_guess")
     else:
-        w = _target(w, p)
-        y_guess = np.asarray(y_guess, dtype=float).reshape(-1)
-        if y_guess.size != p:
-            raise ConfigurationError(f"y_guess must have length {p}")
+        w, y_guess = _target(w, p), _target(y_guess, p, "y_guess")
 
     route = _exact_route(f, D, opts)
     if route is not None:
@@ -636,7 +660,7 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
                                   iterations=iters, n_found=1, u=u)
         fib, least, more, cut_more = _multistart(f, D, t, w_vec, guess, opts)
         iters += more
-        if fib.empty:
+        if not fib[1]:
             least = min(rnorm, least)
             unresolved = cut or cut_more or least <= _RESID_FLOOR
             return OutputSolution(
@@ -645,42 +669,34 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
                 certificate={"kind": "exhaustion", "n_starts": opts.n_starts + 1,
                              "min_residual": least},
             )
-        y, _, _ = fib.nearest(y_guess)
+        y = _nearest(fib, y_guess)[0]
         if scalar:
             y = _as_float(y)
 
-    if fib is None:
-        status, n_found = "unique_point", 1
-    else:
-        status = "multiple" if fib.is_set_valued() else "unique_point"
-        n_found = fib.n_elements
-    u, resid = _value_and_residual(f, D, t, y, w)
+    elements = [y] if fib is None else fib[1]       # one point: y itself
+    status = "multiple" if _set_valued(elements) else "unique_point"
+    u = _evaluate(f, t, y)           # floats with a 1 x 1 feedthrough
+    resid = abs(y - float(D[0, 0]) * u - w) if scalar else vec_norm(y - D @ u - w)
     if scalar and not floats:
         y, u = np.array([y]), np.array([u])
     return OutputSolution(status=status, y=y, residual=resid, iterations=iters,
-                          n_found=n_found, u=u)
+                          n_found=len(elements), u=u)
 
 
 def _exact_choice(f: Nonlinearity, d: float, fibre_of, t: float, w, y_guess,
                   tol_sep: float) -> tuple:
-    """(y, fibre): y the element nearest y_guess of the exact fibre of the
-    checked target w, floats when D is 1 x 1; fibre None for one point,
-    which is its own nearest element.  An empty fibre gives (None, None)."""
-    scalar = type(w) is float
-    # a radial or conformal map takes its target as a vector, also for p = 1
-    target = np.array([w]) if scalar and f.kind != "piecewise_scalar" else w
-    points, segments = fibre_of(f, d, t, target, tol_sep)
-    fib = None
-    if segments or len(points) > 1:
-        fib = _exact_fibre(f, t, target, points, segments)
-        y = fib.nearest(y_guess)[0]
-    elif not points:
+    """(y, fibre): y the element nearest y_guess of the exact fibre of w, a
+    float for p = 1; fibre its value, None for one point, which is its own
+    nearest element.  An empty fibre gives (None, None)."""
+    fib = fibre_of(f, d, t, w, tol_sep)
+    elements = fib[1]
+    if len(elements) == 1 and type(elements[0]) is not tuple:
+        y, fib = _element(fib[0], elements[0]), None
+    elif not elements:
         return None, None
-    elif f.kind == "radial":            # the one point s u, u = w / |w|
-        y = points[0] * _ray(target)
     else:
-        y = points[0]
-    return (_as_float(y) if scalar else y), fib
+        y = _nearest(fib, y_guess)[0]
+    return (y if type(y) is float or f.p > 1 else _as_float(y)), fib
 
 
 def _range_exclusion(f: Nonlinearity) -> dict:
@@ -970,48 +986,30 @@ def enumerate_fibre_exact(f: Nonlinearity, D, t: float, w,
     fibre of s - d g(t, s) = |w|, s of either sign.  Conformal case (D =
     d I): the real roots of one polynomial in the radius, each radius r
     giving the one point w / (1 - d alpha(t, r)) (``_conformal_fibre``).
-    Both scalar kinds give float-backed fibres (``FibreSet.of_floats``);
-    a piecewise-scalar fibre's w may be a float.
+    A piecewise-scalar fibre lies on the line, a radial one on the ray of
+    w and a conformal one in the plane.
     """
     D = _as_feedthrough(D)
-    w = _exact_target(f, w, D.shape[0])
-    if f.kind == "piecewise_scalar" and D.shape != (1, 1):
-        raise ConfigurationError("piecewise-scalar fibre needs scalar D")
-    if f.kind not in _EXACT_FIBRES:
-        raise ConfigurationError(
-            f"exact fibre enumeration is not available for kind {f.kind!r}")
+    w = _target(w, D.shape[0]).copy()
     route = _exact_enumerator(f, D)
     if route is None:
-        raise ConfigurationError(f"{f.kind} fibre needs D to be a multiple of I")
+        raise ConfigurationError(f"exact fibre enumeration is not available for "
+                                 f"kind {f.kind!r} under D = {D.tolist()}")
     d, fibre_of = route
-    return _exact_fibre(f, t, w, *fibre_of(f, d, t, w, tol_sep))
+    return FibreSet._view(fibre_of(f, d, t, w, tol_sep), t, w)
 
 
-def _exact_target(f: Nonlinearity, w, p: int):
-    """The target w, checked, as its kind's fibre function takes it: a
-    float for a piecewise-scalar map with p = 1, else a vector."""
-    if f.kind == "piecewise_scalar" and p == 1:
-        return _scalar_target(w)
-    return _target(w, p)
-
-
-def _exact_fibre(f: Nonlinearity, t: float, w, points: list,
-                 segments: list) -> FibreSet:
-    """The exact ``FibreSet`` of the target w from the raw elements of its
-    kind's fibre function: floats for the scalar kinds, vectors for a
-    conformal map."""
-    if f.kind == "conformal":
-        return FibreSet(points=points, segments=(), exact=True, t=t, w=w.copy())
-    return FibreSet.of_floats(points, segments, exact=True, t=t,
-                              w=w if f.kind == "piecewise_scalar" else w.copy())
-
-
-def _scalar_fibre(f: Nonlinearity, d: float, t: float, w,
-                  tol_sep: float) -> tuple[list[float], list[tuple[float, float]]]:
-    """The points and intervals x with x - d g(t, x) = w, g the map's pieces;
-    for a radial map (g its odd extension) the coordinates along w / |w| at
-    the level |w|."""
-    level = vec_norm(w) if f.kind == "radial" else w
+def _scalar_fibre(f: Nonlinearity, d: float, t: float, w, tol_sep: float) -> tuple:
+    """The fibre value of the points and intervals x with x - d g(t, x) = w,
+    g the map's pieces, on the line; for a radial map (g its odd extension)
+    of their coordinates at the level |w| along the ray u = w / |w| (e1 for
+    w = 0)."""
+    if f.kind == "radial":
+        w = _target(w, f.p)
+        level = vec_norm(w)
+        frame = w / level if level else _identity(f.p)[0]
+    else:
+        level, frame = _as_float(w), None
     pieces = f.resolved_structure(t)
     candidates = pieces
     if f._static_resolved is not None:      # skip pieces whose image excludes w
@@ -1035,12 +1033,11 @@ def _scalar_fibre(f: Nonlinearity, d: float, t: float, w,
         if any(abs(x) > tol_sep for x in pts) or segs:
             raise ConfigurationError("fibre of the origin is a sphere; not representable")
         pts = [0.0] if pts else []
-    return pts, segs
+    return frame, _order(pts, segs), True
 
 
-def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
-                     tol_sep: float) -> tuple[list[np.ndarray], list]:
-    """The fibre of F_t(y) = (1 - d alpha(t, |y|)) y over w.
+def _conformal_fibre(f: Nonlinearity, d: float, t: float, w, tol_sep: float) -> tuple:
+    """The fibre value of F_t(y) = (1 - d alpha(t, |y|)) y over w, in the plane.
 
     Its radii, the roots r >= 0 of r |1 - d alpha(t, r)| = |w|, come from
     the nonnegative roots of the modulus polynomial; companion eigenvalues
@@ -1048,6 +1045,7 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
     y = w / (1 - d alpha), kept when its residual is within EXACT_TOL of
     the size of y and w.
     """
+    w = _target(w, f.p)
     cf, rho, factor = f.conformal, vec_norm(w), f.conformal.at_time(t)
     c, gain, u = cf.c, cf.gain, (complex(factor[0, 0], factor[1, 0])
                                  if cf.rotating else 1.0)
@@ -1085,7 +1083,7 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
     if rho == 0.0:          # the origin, and spheres where 1 - d alpha(t, r) = 0
         if any(r > tol_sep and solves(r, abs(phi(r)[0])) for r in radii):
             raise ConfigurationError("fibre of the origin is a sphere; not representable")
-        return [np.zeros(f.p)], []
+        return f.p, [np.zeros(f.p)], True
     norm = abs if cf.rotating else vec_norm
     target = complex(w[0], w[1]) if cf.rotating else w
     points = []
@@ -1098,7 +1096,7 @@ def _conformal_fibre(f: Nonlinearity, d: float, t: float, w: np.ndarray,
         y = target * (r / rho) * (b.conjugate() / abs(b))
         if solves(r, norm(beta(norm(y)) * y - target)):
             points.append(np.array([y.real, y.imag]) if cf.rotating else y)
-    return points, []
+    return f.p, _order(points, []), True
 
 
 _EXACT_FIBRES = {"piecewise_scalar": _scalar_fibre, "radial": _scalar_fibre,
@@ -1162,14 +1160,15 @@ def enumerate_fibre_multistart(f: Nonlinearity, D, t: float, w,
     opts = _checked(opts)
     D = _as_feedthrough(D)
     w = _target(w, D.shape[0])
-    center = w.copy() if center is None else np.asarray(center, dtype=float).reshape(-1)
-    return _multistart(f, D, t, w, center, opts)[0]
+    center = w if center is None else np.asarray(center, dtype=float).reshape(-1)
+    return FibreSet._view(_multistart(f, D, t, w, center, opts)[0], t, w.copy())
 
 
 def _multistart(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
                 center: np.ndarray, opts: SolveOptions):
-    """The multistart fibre around center: (FibreSet, least residual,
-    iterations, whether a start was cut off by max_iter)."""
+    """The multistart fibre around center: (fibre value, least residual,
+    iterations, whether a start was cut off by max_iter).  A p = 1 fibre
+    lies on the ray of e1, its solutions floats."""
     p = w.size
     starts = _halton_starts(center, opts.search_radius, opts.n_starts, opts.seed)
     ys, rs, its, oks, cuts = _newton_stack(f, D, t, w, starts, opts)
@@ -1178,26 +1177,19 @@ def _multistart(f: Nonlinearity, D: np.ndarray, t: float, w: np.ndarray,
         for root in _scalar_bracket_roots(f, D, t, w, center, opts):
             found.append(np.array([root]))
     reps = _cluster_vectors(found, 2.0 * opts.tol_sep)
-
-    segments: list[tuple[np.ndarray, np.ndarray]] = []
-    if p == 1 and len(reps) >= 2:
-        reps_s = sorted(float(r[0]) for r in reps)
-        merged: list[list[float]] = [[reps_s[0]]]
-        for a, b in zip(reps_s, reps_s[1:]):
-            mid = 0.5 * (a + b)
-            if residual_norm(f, D, t, np.array([mid]), w) <= opts.tol_resid:
-                merged[-1].append(b)
+    if p == 1:      # chains whose midpoints also solve merge into segments
+        groups: list[list[float]] = []
+        for x in sorted(float(r[0]) for r in reps):
+            if groups and residual_norm(f, D, t, np.array([0.5 * (groups[-1][-1] + x)]),
+                                        w) <= opts.tol_resid:
+                groups[-1].append(x)
             else:
-                merged.append([b])
-        reps = []
-        for group in merged:
-            if len(group) >= 2:
-                segments.append((np.array([group[0]]), np.array([group[-1]])))
-            else:
-                reps.append(np.array([group[0]]))
-    fib = FibreSet(points=tuple(reps), segments=tuple(segments),
-                   exact=False, t=t, w=w.copy())
-    return fib, min(rs.tolist(), default=math.inf), int(its.sum()), bool(cuts.any())
+                groups.append([x])
+        value = (_identity(1)[0], _order([g[0] for g in groups if len(g) == 1],
+                             [(g[0], g[-1]) for g in groups if len(g) > 1]), False)
+    else:
+        value = (p, _order(reps, []), False)
+    return value, min(rs.tolist(), default=math.inf), int(its.sum()), bool(cuts.any())
 
 
 def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
@@ -1214,11 +1206,11 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
     D = _as_feedthrough(D)
     p = D.shape[0]
     w = _target(w, p)
+    n = int(round(2.0 * R / h_scan)) + 1
 
     if p == 1:
         d = float(D[0, 0])
         target = float(w[0])
-        n = int(round(2.0 * R / h_scan)) + 1
         xs = np.linspace(-R, R, n)
         resid = xs - d * f.eval_scalar_array(t, xs) - target
 
@@ -1241,10 +1233,9 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
             points.append(_brentq(resid_scalar, xs[i], xs[i + 1], xtol=1e-13))
         pts, segs = _assemble_scalar_fibre(points, segments, resid_scalar,
                                            tol_sep=h_scan * 0.5)
-        return FibreSet.of_floats(pts, segs, exact=False, t=t, w=target)
+        return FibreSet._view((None, _order(pts, segs), False), t, w.copy())
 
     if p == 2:
-        n = int(round(2.0 * R / h_scan)) + 1
         axis = np.linspace(-R, R, n)
         opts = SolveOptions(tol_resid=1e-10)
         hits: list[np.ndarray] = []
@@ -1261,7 +1252,6 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
                 if ok:
                     hits.append(ys)
         reps = _cluster_vectors(hits, 2.0 * h_scan)
-        return FibreSet(points=tuple(reps), segments=(), exact=False,
-                        t=t, w=w.copy())
+        return FibreSet._view((p, _order(reps, []), False), t, w.copy())
 
     raise ConfigurationError("oracle supports p = 1 or p = 2 only")

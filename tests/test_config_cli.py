@@ -237,6 +237,43 @@ def test_piecewise_scalar_config(entry):
     assert cfg.nonlinearity(0.0, [0.2]) == pytest.approx([0.16])
 
 
+NAN_EDGES = [{"lo": "-inf", "hi": math.nan, "poly": [0, 1]},
+             {"lo": math.nan, "hi": "inf", "poly": [0, 2]}]
+
+
+@pytest.mark.parametrize("pieces, field", [
+    (NAN_EDGES, "pieces[0].hi"),
+    ([{"lo": "-inf", "hi": 0.0, "poly": [0, math.nan]},
+      {"lo": 0.0, "hi": "inf", "poly": [0, 2]}], "pieces[0].poly"),
+    ([{"lo": "-inf", "hi": "inf", "poly": [math.inf]}], "pieces[0].poly"),
+])
+def test_cli_fibre_rejects_a_non_finite_piece_naming_it(tmp_path, entry, capsys,
+                                                        pieces, field):
+    # NaN edges once gave an exact certificate of an empty fibre, exit 0, and
+    # a NaN coefficient a ZeroDivisionError traceback
+    doc = entry_to_config(entry("sec42a"))
+    doc["nonlinearity"] = {"piecewise_scalar": {"pieces": pieces}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["fibre", "--system", str(bad), "--t", "0", "--w", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"nonlinearity.piecewise_scalar.{field}:" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("pieces", [
+    [ScalarPiece(lo=-math.inf, hi=math.nan, c1=1.0),
+     ScalarPiece(lo=math.nan, hi=math.inf, c1=2.0)],
+    [ScalarPiece(lo=-math.inf, hi=math.inf, c0=math.nan)],
+    [ScalarPiece(lo=-math.inf, hi=math.inf, c1=lambda t: math.inf)],
+    [ScalarPiece(lo=-math.inf, hi=math.inf, c1=1.0, atan_coeff=math.inf)],
+])
+def test_non_finite_pieces_are_rejected(pieces):
+    with pytest.raises(ConfigurationError, match="NaN edge or a non-finite"):
+        piecewise_scalar(pieces)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -414,14 +414,18 @@ def test_use_structure_false_takes_the_multistart_route(entry, monkeypatch):
     assert exact.exact and not fib.exact
     assert np.allclose(fib.points, exact.points, atol=1e-9)     # three points
     calls = {"exact": 0, "multistart": 0}
-    for route in calls:
-        original = getattr(inclusion, f"enumerate_fibre_{route}")
 
-        def counting(*args, _original=original, _route=route, **kwargs):
-            calls[_route] += 1
-            return _original(*args, **kwargs)
+    def counting(route, original):
+        def counted(*args, **kwargs):
+            calls[route] += 1
+            return original(*args, **kwargs)
+        return counted
 
-        monkeypatch.setattr(inclusion, f"enumerate_fibre_{route}", counting)
+    # the stages call the exact route's fibre function or the multistart
+    monkeypatch.setitem(output_solver._EXACT_FIBRES, "piecewise_scalar",
+                        counting("exact", output_solver._scalar_fibre))
+    monkeypatch.setattr(inclusion, "_multistart",
+                        counting("multistart", inclusion._multistart))
     rec = simulate_inclusion(e.system, e.nonlinearity, e.input, 0.0, e.x0,
                              SelectionPolicy.fixed_branch(1),
                              InclusionOptions(dt=1e-3, tmax=0.01, fibre=off))

@@ -10,13 +10,13 @@ from luresim import (EXAMPLE_NAMES, ConfigurationError, EvaluationError,
                      FibreSet, ScalarPiece, SelectionPolicy, SolveOptions,
                      brute_force_fibre_oracle, check_image_convexity,
                      compile_vector_expression, deadzone_saturation,
-                     enumerate_fibre_exact, enumerate_fibre_multistart,
+                     enumerate_fibre, enumerate_fibre_exact, enumerate_fibre_multistart,
                      identity_minus_atan, parabolic_band, parse_config,
                      piecewise_scalar, residual_norm, select_from_fibre,
                      solve_output, zero_nonlinearity)
 from luresim.inclusion import _fold_candidates
 from luresim.nonlinearity import _eval_resolved
-from luresim.output_solver import (_assemble_scalar_fibre, _newton,
+from luresim.output_solver import (_assemble_scalar_fibre, _newton, _order,
                                    _piece_image, _piece_roots_for_target,
                                    _scalar_fibre)
 
@@ -304,6 +304,41 @@ def test_oracle_segment_detection():
     assert abs(b[0] - 1.3) <= 1e-3
 
 
+def _flat_between(lo, hi):
+    """f with F(x) = x - f(x) = 0 on [lo, hi] and slope 1/2 outside."""
+    return piecewise_scalar([ScalarPiece(lo=-math.inf, hi=lo, c0=0.5 * lo, c1=0.5),
+                             ScalarPiece(lo=lo, hi=hi, c1=1.0),
+                             ScalarPiece(lo=hi, hi=math.inf, c0=0.5 * hi, c1=0.5)])
+
+
+def test_multistart_merges_a_flat_piece_into_a_segment():
+    # the starts and the bracketing grid land on the flat piece; chains of
+    # solutions whose midpoints also solve merge into the one segment
+    f = _flat_between(0.0, 1.0)
+    exact = enumerate_fibre_exact(f, [[1.0]], 0.0, [0.0])
+    fib = enumerate_fibre(f, [[1.0]], 0.0, [0.0], SolveOptions(use_structure=False))
+    assert not fib.exact and not fib.points and fib.is_set_valued()
+    assert exact.to_dict()["segments"] == [[[0.0], [1.0]]]
+    # Newton stops within tol_resid = 1e-10 of F = (x - 1) / 2 = 0
+    assert np.allclose(fib.to_dict()["segments"], [[[0.0], [1.0]]], rtol=0, atol=1e-9)
+    (kind, (a, b)), = fib.elements()            # a p = 1 multistart gives arrays
+    assert kind == "segment" and isinstance(a, np.ndarray) and a.shape == (1,)
+    value, dist, idx = fib.nearest(0.25)
+    assert value.tolist() == [0.25] and dist == 0.0 and idx == 0
+
+
+def test_a_short_flat_piece_collapses_to_its_midpoint():
+    # a segment no wider than 2 tol_sep is one point at its midpoint, on the
+    # exact route (tol_sep 1e-6) and from the oracle (tol_sep h_scan / 2)
+    h = 2.0 ** -20                              # 9.5e-7; the grid is exact
+    f = _flat_between(0.0, h)
+    fib = enumerate_fibre_exact(f, [[1.0]], 0.0, [0.0])
+    assert fib.elements() == [("point", 0.5 * h)] and not fib.segments
+    oracle = brute_force_fibre_oracle(f, [[1.0]], 0.0, [0.0], R=8 * h, h_scan=h)
+    assert [pt.tolist() for pt in oracle.points] == [[0.5 * h]]
+    assert not oracle.segments
+
+
 def test_oracle_empty_off_range(entry):
     e = entry("ex3a")
     fib = brute_force_fibre_oracle(e.nonlinearity, e.system.D, 0.0, [5.0],
@@ -525,16 +560,16 @@ def _every_piece_fibre(f, d, w, tol_sep=1e-6):
         p, s = _piece_roots_for_target(pc, d, w)
         pts += p
         segs += s
-    return _assemble_scalar_fibre(
-        pts, segs, lambda x: x - d * _eval_resolved(pieces, x) - w, tol_sep)
+    return None, _order(*_assemble_scalar_fibre(
+        pts, segs, lambda x: x - d * _eval_resolved(pieces, x) - w, tol_sep)), True
 
 
 def _outcome(fibre, *args):
     try:
-        pts, segs = fibre(*args)
+        elements = fibre(*args)[1]
     except ConfigurationError as exc:
         return repr(exc)
-    return [x.hex() for x in pts], [(lo.hex(), hi.hex()) for lo, hi in segs]
+    return [tuple(map(float.hex, e)) if type(e) is tuple else e.hex() for e in elements]
 
 
 @settings(max_examples=25, deadline=None)

@@ -185,7 +185,8 @@ def _ray_cases():
                   enumerate_fibre_exact(sawtooth, np.eye(2), 0.0, [0.3, 0.4]), False))
     u = np.array([0.6, 0.8])                # images [1, 3] u with 9 u (a gap) or 2 u
     for s, convex in ((8.0, False), (1.5, True)):
-        fib = FibreSet.of_floats([s], [(1.0, 2.0)], exact=True, t=0.0, w=0.5 * u)
+        fib = FibreSet(points=[s * u], segments=[(1.0 * u, 2.0 * u)], exact=True,
+                       t=0.0, w=0.5 * u)
         cases.append((three_zone, 0.5 * u, fib, convex))
     return cases
 

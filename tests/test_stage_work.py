@@ -2,8 +2,8 @@
 the opaque built-in maps are resolved once per distinct time, constant
 widths and gains give static pieces, expressions are compiled once into
 plain functions, and a solve hands on the u = f(t, y) its residual used.
-An inclusion stage on a piecewise-scalar map chooses from the raw floats
-of its fibre, without a FibreSet."""
+An inclusion stage chooses from the fibre value of its fibre, without a
+FibreSet."""
 
 import ast
 import math
@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-import luresim.inclusion as inclusion
 from luresim import (EvaluationError, FibreSet, InclusionOptions, Nonlinearity,
                      ScalarPiece, SelectionPolicy, SolveOptions, SystemMatrices,
                      compile_scalar_expression, compile_vector_expression,
@@ -76,41 +75,33 @@ def test_rk4_inclusion_resolves_each_piece_twice_per_step(entry):
     ("ex3c", "euler", 1e-4, "fixed_branch:1", False),
     ("sec42a", "rk4", 1e-3, "nearest_previous", False),
     ("ex3c", "euler", 1e-4, "fixed_branch:0", True),     # lands on a fold once
+    ("sec42b", "euler", 1e-3, "max_norm", False),        # radial
+    ("ex4c", "euler", 1e-3, "min_norm", False),          # conformal
 ])
 def test_inclusion_stages_build_no_fibre_set(entry, monkeypatch, name, method,
                                              dt, policy, fold):
-    # the stages choose from the raw floats of each fibre; only the fold
-    # landing's bisection builds FibreSets
+    # the stages, and the fold landing's bisection, choose from the fibre
+    # value of each fibre
     e = entry(name)
-    built, landing = [], [False]
-    init, of_floats = FibreSet.__init__, FibreSet.of_floats.__func__
+    built = []
+    init, view = FibreSet.__init__, FibreSet._view.__func__
 
     def counting_init(self, *args, **kwargs):
-        built.append(landing[0])
+        built.append(name)
         init(self, *args, **kwargs)
 
-    def counting_of_floats(cls, *args, **kwargs):
-        built.append(landing[0])
-        return of_floats(cls, *args, **kwargs)
-
-    land_on_fold = inclusion._land_on_fold
-
-    def marked(*args, **kwargs):
-        landing[0] = True
-        try:
-            return land_on_fold(*args, **kwargs)
-        finally:
-            landing[0] = False
+    def counting_view(cls, *args, **kwargs):
+        built.append(name)
+        return view(cls, *args, **kwargs)
 
     monkeypatch.setattr(FibreSet, "__init__", counting_init)
-    monkeypatch.setattr(FibreSet, "of_floats", classmethod(counting_of_floats))
-    monkeypatch.setattr(inclusion, "_land_on_fold", marked)
+    monkeypatch.setattr(FibreSet, "_view", classmethod(counting_view))
     rec = simulate_inclusion(e.system, e.nonlinearity, e.input, e.t0, e.x0,
                              SelectionPolicy.parse(policy),
                              InclusionOptions(method=method, dt=dt, tmax=e.tmax))
     assert rec.termination.kind == "reached_tmax"
     assert ("fold" in rec.flags) == fold
-    assert all(built) and bool(built) == fold
+    assert not built
 
 
 def _sign_width(t):

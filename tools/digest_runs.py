@@ -25,7 +25,10 @@ The grid:
 - the runs of perfbench's ``inclusion`` workload (lines
   ``inclusion-bench/...``): ex3c with ``euler`` at dt 1e-4 under
   ``fixed_branch:0`` and ``fixed_branch:1``, and sec42a with ``rk4`` at dt
-  1e-3 under ``nearest_previous`` (the same run as its ``inclusion/`` line).
+  1e-3 under ``nearest_previous`` (the same run as its ``inclusion/`` line);
+- ``simulate_inclusion`` with ``euler`` at dt 1e-3 to t = 0.1 on every
+  entry on the multistart route (``use_structure=False``; lines
+  ``inclusion-multistart/...``), under the same five policies.
 
 A line reads ``<run> <all> <no-flags> <flag counts>``: ``<all>`` digests
 times, x, y, u, residuals, both running integrals, branches, flags,
@@ -39,6 +42,14 @@ Newton from the warm start fails: for every entry, 12 seeded (t, w,
 y_guess) draws with ``max_iter`` 1 and 100.  A line reads ``<solve>
 <outcome> <iterations>``, the outcome digesting status, y, u, residual,
 the number of fibre elements and the certificate.
+
+Then come fibres: for every entry, 12 seeded (t, w, prev) draws, w with
+entries from a grid of round values so that segments and several points
+occur.  A line reads ``fibre/<entry>/<k> <exact> <multistart>``, each
+digesting, on its route, ``to_dict()``, ``elements()``, ``n_elements``,
+``is_set_valued()``, ``nearest(prev)`` and ``select_from_fibre`` under
+every policy (with prev); an error is digested by its text in place of
+what raised.
 
 Last come the emitted files: a line ``emit/<run> <digest>`` per
 ``simulate`` and ``simulate_inclusion`` run digests the bytes that
@@ -63,6 +74,10 @@ import luresim
 
 POLICIES = ("nearest_previous", "min_norm", "max_norm", "fixed_branch:0",
             "fixed_branch:1")
+# every selection policy, for the fibre lines
+FIBRE_POLICIES = POLICIES + ("segment_parameter:0.25",)
+# the entries of a fibre line's target w
+FIBRE_LEVELS = (-1.0, -0.5, -0.3, 0.0, 0.0625, 0.1, 0.25, 0.3, 0.5, 0.6, 1.0, 1.5)
 # (entry, method, dt, policy) of each run of perfbench's inclusion workload
 BENCH_INCLUSION = (("ex3c", "euler", 1e-4, "fixed_branch:0"),
                    ("ex3c", "euler", 1e-4, "fixed_branch:1"),
@@ -133,16 +148,19 @@ def _simulate(name: str, method: str, use_structure: bool = True):
     return run
 
 
-def _inclusion(name: str, method: str, policy: str, dt: float = 1e-3):
-    """The run; None for an entry without exact fibres."""
+def _inclusion(name: str, method: str, policy: str, dt: float = 1e-3,
+               use_structure: bool = True):
+    """The run; None for an entry without exact fibres on the exact route."""
     entry = _entry(name)
-    if not luresim.exact_structure_available(entry.nonlinearity,
-                                             entry.system.D):
+    if use_structure and not luresim.exact_structure_available(
+            entry.nonlinearity, entry.system.D):
         return None
 
     def run():
-        opts = luresim.InclusionOptions(method=method, dt=dt,
-                                        tmax=entry.tmax)
+        opts = luresim.InclusionOptions(
+            method=method, dt=dt,
+            tmax=entry.tmax if use_structure else 0.1,
+            fibre=luresim.SolveOptions(use_structure=use_structure))
         record = luresim.simulate_inclusion(
             entry.system, entry.nonlinearity, entry.input, entry.t0,
             entry.x0, luresim.SelectionPolicy.parse(policy), opts)
@@ -172,6 +190,56 @@ def _solve(label: str, name: str, max_iter: int, k: int) -> str:
     return f"{label} {h.hexdigest()} {sol.iterations}"
 
 
+def _fibre_draws(name: str):
+    p = _entry(name).system.dims[3]
+    rng = np.random.default_rng(100 + luresim.EXAMPLE_NAMES.index(name))
+    return [(float(rng.choice([0.0, 0.5, 1.0, rng.uniform(0.0, 3.0)])),
+             rng.choice(FIBRE_LEVELS, p), rng.uniform(-2.0, 2.0, p))
+            for _ in range(12)]
+
+
+def _bits(value) -> str:
+    """The type and exact bits of a fibre value, nested in tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        return f"{type(value).__name__}[{','.join(map(_bits, value))}]"
+    if isinstance(value, np.ndarray):
+        return f"ndarray{value.dtype}{value.shape}{value.tolist()!r}"
+    return f"{type(value).__name__}:{value!r}"
+
+
+def _fibre_digest(entry, t: float, w, prev, use_structure: bool) -> str:
+    """SHA-256 of what the fibre at (t, w) gives on one route."""
+    h = hashlib.sha256()
+
+    def add(call):
+        try:
+            h.update(_bits(call()).encode())
+        except luresim.LuresimError as exc:
+            h.update(f"error {type(exc).__name__}: {exc}".encode())
+
+    try:
+        fib = luresim.enumerate_fibre(
+            entry.nonlinearity, entry.system.D, t, w,
+            luresim.SolveOptions(use_structure=use_structure))
+    except luresim.LuresimError as exc:
+        return hashlib.sha256(f"error {type(exc).__name__}: {exc}".encode()).hexdigest()
+    add(lambda: repr(fib.to_dict()))
+    add(fib.elements)
+    add(lambda: (fib.n_elements, fib.is_set_valued(), fib.empty))
+    add(lambda: fib.nearest(prev))
+    for policy in FIBRE_POLICIES:
+        add(lambda: luresim.select_from_fibre(
+            fib, luresim.SelectionPolicy.parse(policy), prev))
+    return h.hexdigest()
+
+
+def _fibre(label: str, name: str, k: int) -> str:
+    entry = _entry(name)
+    t, w, prev = _fibre_draws(name)[k]
+    return (f"{label} {_fibre_digest(entry, t, w, prev, True)} "
+            f"{_fibre_digest(entry, t, w, prev, False)}")
+
+
 def _runs():
     """(line name, run or None) of every run, in print order."""
     names = luresim.EXAMPLE_NAMES
@@ -190,6 +258,10 @@ def _runs():
     for name, method, dt, policy in BENCH_INCLUSION:
         yield (f"inclusion-bench/{name}/{method}/{dt:g}/{policy}",
                _inclusion(name, method, policy, dt))
+    for name in names:
+        for policy in POLICIES:
+            yield (f"inclusion-multistart/{name}/euler/{policy}",
+                   _inclusion(name, "euler", policy, use_structure=False))
 
 
 def main(argv=None) -> int:
@@ -210,6 +282,11 @@ def main(argv=None) -> int:
                 label = f"solve/{name}/{max_iter}/{k}"
                 if pattern.search(label):
                     print(_solve(label, name, max_iter, k), flush=True)
+    for name in luresim.EXAMPLE_NAMES:
+        for k in range(12):
+            label = f"fibre/{name}/{k}"
+            if pattern.search(label):
+                print(_fibre(label, name, k), flush=True)
     for label, run in _runs():
         if run is not None and pattern.search(f"emit/{label}"):
             if label not in emitted:
