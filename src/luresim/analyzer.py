@@ -19,6 +19,11 @@ radii 1, 2, 4, 8, 16 and 24 radii from 1 to 64.  The fibre probes sample
 failure; growth passes with margin 0.05 below 1/||D||, monotonicity with
 margin 1e-3 either side of 1.
 
+The audit (``analyze_system``) draws each sample its probes share once and
+evaluates f on it once: the pairs of the three pair probes, the sampled
+fibres of the two fibre probes and the collision pairs of the lower
+Lipschitz and convexity probes.  A probe called alone draws its own.
+
 Sampling can certify failure with a reproducible witness; it can never
 prove a hypothesis, so the passing verdict is named ``pass_sampled``.
 Refining a probe keeps previously found witnesses, so a failure never
@@ -167,11 +172,6 @@ def _first_max(values: np.ndarray, start: float = -math.inf) -> int | None:
     return _first_min(-values, -start)
 
 
-def _interleave(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Rows A[0], B[0], A[1], B[1], ...: pair members in evaluation order."""
-    return np.stack((A, B), axis=1).reshape(-1, A.shape[1])
-
-
 def _merge_prior(record: CheckRecord, prior: CheckRecord | None,
                  still_violates) -> CheckRecord:
     """Failures found at coarser settings are retained under refinement."""
@@ -246,85 +246,59 @@ def probe_radial_unboundedness(sys: SystemMatrices, f: Nonlinearity,
 
 
 # ---------------------------------------------------------------------------
-# Two-sided Lipschitz estimates
+# Pair quotients: two-sided Lipschitz estimates (monotonicity further below)
 # ---------------------------------------------------------------------------
 
-def _pair_extremes(G, pairs, numerator, denominator, floor: float) -> tuple:
-    """Extremes of numerator(G(t,xi) - G(t,zeta), xi - zeta) / denominator(xi - zeta).
-
-    ``pairs`` is the row arrays (T, XI, ZE); ``G(T, X)`` maps each row of X
-    at the time of its row.  Pairs whose denominator is below ``floor``
-    are skipped unevaluated; the others are evaluated as one interleaved
-    stack.  Returns the first maximum and its witness, then the first
-    minimum and its witness; (-inf, None, inf, None) without a quotient.
-    """
-    T, XI, ZE = pairs
-    diff = XI - ZE
-    den = denominator(diff)
-    ratio = np.full(T.shape, np.nan)
-    keep = np.nonzero(~(den < floor))[0]
-    if keep.size:
-        values = G(np.repeat(T[keep], 2), _interleave(XI[keep], ZE[keep]))
-        ratio[keep] = numerator(values[0::2] - values[1::2], diff[keep]) / den[keep]
-
-    def extreme(i, none):
-        return (none, None) if i is None else (float(ratio[i]), {
-            "t": float(T[i]), "xi": [float(v) for v in XI[i]],
-            "zeta": [float(v) for v in ZE[i]], "ratio": float(ratio[i])})
-
-    return (*extreme(_first_max(ratio), -math.inf),
-            *extreme(_first_min(ratio), math.inf))
-
-
-def _norm_quotient(G, pairs) -> tuple:
-    """``_pair_extremes`` of ||G(t,xi) - G(t,zeta)|| / ||xi - zeta||."""
-    return _pair_extremes(G, pairs, lambda dG, diff: row_norms(dG), row_norms,
-                          1e-14)
-
-
-def _lipschitz_extremes(G, p: int, t_window, box, n_pairs: int, seed: int,
-                        extra_pairs=()) -> dict:
-    """Max and min of ||G(t,xi)-G(t,zeta)|| / ||xi-zeta|| over sampled pairs.
-
-    ``box`` is the half-width of the sampling cube (scalar) or an explicit
-    (lo, hi) pair.  Extra pairs (t, xi, zeta) are evaluated in addition to
-    the random draws; the extreme ratios and their witnesses are returned.
-    """
+def _pair_draws(n_pairs: int, p: int, t_window, box, seed: int):
+    """Seeded pairs (t, xi, zeta) in the window and the box (the cube's
+    half-width, or a (lo, hi) pair), as the stacks (T, X) they are evaluated
+    at: X holds xi, zeta, xi, ... and T each pair's time twice."""
     if n_pairs < 1:
         raise ConfigurationError("n_pairs must be positive")
-    hi, w_hi, lo, w_lo = _norm_quotient(
-        G, _pair_draws(n_pairs, p, t_window, box, seed, extra_pairs))
-    return {"lambda_hat": hi, "eps_hat": lo, "witness_max": w_hi,
-            "witness_min": w_lo}
-
-
-def _pair_draws(n_pairs: int, p: int, t_window, box, seed: int, extra_pairs=()):
-    """Seeded pairs (t, xi, zeta) in the window and the box, followed by the
-    listed extra pairs, as row arrays."""
     lo, hi = (-box, box) if np.isscalar(box) else box
     draws = np.random.default_rng(seed).random((n_pairs, 2 * p + 1))
     ta, tb = t_window
-    pairs = (ta + (tb - ta) * draws[:, 0], lo + (hi - lo) * draws[:, 1:p + 1],
-             lo + (hi - lo) * draws[:, p + 1:])
-    if not extra_pairs:
-        return pairs
-    return tuple(np.concatenate(ab) for ab in zip(pairs, _stack_pairs(extra_pairs, p)))
+    return (np.repeat(ta + (tb - ta) * draws[:, 0], 2),
+            (lo + (hi - lo) * draws[:, 1:]).reshape(-1, p))
 
 
 def _stack_pairs(pairs, p: int):
-    """Listed (t, xi, zeta) pairs as row arrays."""
-    return (np.array([float(t) for t, _, _ in pairs]),
-            np.array([xi for _, xi, _ in pairs], dtype=float).reshape(-1, p),
-            np.array([ze for _, _, ze in pairs], dtype=float).reshape(-1, p))
+    """Listed (t, xi, zeta) pairs as the stacks of ``_pair_draws``."""
+    return (np.repeat([float(t) for t, _, _ in pairs], 2),
+            np.array([v for _, xi, ze in pairs for v in (xi, ze)],
+                     dtype=float).reshape(-1, p))
 
 
-def _witness_pair(w: dict, p: int):
-    """A pair witness as a one-row stack."""
-    return _stack_pairs([(w["t"], w["xi"], w["zeta"])], p)
+def _quotient(num: np.ndarray, den: np.ndarray, floor: float) -> np.ndarray:
+    """num / den per pair; NaN, which no extreme takes, where den < floor."""
+    return np.divide(num, den, out=np.full(den.shape, np.nan), where=~(den < floor))
 
 
-# the last (D, f, probe times, pairs) of _collision_pairs, held strongly
-_last_pairs: tuple = (None, None, None, ())
+def _norm_ratios(pairs, G: np.ndarray) -> np.ndarray:
+    """||G(t,xi) - G(t,zeta)|| / ||xi - zeta|| from G at the pairs' rows;
+    NaN for pairs closer than 1e-14."""
+    X = pairs[1]
+    return _quotient(row_norms(G[0::2] - G[1::2]), row_norms(X[0::2] - X[1::2]),
+                     1e-14)
+
+
+def _pair_extremes(pairs, ratio: np.ndarray, extra=(), quotients=None) -> tuple:
+    """The first maximum and its witness, then the first minimum and its
+    witness, of the pairs' quotients ``ratio`` followed by the listed extra
+    pairs' (``quotients`` of their stacks); (-inf, None, inf, None) if none."""
+    if extra:
+        more = _stack_pairs(extra, pairs[1].shape[1])
+        pairs = tuple(map(np.concatenate, zip(pairs, more)))
+        ratio = np.concatenate((ratio, quotients(more)))
+    T, X = pairs
+
+    def extreme(i, none):
+        return (none, None) if i is None else (float(ratio[i]), {
+            "t": float(T[2 * i]), "xi": [float(v) for v in X[2 * i]],
+            "zeta": [float(v) for v in X[2 * i + 1]], "ratio": float(ratio[i])})
+
+    return (*extreme(_first_max(ratio), -math.inf),
+            *extreme(_first_min(ratio), math.inf))
 
 
 def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,
@@ -334,22 +308,14 @@ def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,
     Fibres are enumerated at the output values where branches meet (piece
     breakpoints, interior extrema of the scalar map; for a radial map those
     at s > 0, along the first axis, as the others mirror them); any
-    set-valued fibre yields pairs with lower quotient exactly zero.  An
-    audit asks twice (lower Lipschitz, convexity), so the last pairs, their
-    points read-only, are kept while f and a read-only D are the same
-    objects and the probe times the same floats.
+    set-valued fibre yields pairs with lower quotient exactly zero.
     """
-    global _last_pairs
-    times = np.linspace(t_window[0], t_window[1], 5)
-    last_D, last_f, last_times, pairs = _last_pairs
-    if last_D is sys.D and last_f is f and last_times == times.tobytes():
-        return list(pairs)
     if f.pieces is None or not exact_structure_available(f, sys.D):
         return []
     pairs = []
     d = float(sys.D[0, 0])
     e1 = _identity(f.p)[0]
-    for t in times:
+    for t in np.linspace(t_window[0], t_window[1], 5):
         for xi, wv in _fold_candidates(f, d, float(t)):
             if f.kind == "radial" and not xi > 0:
                 continue
@@ -366,48 +332,53 @@ def _collision_pairs(sys: SystemMatrices, f: Nonlinearity,
                     pts.extend((a, a + np.sign(b)))
                 elif all_finite(b):
                     pts.extend((b, b + np.sign(a)))
-            for pt in pts:
-                pt.setflags(write=False)
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     if float(np.linalg.norm(pts[i] - pts[j])) > 1e-12:
                         pairs.append((float(t), pts[i], pts[j]))
-    if not sys.D.flags.writeable:
-        _last_pairs = (sys.D, f, times.tobytes(), tuple(pairs))
     return pairs
 
 
 def check_upper_lipschitz(f: Nonlinearity, t_window, box, n_pairs: int = _N_PAIRS,
                           seed: int = 0) -> CheckRecord:
-    est = _lipschitz_extremes(f.eval_batch, f.p, t_window, box, n_pairs, seed)
+    pairs = _pair_draws(n_pairs, f.p, t_window, box, seed)
+    return _upper_record(pairs, _norm_ratios(pairs, f.eval_batch(*pairs)))
+
+
+def _upper_record(pairs, ratio: np.ndarray) -> CheckRecord:
+    lambda_hat, witness = _pair_extremes(pairs, ratio)[:2]
     return CheckRecord(name="upper_lipschitz", verdict="pass_sampled",
-                       margin=est["lambda_hat"],
-                       table={"lambda_hat": est["lambda_hat"]},
-                       witness=est["witness_max"],
-                       detail="largest sampled difference quotient of f")
+                       margin=lambda_hat, table={"lambda_hat": lambda_hat},
+                       witness=witness, detail="largest sampled difference quotient of f")
 
 
 def check_lower_lipschitz(sys: SystemMatrices, f: Nonlinearity, t_window, box,
                           n_pairs: int = _N_PAIRS, seed: int = 0,
                           prior: CheckRecord | None = None) -> CheckRecord:
     """Lower quotient of F: a zero ratio witnesses failure of injectivity."""
-    def F(t, xi):
-        return eval_F(sys, f, t, xi)
+    pairs = _pair_draws(n_pairs, f.p, t_window, box, seed)
+    return _lower_record(sys, f, pairs, _norm_ratios(pairs, eval_F(sys, f, *pairs)),
+                         _collision_pairs(sys, f, t_window), prior)
 
-    extra = _collision_pairs(sys, f, t_window)
-    est = _lipschitz_extremes(F, f.p, t_window, box, n_pairs, seed,
-                              extra_pairs=extra)
-    eps_hat = est["eps_hat"]
-    table = {"eps_hat": eps_hat, "n_collision_pairs": len(extra)}
+
+def _lower_record(sys: SystemMatrices, f: Nonlinearity, pairs, ratio: np.ndarray,
+                  collisions: list, prior: CheckRecord | None = None) -> CheckRecord:
+    """The lower Lipschitz record of the drawn pairs' quotients, followed by
+    the collision pairs'."""
+    def quotients(more):
+        return _norm_ratios(more, eval_F(sys, f, *more))
+
+    eps_hat, witness = _pair_extremes(pairs, ratio, collisions, quotients)[2:]
+    table = {"eps_hat": eps_hat, "n_collision_pairs": len(collisions)}
     failed = eps_hat < EPS_FLOOR
     record = CheckRecord(name="lower_lipschitz",
                          verdict="fail_witness" if failed else "pass_sampled",
-                         margin=eps_hat, witness=est["witness_min"], table=table,
+                         margin=eps_hat, witness=witness, table=table,
                          detail="lower quotient collapses; F not boundedly invertible"
                          if failed else "")
 
     def still_violates(w):
-        return _norm_quotient(F, _witness_pair(w, f.p))[2] < EPS_FLOOR
+        return quotients(_stack_pairs([(w["t"], w["xi"], w["zeta"])], f.p))[0] < EPS_FLOOR
 
     return _merge_prior(record, prior, still_violates)
 
@@ -558,6 +529,15 @@ def _slope_probe_pairs(f: Nonlinearity, t_window, clip: float = 16.0,
     return pairs
 
 
+def _slope_ratios(D: np.ndarray, pairs, V: np.ndarray) -> np.ndarray:
+    """<D f(t,xi) - D f(t,zeta), xi - zeta> / ||xi - zeta||^2 from f at the
+    pairs' rows; NaN where ||xi - zeta||^2 < 1e-24."""
+    X = pairs[1]
+    diff, dV = X[0::2] - X[1::2], V[0::2] - V[1::2]
+    return _quotient(np.vecdot(np.matmul(D, dV[..., None])[..., 0], diff),
+                     np.vecdot(diff, diff), 1e-24)
+
+
 def check_monotonicity(f: Nonlinearity, D, t_window, box, n_pairs: int = _N_PAIRS,
                        seed: int = 0,
                        prior: CheckRecord | None = None) -> CheckRecord:
@@ -568,16 +548,20 @@ def check_monotonicity(f: Nonlinearity, D, t_window, box, n_pairs: int = _N_PAIR
     Fails when both branches are witnessed as violated.
     """
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    p = D.shape[1]
+    pairs = _pair_draws(n_pairs, f.p, t_window, box, seed)
+    return _monotonicity_record(f, D, t_window, pairs,
+                                _slope_ratios(D, pairs, f.eval_batch(*pairs)), prior)
 
-    def quotient(pairs):
-        return _pair_extremes(
-            f.eval_batch, pairs,
-            lambda df, diff: np.vecdot(np.matmul(D, df[..., None])[..., 0], diff),
-            lambda diff: np.vecdot(diff, diff), 1e-24)
 
-    g1, w1, g2, w2 = quotient(_pair_draws(n_pairs, p, t_window, box, seed,
-                                          _slope_probe_pairs(f, t_window)))
+def _monotonicity_record(f: Nonlinearity, D: np.ndarray, t_window, pairs,
+                         ratio: np.ndarray, prior: CheckRecord | None = None) -> CheckRecord:
+    """The monotonicity record of the drawn pairs' quotients, followed by
+    the slope probe pairs'."""
+    def quotients(more):
+        return _slope_ratios(D, more, f.eval_batch(*more))
+
+    g1, w1, g2, w2 = _pair_extremes(pairs, ratio, _slope_probe_pairs(f, t_window),
+                                    quotients)
     table = {"gamma1_hat": g1, "gamma2_hat": g2}
     if g1 <= 1.0 - MONO_MARGIN:
         record = CheckRecord(name="monotonicity", verdict="pass_sampled",
@@ -598,10 +582,10 @@ def check_monotonicity(f: Nonlinearity, D, t_window, box, n_pairs: int = _N_PAIR
                              table=table)
 
     def still_violates(w):
-        # A pair too close for a quotient gives (-inf, None, inf, None), so
-        # it counts as violating both ways.
-        return (quotient(_witness_pair(w["gamma1"], p))[2] >= 1.0
-                and quotient(_witness_pair(w["gamma2"], p))[0] <= 1.0)
+        # A pair too close for a quotient (NaN) counts as violating both ways.
+        g1, g2 = (quotients(_stack_pairs([(v["t"], v["xi"], v["zeta"])], f.p))[0]
+                  for v in (w["gamma1"], w["gamma2"]))
+        return not g1 < 1.0 and not g2 > 1.0
 
     return _merge_prior(record, prior, still_violates)
 
@@ -610,19 +594,21 @@ def check_monotonicity(f: Nonlinearity, D, t_window, box, n_pairs: int = _N_PAIR
 # Inclusion-route assumptions: fibre nonemptiness and image convexity
 # ---------------------------------------------------------------------------
 
-def _sample_outputs(sys: SystemMatrices, t_window, n_w: int, seed: int,
-                    x_scale: float = 3.0, v_scale: float = 1.0):
-    """Sample w = C x + D_e v, staying inside the reachable output image."""
+def _sampled_fibres(sys: SystemMatrices, f: Nonlinearity, t_window, n_w: int, seed: int,
+                    fibre_opts: SolveOptions | None) -> tuple[list, SolveOptions]:
+    """(t, w, fibre) for n_w sampled outputs w = C x + D_e v inside the
+    reachable output image, and the checked options."""
+    fibre_opts = _checked(fibre_opts or _FIBRE_OPTS, "fibre_opts.")
     n, m, m_e, p = sys.dims
     rng = np.random.default_rng(seed)
-    out = []
     times = np.linspace(t_window[0], t_window[1], max(2, n_w // 8))
+    fibres = []
     for _ in range(n_w):
         t = float(rng.choice(times))
-        x = x_scale * (2.0 * rng.random(n) - 1.0)
-        v = v_scale * (2.0 * rng.random(m_e) - 1.0)
-        out.append((t, sys.C @ x + sys.D_e @ v))
-    return out
+        x = 3.0 * (2.0 * rng.random(n) - 1.0)
+        w = sys.C @ x + sys.D_e @ (2.0 * rng.random(m_e) - 1.0)
+        fibres.append((t, w, enumerate_fibre(f, sys.D, t, w, fibre_opts)))
+    return fibres, fibre_opts
 
 
 def probe_fibre_nonempty(sys: SystemMatrices, f: Nonlinearity, t_window,
@@ -630,19 +616,17 @@ def probe_fibre_nonempty(sys: SystemMatrices, f: Nonlinearity, t_window,
                          fibre_opts: SolveOptions | None = None,
                          prior: CheckRecord | None = None) -> CheckRecord:
     """Nonemptiness of F_t^{-1}(w) over sampled reachable outputs w."""
-    fibre_opts = _checked(fibre_opts or _FIBRE_OPTS, "fibre_opts.")
-    n_empty = 0
-    witness = None
-    for t, w in _sample_outputs(sys, t_window, n_w, seed):
-        fib = enumerate_fibre(f, sys.D, t, w, fibre_opts)
-        if fib.empty:
-            n_empty += 1
-            if witness is None:
-                witness = {"t": float(t), "w": [float(v) for v in w]}
-    table = {"n_sampled": n_w, "n_empty": n_empty}
-    if n_empty:
+    return _nonempty_record(
+        sys, f, *_sampled_fibres(sys, f, t_window, n_w, seed, fibre_opts), prior)
+
+
+def _nonempty_record(sys: SystemMatrices, f: Nonlinearity, fibres: list, fibre_opts,
+                     prior: CheckRecord | None = None) -> CheckRecord:
+    empty = [{"t": float(t), "w": list(map(float, w))} for t, w, fib in fibres if fib.empty]
+    table = {"n_sampled": len(fibres), "n_empty": len(empty)}
+    if empty:
         record = CheckRecord(name="fibre_nonempty", verdict="fail_witness",
-                             margin=float(n_empty) / n_w, witness=witness,
+                             margin=float(len(empty)) / len(fibres), witness=empty[0],
                              table=table, detail="empty fibre found")
     else:
         record = CheckRecord(name="fibre_nonempty", verdict="pass_sampled",
@@ -663,17 +647,21 @@ def probe_fibre_convexity(sys: SystemMatrices, f: Nonlinearity, t_window,
     Branch-meeting output values are probed in addition to random ones,
     since set-valued fibres live exactly there.
     """
-    fibre_opts = _checked(fibre_opts or _FIBRE_OPTS, "fibre_opts.")
-    probes = _sample_outputs(sys, t_window, n_w, seed)
-    pairs = _collision_pairs(sys, f, t_window)
-    if pairs:
-        T = np.array([t for t, _, _ in pairs])
-        W = eval_F(sys, f, T, np.array([xi for _, xi, _ in pairs]))
-        probes.extend(zip(T.tolist(), W))
+    sampled = _sampled_fibres(sys, f, t_window, n_w, seed, fibre_opts)
+    return _convexity_record(sys, f, _collision_pairs(sys, f, t_window), *sampled, prior)
+
+
+def _convexity_record(sys: SystemMatrices, f: Nonlinearity, collisions: list, fibres: list,
+                      fibre_opts, prior: CheckRecord | None = None) -> CheckRecord:
+    """The convexity record over the sampled fibres, followed by the fibres
+    at the collision pairs' outputs."""
+    if collisions:
+        T, X = (a[0::2] for a in _stack_pairs(collisions, f.p))
+        fibres = fibres + [(t, w, enumerate_fibre(f, sys.D, t, w, fibre_opts))
+                           for t, w in zip(T.tolist(), eval_F(sys, f, T, X))]
     worst = None
     n_checked = 0
-    for t, w in probes:
-        fib = enumerate_fibre(f, sys.D, t, w, fibre_opts)
+    for t, w, fib in fibres:
         if fib.empty:
             continue
         n_checked += 1
@@ -742,18 +730,22 @@ def theorem_applicability(records: list[CheckRecord]) -> AnalysisReport:
 
 def analyze_system(sys: SystemMatrices, f: Nonlinearity,
                    opts: AnalyzerOptions | None = None) -> AnalysisReport:
-    """Run every probe and aggregate the applicability report."""
+    """Run every probe, each shared sample drawn once, and aggregate the report."""
     opts = opts or AnalyzerOptions()
     grid = ProbeGrid(t_window=opts.t_window, seed=opts.seed)    # checks both
-    tw, seed = grid.t_window, grid.seed
-    records = [
+    tw, seed, D = grid.t_window, grid.seed, sys.D
+    pairs = _pair_draws(_N_PAIRS, f.p, tw, _BOX, seed)
+    V = f.eval_batch(*pairs)
+    F = pairs[1] - np.matmul(D, V[..., None])[..., 0]     # as apply_F forms it
+    collisions = _collision_pairs(sys, f, tw)
+    fibres, fibre_opts = _sampled_fibres(sys, f, tw, _N_W, seed, None)
+    return theorem_applicability([
         probe_radial_unboundedness(sys, f, grid),
-        check_upper_lipschitz(f, tw, _BOX, seed=seed),
-        check_lower_lipschitz(sys, f, tw, _BOX, seed=seed),
-        check_determinant_condition(f, sys.D, tw, _BOX, seed=seed),
-        check_growth_condition(f, sys.D, tw, seed=seed),
-        check_monotonicity(f, sys.D, tw, _BOX, seed=seed),
-        probe_fibre_nonempty(sys, f, tw, seed=seed),
-        probe_fibre_convexity(sys, f, tw, seed=seed),
-    ]
-    return theorem_applicability(records)
+        _upper_record(pairs, _norm_ratios(pairs, V)),
+        _lower_record(sys, f, pairs, _norm_ratios(pairs, F), collisions),
+        check_determinant_condition(f, D, tw, _BOX, seed=seed),
+        check_growth_condition(f, D, tw, seed=seed),
+        _monotonicity_record(f, D, tw, pairs, _slope_ratios(D, pairs, V)),
+        _nonempty_record(sys, f, fibres, fibre_opts),
+        _convexity_record(sys, f, collisions, fibres, fibre_opts),
+    ])

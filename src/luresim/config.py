@@ -260,7 +260,7 @@ def _build_piecewise(spec: dict, path: str) -> Nonlinearity:
                 return -math.inf
             if value == "inf":
                 return math.inf
-            if isinstance(value, (int, float)) and not math.isnan(value):
+            if type(value) in (int, float) and not math.isnan(value):
                 return float(value)
             raise _err(f"{ppath}.{which}", "expected a number, 'inf' or '-inf'")
 
@@ -268,7 +268,7 @@ def _build_piecewise(spec: dict, path: str) -> Nonlinearity:
         if "poly" in raw:
             coeffs = raw.pop("poly")
             if (not isinstance(coeffs, list) or not 1 <= len(coeffs) <= 3
-                    or not all(isinstance(c, (int, float)) and math.isfinite(c)
+                    or not all(type(c) in (int, float) and math.isfinite(c)
                                for c in coeffs)):
                 raise _err(f"{ppath}.poly", "expected 1 to 3 finite numeric coefficients")
             coeffs = list(coeffs) + [0.0] * (3 - len(coeffs))
@@ -397,6 +397,10 @@ def parse_config(text: str) -> SystemConfig:
     for key in ("t0", "tmax", "dt"):
         if key in defaults_raw:
             defaults[key] = _number(defaults_raw.pop(key), f"defaults.{key}")
+    if defaults.get("dt", 1.0) <= 0:
+        raise _err("defaults.dt", "expected a positive step")
+    if defaults.get("tmax", math.inf) <= defaults.get("t0", -math.inf):
+        raise _err("defaults.tmax", "expected a time after defaults.t0")
     if "x0" in defaults_raw:
         x0 = defaults_raw.pop("x0")
         if not isinstance(x0, list):

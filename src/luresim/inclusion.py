@@ -31,7 +31,7 @@ from .errors import ConfigurationError, EmptyFibreError
 from .integrator import (Termination, TrajectoryRecord, _integrate, _plant,
                          _Plant, _Recorder, _rk_step, _validate_run)
 from .nonlinearity import Nonlinearity, _eval_resolved, row_norms, vec_norm
-from .output_solver import (FibreSet, SolveOptions, _as_float, _brentq,
+from .output_solver import (FibreSet, SolveOptions, _as_float,
                             _checked, _choose, _evaluate, _exact_route,
                             _multistart, _nearest, _target,
                             enumerate_fibre_exact, enumerate_fibre_multistart,
@@ -273,20 +273,7 @@ def _land_on_fold(fibre, stage, plant: _Plant, f: Nonlinearity, d: float,
     if abs(xi_star - y_cont) > snap_tol:
         return None
 
-    # Solve C(x + s h k) + D_e v(t + s h) = w_star along the step direction.
-    def gap(s: float) -> float:
-        ts = t + s * h
-        return _as_float(plant.target(x + s * h * k, plant.input(ts))) - w_star
-
-    g_lo, g_hi = gap(s_lo), gap(s_hi)
-    if g_lo == 0.0:
-        s_hat = s_lo
-    elif g_lo * g_hi < 0.0:
-        s_hat = _brentq(gap, s_lo, s_hi, xtol=1e-16, rtol=8.9e-16)
-    else:
-        s_hat = s_lo
-    t_hat = t + s_hat * h
-    x_hat = x + s_hat * h * k
+    x_hat = x + s_lo * h * k
     # Exact projection of the remaining gap along C^T.
     r = w_star - _as_float(plant.target(x_hat, plant.input(t_hat)))
     x_hat = plant.shift_target(x_hat, r)

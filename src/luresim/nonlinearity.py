@@ -424,7 +424,9 @@ def _check_tiling(pieces, lo_start: float):
                 )
             b = left.hi
             if math.isfinite(b):
-                scale = 1.0 + abs(left.value(b))
+                # the values round with the sizes of the terms that make them
+                scale = sum(abs(pc.c0) + abs(pc.c1 * b) + abs(pc.c2 * b * b)
+                            + abs(pc.atan_coeff * math.atan(b)) for pc in (left, right))
                 if abs(left.value(b) - right.value(b)) > 1e-9 * scale:
                     raise ConfigurationError(
                         f"pieces disagree at breakpoint {b} (t={t}): "

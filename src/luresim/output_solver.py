@@ -253,7 +253,7 @@ def _nearest(value: tuple, target) -> tuple:
     target, the first in order on a tie.  On the line target is a float (or
     a vector of length one) and so is the element; on a ray the element is
     the s u whose s is nearest target's coordinate along u, clamped into
-    each segment; in space, a point."""
+    each segment; in space, a point or a segment's point nearest target."""
     frame, elements = value[0], value[1]
     if not elements:
         raise ConfigurationError("nearest() called on an empty fibre")
@@ -266,7 +266,8 @@ def _nearest(value: tuple, target) -> tuple:
         x = float(np.sum(target * frame))
     best = None
     for idx, el in enumerate(elements):
-        cand = min(max(x, el[0]), el[1]) if type(el) is tuple else el
+        cand = (el if type(el) is not tuple else _on_segment(x, *el)
+                if type(frame) is int else min(max(x, el[0]), el[1]))
         dist = vec_norm(cand - x)
         if best is None or dist < best[1]:
             best = (cand, dist, idx)
@@ -276,6 +277,19 @@ def _nearest(value: tuple, target) -> tuple:
         return np.array(best[0], dtype=float), best[1], best[2]
     y = best[0] * frame
     return y, vec_norm(y - target), best[2]
+
+
+def _on_segment(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The point of the segment from a to b, vectors, nearest x.  An infinite
+    end stands for the half-line from the other end (from 0, both ways, when
+    both are infinite) along the signs of its infinite entries."""
+    fa, fb = all_finite(a), all_finite(b)
+    o, far = (a, b) if fa else (b, a) if fb else (np.zeros_like(a), b)
+    d = b - a if fa and fb else np.where(np.isinf(far), np.sign(far), 0.0)
+    dd = float(np.dot(d, d))
+    tau = float(np.dot(x - o, d)) / dd if dd else 0.0
+    lo, hi = (0.0 if fa or fb else -math.inf), (1.0 if fa and fb else math.inf)
+    return o + min(max(tau, lo), hi) * d
 
 
 def _choose(value: tuple, policy, prev_y) -> tuple:

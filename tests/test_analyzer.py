@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from luresim import (AnalyzerOptions, ConfigurationError, ProbeGrid,
-                     SystemMatrices, analyze_system,
+from luresim import (EXAMPLE_NAMES, AnalyzerOptions, ConfigurationError,
+                     Nonlinearity, ProbeGrid, SystemMatrices, analyze_system,
                      check_determinant_condition, check_growth_condition,
                      check_lower_lipschitz, check_monotonicity,
-                     check_upper_lipschitz, enumerate_fibre_exact, eval_F,
+                     check_upper_lipschitz, enumerate_fibre_exact,
                      linear_nonlinearity, probe_fibre_convexity,
                      probe_fibre_nonempty, probe_radial_unboundedness,
                      theorem_applicability,
                      zero_nonlinearity)
 from luresim import analyzer
-from luresim.analyzer import _lipschitz_extremes
 
 
 def _identity_system(p=1):
@@ -307,14 +306,13 @@ def test_nested_sampling_monotone_margins(entry):
     # with a fixed seed the first n draws are a prefix of the first 2n,
     # so the sampled minimum can only shrink
     e = entry("ex3d")
-
-    def F(T, X):
-        return eval_F(e.system, e.nonlinearity, T, X)
-
-    small = _lipschitz_extremes(F, 1, (0.0, 10.0), 2.0, n_pairs=512, seed=7)
-    large = _lipschitz_extremes(F, 1, (0.0, 10.0), 2.0, n_pairs=4096, seed=7)
-    assert large["eps_hat"] <= small["eps_hat"] + 1e-15
-    assert large["lambda_hat"] >= small["lambda_hat"] - 1e-15
+    sys, f = e.system, e.nonlinearity
+    small, large = (
+        (check_lower_lipschitz(sys, f, (0.0, 10.0), 2.0, n_pairs=n, seed=7).margin,
+         check_upper_lipschitz(f, (0.0, 10.0), 2.0, n_pairs=n, seed=7).margin)
+        for n in (512, 4096))
+    assert large[0] <= small[0] + 1e-15
+    assert large[1] >= small[1] - 1e-15
 
 
 def test_preimage_bound_cross_check(entry):
@@ -364,7 +362,7 @@ def _dump(records):
     return json.dumps([dataclasses.asdict(rec) for rec in records], sort_keys=True)
 
 
-@pytest.mark.parametrize("name", ["ex3c", "ex4b"])
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
 @pytest.mark.parametrize("t_window, seed", [((0.0, 10.0), 0), ((0.5, 3.0), 11)])
 def test_audit_equals_its_probes_called_alone(entry, name, t_window, seed):
     # the audit samples as each probe does by default on the cube of
@@ -385,29 +383,29 @@ def test_audit_equals_its_probes_called_alone(entry, name, t_window, seed):
     assert _dump(report.records) == _dump(alone)
 
 
-def _pairs_bits(pairs) -> list:
-    return [(t, np.asarray(xi).tobytes(), np.asarray(ze).tobytes())
-            for t, xi, ze in pairs]
+@pytest.mark.parametrize("name, rows, fibres", [
+    ("ex3c", 13541, 65), ("ex4a", None, 40), ("sec42a", None, 160)])
+def test_audit_draws_and_evaluates_each_shared_sample_once(entry, monkeypatch,
+                                                            name, rows, fibres):
+    # ex3c evaluates f on 8192 shared pair rows, 50 collision and 60 slope
+    # rows in its pair stage, where three pair probes once took 24,686 of
+    # 29,925 rows; each of the 40 sampled fibres is enumerated once, and the
+    # convexity probe adds the fibres at the collision outputs (25 on ex3c,
+    # 120 on sec42a)
+    counts = {"rows": 0, "fibres": 0}
+    stack_values, enumerate_fibre = Nonlinearity._stack_values, analyzer.enumerate_fibre
 
+    def counted_stack(self, t, X, strict):
+        counts["rows"] += X.shape[0]
+        return stack_values(self, t, X, strict)
 
-def test_collision_pairs_are_kept_only_for_the_same_inputs(entry):
-    # the audit's two readers share one computation; a call that differs
-    # from the one before it in the map, the system or the window gets
-    # what a fresh call gives
-    a, b = entry("ex3c"), entry("sec42a")
-    other_d = SystemMatrices(A=a.system.A, B=a.system.B, B_e=a.system.B_e,
-                             C=a.system.C, D=2.0 * a.system.D, D_e=a.system.D_e)
-    calls = [(a.system, a.nonlinearity, (0.0, 10.0)),
-             (a.system, a.nonlinearity, (0.0, 10.0)),
-             (a.system, b.nonlinearity, (0.0, 10.0)),
-             (a.system, b.nonlinearity, (0.5, 3.0)),
-             (other_d, b.nonlinearity, (0.5, 3.0)),
-             (b.system, a.nonlinearity, (0.0, 10.0))]
-    seen = []
-    for sys, f, window in calls:
-        kept = _pairs_bits(analyzer._collision_pairs(sys, f, window))
-        analyzer._last_pairs = (None, None, None, ())
-        assert kept == _pairs_bits(analyzer._collision_pairs(sys, f, window))
-        seen.append(kept)
-    assert seen[0] == seen[1] and all(seen)
-    assert all(x != y for x, y in zip(seen[1:], seen[2:]))
+    def counted_fibre(*args):
+        counts["fibres"] += 1
+        return enumerate_fibre(*args)
+
+    monkeypatch.setattr(Nonlinearity, "_stack_values", counted_stack)
+    monkeypatch.setattr(analyzer, "enumerate_fibre", counted_fibre)
+    e = entry(name)
+    analyze_system(e.system, e.nonlinearity)
+    assert counts["fibres"] == fibres
+    assert rows is None or counts["rows"] == rows

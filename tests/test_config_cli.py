@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -128,8 +129,10 @@ def test_unknown_fields_rejected(entry):
 
 @pytest.mark.parametrize("field, value", [
     ("t0", "x"), ("t0", float("nan")), ("tmax", None), ("dt", True),
+    ("dt", 0.0), ("dt", -1e-3), ("tmax", 0.0), ("tmax", -0.5),
 ])
 def test_bad_default_time_is_rejected_naming_it(entry, field, value):
+    # ex3b's defaults start at t0 = 0, so tmax 0 or below ends before it
     doc = entry_to_config(entry("ex3b"))
     doc["defaults"][field] = value
     with pytest.raises(ConfigurationError, match=rf"^defaults\.{field}: expected"):
@@ -272,6 +275,35 @@ def test_cli_fibre_rejects_a_non_finite_piece_naming_it(tmp_path, entry, capsys,
 def test_non_finite_pieces_are_rejected(pieces):
     with pytest.raises(ConfigurationError, match="NaN edge or a non-finite"):
         piecewise_scalar(pieces)
+
+
+@pytest.mark.parametrize("pieces, field", [
+    ([{"lo": "-inf", "hi": True, "poly": [0, 1]},
+      {"lo": 1.0, "hi": "inf", "poly": [0, 1]}], "pieces[0].hi"),
+    ([{"lo": "-inf", "hi": "inf", "poly": [False, True]}], "pieces[0].poly"),
+])
+def test_boolean_piece_fields_are_rejected_naming_them(entry, pieces, field):
+    # JSON true once read as the breakpoint 1.0, and [false, true] as bools
+    doc = entry_to_config(entry("sec42a"))
+    doc["nonlinearity"] = {"piecewise_scalar": {"pieces": pieces}}
+    with pytest.raises(ConfigurationError,
+                       match=rf"^nonlinearity\.piecewise_scalar\.{re.escape(field)}: "):
+        parse_config(json.dumps(doc))
+
+
+def test_continuity_tolerance_scales_with_the_terms_at_the_breakpoint():
+    # continuous by construction at b = -1e6, where c2 b^2 is about 1.7e12,
+    # so the quadratic piece's value there rounds by about 5e-5; a tolerance
+    # scaled by the value (1.3) rejected it, and a jump of 1e-6 stays rejected
+    b = -1e6
+    f = piecewise_scalar([
+        ScalarPiece(lo=-math.inf, hi=b, c0=1.3),
+        ScalarPiece(lo=b, hi=math.inf, c0=1.3 - (0.37 * b + 1.7 * b * b),
+                    c1=0.37, c2=1.7)])
+    assert f(0.0, [b - 1.0]) == [1.3]
+    with pytest.raises(ConfigurationError, match="pieces disagree at breakpoint 1.0"):
+        piecewise_scalar([ScalarPiece(lo=-math.inf, hi=1.0, c1=1.0),
+                          ScalarPiece(lo=1.0, hi=math.inf, c0=1e-6, c1=1.0)])
 
 
 # ---------------------------------------------------------------------------

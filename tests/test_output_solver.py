@@ -648,6 +648,34 @@ def test_nearest_tie_goes_to_first_element(entry):
     assert (sol.y.tolist(), sol.status, sol.n_found) == ([-0.25], "multiple", 3)
 
 
+def test_nearest_projects_onto_a_segment_of_vectors():
+    # vectors of length 2 put a FibreSet in space, where nearest once
+    # clamped arrays with min and max and raised
+    fib = FibreSet(points=(), segments=[(np.array([1.0, 0.0]), np.array([2.0, 0.0]))],
+                   exact=True)
+    value, dist, idx = fib.nearest([0.0, 0.0])
+    assert (value.tolist(), dist, idx) == ([1.0, 0.0], 1.0, 0)
+
+
+def test_a_ray_fibre_rebuilt_from_its_vectors_chooses_alike(entry):
+    # sec42b's exact fibre of (0.5, 0) is the segment s e1, 1 <= s <= 2, on
+    # the ray of w; rebuilt from its vectors it lies in space
+    e = entry("sec42b")
+    fib = enumerate_fibre_exact(e.nonlinearity, e.system.D, 0.0, [0.5, 0.0])
+    rebuilt = FibreSet(points=fib.points, segments=fib.segments, exact=fib.exact)
+    assert [kind for kind, _ in rebuilt.elements()] == ["segment"]
+    for target in ([0.0, 0.0], [1.5, 0.2], [3.0, -1.0], [-2.0, 0.5]):
+        (y, dist, idx), (y2, dist2, idx2) = fib.nearest(target), rebuilt.nearest(target)
+        assert (y.tolist(), dist, idx) == (y2.tolist(), dist2, idx2)
+    prev = np.array([1.25, 0.3])
+    for policy in (SelectionPolicy.nearest_previous(), SelectionPolicy.min_norm(),
+                   SelectionPolicy.max_norm(), SelectionPolicy.fixed_branch(0),
+                   SelectionPolicy.segment_parameter(0.25)):
+        (y, idx), (y2, idx2) = (select_from_fibre(fib, policy, prev),
+                                select_from_fibre(rebuilt, policy, prev))
+        assert (y.tolist(), idx) == (y2.tolist(), idx2), policy
+
+
 def test_exact_fibre_points_separated(entry):
     e = entry("ex3c")
     rng = np.random.default_rng(4)
