@@ -28,6 +28,6 @@ class UsageError(LuresimError):
 class EmptyFibreError(LuresimError):
     """A selection was requested from an empty fibre.
 
-    Inside the integrators this signals loss of existence and is turned
-    into a termination status, not a crash.
+    Raised by ``select_from_fibre``; a run's stage reports an empty fibre
+    as loss of existence, a termination status, before any selection.
     """

@@ -13,11 +13,10 @@ an event: with exact scalar structure the step is bisected onto the fold
 of the output map and the state landed there exactly, else the jump is
 taken and flagged, never silent.
 
-``simulate_inclusion`` runs the one stepping loop, ``integrator._integrate``;
-its ``advance`` hook holds the jump test, the fold landing and the limit
-on consecutive landings.  Its stage records the branch that
-``output_solver._choose``, the policies' one routine, selects from the
-fibre value of the run's route, on every route and map kind.
+``simulate_inclusion`` runs ``simulate``'s loop, ``integrator._integrate``,
+and its stage, ``integrator._SolvingStage``, given the run's policy; its
+``advance`` hook holds the jump test, the fold landing and the limit on
+consecutive landings.
 """
 
 from __future__ import annotations
@@ -27,69 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyFibreError
+from .errors import ConfigurationError
 from .integrator import (Termination, TrajectoryRecord, _integrate, _plant,
-                         _Plant, _Recorder, _rk_step, _validate_run)
+                         _Recorder, _rk_step, _SolvingStage, _StageFailure,
+                         _validate_run)
 from .nonlinearity import Nonlinearity, _eval_resolved, row_norms, vec_norm
-from .output_solver import (FibreSet, SolveOptions, _as_float,
-                            _checked, _choose, _evaluate, _exact_route,
-                            _multistart, _nearest, _target,
+from .output_solver import (FibreSet, SelectionPolicy, SolveOptions,
+                            _as_float, _checked, _exact_route, _nearest,
                             enumerate_fibre_exact, enumerate_fibre_multistart,
                             select_from_fibre)      # public here, by its policies
 from .system import SystemMatrices
-
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    kind: str               # nearest_previous | min_norm | max_norm | fixed_branch | segment_parameter
-    index: int = 0
-    s: float = 0.0
-
-    def __post_init__(self):
-        valid = ("nearest_previous", "min_norm", "max_norm", "fixed_branch",
-                 "segment_parameter")
-        if self.kind not in valid:
-            raise ConfigurationError(f"unknown selection policy {self.kind!r}")
-        if self.kind == "segment_parameter" and not 0.0 <= self.s <= 1.0:
-            raise ConfigurationError("segment parameter must lie in [0, 1]")
-        if self.kind == "fixed_branch" and self.index < 0:
-            raise ConfigurationError(f"fixed_branch index must be >= 0, got {self.index}")
-
-    @classmethod
-    def nearest_previous(cls):
-        return cls(kind="nearest_previous")
-
-    @classmethod
-    def min_norm(cls):
-        return cls(kind="min_norm")
-
-    @classmethod
-    def max_norm(cls):
-        return cls(kind="max_norm")
-
-    @classmethod
-    def fixed_branch(cls, index: int):
-        return cls(kind="fixed_branch", index=int(index))
-
-    @classmethod
-    def segment_parameter(cls, s: float):
-        return cls(kind="segment_parameter", s=float(s))
-
-    @classmethod
-    def parse(cls, text: str) -> "SelectionPolicy":
-        """``name[:argument]``; raises ConfigurationError naming the text."""
-        name, colon, arg = text.partition(":")
-        try:
-            if name == "fixed_branch":
-                return cls.fixed_branch(int(arg or 0))
-            if name == "segment_parameter":
-                return cls.segment_parameter(float(arg or 0.5))
-            if colon:
-                raise ValueError(f"{name} takes no argument")
-            return cls(kind=name)
-        except (ValueError, ConfigurationError) as exc:
-            raise ConfigurationError(
-                f"bad selection policy {text!r}: {exc}") from None
 
 
 def enumerate_fibre(f: Nonlinearity, D, t: float, w, opts: SolveOptions) -> FibreSet:
@@ -165,41 +111,23 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     t0, x0, fibre_opts = _validate_run(opts, t0, x0, sys, v)
     plant = _plant(sys, v)
     rec = _Recorder(plant, with_branches=True)
-    exact = _exact_route(f, sys.D, fibre_opts)
-    branch = -1                        # index of the last selection
-
-    def fibre(t: float, x, terms) -> tuple:
-        """The fibre value at (t, x), given the input terms at t, on the
-        route resolved for the run."""
-        w = plant.target(x, terms)
-        if exact is None:
-            w = _target(w, sys.dims[3])
-            return _multistart(f, sys.D, t, w, w, fibre_opts)[0]
-        return exact[1](f, exact[0], t, w, fibre_opts.tol_sep)
-
-    def stage(t: float, x, y_prev):
-        nonlocal branch
-        terms = plant.input(t)
-        y, branch = _choose(fibre(t, x, terms), policy, y_prev)
-        u = _evaluate(f, t, y)
-        y, u = plant.value(y), plant.value(u)
-        return y, u, plant.slope(x, u, terms), terms
+    stage = _SolvingStage(plant, f, fibre_opts, policy)
 
     x0 = plant.value(x0)
     try:
         y, u, k, terms = stage(t0, x0, plant.target(x0, plant.input(t0)))
-    except EmptyFibreError:
+    except _StageFailure:
         term = Termination(kind="no_output_solution", time=t0,
                            bracket=(t0, t0), detail="empty fibre at initial time")
         return rec.build(term)
-    rec.push(t0, x0, y, u, terms, branch=branch)
+    rec.push(t0, x0, y, u, terms, branch=stage.branch)
 
     # Folds are landed on where the scalar map has pieces; a static map
     # with no breakpoint or vertex has no fold to land on.
-    d_scalar = float(sys.D[0, 0]) if sys.dims[3] == 1 and exact and f.pieces else None
-    if (d_scalar is not None and all(pc.static for pc in f.pieces)
-            and not _fold_candidates(f, d_scalar, t0)):
-        d_scalar = None
+    lands = sys.dims[3] == 1 and stage.route is not None and bool(f.pieces)
+    if (lands and all(pc.static for pc in f.pieces)
+            and not _fold_candidates(f, stage.d, t0)):
+        lands = False
     tol = opts.jump_tol
     fold_attempts = 0
 
@@ -208,11 +136,11 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
         nonlocal fold_attempts
         try:
             x_new, k_mean, _, _ = _rk_step(opts.method, stage, t, x, h, y, k)
-        except EmptyFibreError:
+        except _StageFailure:
             return None, 0.5 * h, True
         try:
-            sample = (t + h, x_new, *stage(t + h, x_new, y), branch)
-        except EmptyFibreError:
+            sample = (t + h, x_new, *stage(t + h, x_new, y), stage.branch)
+        except _StageFailure:
             sample = None
         # An empty fibre counts as a jump; ||y|| is taken only when the
         # absolute test fires.
@@ -220,12 +148,11 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
         jump = dist > tol and dist > tol * max(1.0, vec_norm(y))
         if jump:
             landing = None
-            if d_scalar is not None and fold_attempts < _MAX_FOLD_ATTEMPTS:
-                landing = _land_on_fold(fibre, stage, plant, f, d_scalar, t,
-                                        x, y, k_mean, h, tol)
+            if lands and fold_attempts < _MAX_FOLD_ATTEMPTS:
+                landing = _land_on_fold(stage, t, x, y, k_mean, h, tol)
             if landing is not None:
                 fold_attempts += 1
-                return (*landing, branch, "fold"), opts.dt, False
+                return (*landing, stage.branch, "fold"), opts.dt, False
             if sample is None:
                 return None, 0.5 * h, True
         # A jump is the discontinuous selection, taken and flagged.
@@ -235,8 +162,8 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
     return rec.build(_integrate(rec, opts, t0, x0, y, k, opts.dt, advance))
 
 
-def _land_on_fold(fibre, stage, plant: _Plant, f: Nonlinearity, d: float,
-                  t: float, x, y, k, h: float, jump_tol: float):
+def _land_on_fold(stage: _SolvingStage, t: float, x, y, k, h: float,
+                  jump_tol: float):
     """Bisect the step onto the output-map fold where the branch vanishes.
 
     Returns the landed (t_hat, x_hat, y_hat, u, xdot, input terms), selected by
@@ -244,9 +171,11 @@ def _land_on_fold(fibre, stage, plant: _Plant, f: Nonlinearity, d: float,
     is corrected along C^T so the landed output value is exact; an
     invariant fold (zero drift) is then followed without further events.
     """
+    plant = stage.plant
+
     def continues(s: float):
         ts = t + s * h
-        fib = fibre(ts, x + s * h * k, plant.input(ts))
+        fib = stage.fibre(ts, plant.target(x + s * h * k, plant.input(ts)))
         if not fib[1]:
             return None
         cand, dist, _ = _nearest(fib, y)
@@ -265,7 +194,7 @@ def _land_on_fold(fibre, stage, plant: _Plant, f: Nonlinearity, d: float,
             break
     t_hat = t + s_lo * h
 
-    candidates = _fold_candidates(f, d, t_hat)
+    candidates = _fold_candidates(stage.f, stage.d, t_hat)
     if not candidates:
         return None
     xi_star, w_star = min(candidates, key=lambda cw: abs(cw[0] - y_cont))
@@ -283,7 +212,7 @@ def _land_on_fold(fibre, stage, plant: _Plant, f: Nonlinearity, d: float,
         return None
     try:
         y_sel, u, k_hat, terms = stage(t_hat, x_hat, y_hat)
-    except EmptyFibreError:
+    except _StageFailure:
         return None
     if vec_norm(y_sel - y_hat) > jump_tol:
         return None

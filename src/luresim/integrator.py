@@ -12,9 +12,10 @@ The loop's values (state, output, f(t, y), slope, input) are 1-d arrays,
 or plain floats when n = m = m_e = p = 1 (``_ScalarPlant``); the float
 form reproduces numpy's 1 x 1 products bit for bit.
 
-One loop, ``_integrate``, steps both this module's ``simulate`` and
-``inclusion.simulate_inclusion``.  It owns the horizon test, the step
-floor, the collapse classification, the blow-up test and the recording.
+One loop, ``_integrate``, and one stage, ``_SolvingStage``, serve both
+this module's ``simulate`` and ``inclusion.simulate_inclusion``.  The
+loop owns the horizon test, the step floor, the collapse classification,
+the blow-up test and the recording.
 Each mode hands it an ``advance`` hook that attempts one step:
 ``simulate``'s holds the RK step, the RKF45 error control and the
 ``multiple`` flag; ``simulate_inclusion``'s holds the jump test and the
@@ -42,9 +43,10 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .nonlinearity import all_finite, row_norms, vec_norm
-from .output_solver import (SolveOptions, _as_float, _checked, _evaluate,
-                            _exact_choice, _exact_route, _range_exclusion,
-                            _set_valued, solve_output)
+from .output_solver import (_NEAREST, SolveOptions, _as_float, _checked,
+                            _choose, _evaluate, _exact_route, _multistart,
+                            _range_exclusion, _set_valued, _target,
+                            solve_output)
 from .signals import _fixed_value
 from .system import SystemMatrices
 
@@ -226,22 +228,34 @@ def _plant(sys: SystemMatrices, v) -> _Plant:
 class _SolvingStage:
     """Stage callable ``stage(t, x, y_prev) -> (y, u, xdot, input terms)``.
 
-    The route is resolved once: an exact-route stage takes ``solve_output``'s
-    output from ``_exact_choice`` directly, a Newton-route one calls
-    ``solve_output``.  ``multiple`` records whether any solve since it was
-    last cleared chose among several outputs.
+    The route is resolved once.  The stage chooses by ``policy``
+    (``nearest_previous`` by default) through ``_choose``, from the exact
+    fibre or, given a policy and no exact structure, the multistart fibre
+    around w; with neither it calls ``solve_output``.  It records the
+    ``branch`` chosen and whether any stage since ``multiple`` was cleared
+    had several outputs.  An empty fibre raises ``_StageFailure``.
     """
 
-    def __init__(self, plant: _Plant, f, solver: SolveOptions):
+    def __init__(self, plant: _Plant, f, solver: SolveOptions, policy=None):
         self.plant, self.f, self.solver = plant, f, solver
+        self.policy = policy or _NEAREST
         self.route = _exact_route(f, plant.sys.D, solver)
-        self.multiple = False
+        self.d, self.fibre_of = self.route or (None, None)
+        self.newton = self.route is None and policy is None
+        self.multiple, self.branch = False, -1
+
+    def fibre(self, t: float, w) -> tuple:
+        """The fibre value of w at t: exact, else the multistart around w."""
+        if self.route is None:
+            w = _target(w, self.plant.sys.dims[3])
+            return _multistart(self.f, self.plant.sys.D, t, w, w, self.solver)[0]
+        return self.fibre_of(self.f, self.d, t, w, self.solver.tol_sep)
 
     def __call__(self, t: float, x, y_prev):
         plant, f = self.plant, self.f
         terms = plant.input(t)
         w = plant.target(x, terms)
-        if self.route is None:
+        if self.newton:
             sol = solve_output(plant.sys, f, t, w, y_prev, self.solver)
             if sol.y is None:
                 raise _StageFailure(sol.certificate)
@@ -249,12 +263,16 @@ class _SolvingStage:
                 self.multiple = True
             y, u = plant.value(sol.y), plant.value(sol.u)
         else:
-            y, fib = _exact_choice(f, *self.route, t, w, y_prev,
-                                   self.solver.tol_sep)
-            if y is None:
-                raise _StageFailure(_range_exclusion(f))
-            if fib is not None and _set_valued(fib[1]):
+            # the exact fibre function directly: a call fewer per stage
+            fib = (self.fibre(t, w) if self.route is None
+                   else self.fibre_of(f, self.d, t, w, self.solver.tol_sep))
+            elements = fib[1]
+            if not elements:
+                raise _StageFailure(None if self.route is None
+                                    else _range_exclusion(f))
+            if not self.multiple and _set_valued(elements):
                 self.multiple = True
+            y, self.branch = _choose(fib, self.policy, y_prev)
             u = _evaluate(f, t, y)
             y, u = plant.value(y), plant.value(u)
         return y, u, plant.slope(x, u, terms), terms

@@ -145,11 +145,46 @@ def _at_times(fn, T: np.ndarray):
     return np.asarray([fn(float(s)) for s in bits.view(float)])[inverse]
 
 
-def _resolve_rows(pc: ScalarPiece, T: np.ndarray) -> ResolvedPiece:
-    """The piece at each row time: callable fields become per-row arrays."""
-    return ResolvedPiece(*(_at_times(v, T).astype(float) if callable(v) else float(v)
+def _resolve_rows(i: int, pc: ScalarPiece, T: np.ndarray) -> ResolvedPiece:
+    """Piece i at each row time: callable fields become per-row arrays; the
+    first row time with a NaN edge or a non-finite coefficient raises as
+    ``_check_piece`` raises."""
+    rows = ResolvedPiece(*(_at_times(v, T).astype(float) if callable(v) else float(v)
                            for v in (pc.lo, pc.hi, pc.c0, pc.c1, pc.c2)),
                          pc.atan_coeff)
+    bad = (np.isnan(rows.lo) | np.isnan(rows.hi)
+           | ~(np.isfinite(rows.c0) & np.isfinite(rows.c1) & np.isfinite(rows.c2)))
+    if np.any(bad):
+        t = float(T[np.argmax(np.broadcast_to(bad, T.shape))])
+        _check_piece(i, pc.at(t), t)
+    return rows
+
+
+def _resolver(pieces):
+    """fn(t) -> [pc.at(t) for pc in pieces], bit for bit, calling only the
+    callable fields; a callable that resolves to a NaN edge or a non-finite
+    coefficient raises ConfigurationError naming its piece and t."""
+    rows = [[v if callable(v) else float(v) for v in (pc.lo, pc.hi, pc.c0, pc.c1, pc.c2)]
+            + [pc.atan_coeff] for pc in pieces]
+    varying = [(i, k, v) for i, row in enumerate(rows)
+               for k, v in enumerate(row) if callable(v)]
+
+    def resolve(t):
+        resolved = [row.copy() for row in rows]
+        for i, k, fn in varying:
+            value = resolved[i][k] = float(fn(t))
+            if not math.isfinite(value) and (k > 1 or value != value):
+                _check_piece(i, pieces[i].at(t), t)
+        return list(map(ResolvedPiece._make, resolved))
+    return resolve
+
+
+def _check_piece(i: int, pc: ResolvedPiece, t: float) -> None:
+    """Piece i at t must have edges that are not NaN (they may be infinite)
+    and finite coefficients; raises ConfigurationError naming it and t."""
+    if math.isnan(pc.lo) or math.isnan(pc.hi) or not all(map(math.isfinite, pc[2:])):
+        raise ConfigurationError(f"piece {i} has a NaN edge or a non-finite "
+                                 f"coefficient at t={t}: {tuple(pc)}")
 
 
 def _rows(v, mask):
@@ -252,7 +287,8 @@ class Nonlinearity:
                 f"nonlinearity of kind {self.kind!r} needs the evaluator fn"
             )
         # Time-independent pieces resolve once; time-varying ones once per
-        # distinct t, through a one-entry memo (stages share their times).
+        # distinct t, through a one-entry memo (stages share their times),
+        # and are checked there.
         pieces = self.pieces
         if pieces is not None and all(pc.static for pc in pieces):
             object.__setattr__(self, "_static_resolved",
@@ -261,8 +297,7 @@ class Nonlinearity:
             object.__setattr__(self, "_static_resolved", None)
         # (d.hex(), (piece, image lo, hi) of x - d g(x)), set by output_solver
         object.__setattr__(self, "_images", None)
-        object.__setattr__(self, "_memo", _PerTime(
-            lambda t: [pc.at(t) for pc in pieces]))
+        object.__setattr__(self, "_memo", _PerTime(_resolver(pieces or ())))
 
     def resolved_structure(self, t: float) -> list["ResolvedPiece"]:
         """The pieces over the real line at time t (a radial map's odd
@@ -365,7 +400,7 @@ class Nonlinearity:
     def _resolved_rows(self, t, T: np.ndarray) -> list[ResolvedPiece]:
         if T.ndim == 0 or self._static_resolved is not None:
             return self.resolved_structure(t)
-        return [_resolve_rows(pc, T) for pc in self.pieces]
+        return [_resolve_rows(i, pc, T) for i, pc in enumerate(self.pieces)]
 
     def _bad_length(self, length: int) -> ConfigurationError:
         return ConfigurationError(
@@ -406,9 +441,7 @@ def _check_tiling(pieces, lo_start: float):
     for t in (0.0, 0.7, 3.1):
         resolved = [pc.at(t) for pc in pieces]
         for i, pc in enumerate(resolved):
-            if math.isnan(pc.lo) or math.isnan(pc.hi) or not all(map(math.isfinite, pc[2:])):
-                raise ConfigurationError(f"piece {i} has a NaN edge or a non-finite "
-                                         f"coefficient at t={t}: {tuple(pc)}")
+            _check_piece(i, pc, t)
         if resolved[0].lo != lo_start:
             raise ConfigurationError(
                 f"first piece must start at {lo_start}, got {resolved[0].lo}"

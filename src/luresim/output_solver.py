@@ -4,8 +4,8 @@ Three routes:
 
 * ``solve_output``: the exact fibre's element nearest the warm start,
   else damped Newton from the warm start, falling back to the multistart
-  fibre's nearest element.  A run holds its route: its exact-route stages
-  call ``_exact_choice``, which ``solve_output`` shares, directly.
+  fibre's nearest element.  A run's stage holds its route and calls the
+  exact fibre function, or this function on the Newton route.
 * ``enumerate_fibre_exact``: closed-form enumeration of the whole fibre
   F_t^{-1}(w) for piecewise-scalar, radial and conformal nonlinearities
   (points and flat segments, residual at roundoff level), from the fibre
@@ -18,7 +18,8 @@ Three routes:
 
 Every route gives one fibre value (``_order``): its frame, its elements
 in one order and whether it is exact.  ``_nearest`` and ``_choose`` work
-over it, and ``FibreSet`` is its public view.
+over it, and ``FibreSet`` is its public view.  ``select_from_fibre``,
+``solve_output`` and every stage of a run choose through ``_choose``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .system import apply_F, scalar_feedthrough
 EXACT_TOL = 1e-12       # residual bound for exact fibre entries
 FLAT_TOL = 1e-10        # oracle flat-segment detection threshold
 _SCAN_ROWS = 1 << 16    # grid cells per evaluation of the planar oracle
+_SCAN_CELLS = 1 << 22   # grid cells an oracle scan may take
 _BRACKET_POINTS = 129   # scalar sign-change grid across the search diameter
 _RESID_FLOOR = 1e-6     # a fruitless search this close reads not_converged
 _FLOAT = np.dtype(float)
@@ -244,8 +246,9 @@ def _element(frame, x):
 
 def _set_valued(elements: list) -> bool:
     """More than one element, or a segment whose ends are not allclose."""
-    return len(elements) >= 2 or any(type(e) is tuple and not np.allclose(*e)
-                                     for e in elements)
+    if len(elements) != 1:
+        return len(elements) > 1
+    return type(elements[0]) is tuple and not np.allclose(*elements[0])
 
 
 def _nearest(value: tuple, target) -> tuple:
@@ -292,17 +295,82 @@ def _on_segment(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return o + min(max(tau, lo), hi) * d
 
 
+@dataclass(frozen=True)
+class SelectionPolicy:
+    kind: str               # nearest_previous | min_norm | max_norm | fixed_branch | segment_parameter
+    index: int = 0
+    s: float = 0.0
+
+    def __post_init__(self):
+        valid = ("nearest_previous", "min_norm", "max_norm", "fixed_branch",
+                 "segment_parameter")
+        if self.kind not in valid:
+            raise ConfigurationError(f"unknown selection policy {self.kind!r}")
+        if self.kind == "segment_parameter" and not 0.0 <= self.s <= 1.0:
+            raise ConfigurationError("segment parameter must lie in [0, 1]")
+        if self.kind == "fixed_branch" and self.index < 0:
+            raise ConfigurationError(f"fixed_branch index must be >= 0, got {self.index}")
+
+    @classmethod
+    def nearest_previous(cls):
+        return cls(kind="nearest_previous")
+
+    @classmethod
+    def min_norm(cls):
+        return cls(kind="min_norm")
+
+    @classmethod
+    def max_norm(cls):
+        return cls(kind="max_norm")
+
+    @classmethod
+    def fixed_branch(cls, index: int):
+        return cls(kind="fixed_branch", index=int(index))
+
+    @classmethod
+    def segment_parameter(cls, s: float):
+        return cls(kind="segment_parameter", s=float(s))
+
+    @classmethod
+    def parse(cls, text: str) -> "SelectionPolicy":
+        """``name[:argument]``; raises ConfigurationError naming the text."""
+        name, colon, arg = text.partition(":")
+        try:
+            if name == "fixed_branch":
+                return cls.fixed_branch(int(arg or 0))
+            if name == "segment_parameter":
+                return cls.segment_parameter(float(arg or 0.5))
+            if colon:
+                raise ValueError(f"{name} takes no argument")
+            return cls(kind=name)
+        except (ValueError, ConfigurationError) as exc:
+            raise ConfigurationError(
+                f"bad selection policy {text!r}: {exc}") from None
+
+
+# the choice of ``solve_output`` and of a run's stages without a policy
+_NEAREST = SelectionPolicy.nearest_previous()
+
+
 def _choose(value: tuple, policy, prev_y) -> tuple:
     """(element, index) that a ``SelectionPolicy`` picks from a fibre value,
     the first in order on a tie: a float on the line, else a fresh vector.
-    An empty fibre raises EmptyFibreError."""
-    frame, elements = value[0], value[1]
+    A lone point is every policy's choice but ``segment_parameter``'s and a
+    later ``fixed_branch``'s, taken without reading prev_y.  An empty fibre
+    raises EmptyFibreError."""
+    frame, elements, _ = value
     if not elements:
         raise EmptyFibreError("fibre is empty")
     kind = policy.kind
+    if kind == "nearest_previous" and prev_y is None:
+        raise ConfigurationError("nearest_previous requires a previous output")
+    if (len(elements) == 1 and type(elements[0]) is not tuple
+            and kind != "segment_parameter" and policy.index == 0):
+        if frame is None:
+            return elements[0], 0
+        y = _element(frame, elements[0])
+        return (np.array(y, dtype=float) if type(frame) is int else y), 0
     if kind == "nearest_previous" or kind == "min_norm":
-        if kind == "nearest_previous" and prev_y is None:
-            raise ConfigurationError("nearest_previous requires a previous output")
         target = prev_y if kind == "nearest_previous" else 0.0 if frame is None \
             else np.zeros(frame if type(frame) is int else frame.size)
         y, _, idx = _nearest(value, target)
@@ -354,8 +422,8 @@ def select_from_fibre(fib: FibreSet, policy, prev_y=None) -> tuple:
 
     Returns (value, branch index into the sorted element list); the value
     is a float for a fibre on the line, else a fresh array.  Raises
-    EmptyFibreError on an empty fibre; that signal propagates to the
-    integrator as loss of existence.
+    EmptyFibreError on an empty fibre; a run's stage reports an empty fibre
+    as its own stage failure before choosing.
     """
     return _choose(fib._value, policy, prev_y)
 
@@ -631,10 +699,10 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
     fibre yields its element nearest to y_guess; ``status="multiple"``
     flags a fibre with more than one element.
 
-    A run holds its route, and its exact-route stages call this function's
-    exact route, ``_exact_choice``, without its checks and its
-    ``OutputSolution``.  Both routes choose from fibre values, and a
-    one-point exact fibre is its own nearest element.
+    Both routes choose through ``_choose``, the policies' one routine, as
+    ``nearest_previous`` from y_guess.  A run's stage
+    (``integrator._SolvingStage``) resolves the route once and calls this
+    function only on the Newton route.
 
     A search that finds nothing reads ``not_converged`` when some Newton
     start ran out of ``max_iter`` while its residual was still falling, or
@@ -657,8 +725,9 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
 
     route = _exact_route(f, D, opts)
     if route is not None:
-        y, fib = _exact_choice(f, *route, t, w, y_guess, opts.tol_sep)
-        if y is None:
+        d, fibre_of = route
+        fib = fibre_of(f, d, t, w, opts.tol_sep)
+        if not fib[1]:
             return OutputSolution(status="no_solution", y=None,
                                   residual=math.inf, iterations=0,
                                   certificate=_range_exclusion(f))
@@ -683,11 +752,10 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
                 certificate={"kind": "exhaustion", "n_starts": opts.n_starts + 1,
                              "min_residual": least},
             )
-        y = _nearest(fib, y_guess)[0]
-        if scalar:
-            y = _as_float(y)
-
-    elements = [y] if fib is None else fib[1]       # one point: y itself
+    y = _choose(fib, _NEAREST, y_guess)[0]
+    if scalar:
+        y = _as_float(y)
+    elements = fib[1]
     status = "multiple" if _set_valued(elements) else "unique_point"
     u = _evaluate(f, t, y)           # floats with a 1 x 1 feedthrough
     resid = abs(y - float(D[0, 0]) * u - w) if scalar else vec_norm(y - D @ u - w)
@@ -695,22 +763,6 @@ def solve_output(sys, f: Nonlinearity, t: float, w, y_guess,
         y, u = np.array([y]), np.array([u])
     return OutputSolution(status=status, y=y, residual=resid, iterations=iters,
                           n_found=len(elements), u=u)
-
-
-def _exact_choice(f: Nonlinearity, d: float, fibre_of, t: float, w, y_guess,
-                  tol_sep: float) -> tuple:
-    """(y, fibre): y the element nearest y_guess of the exact fibre of w, a
-    float for p = 1; fibre its value, None for one point, which is its own
-    nearest element.  An empty fibre gives (None, None)."""
-    fib = fibre_of(f, d, t, w, tol_sep)
-    elements = fib[1]
-    if len(elements) == 1 and type(elements[0]) is not tuple:
-        y, fib = _element(fib[0], elements[0]), None
-    elif not elements:
-        return None, None
-    else:
-        y = _nearest(fib, y_guess)[0]
-    return (y if type(y) is float or f.p > 1 else _as_float(y)), fib
 
 
 def _range_exclusion(f: Nonlinearity) -> dict:
@@ -1214,12 +1266,22 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
     bisection, plus flat-segment detection where |residual| < 1e-10 over
     consecutive grid cells.  Planar case: cells below tolerance refined
     by local Newton.  Only solutions inside the scan window are visible.
+    R and h_scan must be finite and positive, and the grid at most
+    ``_SCAN_CELLS`` cells: others are rejected before anything is allocated.
     """
-    if R <= 0 or h_scan <= 0:
-        raise ConfigurationError("scan radius and step must be positive")
+    for name, value in (("radius R", R), ("step h_scan", h_scan)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"scan {name} must be finite and positive, "
+                                     f"got {value!r}")
     D = _as_feedthrough(D)
     p = D.shape[0]
+    if p not in (1, 2):
+        raise ConfigurationError("oracle supports p = 1 or p = 2 only")
     w = _target(w, p)
+    per_axis = 2.0 * R / h_scan + 1.0   # grid points, before rounding
+    if (per_axis if p == 1 else per_axis * per_axis) > _SCAN_CELLS:
+        raise ConfigurationError(f"scan R={R!r} at h_scan={h_scan!r} spans more "
+                                 f"than {_SCAN_CELLS} grid cells")
     n = int(round(2.0 * R / h_scan)) + 1
 
     if p == 1:
@@ -1249,23 +1311,20 @@ def brute_force_fibre_oracle(f: Nonlinearity, D, t: float, w, R: float,
                                            tol_sep=h_scan * 0.5)
         return FibreSet._view((None, _order(pts, segs), False), t, w.copy())
 
-    if p == 2:
-        axis = np.linspace(-R, R, n)
-        opts = SolveOptions(tol_resid=1e-10)
-        hits: list[np.ndarray] = []
-        tol_cell = max(1e-6, h_scan)
-        # rows (x1, x2) with x2 running fastest, evaluated a block of x1
-        # values at a time so the stack stays small on fine grids
-        block = max(1, _SCAN_ROWS // n)
-        for k in range(0, n, block):
-            cells = np.stack(np.meshgrid(axis[k:k + block], axis,
-                                         indexing="ij"), axis=-1).reshape(-1, 2)
-            near = row_norms(apply_F(D, f, t, cells) - w) < tol_cell
-            for y in cells[near]:
-                ys, _, _, ok, _, _ = _newton(f, D, t, w, y, opts)
-                if ok:
-                    hits.append(ys)
-        reps = _cluster_vectors(hits, 2.0 * h_scan)
-        return FibreSet._view((p, _order(reps, []), False), t, w.copy())
-
-    raise ConfigurationError("oracle supports p = 1 or p = 2 only")
+    axis = np.linspace(-R, R, n)
+    opts = SolveOptions(tol_resid=1e-10)
+    hits: list[np.ndarray] = []
+    tol_cell = max(1e-6, h_scan)
+    # rows (x1, x2) with x2 running fastest, evaluated a block of x1
+    # values at a time so the stack stays small on fine grids
+    block = max(1, _SCAN_ROWS // n)
+    for k in range(0, n, block):
+        cells = np.stack(np.meshgrid(axis[k:k + block], axis,
+                                     indexing="ij"), axis=-1).reshape(-1, 2)
+        near = row_norms(apply_F(D, f, t, cells) - w) < tol_cell
+        for y in cells[near]:
+            ys, _, _, ok, _, _ = _newton(f, D, t, w, y, opts)
+            if ok:
+                hits.append(ys)
+    reps = _cluster_vectors(hits, 2.0 * h_scan)
+    return FibreSet._view((p, _order(reps, []), False), t, w.copy())

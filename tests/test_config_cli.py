@@ -9,7 +9,8 @@ import pytest
 
 from luresim import (EXAMPLE_NAMES, ConfigurationError, ScalarPiece,
                      build_example, config_text, deadzone_saturation,
-                     entry_to_config, parse_config, piecewise_scalar)
+                     entry_to_config, parse_config, piecewise_scalar,
+                     saturation_scaled)
 from luresim.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -277,6 +278,37 @@ def test_non_finite_pieces_are_rejected(pieces):
         piecewise_scalar(pieces)
 
 
+# finite at _check_tiling's probe times (0, 0.7 and 3.1), infinite elsewhere
+_PROBE_FINITE_GAIN = "t*(t-0.7)*(t-3.1)*1e300*1e300"
+
+
+@pytest.mark.parametrize("command", [["fibre", "--t", "2", "--w", "0.3"],
+                                     ["simulate", "--tmax", "0.1"]])
+def test_time_varying_pieces_are_checked_where_they_resolve(tmp_path, entry,
+                                                             capsys, command):
+    # such a gain once gave an exact certificate of an empty fibre at t = 2,
+    # and a run that stopped as no_output_solution at t = 0, both exiting 0
+    doc = entry_to_config(entry("sec42c"))
+    doc["nonlinearity"]["builtin"]["params"]["gain"] = _PROBE_FINITE_GAIN
+    cfg = tmp_path / "gain.json"
+    cfg.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "run")] if command[0] == "simulate" else []
+    code = main([command[0], "--system", str(cfg), *command[1:], *out])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert re.match(r"error: piece 0 has a NaN edge or a non-finite "
+                    r"coefficient at t=(2\.0|0\.0005):", captured.err)
+
+
+def test_time_varying_pieces_are_checked_per_row_time():
+    # the stacked path resolves a piece at each row's time, and checks it there
+    f = saturation_scaled(lambda t: t * (t - 0.7) * (t - 3.1) * 1e300 * 1e300)
+    X = np.array([[-3.0], [0.5], [3.0]])
+    assert f.eval_batch(np.array([0.0, 0.7, 3.1]), X).tolist() == [[0.0]] * 3
+    with pytest.raises(ConfigurationError, match=r"^piece 0 .* at t=2\.0: "):
+        f.eval_rows(np.array([0.0, 2.0, 0.7]), X)
+
+
 @pytest.mark.parametrize("pieces, field", [
     ([{"lo": "-inf", "hi": True, "poly": [0, 1]},
       {"lo": 1.0, "hi": "inf", "poly": [0, 1]}], "pieces[0].hi"),
@@ -433,6 +465,22 @@ def test_cli_fibre_rejects_wrong_length_target(tmp_path, entry, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "w must be a finite vector of length 1" in captured.err
+
+
+@pytest.mark.parametrize("scan, named", [
+    (["--scan-radius", "nan"], "scan radius R must be finite"),
+    (["--scan-radius", "3", "--scan-step", "nan"], "scan step h_scan must be finite"),
+    (["--scan-radius", "inf"], "scan radius R must be finite"),
+    (["--scan-radius", "1e6", "--scan-step", "1e-9"], "spans more than"),
+])
+def test_cli_fibre_rejects_bad_scan_naming_it(capsys, scan, named):
+    # each exited 1 with a traceback (ValueError, OverflowError, or numpy's
+    # failure to allocate 14.2 PiB); each is rejected before any allocation
+    code = main(["fibre", "--system", str(CONFIG_DIR / "ex3c.json"),
+                 "--w", "0.1", *scan])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
 
 
 def test_cli_example_list_and_show(capsys):

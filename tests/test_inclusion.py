@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import luresim.inclusion as inclusion
+import luresim.integrator as integrator
 import luresim.output_solver as output_solver
 from luresim import (ConfigurationError, EmptyFibreError, FibreSet,
                      InclusionOptions, Nonlinearity, ScalarPiece,
@@ -424,8 +425,8 @@ def test_use_structure_false_takes_the_multistart_route(entry, monkeypatch):
     # the stages call the exact route's fibre function or the multistart
     monkeypatch.setitem(output_solver._EXACT_FIBRES, "piecewise_scalar",
                         counting("exact", output_solver._scalar_fibre))
-    monkeypatch.setattr(inclusion, "_multistart",
-                        counting("multistart", inclusion._multistart))
+    monkeypatch.setattr(integrator, "_multistart",
+                        counting("multistart", integrator._multistart))
     rec = simulate_inclusion(e.system, e.nonlinearity, e.input, 0.0, e.x0,
                              SelectionPolicy.fixed_branch(1),
                              InclusionOptions(dt=1e-3, tmax=0.01, fibre=off))

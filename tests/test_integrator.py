@@ -6,12 +6,12 @@ import pytest
 from scipy.linalg import expm
 
 import luresim.integrator as integrator
-from luresim import (InclusionOptions, Nonlinearity, SelectionPolicy,
-                     SimOptions, SystemMatrices, UsageError, build_example,
-                     compare_to_reference, linear_nonlinearity,
-                     refine_escape_time, simulate, simulate_inclusion,
-                     summary_dict, write_csv, write_summary_json,
-                     zero_input, zero_nonlinearity)
+from luresim import (InclusionOptions, Nonlinearity, ScalarPiece,
+                     SelectionPolicy, SimOptions, SystemMatrices, UsageError,
+                     build_example, compare_to_reference, linear_nonlinearity,
+                     piecewise_scalar, refine_escape_time, simulate,
+                     simulate_inclusion, summary_dict, write_csv,
+                     write_summary_json, zero_input, zero_nonlinearity)
 from luresim.nonlinearity import vec_norm
 
 LN2 = math.log(2.0)
@@ -132,8 +132,8 @@ def test_output_equation_consistency(entry, rng):
 def test_rk4_solves_each_stage_point_once(entry, monkeypatch):
     # stage 1 reuses the accepted point's output: four solves per step
     # (three stages and the landing point) plus the initial one
-    # (an exact-route stage solves through _exact_choice, a Newton-route
-    # one through solve_output)
+    # (an exact-route stage chooses through _choose, a Newton-route one
+    # solves through solve_output)
     e = entry("sec42c")
     calls = []
 
@@ -143,7 +143,7 @@ def test_rk4_solves_each_stage_point_once(entry, monkeypatch):
             return solve(*args, **kwargs)
         return counted
 
-    for name in ("solve_output", "_exact_choice"):
+    for name in ("solve_output", "_choose"):
         monkeypatch.setattr(integrator, name,
                             counting(getattr(integrator, name)))
     rec = simulate(e.system, e.nonlinearity, e.input, 0.0, e.x0,
@@ -164,6 +164,23 @@ def test_refine_escape_time_ln2(entry):
     t_star, half = refine_escape_time(rec, e.system, e.nonlinearity, e.input,
                                       time_tol=1e-6)
     assert abs(t_star - LN2) < 1e-5
+
+
+def test_refine_escape_time_bisects_a_fixed_step_blow_up():
+    # xdot = x^2 from x(0) = 1 escapes at t = 1.  The fixed-step run stops
+    # where |x| crosses blowup_threshold, without a bracket, so the
+    # refinement bisects the step between the last two samples.
+    sys = SystemMatrices(A=[[0.0]], B=[[1.0]], B_e=[[0.0]], C=[[1.0]],
+                         D=[[0.0]], D_e=[[0.0]])
+    f = piecewise_scalar([ScalarPiece(lo=-math.inf, hi=math.inf, c2=1.0)])
+    opts = SimOptions(method="rk4_fixed", dt=1e-3, tmax=2.0)
+    rec = simulate(sys, f, zero_input(1), 0.0, [1.0], opts)
+    assert rec.termination.kind == "blow_up" and rec.termination.bracket is None
+    t_star, half = refine_escape_time(rec, sys, f, zero_input(1),
+                                      time_tol=1e-7, opts=opts)
+    assert math.isclose(t_star, 1.000250061035157, rel_tol=1e-12)
+    assert math.isclose(half, 6.10351562624345e-08, rel_tol=1e-12)
+    assert rec.times[-2] < t_star < rec.times[-1]
 
 
 def test_refine_escape_time_pi_half(entry):

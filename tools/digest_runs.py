@@ -18,6 +18,11 @@ The grid:
   ``refine_escape_time`` (time_tol 1e-7) where the run stops early, and
   the same on the planar entries ex4a, ex4b and ex4c on the Newton route
   (``use_structure=False``; lines ``simulate-newton/...``);
+- ``simulate`` of xdot = x^2 from x(0) = 1 (A = 0, B = C = 1, D = 0) with
+  ``rk4_fixed`` at dt 1e-3, followed by ``refine_escape_time`` (time_tol
+  1e-7), whose bisection this run reaches: it stops when |x| crosses
+  ``blowup_threshold``, without a bracket (line
+  ``simulate-escape/x_squared/rk4_fixed``);
 - ``simulate_inclusion`` with ``euler`` and ``rk4`` at dt 1e-3 and the
   entry's tmax, for every entry whose fibres are enumerated exactly, under
   the policies ``nearest_previous``, ``min_norm``, ``max_norm``,
@@ -62,6 +67,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import os
 import re
 import sys
@@ -145,6 +151,21 @@ def _simulate(name: str, method: str, use_structure: bool = True):
                 record, entry.system, entry.nonlinearity, entry.input,
                 time_tol=1e-7, opts=opts)
         return record, escape
+    return run
+
+
+def _x_squared_escape():
+    sys = luresim.SystemMatrices(A=[[0.0]], B=[[1.0]], B_e=[[0.0]], C=[[1.0]],
+                                 D=[[0.0]], D_e=[[0.0]])
+    f = luresim.piecewise_scalar([luresim.ScalarPiece(lo=-math.inf, hi=math.inf,
+                                                      c2=1.0)])
+    v = luresim.zero_input(1)
+
+    def run():
+        opts = luresim.SimOptions(method="rk4_fixed", dt=1e-3, tmax=2.0)
+        record = luresim.simulate(sys, f, v, 0.0, [1.0], opts)
+        return record, luresim.refine_escape_time(record, sys, f, v,
+                                                  time_tol=1e-7, opts=opts)
     return run
 
 
@@ -250,6 +271,7 @@ def _runs():
         for method in ("rk4_fixed", "rk45_adaptive"):
             yield (f"simulate-newton/{name}/{method}",
                    _simulate(name, method, False))
+    yield "simulate-escape/x_squared/rk4_fixed", _x_squared_escape()
     for name in names:
         for method in ("euler", "rk4"):
             for policy in POLICIES:
