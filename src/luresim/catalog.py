@@ -493,11 +493,11 @@ def verify_example(name: str, quick: bool = False) -> VerificationReport:
                        SimOptions(method="rk4_fixed", dt=dt, tmax=entry.tmax))
         record("termination", rec.termination.kind == "no_output_solution",
                rec.termination.kind)
-        t_star, width = refine_escape_time(rec, entry.system,
-                                           entry.nonlinearity, entry.input,
-                                           time_tol=1e-7)
+        t_star, half = refine_escape_time(rec, entry.system,
+                                          entry.nonlinearity, entry.input,
+                                          time_tol=1e-7)
         record("escape_time", abs(t_star - LN2) < 1e-3,
-               f"t*={t_star:.8f} vs ln2={LN2:.8f} (width {width:.1e})")
+               f"t*={t_star:.8f} vs ln2={LN2:.8f} (width {2.0 * half:.1e})")
         metrics = compare_to_reference(rec, entry.reference)
         tol = 1e-6 if not quick else 1e-4
         record("trajectory_error", metrics["x_max_err"] < tol,
@@ -534,9 +534,9 @@ def verify_example(name: str, quick: bool = False) -> VerificationReport:
                                   tmax=entry.tmax, rtol=1e-8))
         record("termination", rec.termination.kind == "blow_up",
                rec.termination.kind)
-        t_star, width = refine_escape_time(rec, entry.system,
-                                           entry.nonlinearity, entry.input,
-                                           time_tol=1e-7)
+        t_star, _ = refine_escape_time(rec, entry.system,
+                                       entry.nonlinearity, entry.input,
+                                       time_tol=1e-7)
         record("escape_time", abs(t_star - PI_2) < 1e-2,
                f"t*={t_star:.8f} vs pi/2={PI_2:.8f}")
         record("output_diverges", rec.y_sup_norm > 1e3,

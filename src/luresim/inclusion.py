@@ -272,15 +272,17 @@ def check_image_convexity(f: Nonlinearity, D, t: float, w,
 
     if fib.exact and f.kind in ("piecewise_scalar", "radial"):
         pieces = f.resolved_structure(t)
-        u = np.asarray(w, dtype=float).reshape(-1)      # the ray of a radial fibre
-        u = u / (vec_norm(u) or 1.0) if f.kind == "radial" else None
-        def coord(x) -> float:
-            """A float on the line; a vector's coordinate along u, or along e1."""
-            return x if type(x) is float else float(x[0] if u is None else x @ u)
-        elements = fib.elements()
-        intervals = [(g, g) for g in (_eval_resolved(pieces, coord(v))
-                                      for kind, v in elements if kind == "point")]
-        for lo, hi in (map(coord, v) for kind, v in elements if kind == "segment"):
+        frame, elements, _ = fib._value     # floats, on the line or on a ray
+        if f.kind == "radial":
+            u = np.asarray(w, dtype=float).reshape(-1)
+            u = u / (vec_norm(u) or 1.0)
+            if type(frame) is not np.ndarray or not np.array_equal(frame, u):
+                # given as vectors, or on another ray: coordinates along w
+                elements = [tuple(float(x @ u) for x in v) if kind == "segment"
+                            else float(v @ u) for kind, v in fib.elements()]
+        intervals = [(g, g) for g in (_eval_resolved(pieces, x)
+                                      for x in elements if type(x) is not tuple)]
+        for lo, hi in (e for e in elements if type(e) is tuple):
             for pc in pieces:
                 olo, ohi = max(lo, pc.lo), min(hi, pc.hi)
                 if olo <= ohi:

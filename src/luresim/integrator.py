@@ -12,14 +12,16 @@ The loop's values (state, output, f(t, y), slope, input) are 1-d arrays,
 or plain floats when n = m = m_e = p = 1 (``_ScalarPlant``); the float
 form reproduces numpy's 1 x 1 products bit for bit.
 
-One loop, ``_integrate``, and one stage, ``_SolvingStage``, serve both
-this module's ``simulate`` and ``inclusion.simulate_inclusion``.  The
-loop owns the horizon test, the step floor, the collapse classification,
-the blow-up test and the recording.
-Each mode hands it an ``advance`` hook that attempts one step:
-``simulate``'s holds the RK step, the RKF45 error control and the
-``multiple`` flag; ``simulate_inclusion``'s holds the jump test and the
-fold landing.
+One loop, ``_integrate``, and one stage, ``_SolvingStage``, serve
+``simulate``, ``inclusion.simulate_inclusion`` and ``refine_escape_time``.
+The loop owns the horizon test, the step floor, the collapse
+classification, the blow-up test and the recording.
+Each caller hands it an ``advance`` hook that attempts one step:
+``simulate``'s, ``_rk_advance``, holds the RK step, the RKF45 error
+control and the ``multiple`` flag; ``refine_escape_time`` re-enters the
+loop over a stopped run's last bracket with it, so one locator places
+every event; ``simulate_inclusion``'s holds the jump test and the fold
+landing.
 
 Termination follows the trichotomy: the horizon was reached; the output
 equation lost solvability (existence boundary, with the state and output
@@ -37,7 +39,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -475,8 +477,6 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
 
     plant = _plant(sys, v)
     stage = _SolvingStage(plant, f, solver)
-    adaptive = opts.method == "rk45_adaptive"
-    method = "rkf45" if adaptive else "rk4"
     rec = _Recorder(plant)
 
     w0 = sys.C @ x0 + sys.D_e @ v(t0)
@@ -491,9 +491,19 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
         return rec.build(term)
     # a solve that chose among several outputs is flagged, never silent
     rec.push(t0, x0, y, u, terms, flag="multiple" if stage.multiple else "")
+    h = min(opts.dt, opts.dt_max) if opts.method == "rk45_adaptive" else opts.dt
+    return rec.build(_integrate(rec, opts, t0, x0, y, k, h,
+                                _rk_advance(stage, opts)))
+
+
+def _rk_advance(stage: _SolvingStage, opts: SimOptions):
+    """``simulate``'s advance hook: one step of ``opts.method`` through
+    ``stage``, which RKF45 rejects on its error estimate; the sample is
+    flagged ``multiple`` when a stage of the step had several outputs."""
+    adaptive = opts.method == "rk45_adaptive"
+    method = "rkf45" if adaptive else "rk4"
 
     def advance(t, x, y, k, h):
-        """One RK step; RKF45 rejects it on its error estimate."""
         stage.multiple = False
         try:
             x_new, _, err, y_last = _rk_step(method, stage, t, x, h, y, k)
@@ -510,9 +520,7 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
             return sample, opts.dt, False
         grow = min(5.0, 0.9 * errnorm ** -0.2) if errnorm > 0.0 else 5.0
         return sample, min(opts.dt_max, h * grow), False
-
-    h = min(opts.dt, opts.dt_max) if adaptive else opts.dt
-    return rec.build(_integrate(rec, opts, t0, x0, y, k, h, advance))
+    return advance
 
 
 def refine_escape_time(record: TrajectoryRecord, sys: SystemMatrices, f, v,
@@ -520,51 +528,41 @@ def refine_escape_time(record: TrajectoryRecord, sys: SystemMatrices, f, v,
                        opts: SimOptions | None = None) -> tuple[float, float]:
     """Bracket the termination event of a stopped trajectory within time_tol.
 
-    Bisection on the step taken from the last recorded state: a midpoint
-    step either succeeds without crossing the blow-up thresholds (advance
-    the bracket) or fails (shrink it).  Returns (t_star, half_width).
+    The bracket is the record's or, for a run that crossed
+    ``blowup_threshold``, its last step.  One wider than 2 time_tol is
+    narrowed by re-entering ``_integrate`` from the sample at its lower
+    end, stepping by ``opts.method`` with floor time_tol up to its upper
+    end, where a step across either blow-up threshold fails; the collapse
+    bracket found, else (last sample time, upper end), replaces it.
+    Returns (t_star, half_width), the bracket's midpoint and half width.
     """
     if record.termination.kind not in ("no_output_solution", "blow_up"):
         raise UsageError("refine_escape_time applies to terminated records only")
-    if record.n_samples == 0:
-        return record.termination.time, 0.0
+    if not (math.isfinite(time_tol) and time_tol > 0):
+        raise ConfigurationError(f"time_tol must be finite and positive, got {time_tol}")
     opts = opts or SimOptions()
-    stage = _SolvingStage(_Plant(sys, v), f, _checked(opts.solver, "solver."))
+    solver = _checked(opts.solver, "solver.")
+    i = record.n_samples - (1 if record.termination.bracket else 2)
+    lo, hi = record.termination.bracket or record.times[[i, -1]].tolist()
+    if hi - lo > 2.0 * time_tol:
+        plant = _plant(sys, v)
+        x, y, u = (plant.value(a[i]) for a in (record.x, record.y, record.u))
+        terms, rec = plant.input(lo), _Recorder(plant)
+        rec.push(lo, x, y, u, terms)
+        sub = replace(opts, dt=hi - lo, dt_min=time_tol, tmax=hi)
+        advance = _rk_advance(_SolvingStage(plant, f, solver), sub)
 
-    if record.n_samples >= 2:
-        t_lo = float(record.times[-2])
-        x_lo = record.x[-2].copy()
-        y_lo = record.y[-2].copy()
-        t_hi = float(record.times[-1]) + (record.termination.bracket[1] -
-                                          record.termination.bracket[0]
-                                          if record.termination.bracket else 0.0)
-    else:
-        t_lo = float(record.times[-1])
-        x_lo = record.x[-1].copy()
-        y_lo = record.y[-1].copy()
-        t_hi = t_lo + (opts.dt if record.termination.bracket is None
-                       else record.termination.bracket[1] - t_lo)
-    if record.termination.bracket is not None:
-        t_hi = max(t_hi, record.termination.bracket[1])
+        def bounded(t, x, y, k, h):
+            """``advance``, with a step across a blow-up threshold failed."""
+            sample, h_next, failed = advance(t, x, y, k, h)
+            if sample is not None and (vec_norm(sample[1]) > opts.blowup_threshold
+                                       or vec_norm(sample[2]) > opts.y_blowup_threshold):
+                return None, 0.5 * h, True
+            return sample, h_next, failed
 
-    while t_hi - t_lo > 2.0 * time_tol:
-        t_mid = 0.5 * (t_lo + t_hi)
-        h = t_mid - t_lo
-        if h < max(opts.dt_min, 8.0 * _EPS * max(1.0, abs(t_lo))):
-            break
-        try:
-            # y_lo only warm-starts stage 1: after an advance it is y4.
-            y1, _, k1, _ = stage(t_lo, x_lo, y_lo)
-            x_new, _, _, y_new = _rk_step("rk4", stage, t_lo, x_lo, h, y1, k1)
-        except _StageFailure:
-            t_hi = t_mid
-            continue
-        if (vec_norm(x_new) > opts.blowup_threshold
-                or vec_norm(y_new) > opts.y_blowup_threshold):
-            t_hi = t_mid
-            continue
-        t_lo, x_lo, y_lo = t_mid, x_new, y_new
-    return 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
+        lo, hi = (_integrate(rec, sub, lo, x, y, plant.slope(x, u, terms), hi - lo,
+                             bounded).bracket or (rec.times[-1], hi))
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def compare_to_reference(record: TrajectoryRecord, reference) -> dict:

@@ -145,29 +145,42 @@ def _at_times(fn, T: np.ndarray):
     return np.asarray([fn(float(s)) for s in bits.view(float)])[inverse]
 
 
-def _resolve_rows(i: int, pc: ScalarPiece, T: np.ndarray) -> ResolvedPiece:
-    """Piece i at each row time: callable fields become per-row arrays; the
-    first row time with a NaN edge or a non-finite coefficient raises as
-    ``_check_piece`` raises."""
-    rows = ResolvedPiece(*(_at_times(v, T).astype(float) if callable(v) else float(v)
-                           for v in (pc.lo, pc.hi, pc.c0, pc.c1, pc.c2)),
-                         pc.atan_coeff)
-    bad = (np.isnan(rows.lo) | np.isnan(rows.hi)
-           | ~(np.isfinite(rows.c0) & np.isfinite(rows.c1) & np.isfinite(rows.c2)))
-    if np.any(bad):
-        t = float(T[np.argmax(np.broadcast_to(bad, T.shape))])
-        _check_piece(i, pc.at(t), t)
-    return rows
+def _resolve_rows(pieces, T: np.ndarray) -> list[ResolvedPiece]:
+    """The pieces at each row time: callable fields become per-row arrays.
+    The first row time with a NaN edge or a non-finite coefficient raises as
+    ``_check_piece`` raises; where an edge is callable, the first with the
+    pieces out of order raises as ``_check_order`` raises."""
+    resolved = []
+    for i, pc in enumerate(pieces):
+        rows = ResolvedPiece(*(_at_times(v, T).astype(float) if callable(v) else float(v)
+                               for v in (pc.lo, pc.hi, pc.c0, pc.c1, pc.c2)),
+                             pc.atan_coeff)
+        bad = (np.isnan(rows.lo) | np.isnan(rows.hi)
+               | ~(np.isfinite(rows.c0) & np.isfinite(rows.c1) & np.isfinite(rows.c2)))
+        if np.any(bad):
+            t = float(T[np.argmax(np.broadcast_to(bad, T.shape))])
+            _check_piece(i, pc.at(t), t)
+        resolved.append(rows)
+    if any(callable(pc.lo) or callable(pc.hi) for pc in pieces):
+        bad = False
+        for rows in _misplaced(resolved):
+            bad = bad | rows
+        if np.any(bad):
+            t = float(T[np.argmax(np.broadcast_to(bad, T.shape))])
+            _check_order([pc.at(t) for pc in pieces], t)
+    return resolved
 
 
 def _resolver(pieces):
     """fn(t) -> [pc.at(t) for pc in pieces], bit for bit, calling only the
     callable fields; a callable that resolves to a NaN edge or a non-finite
-    coefficient raises ConfigurationError naming its piece and t."""
+    coefficient raises ConfigurationError naming its piece and t, and so
+    do, where some edge is callable, pieces out of order (``_check_order``)."""
     rows = [[v if callable(v) else float(v) for v in (pc.lo, pc.hi, pc.c0, pc.c1, pc.c2)]
             + [pc.atan_coeff] for pc in pieces]
     varying = [(i, k, v) for i, row in enumerate(rows)
                for k, v in enumerate(row) if callable(v)]
+    moving = any(k < 2 for _, k, _ in varying)
 
     def resolve(t):
         resolved = [row.copy() for row in rows]
@@ -175,7 +188,10 @@ def _resolver(pieces):
             value = resolved[i][k] = float(fn(t))
             if not math.isfinite(value) and (k > 1 or value != value):
                 _check_piece(i, pieces[i].at(t), t)
-        return list(map(ResolvedPiece._make, resolved))
+        resolved = list(map(ResolvedPiece._make, resolved))
+        if moving:
+            _check_order(resolved, t)
+        return resolved
     return resolve
 
 
@@ -185,6 +201,26 @@ def _check_piece(i: int, pc: ResolvedPiece, t: float) -> None:
     if math.isnan(pc.lo) or math.isnan(pc.hi) or not all(map(math.isfinite, pc[2:])):
         raise ConfigurationError(f"piece {i} has a NaN edge or a non-finite "
                                  f"coefficient at t={t}: {tuple(pc)}")
+
+
+def _misplaced(resolved) -> list:
+    """Whether each piece runs backwards (lo > hi) or ends more than 1e-12
+    away from where the next begins: a bool per piece, or per row on
+    per-row fields."""
+    ends = [pc.lo for pc in resolved[1:]] + [resolved[-1].hi]
+    return [(pc.lo > pc.hi) | (pc.hi < end - 1e-12) | (pc.hi > end + 1e-12)
+            for pc, end in zip(resolved, ends)]
+
+
+def _check_order(resolved, t: float) -> None:
+    """The pieces at t must run forwards, each ending where the next
+    begins; raises ConfigurationError naming the first that does not."""
+    for i, bad in enumerate(_misplaced(resolved)):
+        if bad:
+            nxt = (f", and piece {i + 1} begins at {resolved[i + 1].lo}"
+                   if i + 1 < len(resolved) else "")
+            raise ConfigurationError(f"pieces do not tile at t={t}: piece {i} runs "
+                                     f"from {resolved[i].lo} to {resolved[i].hi}{nxt}")
 
 
 def _rows(v, mask):
@@ -400,7 +436,7 @@ class Nonlinearity:
     def _resolved_rows(self, t, T: np.ndarray) -> list[ResolvedPiece]:
         if T.ndim == 0 or self._static_resolved is not None:
             return self.resolved_structure(t)
-        return [_resolve_rows(i, pc, T) for i, pc in enumerate(self.pieces)]
+        return _resolve_rows(self.pieces, T)
 
     def _bad_length(self, length: int) -> ConfigurationError:
         return ConfigurationError(
@@ -433,9 +469,9 @@ def row_time(t, i: int):
 
 
 def _check_tiling(pieces, lo_start: float):
-    """Pieces must tile [lo_start, inf) continuously, with edges that are
-    not NaN (they may be infinite) and finite coefficients; a radial profile
-    (lo_start 0) must also vanish at 0."""
+    """Pieces must tile [lo_start, inf) continuously, each running forwards,
+    with edges that are not NaN (they may be infinite) and finite
+    coefficients; a radial profile (lo_start 0) must also vanish at 0."""
     if not pieces:
         raise ConfigurationError("piecewise structure needs at least one piece")
     for t in (0.0, 0.7, 3.1):
@@ -450,11 +486,8 @@ def _check_tiling(pieces, lo_start: float):
             raise ConfigurationError("radial amplitude profile must vanish at r = 0")
         if resolved[-1].hi != _INF:
             raise ConfigurationError("last piece must extend to +inf")
+        _check_order(resolved, t)
         for left, right in zip(resolved, resolved[1:]):
-            if left.hi > right.lo + 1e-12 or left.hi < right.lo - 1e-12:
-                raise ConfigurationError(
-                    f"pieces do not tile: gap or overlap between {left.hi} and {right.lo}"
-                )
             b = left.hi
             if math.isfinite(b):
                 # the values round with the sizes of the terms that make them

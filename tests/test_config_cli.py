@@ -9,8 +9,8 @@ import pytest
 
 from luresim import (EXAMPLE_NAMES, ConfigurationError, ScalarPiece,
                      build_example, config_text, deadzone_saturation,
-                     entry_to_config, parse_config, piecewise_scalar,
-                     saturation_scaled)
+                     entry_to_config, enumerate_fibre_exact, parse_config,
+                     piecewise_scalar, saturation_scaled)
 from luresim.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -307,6 +307,45 @@ def test_time_varying_pieces_are_checked_per_row_time():
     assert f.eval_batch(np.array([0.0, 0.7, 3.1]), X).tolist() == [[0.0]] * 3
     with pytest.raises(ConfigurationError, match=r"^piece 0 .* at t=2\.0: "):
         f.eval_rows(np.array([0.0, 2.0, 0.7]), X)
+
+
+def test_an_inverted_piece_is_rejected():
+    # a deadzone of half-width t - 1 inverts its middle piece at t = 0, to
+    # [1, -1]; its neighbours still met it, and the exact fibre of w = 0
+    # read {-1, 1}, where y = 1 has residual 1
+    with pytest.raises(ConfigurationError,
+                       match=r"^pieces do not tile at t=0\.0: piece 2 runs from 1\.0 to -1\.0"):
+        deadzone_saturation(lambda t: t - 1.0)
+
+
+def test_pieces_that_part_between_the_probe_times_are_rejected_where_they_resolve():
+    # the pieces meet at _check_tiling's probe times (0, 0.7 and 3.1) but
+    # part at t = 2, where y = f(2, 0) = 0.5 solves y = f(2, y), yet the
+    # exact fibre read empty
+    f = piecewise_scalar([
+        ScalarPiece(lo=-math.inf, hi=lambda t: 1.0 + t * (t - 0.7) * (t - 3.1), c1=0.5),
+        ScalarPiece(lo=1.0, hi=math.inf, c0=0.5)])
+    match = r"^pieces do not tile at t=2\.0: piece 0 runs from -inf to -1\.86"
+    with pytest.raises(ConfigurationError, match=match):
+        enumerate_fibre_exact(f, [[1.0]], 2.0, [0.0])
+    with pytest.raises(ConfigurationError, match=match):
+        f.eval_rows(np.array([0.0, 2.0, 0.7]), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("width, t", [("t - 1", "0"),
+                                      ("t*(t-0.7)*(t-3.1) + 0.3", "2")])
+def test_cli_fibre_rejects_an_inverted_piece(tmp_path, entry, capsys, width, t):
+    # inverted at t = 0, and at t = 2 alone (between the probe times): each
+    # once printed the exact fibre {-1, 1} of w = 0 and exited 0
+    doc = entry_to_config(entry("sec42c"))
+    doc["nonlinearity"] = {"builtin": {"name": "deadzone_saturation",
+                                       "params": {"width": width}}}
+    cfg = tmp_path / "deadzone.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["fibre", "--system", str(cfg), "--t", t, "--w", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: pieces do not tile at t={float(t)}: piece 2 ")
 
 
 @pytest.mark.parametrize("pieces, field", [

@@ -6,9 +6,10 @@ import pytest
 from scipy.linalg import expm
 
 import luresim.integrator as integrator
-from luresim import (InclusionOptions, Nonlinearity, ScalarPiece,
-                     SelectionPolicy, SimOptions, SystemMatrices, UsageError,
-                     build_example, compare_to_reference, linear_nonlinearity,
+from luresim import (ConfigurationError, InclusionOptions, Nonlinearity,
+                     ScalarPiece, SelectionPolicy, SimOptions, SolveOptions,
+                     SystemMatrices, UsageError, build_example,
+                     compare_to_reference, linear_nonlinearity,
                      piecewise_scalar, refine_escape_time, simulate,
                      simulate_inclusion, summary_dict, write_csv,
                      write_summary_json, zero_input, zero_nonlinearity)
@@ -166,21 +167,81 @@ def test_refine_escape_time_ln2(entry):
     assert abs(t_star - LN2) < 1e-5
 
 
-def test_refine_escape_time_bisects_a_fixed_step_blow_up():
-    # xdot = x^2 from x(0) = 1 escapes at t = 1.  The fixed-step run stops
-    # where |x| crosses blowup_threshold, without a bracket, so the
-    # refinement bisects the step between the last two samples.
+def _x_squared_run():
+    """xdot = x^2 from x(0) = 1, which escapes at t = 1, run with rk4_fixed
+    at dt 1e-3: (sys, f, opts, record)."""
     sys = SystemMatrices(A=[[0.0]], B=[[1.0]], B_e=[[0.0]], C=[[1.0]],
                          D=[[0.0]], D_e=[[0.0]])
     f = piecewise_scalar([ScalarPiece(lo=-math.inf, hi=math.inf, c2=1.0)])
     opts = SimOptions(method="rk4_fixed", dt=1e-3, tmax=2.0)
-    rec = simulate(sys, f, zero_input(1), 0.0, [1.0], opts)
+    return sys, f, opts, simulate(sys, f, zero_input(1), 0.0, [1.0], opts)
+
+
+def test_refine_escape_time_bisects_a_fixed_step_blow_up():
+    # The fixed-step run of xdot = x^2 stops where |x| crosses
+    # blowup_threshold, without a bracket, so the refinement re-enters the
+    # loop over the step between the last two samples.
+    sys, f, opts, rec = _x_squared_run()
     assert rec.termination.kind == "blow_up" and rec.termination.bracket is None
     t_star, half = refine_escape_time(rec, sys, f, zero_input(1),
                                       time_tol=1e-7, opts=opts)
-    assert math.isclose(t_star, 1.000250061035157, rel_tol=1e-12)
-    assert math.isclose(half, 6.10351562624345e-08, rel_tol=1e-12)
-    assert rec.times[-2] < t_star < rec.times[-1]
+    assert math.isclose(t_star, 1.000137870789675, rel_tol=1e-12)
+    assert math.isclose(half, 8.843204157837903e-08, rel_tol=1e-12)
+    assert rec.times[-2] < t_star <= rec.times[-1] and half <= 1e-7
+
+
+@pytest.mark.parametrize("time_tol", [math.nan, math.inf, 0.0, -1e-7])
+def test_refine_escape_time_rejects_a_bad_time_tol(time_tol):
+    # a NaN time_tol once returned the last step's midpoint silently
+    sys, f, opts, rec = _x_squared_run()
+    with pytest.raises(ConfigurationError, match="time_tol"):
+        refine_escape_time(rec, sys, f, zero_input(1), time_tol=time_tol,
+                           opts=opts)
+
+
+@pytest.mark.parametrize("name, method, dt", [
+    ("ex3b", "rk4_fixed", 1e-4), ("ex3b", "rk4_fixed", 1e-3),
+    ("ex3b", "rk45_adaptive", 1e-3), ("ex3d", "rk4_fixed", 1e-3),
+    ("ex3d", "rk45_adaptive", 1e-3)])
+def test_refined_escape_time_lies_in_the_runs_bracket(entry, name, method, dt):
+    e = entry(name)
+    opts = SimOptions(method=method, dt=dt, tmax=e.tmax)
+    rec = simulate(e.system, e.nonlinearity, e.input, e.t0, e.x0, opts)
+    lo, hi = rec.termination.bracket
+    t_star, half = refine_escape_time(rec, e.system, e.nonlinearity, e.input,
+                                      time_tol=1e-7, opts=opts)
+    assert lo <= t_star - half and t_star + half <= hi
+
+
+def test_refine_escape_time_meets_time_tol_above_the_step_floor(entry):
+    # dt_min 1e-5 leaves the run's bracket 1.6e-5 wide; the refinement
+    # narrows it below time_tol rather than stopping at dt_min
+    e = entry("ex3b")
+    runs = []
+    for dt_min in (1e-12, 1e-5):
+        opts = SimOptions(method="rk4_fixed", dt=1e-3, dt_min=dt_min, tmax=e.tmax)
+        rec = simulate(e.system, e.nonlinearity, e.input, e.t0, e.x0, opts)
+        runs.append(refine_escape_time(rec, e.system, e.nonlinearity, e.input,
+                                       time_tol=1e-7, opts=opts))
+    (t_fine, _), (t_star, half) = runs
+    assert rec.termination.bracket[1] - rec.termination.bracket[0] > 1e-5
+    assert half <= 1e-7
+    assert abs(t_star - LN2) <= half and abs(t_star - t_fine) <= half
+
+
+def test_refine_escape_time_after_a_newton_route_stage_failure(entry):
+    # From x_ref(0.69) on the Newton route (no exact fibre), the stages
+    # near ln 2 fail inside solve_output, and the step halving brackets it
+    e = entry("ex3b")
+    opts = SimOptions(method="rk4_fixed", dt=1e-3, tmax=e.tmax,
+                      solver=SolveOptions(use_structure=False))
+    rec = simulate(e.system, e.nonlinearity, e.input, 0.69,
+                   e.reference.x(0.69), opts)
+    assert rec.termination.kind == "no_output_solution"
+    assert rec.n_samples == 19
+    t_star, _ = refine_escape_time(rec, e.system, e.nonlinearity, e.input,
+                                   time_tol=1e-7, opts=opts)
+    assert abs(t_star - LN2) < 1e-9
 
 
 def test_refine_escape_time_pi_half(entry):

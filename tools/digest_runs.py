@@ -20,9 +20,13 @@ The grid:
   (``use_structure=False``; lines ``simulate-newton/...``);
 - ``simulate`` of xdot = x^2 from x(0) = 1 (A = 0, B = C = 1, D = 0) with
   ``rk4_fixed`` at dt 1e-3, followed by ``refine_escape_time`` (time_tol
-  1e-7), whose bisection this run reaches: it stops when |x| crosses
-  ``blowup_threshold``, without a bracket (line
-  ``simulate-escape/x_squared/rk4_fixed``);
+  1e-7): the run stops when |x| crosses ``blowup_threshold``, without a
+  bracket, so the refinement re-enters the stepping loop over its last
+  step (line ``simulate-escape/x_squared/rk4_fixed``);
+- ``simulate`` of ex3b with ``rk4_fixed`` at dt 1e-3 and ``dt_min`` 1e-5,
+  followed by ``refine_escape_time`` (time_tol 1e-7): the run's bracket is
+  wider than 2 time_tol, so the refinement re-enters the stepping loop
+  over it (line ``simulate-escape/ex3b/rk4_fixed/dt_min=1e-05``);
 - ``simulate_inclusion`` with ``euler`` and ``rk4`` at dt 1e-3 and the
   entry's tmax, for every entry whose fibres are enumerated exactly, under
   the policies ``nearest_previous``, ``min_norm``, ``max_norm``,
@@ -169,6 +173,20 @@ def _x_squared_escape():
     return run
 
 
+def _wide_bracket_escape():
+    entry = _entry("ex3b")
+
+    def run():
+        opts = luresim.SimOptions(method="rk4_fixed", dt=1e-3, dt_min=1e-5,
+                                  tmax=entry.tmax)
+        record = luresim.simulate(entry.system, entry.nonlinearity,
+                                  entry.input, entry.t0, entry.x0, opts)
+        return record, luresim.refine_escape_time(
+            record, entry.system, entry.nonlinearity, entry.input,
+            time_tol=1e-7, opts=opts)
+    return run
+
+
 def _inclusion(name: str, method: str, policy: str, dt: float = 1e-3,
                use_structure: bool = True):
     """The run; None for an entry without exact fibres on the exact route."""
@@ -272,6 +290,7 @@ def _runs():
             yield (f"simulate-newton/{name}/{method}",
                    _simulate(name, method, False))
     yield "simulate-escape/x_squared/rk4_fixed", _x_squared_escape()
+    yield "simulate-escape/ex3b/rk4_fixed/dt_min=1e-05", _wide_bracket_escape()
     for name in names:
         for method in ("euler", "rk4"):
             for policy in POLICIES:
