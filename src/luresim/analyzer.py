@@ -64,14 +64,28 @@ _GROWTH_R_MAX = 64.0
 _FIBRE_OPTS = SolveOptions(n_starts=24, search_radius=10.0)
 
 
+def _pair(v, error: str, least: float = -math.inf) -> tuple[float, float]:
+    """v as floats (a, b), two finite numbers least <= a < b, else raise error."""
+    if not (isinstance(v, (tuple, list, np.ndarray)) and getattr(v, "ndim", 1) == 1
+            and len(v) == 2 and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                                    and math.isfinite(x) for x in v)
+            and least <= v[0] < v[1]):
+        raise ConfigurationError(error)
+    return float(v[0]), float(v[1])
+
+
 def _checked_window(t_window) -> tuple[float, float]:
     """``t_window`` as floats; it must be two finite numbers 0 <= a < b."""
-    pair = isinstance(t_window, (tuple, list, np.ndarray)) and len(t_window) == 2
-    if not (pair and all(isinstance(v, numbers.Real) and math.isfinite(v)
-                         for v in t_window) and 0 <= t_window[0] < t_window[1]):
-        raise ConfigurationError(f"t_window must be two finite numbers a, b "
-                                 f"with 0 <= a < b, got {t_window!r}")
-    return float(t_window[0]), float(t_window[1])
+    return _pair(t_window, f"t_window must be two finite numbers a, b with "
+                           f"0 <= a < b, got {t_window!r}", 0.0)
+
+
+def _checked_box(box) -> tuple[float, float]:
+    """``box`` as (lo, hi): a finite half-width h > 0 reads as (-h, h), and
+    a pair must be two finite numbers lo < hi."""
+    return _pair((-box, box) if isinstance(box, numbers.Real) else box,
+                 f"box must be a finite half-width > 0 or two finite numbers lo < hi, "
+                 f"got {box!r}")
 
 
 @dataclass(frozen=True)
@@ -255,9 +269,8 @@ def _pair_draws(n_pairs: int, p: int, t_window, box, seed: int):
     at: X holds xi, zeta, xi, ... and T each pair's time twice."""
     if n_pairs < 1:
         raise ConfigurationError("n_pairs must be positive")
-    lo, hi = (-box, box) if np.isscalar(box) else box
+    (ta, tb), (lo, hi) = _checked_window(t_window), _checked_box(box)
     draws = np.random.default_rng(seed).random((n_pairs, 2 * p + 1))
-    ta, tb = t_window
     return (np.repeat(ta + (tb - ta) * draws[:, 0], 2),
             (lo + (hi - lo) * draws[:, 1:]).reshape(-1, p))
 
@@ -400,11 +413,11 @@ def check_determinant_condition(f: Nonlinearity, D, t_window, box,
     D = np.atleast_2d(np.asarray(D, dtype=float))
     p = D.shape[1]
     eye = np.eye(D.shape[0])
-    lo, hi = (-box, box) if np.isscalar(box) else box
+    (ta, tb), (lo, hi) = _checked_window(t_window), _checked_box(box)
     rng = np.random.default_rng(seed)
     points = np.vstack((np.zeros(p), np.full(p, lo), np.full(p, hi),
                         lo + (hi - lo) * rng.random((n_xi, p))))
-    times = np.linspace(t_window[0], t_window[1], n_t)
+    times = np.linspace(ta, tb, n_t)
     delta_hat = math.inf
     b_hat = 0.0
     witness = None
@@ -457,7 +470,7 @@ def check_growth_condition(f: Nonlinearity, D, t_window, n_t: int = 13, seed: in
     p = D.shape[1]
     dnorm = float(np.linalg.norm(D, 2))
     dirs = ProbeGrid(n_dir=_GROWTH_N_DIR, seed=seed).directions(p)
-    times = np.linspace(t_window[0], t_window[1], n_t)
+    times = np.linspace(*_checked_window(t_window), n_t)
     radii_all = np.geomspace(min(_GROWTH_RHOS), _GROWTH_R_MAX, 24)
     # Ratios on every radius any rho scans (rho itself, then radii_all),
     # evaluated once; each rho then scans its columns in (t, r, d) order.
@@ -601,7 +614,7 @@ def _sampled_fibres(sys: SystemMatrices, f: Nonlinearity, t_window, n_w: int, se
     fibre_opts = _checked(fibre_opts or _FIBRE_OPTS, "fibre_opts.")
     n, m, m_e, p = sys.dims
     rng = np.random.default_rng(seed)
-    times = np.linspace(t_window[0], t_window[1], max(2, n_w // 8))
+    times = np.linspace(*_checked_window(t_window), max(2, n_w // 8))
     fibres = []
     for _ in range(n_w):
         t = float(rng.choice(times))

@@ -288,6 +288,14 @@ def _build_piecewise(spec: dict, path: str) -> Nonlinearity:
 # Top-level config
 # ---------------------------------------------------------------------------
 
+def _signal(build, path: str, *args) -> InputSignal:
+    """build(*args), whose errors, numpy's included, name the field."""
+    try:
+        return build(*args)
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        raise _err(path, str(exc)) from None
+
+
 @dataclass
 class SystemConfig:
     system: SystemMatrices
@@ -378,13 +386,14 @@ def parse_config(text: str) -> SystemConfig:
             raise _err("input.zero.m_e", f"got {ipayload['m_e']}, expected {m_e}")
         signal = zero_input(m_e)
     elif itag == "constant":
-        signal = constant_input(ipayload)
+        signal = _signal(constant_input, "input.constant", ipayload)
     elif itag == "piecewise_constant":
         if not isinstance(ipayload, dict) or set(ipayload) != {"times", "values"}:
             raise _err("input.piecewise_constant", "expected times and values")
-        signal = piecewise_constant_input(ipayload["times"], ipayload["values"])
+        signal = _signal(piecewise_constant_input, "input.piecewise_constant",
+                         ipayload["times"], ipayload["values"])
     elif itag == "polynomial":
-        signal = polynomial_input(ipayload)
+        signal = _signal(polynomial_input, "input.polynomial", ipayload)
     else:
         raise _err("input", f"unknown kind {itag!r}")
     if signal.m_e != m_e:

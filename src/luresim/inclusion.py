@@ -115,7 +115,7 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
 
     x0 = plant.value(x0)
     try:
-        y, u, k, terms = stage(t0, x0, plant.target(x0, plant.input(t0)))
+        y, u, k, terms = stage.in_run(t0, x0, plant.target(x0, plant.input(t0)))
     except _StageFailure:
         term = Termination(kind="no_output_solution", time=t0,
                            bracket=(t0, t0), detail="empty fibre at initial time")
@@ -135,11 +135,11 @@ def simulate_inclusion(sys: SystemMatrices, f: Nonlinearity, v, t0: float, x0,
         """One step, landed on the fold when the selection jumps or ends."""
         nonlocal fold_attempts
         try:
-            x_new, k_mean, _, _ = _rk_step(opts.method, stage, t, x, h, y, k)
+            x_new, k_mean, _, _ = _rk_step(opts.method, stage.in_run, t, x, h, y, k)
         except _StageFailure:
             return None, 0.5 * h, True
         try:
-            sample = (t + h, x_new, *stage(t + h, x_new, y), stage.branch)
+            sample = (t + h, x_new, *stage.in_run(t + h, x_new, y), stage.branch)
         except _StageFailure:
             sample = None
         # An empty fibre counts as a jump; ||y|| is taken only when the
@@ -211,7 +211,7 @@ def _land_on_fold(stage: _SolvingStage, t: float, x, y, k, h: float,
     if t_hat <= t + 1e-15 * max(1.0, abs(t)):
         return None
     try:
-        y_sel, u, k_hat, terms = stage(t_hat, x_hat, y_hat)
+        y_sel, u, k_hat, terms = stage.in_run(t_hat, x_hat, y_hat)
     except _StageFailure:
         return None
     if vec_norm(y_sel - y_hat) > jump_tol:

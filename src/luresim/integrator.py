@@ -279,6 +279,15 @@ class _SolvingStage:
             y, u = plant.value(y), plant.value(u)
         return y, u, plant.slope(x, u, terms), terms
 
+    def in_run(self, t: float, x, y_prev):
+        """The stage in a run, where a target that overflowed fails the step."""
+        try:
+            return self(t, x, y_prev)
+        except ConfigurationError:
+            if all_finite(self.plant.target(x, self.plant.input(t))):
+                raise
+            raise _StageFailure({"kind": "non_finite_target"}) from None
+
 
 def _rk_step(method: str, stage, t: float, x, h: float, y, k1):
     """One ``euler``, ``rk4`` or ``rkf45`` step from (t, x), whose output y
@@ -483,7 +492,7 @@ def simulate(sys: SystemMatrices, f, v, t0: float, x0, opts: SimOptions | None =
     guess = plant.value(_initial_guess(sys, f, t0, w0))
     x0 = plant.value(x0)
     try:
-        y, u, k, terms = stage(t0, x0, guess)
+        y, u, k, terms = stage.in_run(t0, x0, guess)
     except _StageFailure as exc:
         detail = dict(exc.certificate or {})
         term = Termination(kind="no_output_solution", time=t0,
@@ -506,13 +515,13 @@ def _rk_advance(stage: _SolvingStage, opts: SimOptions):
     def advance(t, x, y, k, h):
         stage.multiple = False
         try:
-            x_new, _, err, y_last = _rk_step(method, stage, t, x, h, y, k)
+            x_new, _, err, y_last = _rk_step(method, stage.in_run, t, x, h, y, k)
             if adaptive:
                 scale = opts.atol + opts.rtol * np.maximum(np.abs(x), np.abs(x_new))
                 errnorm = float(np.max(np.abs(err) / scale))
                 if errnorm > 1.0:
                     return None, max(0.5 * h, 0.9 * h * errnorm ** -0.2), False
-            sample = (t + h, x_new, *stage(t + h, x_new, y_last), -1,
+            sample = (t + h, x_new, *stage.in_run(t + h, x_new, y_last), -1,
                       "multiple" if stage.multiple else "")
         except _StageFailure:
             return None, 0.5 * h, True

@@ -30,10 +30,6 @@ from .errors import ConfigurationError, EvaluationError
 _INF = math.inf
 
 
-def _resolve(value, t: float) -> float:
-    return float(value(t)) if callable(value) else float(value)
-
-
 class _PerTime:
     """fn(t) with a one-entry memo: the last value is reused while t keeps
     the same bits (``==`` alone would let 0.0 stand for -0.0; NaN never
@@ -69,14 +65,8 @@ class ScalarPiece:
     atan_coeff: float = 0.0
 
     def at(self, t: float) -> "ResolvedPiece":
-        return ResolvedPiece(
-            _resolve(self.lo, t),
-            _resolve(self.hi, t),
-            _resolve(self.c0, t),
-            _resolve(self.c1, t),
-            _resolve(self.c2, t),
-            self.atan_coeff,
-        )
+        return ResolvedPiece(*(float(v(t)) if callable(v) else float(v) for v in (
+            self.lo, self.hi, self.c0, self.c1, self.c2)), self.atan_coeff)
 
     @property
     def static(self) -> bool:
@@ -93,19 +83,29 @@ class ResolvedPiece(NamedTuple):
     c2: float
     atan_coeff: float
 
-    def value(self, x: float) -> float:
+    def value(self, x):     # x a float, or a row array on per-row fields
         out = self.c0 + x * (self.c1 + x * self.c2)
         if self.atan_coeff:
-            out += self.atan_coeff * math.atan(x)
+            out = out + self.atan_coeff * _atan(x)
         return out
+
+    def size(self, x):
+        """The sum of the sizes of the terms that make ``value(x)``."""
+        out = abs(self.c0) + abs(self.c1 * x) + abs(self.c2 * x * x)
+        return out + abs(self.atan_coeff * _atan(x)) if self.atan_coeff else out
+
+
+def _atan(x):
+    """``math.atan`` of a float, or of each entry of an array."""
+    return (np.array(list(map(math.atan, x.tolist()))) if isinstance(x, np.ndarray)
+            else math.atan(x))
 
 
 def _eval_resolved(resolved, x: float) -> float:
     for pc in resolved:
         if pc.lo <= x <= pc.hi:
             return pc.value(x)
-    # Fell through only by rounding at the outermost ends.
-    return resolved[0].value(x) if x < resolved[0].lo else resolved[-1].value(x)
+    return resolved[-1].value(x)        # x is NaN or in a gap of at most 1e-12
 
 
 def vec_norm(v) -> float:
@@ -145,95 +145,86 @@ def _at_times(fn, T: np.ndarray):
     return np.asarray([fn(float(s)) for s in bits.view(float)])[inverse]
 
 
-def _resolve_rows(pieces, T: np.ndarray) -> list[ResolvedPiece]:
+def _resolve_rows(pieces, T: np.ndarray, mirrored: int = 0) -> list[ResolvedPiece]:
     """The pieces at each row time: callable fields become per-row arrays.
-    The first row time with a NaN edge or a non-finite coefficient raises as
-    ``_check_piece`` raises; where an edge is callable, the first with the
-    pieces out of order raises as ``_check_order`` raises."""
-    resolved = []
-    for i, pc in enumerate(pieces):
-        rows = ResolvedPiece(*(_at_times(v, T).astype(float) if callable(v) else float(v)
-                               for v in (pc.lo, pc.hi, pc.c0, pc.c1, pc.c2)),
-                             pc.atan_coeff)
-        bad = (np.isnan(rows.lo) | np.isnan(rows.hi)
-               | ~(np.isfinite(rows.c0) & np.isfinite(rows.c1) & np.isfinite(rows.c2)))
-        if np.any(bad):
-            t = float(T[np.argmax(np.broadcast_to(bad, T.shape))])
-            _check_piece(i, pc.at(t), t)
-        resolved.append(rows)
-    if any(callable(pc.lo) or callable(pc.hi) for pc in pieces):
-        bad = False
-        for rows in _misplaced(resolved):
-            bad = bad | rows
-        if np.any(bad):
-            t = float(T[np.argmax(np.broadcast_to(bad, T.shape))])
-            _check_order([pc.at(t) for pc in pieces], t)
+    The tiling rule screens all rows at once; the first row time that
+    breaks it raises as ``_check_tiling`` raises there."""
+    resolved = [ResolvedPiece(*(_at_times(v, T).astype(float) if callable(v) else float(v)
+                                for v in (pc.lo, pc.hi, pc.c0, pc.c1, pc.c2)),
+                              pc.atan_coeff) for pc in pieces]
+    with np.errstate(invalid="ignore", over="ignore"):     # at infinite edges
+        flags = sum(_faults(resolved, mirrored), ())
+    bad = np.logical_or.reduce(np.broadcast_arrays(T, *flags)[1:])
+    if bad.any():
+        t = float(T[np.argmax(bad)])
+        _check_tiling([pc.at(t) for pc in pieces], t, mirrored)
     return resolved
 
 
-def _resolver(pieces):
-    """fn(t) -> [pc.at(t) for pc in pieces], bit for bit, calling only the
-    callable fields; a callable that resolves to a NaN edge or a non-finite
-    coefficient raises ConfigurationError naming its piece and t, and so
-    do, where some edge is callable, pieces out of order (``_check_order``)."""
+def _resolver(pieces, mirrored: int = 0):
+    """fn(t) -> [pc.at(t) for pc in pieces] bit for bit, calling only callables; checked."""
     rows = [[v if callable(v) else float(v) for v in (pc.lo, pc.hi, pc.c0, pc.c1, pc.c2)]
             + [pc.atan_coeff] for pc in pieces]
     varying = [(i, k, v) for i, row in enumerate(rows)
                for k, v in enumerate(row) if callable(v)]
-    moving = any(k < 2 for _, k, _ in varying)
 
     def resolve(t):
         resolved = [row.copy() for row in rows]
         for i, k, fn in varying:
-            value = resolved[i][k] = float(fn(t))
-            if not math.isfinite(value) and (k > 1 or value != value):
-                _check_piece(i, pieces[i].at(t), t)
+            resolved[i][k] = float(fn(t))
         resolved = list(map(ResolvedPiece._make, resolved))
-        if moving:
-            _check_order(resolved, t)
+        _check_tiling(resolved, t, mirrored)
         return resolved
     return resolve
 
 
-def _check_piece(i: int, pc: ResolvedPiece, t: float) -> None:
-    """Piece i at t must have edges that are not NaN (they may be infinite)
-    and finite coefficients; raises ConfigurationError naming it and t."""
-    if math.isnan(pc.lo) or math.isnan(pc.hi) or not all(map(math.isfinite, pc[2:])):
-        raise ConfigurationError(f"piece {i} has a NaN edge or a non-finite "
-                                 f"coefficient at t={t}: {tuple(pc)}")
+def _faults(resolved, mirrored: int = 0) -> list[tuple]:
+    """The tiling rule at one time, for each piece from piece ``mirrored`` on
+    (those before mirror the rest): (broken, gap, parted, misrun), bools or
+    per-row masks.  Broken: a NaN edge or a non-finite coefficient.  Gap:
+    the first begins away from -inf (a profile, from its mirror's end).
+    Parted: at a finite breakpoint, it and the piece before differ beyond
+    1e-9 of the sizes of their terms.  Misrun: it runs backwards, or ends
+    away from where the next begins (the last, +inf).  Away: by > 1e-12."""
+    prev = resolved[mirrored - 1] if mirrored else None
+    start, faults = (prev.hi if mirrored else -_INF), []
+    for i, pc in enumerate(resolved[mirrored:], mirrored + 1):
+        lo, hi, c0, c1, c2, a = pc
+        end = resolved[i].lo if i < len(resolved) else _INF
+        parted = prev is not None and ((abs(lo) < _INF) & (
+            abs(prev.value(lo) - pc.value(lo)) > 1e-9 * (prev.size(lo) + pc.size(lo))))
+        # 0 * c is NaN where c is not finite; equal infinities meet (their difference is NaN)
+        faults.append(((lo != lo) | (hi != hi) | (0.0 * c0 + 0.0 * c1 + 0.0 * c2 + 0.0 * a != 0.0),
+                       abs(lo - start) > 1e-12, parted, (lo > hi) | (abs(hi - end) > 1e-12)))
+        prev, start = pc, end
+    return faults
 
 
-def _misplaced(resolved) -> list:
-    """Whether each piece runs backwards (lo > hi) or ends more than 1e-12
-    away from where the next begins: a bool per piece, or per row on
-    per-row fields."""
-    ends = [pc.lo for pc in resolved[1:]] + [resolved[-1].hi]
-    return [(pc.lo > pc.hi) | (pc.hi < end - 1e-12) | (pc.hi > end + 1e-12)
-            for pc, end in zip(resolved, ends)]
-
-
-def _check_order(resolved, t: float) -> None:
-    """The pieces at t must run forwards, each ending where the next
-    begins; raises ConfigurationError naming the first that does not."""
-    for i, bad in enumerate(_misplaced(resolved)):
-        if bad:
-            nxt = (f", and piece {i + 1} begins at {resolved[i + 1].lo}"
-                   if i + 1 < len(resolved) else "")
-            raise ConfigurationError(f"pieces do not tile at t={t}: piece {i} runs "
-                                     f"from {resolved[i].lo} to {resolved[i].hi}{nxt}")
-
-
-def _rows(v, mask):
-    return v[mask] if isinstance(v, np.ndarray) else v
+def _check_tiling(resolved, t: float, mirrored: int = 0) -> None:
+    """Raise ConfigurationError at the first piece resolved at t that breaks
+    the rule of ``_faults``, counting from piece ``mirrored`` (a profile's)."""
+    if not resolved:
+        raise ConfigurationError("piecewise structure needs at least one piece")
+    for i, (broken, gap, parted, misrun) in enumerate(_faults(resolved, mirrored), mirrored):
+        pc, k = resolved[i], i - mirrored
+        if broken:
+            raise ConfigurationError(f"piece {k} has a NaN edge or a non-finite "
+                                     f"coefficient at t={t}: {tuple(pc)}")
+        if parted and not gap:
+            raise ConfigurationError(f"pieces disagree at breakpoint {pc.lo} (t={t}): "
+                                     f"{resolved[i - 1].value(pc.lo)} vs {pc.value(pc.lo)}")
+        if gap or misrun:
+            nxt = resolved[i + 1:i + 2]
+            tail = (f"not from {0 if mirrored else -_INF}" if gap else
+                    f"and piece {k + 1} begins at {nxt[0].lo}" if nxt else "not to inf")
+            raise ConfigurationError(f"pieces do not tile at t={t}: piece {k} runs "
+                                     f"from {pc.lo} to {pc.hi}, {tail}")
 
 
 def _piece_values(pc: ResolvedPiece, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``pc.value`` at x[mask], element for element (``math.atan`` per entry)."""
-    xm = x[mask]
-    out = _rows(pc.c0, mask) + xm * (_rows(pc.c1, mask) + xm * _rows(pc.c2, mask))
-    if pc.atan_coeff:
-        out = out + pc.atan_coeff * np.array([math.atan(v) for v in xm.tolist()])
-    return out
+    """``pc.value`` at x[mask], element for element."""
+    return ResolvedPiece._make(v[mask] if isinstance(v, np.ndarray) else v
+                               for v in pc).value(x[mask])
 
 
 def _first_match(resolved, x: np.ndarray) -> np.ndarray:
@@ -247,11 +238,8 @@ def _first_match(resolved, x: np.ndarray) -> np.ndarray:
         mask = todo & (x >= pc.lo) & (x <= pc.hi)
         out[mask] = _piece_values(pc, x, mask)
         todo &= ~mask
-    if todo.any():
-        left = todo & (x < resolved[0].lo)
-        out[left] = _piece_values(resolved[0], x, left)
-        right = todo & ~left
-        out[right] = _piece_values(resolved[-1], x, right)
+    if todo.any():                      # NaN, or in a gap of at most 1e-12
+        out[todo] = _piece_values(resolved[-1], x, todo)
     return out
 
 
@@ -305,35 +293,34 @@ class Nonlinearity:
     fn_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     jac_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     conformal: Conformal | None = None
+    _mirrored = 0       # how many pieces mirror the rest: a radial profile's
 
     def __post_init__(self):
         if self.kind == "piecewise_scalar":
             if self.m != 1 or self.p != 1:
                 raise ConfigurationError("piecewise_scalar requires m = p = 1")
-            _check_tiling(self.pieces, lo_start=-_INF)
         elif self.kind == "radial":
             if self.m != self.p:
                 raise ConfigurationError("radial nonlinearity requires m = p")
-            _check_tiling(self.profile, lo_start=0.0)
-            object.__setattr__(self, "pieces", _odd_extension(self.profile))
+            object.__setattr__(self, "pieces", _odd_extension(self.profile or ()))
+            object.__setattr__(self, "_mirrored", len(self.profile or ()))
         elif self.kind == "conformal" and self.conformal is None:
             raise ConfigurationError("conformal nonlinearity needs its structure")
         elif self.fn is None:
             raise ConfigurationError(
                 f"nonlinearity of kind {self.kind!r} needs the evaluator fn"
             )
-        # Time-independent pieces resolve once; time-varying ones once per
-        # distinct t, through a one-entry memo (stages share their times),
-        # and are checked there.
-        pieces = self.pieces
-        if pieces is not None and all(pc.static for pc in pieces):
-            object.__setattr__(self, "_static_resolved",
-                               [pc.at(0.0) for pc in pieces])
-        else:
-            object.__setattr__(self, "_static_resolved", None)
-        # (d.hex(), (piece, image lo, hi) of x - d g(x)), set by output_solver
+        # Pieces resolve and are checked per distinct t (a one-entry memo, as
+        # stages share times), first at t = 0, which static pieces keep.
+        static = memo = None
+        if self.kind in ("piecewise_scalar", "radial"):
+            memo = _PerTime(_resolver(self.pieces or (), self._mirrored))
+            first = memo(0.0)
+            static = first if all(pc.static for pc in self.pieces) else None
+        object.__setattr__(self, "_static_resolved", static)
+        object.__setattr__(self, "_memo", memo)
+        # (d, (piece, image lo, hi) of x - d g(x)), set by output_solver
         object.__setattr__(self, "_images", None)
-        object.__setattr__(self, "_memo", _PerTime(_resolver(pieces or ())))
 
     def resolved_structure(self, t: float) -> list["ResolvedPiece"]:
         """The pieces over the real line at time t (a radial map's odd
@@ -436,7 +423,7 @@ class Nonlinearity:
     def _resolved_rows(self, t, T: np.ndarray) -> list[ResolvedPiece]:
         if T.ndim == 0 or self._static_resolved is not None:
             return self.resolved_structure(t)
-        return _resolve_rows(self.pieces, T)
+        return _resolve_rows(self.pieces, T, self._mirrored)
 
     def _bad_length(self, length: int) -> ConfigurationError:
         return ConfigurationError(
@@ -466,38 +453,6 @@ class Nonlinearity:
 def row_time(t, i: int):
     """The time of row i: t itself when it is one time for all rows."""
     return t if np.ndim(t) == 0 else np.asarray(t, dtype=float)[i]
-
-
-def _check_tiling(pieces, lo_start: float):
-    """Pieces must tile [lo_start, inf) continuously, each running forwards,
-    with edges that are not NaN (they may be infinite) and finite
-    coefficients; a radial profile (lo_start 0) must also vanish at 0."""
-    if not pieces:
-        raise ConfigurationError("piecewise structure needs at least one piece")
-    for t in (0.0, 0.7, 3.1):
-        resolved = [pc.at(t) for pc in pieces]
-        for i, pc in enumerate(resolved):
-            _check_piece(i, pc, t)
-        if resolved[0].lo != lo_start:
-            raise ConfigurationError(
-                f"first piece must start at {lo_start}, got {resolved[0].lo}"
-            )
-        if lo_start == 0.0 and abs(resolved[0].value(0.0)) > 1e-12:
-            raise ConfigurationError("radial amplitude profile must vanish at r = 0")
-        if resolved[-1].hi != _INF:
-            raise ConfigurationError("last piece must extend to +inf")
-        _check_order(resolved, t)
-        for left, right in zip(resolved, resolved[1:]):
-            b = left.hi
-            if math.isfinite(b):
-                # the values round with the sizes of the terms that make them
-                scale = sum(abs(pc.c0) + abs(pc.c1 * b) + abs(pc.c2 * b * b)
-                            + abs(pc.atan_coeff * math.atan(b)) for pc in (left, right))
-                if abs(left.value(b) - right.value(b)) > 1e-9 * scale:
-                    raise ConfigurationError(
-                        f"pieces disagree at breakpoint {b} (t={t}): "
-                        f"{left.value(b)} vs {right.value(b)}"
-                    )
 
 
 def _odd_extension(profile) -> tuple[ScalarPiece, ...]:
@@ -531,7 +486,20 @@ def conformal_map(cf: Conformal, p: int, name: str = "",
     """Build f(t, xi) = alpha(t, ||xi||) xi with its evaluators from alpha:
     f = g U xi + c xi and Df = M(alpha) + M(d alpha / dr) xi xi^T / r =
     g U + (dg/dr / r) (U xi) xi^T + c I (U = I for a real alpha), each
-    batch row equal to its one-point value bit for bit."""
+    batch row equal to its one-point value bit for bit.  The time factor,
+    memoised per time, is checked where it resolves: where it is not finite
+    or raises ValueError or ArithmeticError, ConfigurationError names the map and t."""
+    def factor_at(t, factor_of=cf.at_time):
+        try:
+            factor = factor_of(t)
+            if all_finite(np.ravel(factor)):
+                return factor
+        except (ValueError, ArithmeticError) as exc:
+            factor = exc
+        raise ConfigurationError(f"nonlinearity {name or '<anonymous>'} has no finite "
+                                 f"time factor at t={t}: {factor}")
+
+    cf = cf._replace(at_time=_PerTime(factor_at))
     c, at_time, gain, slope, _, rotating, _ = cf
     eye = np.eye(p)
 
@@ -681,7 +649,7 @@ def normalized_gain(gain=0.5, p: int = 2) -> Nonlinearity:
     alpha = h(t) / (1 + r) is real, so any p will do.  A callable gain must
     be a pure function of t: its value is reused while t repeats.
     """
-    h = _PerTime(gain) if callable(gain) else (lambda _t, _h=float(gain): _h)
+    h = gain if callable(gain) else (lambda _t, _h=float(gain): _h)
 
     def modulus(ht, d, rho):            # r^2 (r + 1 - d h)^2 - rho^2 (1 + r)^2
         k = 1.0 - d * ht
@@ -709,13 +677,13 @@ def rotated_radial(angle=None) -> Nonlinearity:
     """
     theta = angle if angle is not None else (lambda t: t)
 
-    def turn(t):                        # -R(theta(t)); -1.0 * keeps a NaN's sign
+    def turn(t):                        # -R(theta(t))
         a = theta(t)
-        c, s = -1.0 * math.cos(a), -1.0 * math.sin(a)
+        c, s = -math.cos(a), -math.sin(a)
         return np.array([[c, -s], [s, c]])
 
     return conformal_map(Conformal(
-        1, _PerTime(turn), lambda U, r: r,
+        1, turn, lambda U, r: r,
         lambda U, r: 1.0, rotating=True,
         # r^2 |1 - d - d r u|^2 - rho^2, with cos theta = -U[0, 0]
         modulus=lambda U, d, rho: (d * d, -2.0 * d * (1.0 - d) * float(U[0, 0]),
@@ -731,7 +699,7 @@ def normalized_rotation(omega: float = 1.0) -> Nonlinearity:
         return 1.0, 4.0 - 2.0 * dc, 5.0 - 6.0 * dc + k, 2.0 * (1.0 - 2.0 * dc + k), -rho * rho
 
     return conformal_map(Conformal(
-        0, _PerTime(lambda t: rotation_matrix(omega * t)),
+        0, lambda t: rotation_matrix(omega * t),
         lambda J, r: 1.0 / _sqrt(1.0 + r * r),
         lambda J, r: -r / ((1.0 + r * r) * _sqrt(1.0 + r * r)), modulus,
         rotating=True, radius=lambda x: math.sqrt(x * (2.0 + x))),

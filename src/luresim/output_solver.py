@@ -878,9 +878,9 @@ def exact_structure_available(f: Nonlinearity, D) -> bool:
 
 
 def _exact_enumerator(f: Nonlinearity, D):
-    """(d, fibre function) of f's exact fibre under the feedthrough D, or
-    None without one: a piecewise-scalar map needs a 1 x 1 D = [[d]], a
-    radial or conformal one D = d I."""
+    """(d, fibre function) of f's exact fibre under the feedthrough D, or None
+    without one: a piecewise-scalar map needs a 1 x 1 D = [[d]], a radial or
+    conformal one D = d I, and each arctan piece a linear part that d cancels."""
     D = _as_feedthrough(D)
     if f.kind == "piecewise_scalar":
         d = float(D[0, 0]) if D.shape == (1, 1) else None
@@ -888,7 +888,16 @@ def _exact_enumerator(f: Nonlinearity, D):
         d = scalar_feedthrough(D)
     else:
         d = None
-    return None if d is None else (d, _EXACT_FIBRES[f.kind])
+    if d is None or any(pc.atan_coeff and not _cancels(pc, d) for pc in f.pieces or ()):
+        return None
+    return d, _EXACT_FIBRES[f.kind]
+
+
+def _cancels(pc, d: float) -> bool:
+    """Whether d cancels the static linear part of an arctan piece: the one
+    kind of arctan piece ``_piece_roots_for_target`` solves."""
+    return (not (callable(pc.c1) or callable(pc.c2)) and abs(d * pc.c2) <= 1e-14
+            and abs(1.0 - d * pc.c1) <= 1e-14 and d * pc.atan_coeff != 0.0)
 
 
 def _exact_route(f: Nonlinearity, D, opts: SolveOptions):
@@ -907,16 +916,8 @@ def _piece_roots_for_target(pc, d: float, target: float):
     enumeration stable against roundoff at double roots.
     """
     lo, hi, c0, c1, c2, atan_coeff = pc
-    if atan_coeff != 0.0:
-        a = -d * c2
-        b = 1.0 - d * c1
-        aat = -d * atan_coeff
-        if abs(a) > 1e-14 or abs(b) > 1e-14 or aat == 0.0:
-            raise ConfigurationError(
-                "unsupported piece formula for exact fibre enumeration "
-                "(arctan piece solvable only when the linear part cancels)"
-            )
-        arg = (target + d * c0) / aat
+    if atan_coeff != 0.0:           # d cancels x - d (c1 x + c2 x^2): _cancels
+        arg = (target + d * c0) / (-d * atan_coeff)
         if abs(arg) >= math.pi / 2.0:
             return [], []
         root = math.tan(arg)
@@ -1079,9 +1080,9 @@ def _scalar_fibre(f: Nonlinearity, d: float, t: float, w, tol_sep: float) -> tup
     pieces = f.resolved_structure(t)
     candidates = pieces
     if f._static_resolved is not None:      # skip pieces whose image excludes w
-        kept = f._images                    # (d.hex(), (piece, lo, hi) triples)
-        if kept is None or kept[0] != d.hex():
-            kept = (d.hex(), [(pc, *_piece_image(pc, d)) for pc in pieces])
+        kept = f._images                    # (d, (piece, lo, hi) triples)
+        if kept is None or kept[0] != d:
+            kept = (d, [(pc, *_piece_image(pc, d)) for pc in pieces])
             object.__setattr__(f, "_images", kept)
         candidates = [pc for pc, lo, hi in kept[1] if lo <= level <= hi]
     pts_raw: list[float] = []

@@ -178,6 +178,15 @@ def test_monotonicity_contractive_passes(entry):
     assert rec.table["gamma1_hat"] <= 0.5 + 1e-9
 
 
+def test_monotonicity_passes_on_the_gamma_2_branch():
+    # D f = 3 xi: every quotient is 3, so gamma_1 fails and gamma_2 holds
+    rec = check_monotonicity(linear_nonlinearity([[3.0]]), [[1.0]], (0.0, 1.0), 2.0)
+    assert rec.verdict == "pass_sampled" and rec.detail == "gamma_2 branch"
+    assert rec.table["gamma1_hat"] == pytest.approx(3.0)
+    assert rec.table["gamma2_hat"] == pytest.approx(3.0)
+    assert rec.margin == pytest.approx(2.0)
+
+
 def test_monotonicity_parabolic_band_fails(entry):
     # slope reaches 2 inside the band and 0 on the flats: both one-sided
     # branches are witnessed violated
@@ -356,6 +365,43 @@ def test_analyzer_options_rejected_naming_the_field(entry, field, value):
     opts = AnalyzerOptions(**{field: value})
     with pytest.raises(ConfigurationError, match=f"^{field} must be"):
         analyze_system(e.system, e.nonlinearity, opts)
+
+
+_WINDOW_PROBES = {
+    "upper": lambda sys, f, tw, box: check_upper_lipschitz(f, tw, box),
+    "lower": lambda sys, f, tw, box: check_lower_lipschitz(sys, f, tw, box),
+    "determinant": lambda sys, f, tw, box: check_determinant_condition(f, sys.D, tw, box),
+    "growth": lambda sys, f, tw, box: check_growth_condition(f, sys.D, tw),
+    "monotonicity": lambda sys, f, tw, box: check_monotonicity(f, sys.D, tw, box),
+    "nonempty": lambda sys, f, tw, box: probe_fibre_nonempty(sys, f, tw),
+    "convexity": lambda sys, f, tw, box: probe_fibre_convexity(sys, f, tw),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_WINDOW_PROBES))
+@pytest.mark.parametrize("t_window", [(math.nan, 1.0), (5.0, 1.0), (0.0, math.inf)])
+def test_probes_reject_a_bad_window(entry, probe, t_window):
+    # sec42c's lower and determinant probes once failed with a witness at
+    # t = nan, and every probe took (5, 1) and (0, inf)
+    e = entry("sec42c")
+    with pytest.raises(ConfigurationError, match="^t_window must be"):
+        _WINDOW_PROBES[probe](e.system, e.nonlinearity, t_window, 2.0)
+
+
+@pytest.mark.parametrize("probe", ["upper", "lower", "determinant", "monotonicity"])
+@pytest.mark.parametrize("box", [0.0, -2.0, math.inf, math.nan, (1.0, -1.0),
+                                 (0.0, math.inf), (1.0,), True])
+def test_probes_reject_a_bad_box(entry, probe, box):
+    # box=0.0 once passed the upper probe with margin -inf and no witness
+    e = entry("sec42c")
+    with pytest.raises(ConfigurationError, match="^box must be"):
+        _WINDOW_PROBES[probe](e.system, e.nonlinearity, (0.0, 1.0), box)
+
+
+def test_a_box_reads_as_its_half_width(entry):
+    f = entry("sec42c").nonlinearity
+    assert (_dump([check_upper_lipschitz(f, (0, 1), 2, seed=3)])
+            == _dump([check_upper_lipschitz(f, (0.0, 1.0), (-2.0, 2.0), seed=3)]))
 
 
 def _dump(records):

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from luresim import (EXAMPLE_NAMES, ConfigurationError, ScalarPiece,
-                     build_example, config_text, deadzone_saturation,
-                     entry_to_config, enumerate_fibre_exact, parse_config,
-                     piecewise_scalar, saturation_scaled)
+                     SystemMatrices, build_example, config_text,
+                     deadzone_saturation, entry_to_config, enumerate_fibre_exact,
+                     identity_minus_atan, normalized_gain, parse_config, piecewise_scalar,
+                     radial_scalar_profile, saturation_scaled, solve_output)
+from luresim import config
 from luresim.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -241,6 +243,30 @@ def test_piecewise_scalar_config(entry):
     assert cfg.nonlinearity(0.0, [0.2]) == pytest.approx([0.16])
 
 
+def test_id_minus_atan_piece_config(entry):
+    doc = entry_to_config(entry("ex3a"))
+    doc["nonlinearity"] = {"piecewise_scalar": {"pieces": [
+        {"lo": "-inf", "hi": 0.0, "id_minus_atan": True},
+        {"lo": 0.0, "hi": "inf", "id_minus_atan": True}]}}
+    f, g = parse_config(json.dumps(doc)).nonlinearity, identity_minus_atan()
+    X = np.array([[-3.0], [-0.0], [0.25], [40.0]])
+    assert f.eval_batch(0.0, X).tobytes() == g.eval_batch(0.0, X).tobytes()
+
+
+@pytest.mark.parametrize("signal", [
+    {"constant": [0.5]},
+    {"piecewise_constant": {"times": [0.25, 1.0], "values": [[0.5], [-1.5], [2.0]]}},
+])
+def test_input_config_round_trip(entry, signal):
+    doc = entry_to_config(entry("ex3b"))                # m_e = 1
+    doc["input"] = signal
+    cfg = parse_config(json.dumps(doc))
+    assert config._signal_to_dict(cfg.input) == signal
+    if "piecewise_constant" in signal:      # right-continuous at each time
+        assert [float(cfg.input(t)[0]) for t in (0.0, 0.25, 0.99, 1.0)] == [
+            0.5, -1.5, -1.5, 2.0]
+
+
 NAN_EDGES = [{"lo": "-inf", "hi": math.nan, "poly": [0, 1]},
              {"lo": math.nan, "hi": "inf", "poly": [0, 2]}]
 
@@ -300,6 +326,39 @@ def test_time_varying_pieces_are_checked_where_they_resolve(tmp_path, entry,
                     r"coefficient at t=(2\.0|0\.0005):", captured.err)
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("ex4c", "gain", "(t-2)*1e300*1e300"),
+    ("ex4a", "angle", "(t-2)*1e300*1e300"),
+    ("ex4b", "omega", 1e308),
+])
+@pytest.mark.parametrize("command", [["fibre", "--t", "3", "--w", "0.3,0.1"],
+                                     ["simulate", "--t0", "2.5", "--tmax", "3"]])
+def test_conformal_time_factors_are_checked_where_they_resolve(tmp_path, capsys, name,
+                                                               key, value, command):
+    # an infinite gain once gave an exact certificate of an empty fibre
+    # (exit 0) and a run unsolvable at t0 (exit 3); an infinite angle, a
+    # ValueError traceback from math.cos (exit 1)
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    doc["nonlinearity"]["builtin"]["params"][key] = value
+    cfg = tmp_path / "factor.json"
+    cfg.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "run")] if command[0] == "simulate" else []
+    code = main([command[0], "--system", str(cfg), *command[1:], *out])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    t = command[2]
+    assert re.match(rf"error: nonlinearity {doc['nonlinearity']['builtin']['name']} has no "
+                    rf"finite time factor at t={float(t)}: ", captured.err)
+
+
+def test_conformal_time_factors_are_checked_per_row_time():
+    f = normalized_gain(lambda t: max(t - 2.0, 0.0) * 1e300 * 1e300)
+    X = np.array([[0.3, 0.1], [0.3, 0.1]])
+    assert np.isfinite(f.eval_batch(np.array([0.0, 1.0]), X)).all()
+    with pytest.raises(ConfigurationError, match=r"time factor at t=3\.0: inf$"):
+        f.eval_rows(np.array([1.0, 3.0]), X)
+
+
 def test_time_varying_pieces_are_checked_per_row_time():
     # the stacked path resolves a piece at each row's time, and checks it there
     f = saturation_scaled(lambda t: t * (t - 0.7) * (t - 3.1) * 1e300 * 1e300)
@@ -330,6 +389,68 @@ def test_pieces_that_part_between_the_probe_times_are_rejected_where_they_resolv
         enumerate_fibre_exact(f, [[1.0]], 2.0, [0.0])
     with pytest.raises(ConfigurationError, match=match):
         f.eval_rows(np.array([0.0, 2.0, 0.7]), np.zeros((3, 1)))
+
+
+def _probe_time_traps():
+    # each tiles the line continuously at t = 0, 0.7 and 3.1 alone
+    def dip(t):
+        return t * (t - 0.7) * (t - 3.1)
+
+    parted = piecewise_scalar([ScalarPiece(lo=-math.inf, hi=0.0, c0=dip),
+                               ScalarPiece(lo=0.0, hi=math.inf, c1=0.5)])
+    short = piecewise_scalar([
+        ScalarPiece(lo=lambda t: -math.inf if dip(t) == 0.0 else -1.0, hi=0.0, c1=0.5),
+        ScalarPiece(lo=0.0, hi=math.inf, c1=0.5)])
+    return parted, short
+
+
+def test_a_tiling_that_parts_off_the_probe_times_gives_no_fibre():
+    # at t = 2 the first piece is -2.86 at 0, where the second is 0: the
+    # exact fibre of w = 0 once held y = 0, and solve_output chose it as a
+    # "multiple" output with residual 2.86
+    f = _probe_time_traps()[0]
+    sys = SystemMatrices(A=[[0.0]], B=[[1.0]], B_e=[[1.0]], C=[[1.0]],
+                         D=[[1.0]], D_e=[[0.0]])
+    match = r"^pieces disagree at breakpoint 0\.0 \(t=2\.0\): -2\.86"
+    for solve in (lambda: solve_output(sys, f, 2.0, [0.0], [0.0]),
+                  lambda: enumerate_fibre_exact(f, [[1.0]], 2.0, [0.0]),
+                  lambda: f.eval_rows(np.array([0.0, 2.0]), np.zeros((2, 1)))):
+        with pytest.raises(ConfigurationError, match=match):
+            solve()
+    assert solve_output(sys, f, 0.7, [0.0], [0.0]).residual == 0.0
+
+
+def test_a_first_edge_off_minus_infinity_gives_no_empty_certificate():
+    # at t = 2 the pieces begin at -1: the exact fibre of w = -2.5 was once
+    # certified empty, yet y = -5 solves y - f(2, y) = -2.5
+    f = _probe_time_traps()[1]
+    match = r"^pieces do not tile at t=2\.0: piece 0 runs from -1\.0 to 0\.0, not from -inf"
+    with pytest.raises(ConfigurationError, match=match):
+        enumerate_fibre_exact(f, [[1.0]], 2.0, [-2.5])
+    with pytest.raises(ConfigurationError, match=match):
+        f.eval_batch(np.array([3.1, 2.0]), np.array([[-5.0], [-5.0]]))
+    assert enumerate_fibre_exact(f, [[1.0]], 3.1, [-2.5]).to_dict()["points"] == [[-5.0]]
+
+
+@pytest.mark.parametrize("profile, match", [
+    ([ScalarPiece(lo=0.5, hi=math.inf, c1=1.0)],
+     r"^pieces do not tile at t=0\.0: piece 0 runs from 0\.5 to inf, not from 0$"),
+    ([ScalarPiece(lo=0.0, hi=1.0, c1=1.0), ScalarPiece(lo=1.5, hi=math.inf, c1=1.0)],
+     r"^pieces do not tile at t=0\.0: piece 0 runs from 0\.0 to 1\.0, and piece 1 "
+     r"begins at 1\.5$"),
+    ([ScalarPiece(lo=0.0, hi=1.0, c1=1.0), ScalarPiece(lo=1.0, hi=2.0, c0=1.0)],
+     r"^pieces do not tile at t=0\.0: piece 1 runs from 1\.0 to 2\.0, not to inf$"),
+    ([ScalarPiece(lo=0.0, hi=math.inf, c1=1.0, c2=math.nan)],
+     r"^piece 0 has a NaN edge or a non-finite coefficient at t=0\.0: \(0\.0, inf, "),
+    # a profile that does not vanish at 0, by however little
+    ([ScalarPiece(lo=0.0, hi=math.inf, c0=1e-13, c1=1.0)],
+     r"^pieces disagree at breakpoint 0\.0 \(t=0\.0\): -1e-13 vs 1e-13$"),
+    ([], r"^piecewise structure needs at least one piece$"),
+])
+def test_a_radial_profile_is_checked_as_its_odd_extension(profile, match):
+    # errors name the profile's own pieces, not their mirror images
+    with pytest.raises(ConfigurationError, match=match):
+        radial_scalar_profile(profile, p=2)
 
 
 @pytest.mark.parametrize("width, t", [("t - 1", "0"),
@@ -534,6 +655,19 @@ def test_cli_example_list_and_show(capsys):
 
 def test_cli_example_unknown_exit_2(capsys):
     assert main(["example", "doesnotexist"]) == 2
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_cli_example_emits_the_checked_in_config(tmp_path, capsys, name):
+    out = tmp_path / f"{name}.json"
+    assert main(["example", name, "--emit-config", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_bytes() == (CONFIG_DIR / f"{name}.json").read_bytes()
+
+
+def test_cli_example_without_a_name_exits_2(capsys):
+    assert main(["example"]) == 2
+    assert capsys.readouterr().err == "error: example: give a name or --list\n"
 
 
 def test_cli_example_verify_reports_escape(capsys):

@@ -118,6 +118,17 @@ def test_unsolvable_at_initial_time(entry):
     assert rec.n_samples == 0
 
 
+def test_newton_route_flags_a_solve_with_several_outputs(entry):
+    # ex3c's fibres hold several outputs; which samples a Newton-route run
+    # flags depends on its iterates, so only that one is flagged is pinned
+    e = entry("ex3c")
+    opts = SimOptions(dt=1e-2, tmax=0.1,
+                      solver=SolveOptions(use_structure=False, max_iter=1))
+    rec = simulate(e.system, e.nonlinearity, e.input, e.t0, e.x0, opts)
+    assert rec.termination.kind == "reached_tmax"
+    assert "multiple" in rec.flags and set(rec.flags) <= {"", "multiple"}
+
+
 def test_output_equation_consistency(entry, rng):
     # residual re-evaluated directly from the record, not the solver
     e = entry("ex4b")

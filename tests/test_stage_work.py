@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from luresim import (EvaluationError, FibreSet, InclusionOptions, Nonlinearity,
-                     ScalarPiece, SelectionPolicy, SolveOptions, SystemMatrices,
+from luresim import (ConfigurationError, EvaluationError, FibreSet, InclusionOptions,
+                     Nonlinearity, ScalarPiece, SelectionPolicy, SolveOptions, SystemMatrices,
                      compile_scalar_expression, compile_vector_expression,
                      deadzone_saturation, normalized_gain, piecewise_scalar,
                      rotated_radial, saturation_scaled, simulate_inclusion,
@@ -213,7 +213,8 @@ def _normalized_frame(angle):
      lambda angle, t, xi: (angle(t) / (1.0 + np.linalg.norm(xi))) * xi),
 ])
 def test_time_factors_memoised_per_time(build, direct):
-    # the angle tells -0.0 from 0.0; NaN gives NaN factors and never hits
+    # the angle tells -0.0 from 0.0; NaN gives NaN factors and never hits,
+    # and a conformal map rejects a NaN factor where it resolves
     def angle(t):
         return 0.25 + 0.5 * math.copysign(1.0, t) + math.sin(t)
 
@@ -222,6 +223,10 @@ def test_time_factors_memoised_per_time(build, direct):
     xi = np.array([0.6, -0.0])
     with np.errstate(invalid="ignore"):
         for t in MEMO_TIMES:
+            if math.isnan(t) and f.kind == "conformal":
+                with pytest.raises(ConfigurationError, match="no finite time factor at t=nan"):
+                    f.fn(t, xi)
+                continue
             got, want = f.fn(t, xi), direct(angle, t, xi)
             assert got.tobytes() == want.tobytes(), t
         assert len(calls) == _distinct_runs(MEMO_TIMES)
